@@ -1,4 +1,4 @@
-// Ablations of the run-time engine's design choices (DESIGN.md §5).
+// Ablations of the run-time engine's design choices.
 //
 // Three decisions the reproduction makes are measured by turning each
 // off (or simulating its absence):
@@ -116,7 +116,7 @@ BENCHMARK(BM_A3_BatchIntake);
 
 void PrintSeries() {
   benchutil::PrintHeader(
-      "Ablations: engine design choices", "DESIGN.md section 5",
+      "Ablations: engine design choices", "run-time engine",
       "A1 journal of propagated deliveries, A2 idempotent link "
       "registration, A3 intake mode.");
 

@@ -1,9 +1,10 @@
 // Shared helpers for the benchmark harness.
 //
 // Every bench regenerates one figure or quantified claim of the paper
-// (see DESIGN.md §4 and EXPERIMENTS.md). Benches print their series as
-// aligned text tables — the "rows the paper reports" — and then run
-// google-benchmark timings where wall-clock numbers matter.
+// (the Benchmarks section of README.md lists them). Benches print
+// their series as aligned text tables — the "rows the paper reports" —
+// and then run google-benchmark timings where wall-clock numbers
+// matter.
 #pragma once
 
 #include <benchmark/benchmark.h>

@@ -60,11 +60,11 @@ ProjectServer::ProjectServer(std::string project_name, ServerOptions options)
       committed_chain_length_.store(plan.chain_ids.size(),
                                     std::memory_order_relaxed);
     }
-    // Track dirty slots from here on: every mutation below (blueprint
-    // retemplating, replayed ops, live traffic) lands in the delta of
-    // the next chained checkpoint, whose base is exactly the state
-    // loaded above.
-    db_.EnableDirtyTracking();
+    // The loaded state is the checkpoint baseline: cut away the marks
+    // loading made, so every mutation below (blueprint retemplating,
+    // replayed ops, live traffic) lands in the delta of the next
+    // chained checkpoint, whose base is exactly the state loaded above.
+    db_.CutDirtySet();
   }
 
   if (options_.num_shards > 1) {
@@ -584,7 +584,6 @@ ProjectServer::CheckpointCut ProjectServer::BuildCheckpointCut(
   const uint64_t base =
       committed_checkpoint_id_.load(std::memory_order_relaxed);
   cut.delta = mode == CheckpointMode::kDelta && base != 0 &&
-              db_.dirty_tracking_enabled() &&
               committed_chain_length_.load(std::memory_order_relaxed) <
                   options_.checkpoint_chain_limit;
   cut.base_id = cut.delta ? base : 0;
@@ -615,7 +614,7 @@ ProjectServer::CheckpointCut ProjectServer::BuildCheckpointCut(
   }
   // The dirty cut and the snapshot pin come last, after everything that
   // can throw: a failed build must never consume marks.
-  if (db_.dirty_tracking_enabled()) cut.dirty = db_.CutDirtySet();
+  cut.dirty = db_.CutDirtySet();
   // Background writes serialize off-thread from a pinned immutable
   // version; inline writes serialize right here and can use the live
   // database without paying the publish copy.
@@ -952,6 +951,9 @@ metadb::Oid ProjectServer::CheckIn(std::string_view block,
                                    std::string_view user) {
   RequireWritable();
   EnforcePolicy(policy::Operation::kCheckIn, user, view, block);
+  // Batch mode: waves posted earlier may still run; the check-in below
+  // mutates the workspace and the database they read.
+  if (sharded_ != nullptr) sharded_->AwaitQuiescence();
   const metadb::Oid oid =
       workspace_.CheckIn(block, view, content, user, clock_.NowSeconds());
   if (logging()) {
@@ -1029,6 +1031,8 @@ size_t ProjectServer::Drain() {
 
 void ProjectServer::AdvanceClock(int64_t seconds) {
   RequireWritable();
+  // Running waves read the clock (rule-posted event timestamps).
+  if (sharded_ != nullptr) sharded_->AwaitQuiescence();
   clock_.Advance(seconds);
   if (logging()) {
     LogOp(/*pre_apply=*/false, [this](uint64_t seq) {

@@ -27,6 +27,11 @@ using metadb::OidId;
 
 namespace {
 
+/// True on this engine's worker threads. A structural call made from
+/// inside a task (an exec rule's tool checking in) must not wait for
+/// the task it runs in.
+thread_local bool tls_on_worker = false;
+
 /// Smallest power of two >= n (and >= 4).
 size_t RingCapacity(size_t n) {
   size_t capacity = 4;
@@ -949,6 +954,7 @@ uint64_t ShardedEngine::epoch_ceiling() const noexcept {
 
 void ShardedEngine::RestoreEpochCeiling(uint64_t next_epoch,
                                         size_t wave_epochs) {
+  AwaitQuiescence();
   counters_->next_epoch.store(next_epoch, std::memory_order_relaxed);
   counters_->wave_epochs.store(wave_epochs, std::memory_order_relaxed);
 }
@@ -986,8 +992,17 @@ uint64_t ShardedEngine::MinLiveEpoch() const noexcept {
 
 // --- Structural operations ---------------------------------------------------
 
+void ShardedEngine::AwaitQuiescence() {
+  if (options_.deterministic || tls_on_worker) return;
+  std::unique_lock<std::mutex> lock(counters_->drain_mutex);
+  counters_->drain_cv.wait(lock, [&] {
+    return counters_->pending.load(std::memory_order_acquire) == 0;
+  });
+}
+
 void ShardedEngine::LoadBlueprint(const blueprint::Blueprint& blueprint,
                                   uint64_t policy_version) {
+  AwaitQuiescence();
   for (auto& lane : lanes_) {
     lane->engine->LoadBlueprint(blueprint.Clone(), policy_version);
   }
@@ -1008,11 +1023,13 @@ uint64_t ShardedEngine::policy_version() const {
 OidId ShardedEngine::OnCreateObject(std::string_view block,
                                     std::string_view view,
                                     std::string_view user) {
+  AwaitQuiescence();
   return lanes_.front()->engine->OnCreateObject(block, view, user);
 }
 
 metadb::LinkId ShardedEngine::OnCreateLink(metadb::LinkKind kind, OidId from,
                                            OidId to) {
+  AwaitQuiescence();
   return lanes_.front()->engine->OnCreateLink(kind, from, to);
 }
 
@@ -1122,6 +1139,7 @@ bool ShardedEngine::TrySteal(size_t worker_index) {
 }
 
 void ShardedEngine::WorkerLoop(size_t worker_index) {
+  tls_on_worker = true;
   Task task;
   int idle_spins = 0;
   for (;;) {
@@ -1203,10 +1221,7 @@ size_t ShardedEngine::Drain() {
   if (options_.deterministic) {
     DrainDeterministic();
   } else {
-    std::unique_lock<std::mutex> lock(counters_->drain_mutex);
-    counters_->drain_cv.wait(lock, [&] {
-      return counters_->pending.load(std::memory_order_acquire) == 0;
-    });
+    AwaitQuiescence();
   }
   const size_t total =
       counters_->tasks_processed.load(std::memory_order_acquire);
@@ -1216,6 +1231,7 @@ size_t ShardedEngine::Drain() {
 }
 
 void ShardedEngine::RebalanceShards() {
+  AwaitQuiescence();
   if (!shard_map_.dirty()) return;
   shard_map_.Rebalance();
 }

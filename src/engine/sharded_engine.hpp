@@ -92,9 +92,13 @@
 // Everything structural — LoadBlueprint, OnCreateObject / OnCreateLink,
 // direct MetaDatabase mutations, Rebalance, journal/stat accessors —
 // must happen while the engine is quiescent (after Drain returns and
-// before new events are posted). Workers only write disjoint state:
-// per-shard engine internals and the properties of OIDs inside their
-// own shard's waves.
+// before new events are posted). The structural entry points of this
+// class wait for quiescence themselves (AwaitQuiescence), so batch-mode
+// callers that post events and then check in or link without a Drain
+// never mutate slots or indexes under a running wave; callers that
+// mutate the database directly call AwaitQuiescence first. Workers
+// only write disjoint state: per-shard engine internals and the
+// properties of OIDs inside their own shard's waves.
 #pragma once
 
 #include <cstdint>
@@ -225,6 +229,13 @@ class ShardedEngine {
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
   // --- Structural operations (quiescent engine only) --------------------
+  // Each of these first waits for every queued task to finish.
+
+  /// Blocks until no task is queued or running (threaded mode), without
+  /// counting as a Drain. No-op in deterministic mode, where tasks only
+  /// run inside Drain, and on worker threads (a task cannot wait for
+  /// itself). The coordinating thread only.
+  void AwaitQuiescence();
 
   /// Installs the blueprint on every shard engine (deep copies; each
   /// engine compiles its own rule tables against its own interner).

@@ -4,15 +4,18 @@
 
 namespace damocles::metadb {
 
-void DirtyTracker::Mark(StampArray& array, size_t slot) noexcept {
-  if (slot >= array.size) {
-    // Only slot appends reach here, and appends are single-writer and
-    // never concurrent with marking workers (the same contract that
-    // makes the database's own vector push_backs safe).
-    Grow(array, slot + 1);
+void DirtyTracker::Mark(StampArray& array, size_t index) noexcept {
+  if (index >= array.size) {
+    // Only slot appends and index changes reach here, and both are
+    // single-writer and never concurrent with marking workers (the same
+    // contract that makes the database's own appends safe).
+    Grow(array, index + 1);
   }
-  array.stamps[slot].store(generation_.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
+  const uint64_t generation = generation_.load(std::memory_order_relaxed);
+  std::atomic<uint64_t>& stamp = array.stamps[index];
+  if (stamp.load(std::memory_order_relaxed) != generation) {
+    stamp.store(generation, std::memory_order_relaxed);
+  }
 }
 
 void DirtyTracker::Grow(StampArray& array, size_t needed) {
@@ -30,43 +33,79 @@ void DirtyTracker::Grow(StampArray& array, size_t needed) {
     array.stamps = std::move(stamps);
     array.capacity = capacity;
   }
-  array.size = needed;
+  array.size = std::max(array.size, needed);
 }
 
-void DirtyTracker::Collect(const StampArray& array, uint64_t generation,
+uint64_t DirtyTracker::Advance(Consumer consumer) noexcept {
+  const uint64_t since = cursor_[consumer];
+  const uint64_t next = generation_.load(std::memory_order_relaxed) + 1;
+  generation_.store(next, std::memory_order_relaxed);
+  cursor_[consumer] = next;
+  return since;
+}
+
+void DirtyTracker::Collect(const StampArray& array, uint64_t since,
+                           size_t begin, size_t end,
                            std::vector<uint32_t>& out) {
-  for (size_t i = 0; i < array.size; ++i) {
-    if (array.stamps[i].load(std::memory_order_relaxed) == generation) {
+  end = std::min(end, array.size);
+  for (size_t i = begin; i < end; ++i) {
+    if (array.stamps[i].load(std::memory_order_relaxed) >= since) {
       out.push_back(static_cast<uint32_t>(i));
     }
   }
 }
 
-void DirtyTracker::Restamp(StampArray& array,
+void DirtyTracker::CollectSlots(DirtyTable table, uint64_t since,
+                                std::vector<uint32_t>& out) const {
+  // Every slot mark also stamps its chunk, so only chunks stamped since
+  // the cursor need a slot scan.
+  const StampArray& chunks = chunks_[static_cast<size_t>(table)];
+  const StampArray& slots = slots_[static_cast<size_t>(table)];
+  for (size_t chunk = 0; chunk < chunks.size; ++chunk) {
+    if (chunks.stamps[chunk].load(std::memory_order_relaxed) < since) continue;
+    const size_t begin = chunk << kChunkShift;
+    Collect(slots, since, begin, begin + (size_t{1} << kChunkShift), out);
+  }
+}
+
+void DirtyTracker::Restamp(DirtyTable table,
                            const std::vector<uint32_t>& slots,
                            uint64_t generation) noexcept {
+  StampArray& slot_stamps = slots_[static_cast<size_t>(table)];
+  StampArray& chunk_stamps = chunks_[static_cast<size_t>(table)];
   for (const uint32_t slot : slots) {
-    if (slot < array.size) {
-      array.stamps[slot].store(generation, std::memory_order_relaxed);
+    if (slot < slot_stamps.size) {
+      slot_stamps.stamps[slot].store(generation, std::memory_order_relaxed);
+      chunk_stamps.stamps[slot >> kChunkShift].store(
+          generation, std::memory_order_relaxed);
     }
   }
 }
 
 DirtySet DirtyTracker::Cut() {
-  const uint64_t generation = generation_.load(std::memory_order_relaxed);
+  const uint64_t since = Advance(kCheckpoint);
   DirtySet set;
-  Collect(objects_, generation, set.objects);
-  Collect(links_, generation, set.links);
-  Collect(configs_, generation, set.configs);
-  generation_.store(generation + 1, std::memory_order_relaxed);
+  CollectSlots(DirtyTable::kObjects, since, set.objects);
+  CollectSlots(DirtyTable::kLinks, since, set.links);
+  CollectSlots(DirtyTable::kConfigs, since, set.configs);
   return set;
 }
 
 void DirtyTracker::MergeBack(const DirtySet& set) noexcept {
   const uint64_t generation = generation_.load(std::memory_order_relaxed);
-  Restamp(objects_, set.objects, generation);
-  Restamp(links_, set.links, generation);
-  Restamp(configs_, set.configs, generation);
+  Restamp(DirtyTable::kObjects, set.objects, generation);
+  Restamp(DirtyTable::kLinks, set.links, generation);
+  Restamp(DirtyTable::kConfigs, set.configs, generation);
+}
+
+DirtyChunks DirtyTracker::CutChunks() {
+  const uint64_t since = Advance(kPublish);
+  DirtyChunks dirty;
+  for (size_t table = 0; table < kDirtyTableCount; ++table) {
+    const StampArray& chunks = chunks_[table];
+    Collect(chunks, since, 0, chunks.size, dirty.tables[table]);
+  }
+  return dirty;
 }
 
 }  // namespace damocles::metadb

@@ -26,10 +26,10 @@ OidId MetaDatabase::CreateObject(const Oid& oid, std::string_view user,
   if (oid.block.empty() || oid.view.empty()) {
     throw IntegrityError("CreateObject: empty block or view name");
   }
-  if (by_oid_.find(oid) != by_oid_.end()) {
+  if (by_oid_.Find(oid) != nullptr) {
     throw IntegrityError("CreateObject: duplicate OID " + FormatOid(oid));
   }
-  auto& chain = chains_[ChainKey(oid.block, oid.view)];
+  auto& chain = MutableChain(ChainKey(oid.block, oid.view));
   const int expected =
       chain.empty() ? 1 : objects_[chain.back().value()].oid.version + 1;
   if (oid.version != expected) {
@@ -45,10 +45,11 @@ OidId MetaDatabase::CreateObject(const Oid& oid, std::string_view user,
   object.created_at = timestamp;
   object.created_by = std::string(user);
   objects_.push_back(std::move(object));
-  out_links_.emplace_back();
-  in_links_.emplace_back();
+  // No adjacency mark: a fresh slot's link lists are the default value
+  // every chunk already holds past its last slot.
+  adjacency_.push_back({});
 
-  by_oid_.emplace(oid, id);
+  IndexOid(oid, id);
   chain.push_back(id);
   Touch();
   MarkObjectDirty(id.value());
@@ -62,10 +63,10 @@ OidId MetaDatabase::CreateNextVersion(std::string_view block,
                                       std::string_view view,
                                       std::string_view user,
                                       int64_t timestamp) {
-  const auto it = chains_.find(ChainKey(block, view));
+  const std::vector<OidId>* chain = chains_.Find(ChainKey(block, view));
   int next = 1;
-  if (it != chains_.end() && !it->second.empty()) {
-    next = objects_[it->second.back().value()].oid.version + 1;
+  if (chain != nullptr && !chain->empty()) {
+    next = objects_[chain->back().value()].oid.version + 1;
   }
   return CreateObject(Oid{std::string(block), std::string(view), next}, user,
                       timestamp);
@@ -76,11 +77,11 @@ void MetaDatabase::DeleteObject(OidId id) {
   MetaObject& object = objects_[id.value()];
   object.alive = false;
   // Copy: DeleteLink mutates the adjacency vectors we are iterating.
-  const std::vector<LinkId> out = out_links_[id.value()];
+  const std::vector<LinkId> out = adjacency_[id.value()].out;
   for (const LinkId link : out) DeleteLink(link);
-  const std::vector<LinkId> in = in_links_[id.value()];
+  const std::vector<LinkId> in = adjacency_[id.value()].in;
   for (const LinkId link : in) DeleteLink(link);
-  by_oid_.erase(object.oid);
+  UnindexOid(object.oid);
   Touch();
   MarkObjectDirty(id.value());
 }
@@ -88,17 +89,17 @@ void MetaDatabase::DeleteObject(OidId id) {
 // --- Lookup --------------------------------------------------------------------
 
 std::optional<OidId> MetaDatabase::FindObject(const Oid& oid) const {
-  const auto it = by_oid_.find(oid);
-  if (it == by_oid_.end()) return std::nullopt;
-  return it->second;
+  const OidId* id = by_oid_.Find(oid);
+  if (id == nullptr) return std::nullopt;
+  return *id;
 }
 
 std::optional<OidId> MetaDatabase::FindLatest(std::string_view block,
                                               std::string_view view) const {
-  const auto it = chains_.find(ChainKey(block, view));
-  if (it == chains_.end()) return std::nullopt;
+  const std::vector<OidId>* chain = chains_.Find(ChainKey(block, view));
+  if (chain == nullptr) return std::nullopt;
   // Walk backwards past deleted versions.
-  for (auto rit = it->second.rbegin(); rit != it->second.rend(); ++rit) {
+  for (auto rit = chain->rbegin(); rit != chain->rend(); ++rit) {
     if (objects_[rit->value()].alive) return *rit;
   }
   return std::nullopt;
@@ -106,17 +107,18 @@ std::optional<OidId> MetaDatabase::FindLatest(std::string_view block,
 
 std::vector<OidId> MetaDatabase::VersionChain(std::string_view block,
                                               std::string_view view) const {
-  const auto it = chains_.find(ChainKey(block, view));
-  if (it == chains_.end()) return {};
-  return it->second;
+  const std::vector<OidId>* chain = chains_.Find(ChainKey(block, view));
+  if (chain == nullptr) return {};
+  return *chain;
 }
 
 std::optional<OidId> MetaDatabase::PreviousVersion(OidId id) const {
   CheckObjectHandle(id);
   const MetaObject& object = objects_[id.value()];
-  const auto it = chains_.find(ChainKey(object.oid.block, object.oid.view));
-  if (it == chains_.end()) return std::nullopt;
-  const auto& chain = it->second;
+  const std::vector<OidId>* found =
+      chains_.Find(ChainKey(object.oid.block, object.oid.view));
+  if (found == nullptr) return std::nullopt;
+  const std::vector<OidId>& chain = *found;
   // Chains are ordered by strictly increasing version: binary search.
   const auto pos = std::lower_bound(
       chain.begin(), chain.end(), object.oid.version,
@@ -201,8 +203,10 @@ LinkId MetaDatabase::CreateLink(LinkKind kind, OidId from, OidId to,
   link.carry = carry;
   links_.push_back(std::move(link));
 
-  out_links_[from.value()].push_back(id);
-  in_links_[to.value()].push_back(id);
+  adjacency_[from.value()].out.push_back(id);
+  adjacency_[to.value()].in.push_back(id);
+  MarkAdjacencyDirty(from);
+  MarkAdjacencyDirty(to);
   Touch();
   MarkLinkDirty(id.value());
   for (LinkObserver* observer : link_observers_) {
@@ -260,15 +264,17 @@ void MetaDatabase::MoveLinkEndpoint(LinkId id, bool endpoint_from,
         "MoveLinkEndpoint: use link endpoints must share a view type");
   }
 
-  auto& old_list =
-      endpoint_from ? out_links_[endpoint.value()] : in_links_[endpoint.value()];
+  Adjacency& old_adjacency = adjacency_[endpoint.value()];
+  auto& old_list = endpoint_from ? old_adjacency.out : old_adjacency.in;
   old_list.erase(std::remove(old_list.begin(), old_list.end(), id),
                  old_list.end());
   const OidId old_endpoint = endpoint;
   endpoint = new_endpoint;
-  auto& new_list = endpoint_from ? out_links_[new_endpoint.value()]
-                                 : in_links_[new_endpoint.value()];
+  Adjacency& new_adjacency = adjacency_[new_endpoint.value()];
+  auto& new_list = endpoint_from ? new_adjacency.out : new_adjacency.in;
   new_list.push_back(id);
+  MarkAdjacencyDirty(old_endpoint);
+  MarkAdjacencyDirty(new_endpoint);
   Touch();
   MarkLinkDirty(id.value());
   for (LinkObserver* observer : link_observers_) {
@@ -309,12 +315,12 @@ void MetaDatabase::RemoveLinkObserver(LinkObserver* observer) {
 
 const std::vector<LinkId>& MetaDatabase::OutLinks(OidId id) const {
   CheckObjectHandle(id);
-  return out_links_[id.value()];
+  return adjacency_[id.value()].out;
 }
 
 const std::vector<LinkId>& MetaDatabase::InLinks(OidId id) const {
   CheckObjectHandle(id);
-  return in_links_[id.value()];
+  return adjacency_[id.value()].in;
 }
 
 // --- Configurations ------------------------------------------------------------
@@ -327,14 +333,14 @@ ConfigId MetaDatabase::SaveConfiguration(Configuration config) {
   for (const LinkId link : config.links) CheckLinkHandle(link);
 
   Touch();
-  const auto it = config_by_name_.find(config.name);
-  if (it != config_by_name_.end()) {
-    configurations_[it->second.value()] = std::move(config);
-    MarkConfigDirty(it->second.value());
-    return it->second;
+  if (const ConfigId* existing = config_by_name_.Find(config.name)) {
+    const ConfigId id = *existing;
+    configurations_[id.value()] = std::move(config);
+    MarkConfigDirty(id.value());
+    return id;
   }
   const ConfigId id(static_cast<uint32_t>(configurations_.size()));
-  config_by_name_.emplace(config.name, id);
+  IndexConfig(config.name, id);
   configurations_.push_back(std::move(config));
   MarkConfigDirty(id.value());
   return id;
@@ -342,9 +348,9 @@ ConfigId MetaDatabase::SaveConfiguration(Configuration config) {
 
 std::optional<ConfigId> MetaDatabase::FindConfiguration(
     std::string_view name) const {
-  const auto it = config_by_name_.find(std::string(name));
-  if (it == config_by_name_.end()) return std::nullopt;
-  return it->second;
+  const ConfigId* id = config_by_name_.Find(std::string(name));
+  if (id == nullptr) return std::nullopt;
+  return *id;
 }
 
 const Configuration& MetaDatabase::GetConfiguration(ConfigId id) const {
@@ -357,7 +363,8 @@ const Configuration& MetaDatabase::GetConfiguration(ConfigId id) const {
 std::vector<std::string> MetaDatabase::ConfigurationNames() const {
   std::vector<std::string> names;
   names.reserve(config_by_name_.size());
-  for (const auto& [name, id] : config_by_name_) names.push_back(name);
+  config_by_name_.ForEach(
+      [&](const std::string& name, ConfigId) { names.push_back(name); });
   std::sort(names.begin(), names.end());
   return names;
 }
@@ -366,35 +373,35 @@ std::vector<std::string> MetaDatabase::ConfigurationNames() const {
 
 void MetaDatabase::ForEachObject(
     const std::function<void(OidId, const MetaObject&)>& fn) const {
-  for (size_t i = 0; i < objects_.size(); ++i) {
-    if (objects_[i].alive) fn(OidId(static_cast<uint32_t>(i)), objects_[i]);
-  }
+  objects_.ForEach([&](size_t i, const MetaObject& object) {
+    if (object.alive) fn(OidId(static_cast<uint32_t>(i)), object);
+  });
 }
 
 void MetaDatabase::ForEachLink(
     const std::function<void(LinkId, const Link&)>& fn) const {
-  for (size_t i = 0; i < links_.size(); ++i) {
-    if (links_[i].alive) fn(LinkId(static_cast<uint32_t>(i)), links_[i]);
-  }
+  links_.ForEach([&](size_t i, const Link& link) {
+    if (link.alive) fn(LinkId(static_cast<uint32_t>(i)), link);
+  });
 }
 
 DatabaseStats MetaDatabase::Stats() const {
   DatabaseStats stats;
-  for (const MetaObject& object : objects_) {
+  objects_.ForEach([&](size_t, const MetaObject& object) {
     if (object.alive) {
       ++stats.live_objects;
       stats.property_values += object.properties.size();
     } else {
       ++stats.dead_objects;
     }
-  }
-  for (const Link& link : links_) {
+  });
+  links_.ForEach([&](size_t, const Link& link) {
     if (link.alive) {
       ++stats.live_links;
     } else {
       ++stats.dead_links;
     }
-  }
+  });
   stats.configurations = configurations_.size();
   return stats;
 }
@@ -403,7 +410,7 @@ DatabaseStats MetaDatabase::Stats() const {
 
 OidId MetaDatabase::RestoreObjectSlot(MetaObject object) {
   const OidId id(static_cast<uint32_t>(objects_.size()));
-  auto& chain = chains_[ChainKey(object.oid.block, object.oid.view)];
+  auto& chain = MutableChain(ChainKey(object.oid.block, object.oid.view));
   if (!chain.empty()) {
     const int previous = objects_[chain.back().value()].oid.version;
     if (object.oid.version <= previous) {
@@ -411,15 +418,14 @@ OidId MetaDatabase::RestoreObjectSlot(MetaObject object) {
                            FormatOid(object.oid));
     }
   }
-  if (object.alive && by_oid_.find(object.oid) != by_oid_.end()) {
+  if (object.alive && by_oid_.Find(object.oid) != nullptr) {
     throw IntegrityError("RestoreObjectSlot: duplicate live OID " +
                          FormatOid(object.oid));
   }
-  if (object.alive) by_oid_.emplace(object.oid, id);
+  if (object.alive) IndexOid(object.oid, id);
   chain.push_back(id);
   objects_.push_back(std::move(object));
-  out_links_.emplace_back();
-  in_links_.emplace_back();
+  adjacency_.push_back({});
   Touch();
   MarkObjectDirty(id.value());
   for (LinkObserver* observer : link_observers_) {
@@ -434,8 +440,10 @@ LinkId MetaDatabase::RestoreLinkSlot(Link link) {
   if (alive) {
     CheckObjectHandle(link.from);
     CheckObjectHandle(link.to);
-    out_links_[link.from.value()].push_back(id);
-    in_links_[link.to.value()].push_back(id);
+    adjacency_[link.from.value()].out.push_back(id);
+    adjacency_[link.to.value()].in.push_back(id);
+    MarkAdjacencyDirty(link.from);
+    MarkAdjacencyDirty(link.to);
   }
   links_.push_back(std::move(link));
   Touch();
@@ -450,7 +458,9 @@ LinkId MetaDatabase::RestoreLinkSlot(Link link) {
 
 ConfigId MetaDatabase::RestoreConfigurationSlot(Configuration config) {
   const ConfigId id(static_cast<uint32_t>(configurations_.size()));
-  if (!config.name.empty()) config_by_name_.emplace(config.name, id);
+  if (!config.name.empty() && config_by_name_.Find(config.name) == nullptr) {
+    IndexConfig(config.name, id);
+  }
   configurations_.push_back(std::move(config));
   Touch();
   MarkConfigDirty(id.value());
@@ -477,9 +487,10 @@ void MetaDatabase::ApplyObjectSlot(size_t slot, MetaObject object) {
                          FormatOid(object.oid) + " (OIDs are immutable)");
   }
   if (existing.alive && !object.alive) {
-    by_oid_.erase(existing.oid);
-  } else if (!existing.alive && object.alive) {
-    by_oid_.emplace(object.oid, OidId(static_cast<uint32_t>(slot)));
+    UnindexOid(existing.oid);
+  } else if (!existing.alive && object.alive &&
+             by_oid_.Find(object.oid) == nullptr) {
+    IndexOid(object.oid, OidId(static_cast<uint32_t>(slot)));
   }
   existing = std::move(object);
   Touch();
@@ -519,47 +530,98 @@ void MetaDatabase::ApplyConfigurationSlot(size_t slot, Configuration config) {
   } else {
     Configuration& existing = configurations_[slot];
     if (existing.name != config.name && !existing.name.empty()) {
-      config_by_name_.erase(existing.name);
+      UnindexConfig(existing.name);
     }
     existing = std::move(config);
   }
   if (!configurations_[slot].name.empty()) {
-    config_by_name_[configurations_[slot].name] = id;
+    IndexConfig(configurations_[slot].name, id);
   }
   Touch();
   MarkConfigDirty(slot);
 }
 
 void MetaDatabase::RebuildLinkAdjacency() {
-  out_links_.assign(objects_.size(), {});
-  in_links_.assign(objects_.size(), {});
-  for (size_t i = 0; i < links_.size(); ++i) {
-    const Link& link = links_[i];
-    if (!link.alive) continue;
-    const LinkId id(static_cast<uint32_t>(i));
-    out_links_[link.from.value()].push_back(id);
-    in_links_[link.to.value()].push_back(id);
+  adjacency_.Reset(objects_.size());
+  for (size_t c = 0; c < adjacency_.chunk_count(); ++c) {
+    dirty_->MarkChunk(DirtyTable::kAdjacency, c);
   }
+  links_.ForEach([&](size_t i, const Link& link) {
+    if (!link.alive) return;
+    const LinkId id(static_cast<uint32_t>(i));
+    adjacency_[link.from.value()].out.push_back(id);
+    adjacency_[link.to.value()].in.push_back(id);
+  });
 }
 
 // --- Snapshot reads ----------------------------------------------------------
 
-std::shared_ptr<const MetaDatabase> MetaDatabase::CloneForSnapshot() const {
-  auto copy = std::make_shared<MetaDatabase>();
-  // Straight member copies: the clone shares no structure with the live
-  // database, so readers of the frozen version can never observe a
-  // wave's in-place writes. Observers are deliberately not carried over
-  // (a frozen version has nothing to observe), and the clone's own
-  // snapshot store starts empty.
-  copy->objects_ = objects_;
-  copy->links_ = links_;
-  copy->configurations_ = configurations_;
-  copy->by_oid_ = by_oid_;
-  copy->chains_ = chains_;
-  copy->config_by_name_ = config_by_name_;
-  copy->out_links_ = out_links_;
-  copy->in_links_ = in_links_;
-  return copy;
+std::shared_ptr<const MetaDatabase> MetaDatabase::FreezeVersion(
+    const MetaDatabase* previous) {
+  const DirtyChunks dirty = dirty_->CutChunks();
+  auto frozen = std::make_shared<MetaDatabase>();
+  // Each table starts from the previous version's pieces and replaces
+  // the dirty ones with copies of the live pieces. Observers are not
+  // carried over (a frozen version has nothing to observe), and the
+  // frozen version's own snapshot store starts empty.
+  const MetaDatabase* p = previous;
+  frozen->objects_ = ChunkedVector<MetaObject>::Freeze(
+      p ? &p->objects_ : nullptr, objects_, dirty.of(DirtyTable::kObjects));
+  frozen->links_ = ChunkedVector<Link>::Freeze(
+      p ? &p->links_ : nullptr, links_, dirty.of(DirtyTable::kLinks));
+  frozen->configurations_ = ChunkedVector<Configuration>::Freeze(
+      p ? &p->configurations_ : nullptr, configurations_,
+      dirty.of(DirtyTable::kConfigs));
+  frozen->adjacency_ = ChunkedVector<Adjacency>::Freeze(
+      p ? &p->adjacency_ : nullptr, adjacency_,
+      dirty.of(DirtyTable::kAdjacency));
+  frozen->by_oid_ = OidIndex::Freeze(p ? &p->by_oid_ : nullptr, by_oid_,
+                                     dirty.of(DirtyTable::kOidIndex));
+  frozen->chains_ = ChainIndex::Freeze(p ? &p->chains_ : nullptr, chains_,
+                                       dirty.of(DirtyTable::kChainIndex));
+  frozen->config_by_name_ = ConfigIndex::Freeze(
+      p ? &p->config_by_name_ : nullptr, config_by_name_,
+      dirty.of(DirtyTable::kConfigIndex));
+  return frozen;
+}
+
+size_t MetaDatabase::ChunkCount(DirtyTable table) const noexcept {
+  switch (table) {
+    case DirtyTable::kObjects:
+      return objects_.chunk_count();
+    case DirtyTable::kLinks:
+      return links_.chunk_count();
+    case DirtyTable::kConfigs:
+      return configurations_.chunk_count();
+    case DirtyTable::kAdjacency:
+      return adjacency_.chunk_count();
+    case DirtyTable::kOidIndex:
+    case DirtyTable::kChainIndex:
+    case DirtyTable::kConfigIndex:
+      return OidIndex::kPartitions;
+  }
+  return 0;
+}
+
+const void* MetaDatabase::ChunkAddress(DirtyTable table,
+                                       size_t index) const noexcept {
+  switch (table) {
+    case DirtyTable::kObjects:
+      return objects_.chunk_address(index);
+    case DirtyTable::kLinks:
+      return links_.chunk_address(index);
+    case DirtyTable::kConfigs:
+      return configurations_.chunk_address(index);
+    case DirtyTable::kAdjacency:
+      return adjacency_.chunk_address(index);
+    case DirtyTable::kOidIndex:
+      return by_oid_.partition_address(index);
+    case DirtyTable::kChainIndex:
+      return chains_.partition_address(index);
+    case DirtyTable::kConfigIndex:
+      return config_by_name_.partition_address(index);
+  }
+  return nullptr;
 }
 
 // --- Internal -------------------------------------------------------------------
@@ -578,10 +640,42 @@ void MetaDatabase::CheckLinkHandle(LinkId id) const {
 
 void MetaDatabase::DetachLinkFromAdjacency(LinkId id) {
   const Link& link = links_[id.value()];
-  auto& out = out_links_[link.from.value()];
+  auto& out = adjacency_[link.from.value()].out;
   out.erase(std::remove(out.begin(), out.end(), id), out.end());
-  auto& in = in_links_[link.to.value()];
+  auto& in = adjacency_[link.to.value()].in;
   in.erase(std::remove(in.begin(), in.end(), id), in.end());
+  MarkAdjacencyDirty(link.from);
+  MarkAdjacencyDirty(link.to);
+}
+
+void MetaDatabase::IndexOid(const Oid& oid, OidId id) {
+  const size_t partition = OidIndex::PartitionOf(oid);
+  by_oid_.Mutable(partition).emplace(oid, id);
+  dirty_->MarkChunk(DirtyTable::kOidIndex, partition);
+}
+
+void MetaDatabase::UnindexOid(const Oid& oid) {
+  const size_t partition = OidIndex::PartitionOf(oid);
+  by_oid_.Mutable(partition).erase(oid);
+  dirty_->MarkChunk(DirtyTable::kOidIndex, partition);
+}
+
+std::vector<OidId>& MetaDatabase::MutableChain(const std::string& key) {
+  const size_t partition = ChainIndex::PartitionOf(key);
+  dirty_->MarkChunk(DirtyTable::kChainIndex, partition);
+  return chains_.Mutable(partition)[key];
+}
+
+void MetaDatabase::IndexConfig(const std::string& name, ConfigId id) {
+  const size_t partition = ConfigIndex::PartitionOf(name);
+  config_by_name_.Mutable(partition)[name] = id;
+  dirty_->MarkChunk(DirtyTable::kConfigIndex, partition);
+}
+
+void MetaDatabase::UnindexConfig(const std::string& name) {
+  const size_t partition = ConfigIndex::PartitionOf(name);
+  config_by_name_.Mutable(partition).erase(name);
+  dirty_->MarkChunk(DirtyTable::kConfigIndex, partition);
 }
 
 }  // namespace damocles::metadb

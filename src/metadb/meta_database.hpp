@@ -5,10 +5,12 @@
 // This is the substrate the project BluePrint's run-time engine operates
 // on (paper §2).
 //
-// Storage model: dense vectors with tombstoning. Handles (OidId, LinkId,
-// ConfigId) are indices into those vectors and stay valid for the life
-// of the database, which is what makes Configuration objects — sets of
-// handles — light-weight snapshots.
+// Storage model: dense slot tables with tombstoning. Handles (OidId,
+// LinkId, ConfigId) are slot indices and stay valid for the life of the
+// database, which is what makes Configuration objects — sets of
+// handles — light-weight snapshots. Every table (and every lookup
+// index) is stored in fixed-size chunks (metadb/chunked.hpp) so a
+// snapshot publish copies only what changed since the previous one.
 #pragma once
 
 #include <cstdint>
@@ -16,9 +18,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "metadb/chunked.hpp"
 #include "metadb/configuration.hpp"
 #include "metadb/dirty_tracker.hpp"
 #include "metadb/ids.hpp"
@@ -81,7 +83,9 @@ class LinkObserver {
 /// committing waves. See metadb/snapshot.hpp.
 class MetaDatabase {
  public:
-  MetaDatabase() : snapshots_(std::make_unique<SnapshotStore>()) {}
+  MetaDatabase()
+      : snapshots_(std::make_unique<SnapshotStore>()),
+        dirty_(std::make_unique<DirtyTracker>()) {}
 
   // MetaDatabase owns large index structures; copying is almost always
   // a bug (use Configuration snapshots instead), so copies are disabled
@@ -216,7 +220,10 @@ class MetaDatabase {
 
   /// Freezes the current state under the next epoch and publishes it.
   /// No-op (returns the existing head) when nothing mutated since the
-  /// last publish. Call only while the engine is drain-quiescent.
+  /// last publish. The frozen version shares every chunk the dirty
+  /// tracker did not mark since the previous publish with that
+  /// version, so the cost follows what changed, not the database size.
+  /// Call only while the engine is drain-quiescent.
   Snapshot PublishSnapshot() { return snapshots_->Publish(*this); }
 
   /// The newest published snapshot — one atomic load, lock-free — or an
@@ -249,11 +256,13 @@ class MetaDatabase {
     snapshots_->SetRetention(retention);
   }
 
-  /// Handle-identical deep copy of the slot state (objects, links,
-  /// configurations, indexes — observers and the snapshot store are NOT
-  /// copied). The snapshot store freezes versions through this; it is
-  /// public for tests and future cross-process bootstrap.
-  std::shared_ptr<const MetaDatabase> CloneForSnapshot() const;
+  /// Pieces (chunks, or partitions for the index tables) of `table`.
+  size_t ChunkCount(DirtyTable table) const noexcept;
+
+  /// Identity of piece `index` of `table` (nullptr when absent). Two
+  /// versions share a piece exactly when the addresses are equal — the
+  /// publish tests check chunk sharing through this.
+  const void* ChunkAddress(DirtyTable table, size_t index) const noexcept;
 
   // --- Persistence support ---------------------------------------------
   // Raw slot appends used by LoadDatabaseText to reconstruct a database
@@ -296,28 +305,40 @@ class MetaDatabase {
   /// delta chain is indistinguishable from a full load.
   void RebuildLinkAdjacency();
 
-  /// Starts recording mutated slots for delta checkpoints. Existing
-  /// slots become the clean baseline; only later mutations are dirty.
-  void EnableDirtyTracking() {
-    if (dirty_ == nullptr) dirty_ = std::make_unique<DirtyTracker>();
-  }
-
-  bool dirty_tracking_enabled() const noexcept { return dirty_ != nullptr; }
-
-  /// Collects every slot mutated since the previous cut and starts the
-  /// next tracking generation. Quiescent callers only (the
-  /// PublishSnapshot contract). Empty when tracking is disabled.
-  DirtySet CutDirtySet() {
-    return dirty_ == nullptr ? DirtySet{} : dirty_->Cut();
-  }
+  /// Collects every slot mutated since the previous checkpoint cut
+  /// (or since construction) and moves the checkpoint cursor past
+  /// them. Quiescent callers only (the PublishSnapshot contract).
+  DirtySet CutDirtySet() { return dirty_->Cut(); }
 
   /// Returns a failed checkpoint's cut to the dirty set so the next
   /// delta still covers those slots. Quiescent callers only.
   void MergeBackDirtySet(const DirtySet& set) noexcept {
-    if (dirty_ != nullptr) dirty_->MergeBack(set);
+    dirty_->MergeBack(set);
   }
 
  private:
+  friend class SnapshotStore;
+
+  /// Both link lists of one object slot.
+  struct Adjacency {
+    std::vector<LinkId> out;  ///< Live links whose source is the slot.
+    std::vector<LinkId> in;   ///< Live links whose target is the slot.
+  };
+
+  using OidIndex = PartitionedIndex<Oid, OidId, OidHash>;
+  // (block + '\0' + view) -> version chain, oldest first.
+  using ChainIndex =
+      PartitionedIndex<std::string, std::vector<OidId>, std::hash<std::string>>;
+  using ConfigIndex =
+      PartitionedIndex<std::string, ConfigId, std::hash<std::string>>;
+
+  /// Builds the frozen version the snapshot store publishes: `previous`
+  /// (the last published version, or null) with the chunks marked
+  /// since its publish replaced by copies of this database's. Cuts the
+  /// tracker's publish cursor. Writer-side, quiescent only.
+  std::shared_ptr<const MetaDatabase> FreezeVersion(
+      const MetaDatabase* previous);
+
   void CheckObjectHandle(OidId id) const;
   void CheckLinkHandle(LinkId id) const;
   void DetachLinkFromAdjacency(LinkId id);
@@ -328,38 +349,41 @@ class MetaDatabase {
     if (snapshots_ != nullptr) snapshots_->Touch();
   }
 
-  // Dirty-slot marks mirror Touch(): same call sites, same thread
+  // Dirty marks sit next to Touch(): same call sites, same thread
   // contract (concurrent relaxed marks from disjoint-shard workers;
   // array growth only on single-writer structural paths).
-  void MarkObjectDirty(size_t slot) noexcept {
-    if (dirty_ != nullptr) dirty_->MarkObject(slot);
-  }
-  void MarkLinkDirty(size_t slot) noexcept {
-    if (dirty_ != nullptr) dirty_->MarkLink(slot);
-  }
-  void MarkConfigDirty(size_t slot) noexcept {
-    if (dirty_ != nullptr) dirty_->MarkConfig(slot);
+  void MarkObjectDirty(size_t slot) noexcept { dirty_->MarkObject(slot); }
+  void MarkLinkDirty(size_t slot) noexcept { dirty_->MarkLink(slot); }
+  void MarkConfigDirty(size_t slot) noexcept { dirty_->MarkConfig(slot); }
+  void MarkAdjacencyDirty(OidId id) noexcept {
+    dirty_->MarkChunk(DirtyTable::kAdjacency, id.value() >> kChunkShift);
   }
 
-  std::vector<MetaObject> objects_;
-  std::vector<Link> links_;
-  std::vector<Configuration> configurations_;
+  // Index mutations (single-writer structural paths); each marks the
+  // partition it touches.
+  void IndexOid(const Oid& oid, OidId id);
+  void UnindexOid(const Oid& oid);
+  std::vector<OidId>& MutableChain(const std::string& key);
+  void IndexConfig(const std::string& name, ConfigId id);
+  void UnindexConfig(const std::string& name);
+
+  ChunkedVector<MetaObject> objects_;
+  ChunkedVector<Link> links_;
+  ChunkedVector<Configuration> configurations_;
+  ChunkedVector<Adjacency> adjacency_;  ///< Parallel to objects_.
   std::vector<LinkObserver*> link_observers_;
 
-  std::unordered_map<Oid, OidId, OidHash> by_oid_;
-  // (block + '\0' + view) -> version chain, oldest first.
-  std::unordered_map<std::string, std::vector<OidId>> chains_;
-  std::unordered_map<std::string, ConfigId> config_by_name_;
-
-  std::vector<std::vector<LinkId>> out_links_;
-  std::vector<std::vector<LinkId>> in_links_;
+  OidIndex by_oid_;  ///< Live objects only.
+  ChainIndex chains_;
+  ConfigIndex config_by_name_;
 
   /// The epoch-versioned snapshot machinery. Behind a unique_ptr so the
   /// database stays movable (the store holds atomics and a mutex).
   std::unique_ptr<SnapshotStore> snapshots_;
 
-  /// Dirty-slot tracking for delta checkpoints; null until
-  /// EnableDirtyTracking() (non-durable databases never pay for marks).
+  /// What mutated since each consumer (checkpoint cut, snapshot
+  /// publish) last looked. Always on; behind a unique_ptr for
+  /// movability like the store.
   std::unique_ptr<DirtyTracker> dirty_;
 };
 

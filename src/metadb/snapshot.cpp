@@ -1,6 +1,7 @@
 #include "metadb/snapshot.hpp"
 
 #include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "metadb/meta_database.hpp"
@@ -23,7 +24,7 @@ std::shared_ptr<const SnapshotStore::Version> SnapshotStore::LatestVersion()
 }
 
 void SnapshotStore::InstallHead(std::shared_ptr<const Version> version) {
-  // Left-right writer (serialized by mutex_): install into the side no
+  // Left-right writer (the single publisher): install into the side no
   // reader can be on, flip the read side, then drain both indicators in
   // toggle order before rewriting the retired side. Readers arriving at
   // any point only ever copy a slot this writer is done assigning.
@@ -44,25 +45,30 @@ void SnapshotStore::InstallHead(std::shared_ptr<const Version> version) {
   slot_[static_cast<size_t>(which ^ 1)] = std::move(version);
 }
 
-Snapshot SnapshotStore::Publish(const MetaDatabase& db) {
-  std::lock_guard<std::mutex> lock(mutex_);
+Snapshot SnapshotStore::Publish(MetaDatabase& db) {
   // The writer is quiescent, so the generation cannot move under us.
   const uint64_t generation = generation_.load(std::memory_order_acquire);
-  if (!history_.empty() && history_.back()->generation == generation) {
-    const std::shared_ptr<const Version>& head = history_.back();
-    return Snapshot(head->frozen, head->frozen.get(), head->epoch);
+  if (last_ != nullptr && last_->generation == generation) {
+    return Snapshot(last_->frozen, last_->frozen.get(), last_->epoch);
   }
 
   auto version = std::make_shared<Version>();
-  version->epoch = history_.empty() ? 1 : history_.back()->epoch + 1;
+  version->epoch = last_ == nullptr ? 1 : last_->epoch + 1;
   version->generation = generation;
-  version->frozen = db.CloneForSnapshot();
-  history_.push_back(version);
-  while (history_.size() > retention_) {
-    purge_floor_.store(history_.front()->epoch, std::memory_order_release);
-    history_.pop_front();
+  version->frozen =
+      db.FreezeVersion(last_ == nullptr ? nullptr : last_->frozen.get());
+  std::vector<std::shared_ptr<const Version>> retired;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    history_.push_back(version);
+    while (history_.size() > retention_) {
+      purge_floor_.store(history_.front()->epoch, std::memory_order_release);
+      retired.push_back(std::move(history_.front()));
+      history_.pop_front();
+    }
   }
   InstallHead(version);
+  last_ = version;
   return Snapshot(version->frozen, version->frozen.get(), version->epoch);
 }
 

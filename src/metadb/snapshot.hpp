@@ -12,7 +12,11 @@
 //  * the WRITER (the session mux's apply loop, or any owner at a
 //    drain-quiescent point) calls MetaDatabase::PublishSnapshot(),
 //    which freezes the current state under the next epoch (monotone
-//    from 1) and publishes it behind an atomic head pointer. Publishing
+//    from 1) and publishes it behind an atomic head pointer. Freezing
+//    copies only the storage chunks marked dirty since the previous
+//    publish and shares the rest with the previous version
+//    (metadb/chunked.hpp), so its cost follows the change, not the
+//    database size. Publishing
 //    is a no-op returning the existing head when nothing mutated since
 //    the last publish (the database keeps a relaxed-atomic mutation
 //    generation exactly for this test), so idle publishes are free.
@@ -117,8 +121,11 @@ class SnapshotStore {
 
   /// Freezes `db` under the next epoch and publishes it; returns the
   /// existing head unchanged when no mutation happened since it was
-  /// published. Writer-side, quiescent callers only.
-  Snapshot Publish(const MetaDatabase& db);
+  /// published. Writer-side, quiescent callers only. The frozen version
+  /// is built before the history lock is taken and retired versions are
+  /// freed after it is released, so AtEpoch() never waits on a copy or
+  /// a free.
+  Snapshot Publish(MetaDatabase& db);
 
   /// The newest published version (wait-free, no locks), or an
   /// unpinned live view of `live` when nothing was published yet.
@@ -155,11 +162,15 @@ class SnapshotStore {
   /// Wait-free copy of the current head version (left-right reader).
   std::shared_ptr<const Version> LatestVersion() const noexcept;
 
-  /// Installs `version` as the head (left-right writer). Called under
-  /// mutex_ only; waits for readers to drain off the side it rewrites.
+  /// Installs `version` as the head (left-right writer). Called by the
+  /// single publisher only; waits for readers to drain off the side it
+  /// rewrites.
   void InstallHead(std::shared_ptr<const Version> version);
 
   std::atomic<uint64_t> generation_{0};
+  /// The newest published version. Publisher-only state (Publish is the
+  /// single writer), read without mutex_ to build the next version.
+  std::shared_ptr<const Version> last_;
   std::atomic<uint64_t> purge_floor_{0};
   /// The lock-free read head, kept as a left-right pair (Ramalhete &
   /// Correia) instead of std::atomic<shared_ptr>: readers arrive on a
@@ -171,7 +182,7 @@ class SnapshotStore {
   std::atomic<int> left_right_{0};
   std::atomic<int> version_index_{0};
   std::array<std::shared_ptr<const Version>, 2> slot_;
-  /// Publish serialization + the AtEpoch history (ascending epochs).
+  /// Guards the AtEpoch history (ascending epochs) and retention_.
   mutable std::mutex mutex_;
   std::deque<std::shared_ptr<const Version>> history_;
   size_t retention_;

@@ -1,7 +1,7 @@
 // Synthetic design-object workload generators.
 //
-// The paper evaluates on real Motorola projects we cannot have; per the
-// reproduction plan (DESIGN.md §2) every bench runs on synthesized
+// The paper evaluates on real Motorola projects we cannot have, so
+// every bench runs on synthesized
 // workloads: block hierarchies, multi-view flow graphs and stochastic
 // design-session traces, all seeded and deterministic.
 #pragma once

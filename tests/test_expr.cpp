@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "blueprint/parser.hpp"
 
@@ -127,6 +128,12 @@ struct TruthCase {
   const char* b;
   bool expected;
 };
+
+/// Names each case by its expression and inputs; without this the test
+/// name would be a byte dump of the struct's pointers.
+void PrintTo(const TruthCase& c, std::ostream* os) {
+  *os << c.source << " with a=" << c.a << " b=" << c.b;
+}
 
 class ExprTruthTable : public ::testing::TestWithParam<TruthCase> {};
 

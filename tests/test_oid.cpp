@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <unordered_set>
 
 #include "common/error.hpp"
 
 namespace damocles::metadb {
+
+/// Names each sweep case by its display form; without this the test name
+/// would be a byte dump of the Oid's strings.
+void PrintTo(const Oid& oid, std::ostream* os) { *os << FormatOid(oid); }
+
 namespace {
 
 TEST(Oid, FormatDisplayStyle) {

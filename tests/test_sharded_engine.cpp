@@ -29,9 +29,11 @@
 #include "blueprint/parser.hpp"
 #include "common/clock.hpp"
 #include "common/rng.hpp"
+#include "engine/project_server.hpp"
 #include "engine/run_time_engine.hpp"
 #include "engine/sharded_engine.hpp"
 #include "metadb/meta_database.hpp"
+#include "metadb/persistence.hpp"
 #include "metadb/shard_map.hpp"
 #include "workload/generators.hpp"
 
@@ -1185,6 +1187,63 @@ TEST(ShardMap, OracleAfterRandomLinkMoves) {
       }
     }
   }
+}
+
+// Batch mode (auto_drain=false) with back-to-back check-ins and links
+// and no Drain in between: every structural call must wait out the
+// waves the previous check-in posted instead of appending slots and
+// rehashing indexes under them (under ASan this was a use-after-free
+// in FindObject). Waiting makes each call see the state a drain after
+// every check-in leaves, so the end state equals a 1-shard interactive
+// build's.
+TEST(ShardedBatchMode, BackToBackFlowsWithoutDrainsMatchOneShard) {
+  const workload::FlowSpec flow;
+  const auto build = [&](uint32_t shards, bool auto_drain) {
+    engine::ServerOptions options;
+    options.num_shards = shards;
+    options.auto_drain = auto_drain;
+    engine::ProjectServer server("batch", options);
+    server.InitializeBlueprint(workload::MakeFlowBlueprint(flow, "batch"));
+    for (int block = 0; block < 24; ++block) {
+      workload::InstantiateFlow(server, flow, "blk" + std::to_string(block));
+    }
+    server.Drain();
+    return metadb::SaveDatabaseString(server.database());
+  };
+  const std::string expected = build(1, /*auto_drain=*/true);
+  for (int round = 0; round < 6; ++round) {
+    EXPECT_EQ(build(4, /*auto_drain=*/false), expected) << "round " << round;
+  }
+}
+
+// The same contract, checked directly: a structural call returns only
+// after every wave queued before it has run, so a Drain right after it
+// finds nothing left to process.
+TEST(ShardedBatchMode, StructuralCallsWaitForQueuedWaves) {
+  const workload::FlowSpec flow;
+  engine::ServerOptions options;
+  options.num_shards = 4;
+  options.auto_drain = false;
+  engine::ProjectServer server("batch", options);
+  server.InitializeBlueprint(workload::MakeFlowBlueprint(flow, "batch"));
+  std::vector<Oid> golden;
+  for (int block = 0; block < 8; ++block) {
+    golden.push_back(
+        workload::InstantiateFlow(server, flow, "blk" + std::to_string(block)));
+  }
+  server.Drain();
+  const ShardedEngine& sharded = *server.sharded_engine();
+  const size_t before = sharded.stats().tasks_processed;
+  constexpr size_t kWaves = 400;
+  for (size_t i = 0; i < kWaves; ++i) {
+    server.Submit(Event("outofdate", golden[i % golden.size()],
+                        Direction::kDown));
+  }
+  server.RegisterLink(LinkKind::kDerive, golden[1], Oid{"blk0", "view_4", 1});
+  const size_t after_link = sharded.stats().tasks_processed;
+  EXPECT_GE(after_link - before, kWaves);
+  server.Drain();
+  EXPECT_EQ(sharded.stats().tasks_processed, after_link);
 }
 
 }  // namespace
