@@ -98,6 +98,10 @@ void PrintSeries() {
                              trace);
   const double observer_seconds = SecondsSince(start);
   const auto& es = project.server->engine().stats();
+  // Tracking work actually done. reevaluations counts continuous
+  // assignments evaluated, not deliveries times assignments: a delivery
+  // to a settled OID skips its refresh (es.settled_refreshes) and a
+  // refresh whose first pass writes nothing skips the second pass.
   const size_t observer_ops = es.assign_actions + es.reevaluations +
                               es.propagated_deliveries + es.post_actions;
 

@@ -80,6 +80,12 @@ void Expr::CollectVariables(std::vector<std::string>& names) const {
   if (rhs_) rhs_->CollectVariables(names);
 }
 
+bool Expr::ReadsVariable(std::string_view name) const {
+  if (kind_ == Kind::kVar) return text_ == name;
+  return (lhs_ && lhs_->ReadsVariable(name)) ||
+         (rhs_ && rhs_->ReadsVariable(name));
+}
+
 std::string Expr::ToSource() const {
   switch (kind_) {
     case Kind::kLiteral:

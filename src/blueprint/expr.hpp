@@ -62,6 +62,9 @@ class Expr {
   /// All $variable names referenced anywhere in the tree.
   void CollectVariables(std::vector<std::string>& names) const;
 
+  /// True when the tree references $`name` anywhere (no allocation).
+  bool ReadsVariable(std::string_view name) const;
+
   /// Renders the tree back to blueprint source syntax.
   std::string ToSource() const;
 

@@ -34,6 +34,7 @@ RunTimeEngine::~RunTimeEngine() { db_.RemoveLinkObserver(this); }
 void RunTimeEngine::LoadBlueprint(Blueprint blueprint,
                                   uint64_t policy_version) {
   blueprint_ = std::make_unique<Blueprint>(std::move(blueprint));
+  ++blueprint_generation_;  // Every OID's settled state goes stale.
   policy_version_ = policy_version;
   if (options_.interned_fast_path) {
     // Rule-table compile point. Cached OidBindings re-resolve lazily
@@ -102,12 +103,16 @@ RunTimeEngine::WaveVisited& RunTimeEngine::AcquireVisited() {
   return set;
 }
 
-const RunTimeEngine::OidBinding& RunTimeEngine::BindingOf(OidId id) {
+RunTimeEngine::OidBinding& RunTimeEngine::SlotOf(OidId id) {
   const size_t slot = id.value();
   if (slot >= bindings_.size()) {
     bindings_.resize(std::max(db_.ObjectSlotCount(), slot + 1));
   }
-  OidBinding& binding = bindings_[slot];
+  return bindings_[slot];
+}
+
+const RunTimeEngine::OidBinding& RunTimeEngine::BindingOf(OidId id) {
+  OidBinding& binding = SlotOf(id);
   if (binding.view_sym == SymbolTable::kNoSymbol) {
     // Slots are never reused for a different object, so the view symbol
     // is interned exactly once per OID.
@@ -530,7 +535,8 @@ void RunTimeEngine::ProcessWaveSeeded(std::vector<OidId> seeds,
             journal_key = journal_.MakePayloadKey(event);
             journal_key_ready = true;
           }
-          journal_.RecordPropagated(journal_key, db_.GetObject(target).oid);
+          journal_.RecordPropagated(journal_key, target,
+                                    db_.GetObject(target).oid);
         }
       }
 
@@ -696,7 +702,11 @@ void RunTimeEngine::ExecuteAssign(OidId target,
                                   const blueprint::ActionAssign& act,
                                   const EventMessage& event) {
   ++stats_.assign_actions;
-  const std::string value = act.value.Expand(MakeResolver(target, event));
+  // A literal (`uptodate = false`) expands without a resolver. Expand,
+  // not source(): the source keeps `$$` escapes unexpanded.
+  const std::string value = act.value.IsPureLiteral()
+                                ? act.value.Expand(nullptr)
+                                : act.value.Expand(MakeResolver(target, event));
   SetPropertyCounted(target, act.property, value);
 }
 
@@ -774,43 +784,65 @@ void RunTimeEngine::ExecutePost(OidId target, const blueprint::ActionPost& act,
 
 void RunTimeEngine::RefreshComputedProperties(OidId id) {
   if (!blueprint_) return;
+  // The settled rule (see the header): re-evaluating would write
+  // nothing.
+  if (IsSettled(id)) {
+    ++stats_.settled_refreshes;
+    return;
+  }
+
+  const std::vector<const blueprint::ContinuousAssignment*>* assignments;
+  std::vector<const blueprint::ContinuousAssignment*> interpreted;
+  if (options_.interned_fast_path) {
+    assignments = BindingOf(id).rules.assignments;
+  } else {
+    const std::string_view view = db_.GetObject(id).oid.view;
+    for (const ViewTemplate* source :
+         {blueprint_->DefaultView(), blueprint_->FindView(view)}) {
+      if (source == nullptr) continue;
+      for (const blueprint::ContinuousAssignment& assignment :
+           source->assignments) {
+        interpreted.push_back(&assignment);
+      }
+    }
+    assignments = &interpreted;
+  }
+
   // Continuous assignments may read each other; two passes let simple
   // one-level chains settle deterministically (document: deeper chains
   // settle on subsequent events, matching an implementation that
   // re-evaluates on every meta-data change).
-  EventMessage no_event;  // Continuous assignments see no $arg.
-  if (options_.interned_fast_path) {
-    const std::vector<const blueprint::ContinuousAssignment*>& assignments =
-        *BindingOf(id).rules.assignments;
-    for (int pass = 0; pass < 2; ++pass) {
-      for (const blueprint::ContinuousAssignment* assignment : assignments) {
-        ++stats_.reevaluations;
-        const std::string value =
-            assignment->expr.EvaluateBool(MakeResolver(id, no_event))
-                ? "true"
-                : "false";
-        SetPropertyCounted(id, assignment->property, value);
-      }
+  static const std::string kTrue = "true";
+  static const std::string kFalse = "false";
+  const EventMessage no_event;  // Continuous assignments see no $arg.
+  const blueprint::VariableResolver resolver = MakeResolver(id, no_event);
+  const auto pass = [&] {
+    bool wrote = false;
+    for (const blueprint::ContinuousAssignment* assignment : *assignments) {
+      ++stats_.reevaluations;
+      const bool value = assignment->expr.EvaluateBool(resolver);
+      wrote |= SetPropertyCounted(id, assignment->property,
+                                  value ? kTrue : kFalse);
     }
-    return;
+    return wrote;
+  };
+  // Pass 2 runs only after pass 1 wrote: with unchanged inputs it would
+  // write exactly what pass 1 did, i.e. nothing. A pass that writes
+  // nothing is a fixed point.
+  if (pass() && pass()) return;
+  for (const blueprint::ContinuousAssignment* assignment : *assignments) {
+    if (assignment->expr.ReadsVariable("date")) return;  // Clock-driven.
   }
-  const std::string_view view = db_.GetObject(id).oid.view;
-  const ViewTemplate* sources[2] = {blueprint_->DefaultView(),
-                                    blueprint_->FindView(view)};
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const ViewTemplate* source : sources) {
-      if (source == nullptr) continue;
-      for (const blueprint::ContinuousAssignment& assignment :
-           source->assignments) {
-        ++stats_.reevaluations;
-        const std::string value =
-            assignment.expr.EvaluateBool(MakeResolver(id, no_event))
-                ? "true"
-                : "false";
-        SetPropertyCounted(id, assignment.property, value);
-      }
-    }
-  }
+  OidBinding& binding = SlotOf(id);
+  binding.settled_generation = blueprint_generation_;
+  binding.settled_revision = db_.GetObject(id).revision;
+}
+
+bool RunTimeEngine::IsSettled(OidId id) const {
+  if (blueprint_ == nullptr || id.value() >= bindings_.size()) return false;
+  const OidBinding& binding = bindings_[id.value()];
+  return binding.settled_generation == blueprint_generation_ &&
+         binding.settled_revision == db_.GetObject(id).revision;
 }
 
 blueprint::VariableResolver RunTimeEngine::MakeResolver(
@@ -889,12 +921,13 @@ std::vector<OidId> RunTimeEngine::FindNearestOfView(OidId start,
   return found;
 }
 
-void RunTimeEngine::SetPropertyCounted(OidId id, const std::string& name,
+bool RunTimeEngine::SetPropertyCounted(OidId id, const std::string& name,
                                        const std::string& value) {
   const std::string* existing = db_.GetProperty(id, name);
-  if (existing != nullptr && *existing == value) return;
+  if (existing != nullptr && *existing == value) return false;
   db_.SetProperty(id, name, value);
   ++stats_.property_writes;
+  return true;
 }
 
 }  // namespace damocles::engine

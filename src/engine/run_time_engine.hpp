@@ -254,8 +254,19 @@ class RunTimeEngine : private metadb::LinkObserver {
 
   /// Re-evaluates all continuous assignments of one OID (exposed for
   /// callers that mutate properties directly, e.g. the query layer's
-  /// what-if analysis).
+  /// what-if analysis). Skipped, and counted in
+  /// EngineStats::settled_refreshes, when the OID is settled: an
+  /// earlier refresh under the same blueprint reached a fixed point and
+  /// the OID's properties have not changed since (same
+  /// MetaObject::revision). Assignments read only their own OID's
+  /// properties, builtins fixed per OID and the empty event's fields,
+  /// so re-evaluating a settled OID would write nothing. OIDs whose
+  /// assignments read $date never settle.
   void RefreshComputedProperties(metadb::OidId id);
+
+  /// True when the next RefreshComputedProperties(id) would be skipped
+  /// by the settled rule (test oracles read this).
+  bool IsSettled(metadb::OidId id) const;
 
   metadb::MetaDatabase& database() noexcept { return db_; }
   const metadb::MetaDatabase& database() const noexcept { return db_; }
@@ -360,13 +371,18 @@ class RunTimeEngine : private metadb::LinkObserver {
     SymbolId name_sym = SymbolTable::kNoSymbol;
   };
 
-  /// Per-OID resolution of the interned hot path: the OID's view symbol
-  /// (immutable — slots are never reused) and its rule-table binding
-  /// for the current compiled generation.
+  /// Per-OID engine state. On the interned hot path: the OID's view
+  /// symbol (immutable — slots are never reused) and its rule-table
+  /// binding for the current compiled generation. On both paths: where
+  /// the OID's continuous assignments last reached a fixed point.
   struct OidBinding {
     uint32_t generation = 0;  ///< compiled_.generation() when resolved.
     SymbolId view_sym = SymbolTable::kNoSymbol;
     blueprint::CompiledRules::Binding rules;
+    /// blueprint_generation_ and MetaObject::revision when a refresh
+    /// last reached a fixed point (generation 0 = never).
+    uint32_t settled_generation = 0;
+    uint32_t settled_revision = 0;
   };
 
   // --- metadb::LinkObserver (propagation index maintenance) -------------
@@ -390,6 +406,9 @@ class RunTimeEngine : private metadb::LinkObserver {
   /// when a router is installed and disowns it.
   void AdmitReceiver(metadb::OidId receiver, const events::EventMessage& event,
                      WaveVisited& visited, std::vector<metadb::OidId>& out);
+
+  /// The slot's binding entry, unresolved (grows the cache on demand).
+  OidBinding& SlotOf(metadb::OidId id);
 
   /// The interned-view/rule-table binding of one OID, resolved lazily
   /// and cached by slot (re-resolved after blueprint reloads).
@@ -464,13 +483,18 @@ class RunTimeEngine : private metadb::LinkObserver {
       metadb::LinkKind kind, std::string_view from_view,
       std::string_view to_view) const;
 
-  void SetPropertyCounted(metadb::OidId id, const std::string& name,
+  /// Writes `value` unless the property already holds it; returns
+  /// whether it wrote.
+  bool SetPropertyCounted(metadb::OidId id, const std::string& name,
                           const std::string& value);
 
   metadb::MetaDatabase& db_;
   SimClock& clock_;
   EngineOptions options_;
   std::unique_ptr<blueprint::Blueprint> blueprint_;
+  /// Bumped by every LoadBlueprint (both rule paths); a settled binding
+  /// from an older generation is stale.
+  uint32_t blueprint_generation_ = 0;
   uint64_t policy_version_ = 0;
   ScriptExecutor* executor_ = nullptr;
   WaveRouter* router_ = nullptr;
@@ -488,7 +512,8 @@ class RunTimeEngine : private metadb::LinkObserver {
   /// Rule tables compiled from blueprint_ (interned fast path).
   blueprint::CompiledRules compiled_;
 
-  /// Per-OID-slot binding cache for the interned fast path.
+  /// Per-OID-slot binding cache (rule tables: interned fast path only;
+  /// settled state: both paths).
   std::vector<OidBinding> bindings_;
 
   /// Visited-set pool, indexed by sub-wave nesting depth.

@@ -1290,13 +1290,15 @@ ShardedStats ShardedEngine::stats() const {
 
 EngineStats ShardedEngine::AggregateEngineStats() const {
   EngineStats total;
-  for (const auto& lane : lanes_) {
-    total.Accumulate(lane->engine->stats());
-  }
-  for (const auto& context : steal_contexts_) {
-    total.Accumulate(context->engine->stats());
-  }
+  ForEachEngine(
+      [&](const RunTimeEngine& engine) { total.Accumulate(engine.stats()); });
   return total;
+}
+
+void ShardedEngine::ForEachEngine(
+    const std::function<void(const RunTimeEngine&)>& fn) const {
+  for (const auto& lane : lanes_) fn(*lane->engine);
+  for (const auto& context : steal_contexts_) fn(*context->engine);
 }
 
 std::string ShardedEngine::MergedJournalDump() const {

@@ -102,6 +102,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -293,6 +294,10 @@ class ShardedEngine {
 
   /// Sums every shard engine's counters (max_wave_extent is the max).
   EngineStats AggregateEngineStats() const;
+
+  /// Calls `fn` for every engine that executes deliveries: the shard
+  /// engines in shard order, then the steal engines.
+  void ForEachEngine(const std::function<void(const RunTimeEngine&)>& fn) const;
 
   /// All shards' journals, one "shard N:" section per shard, each in
   /// its own per-shard sequence order.

@@ -22,7 +22,11 @@ struct EngineStats {
   size_t exec_actions = 0;
   size_t notify_actions = 0;
   size_t post_actions = 0;
-  size_t reevaluations = 0;         ///< Continuous-assignment evaluations.
+  size_t reevaluations = 0;         ///< Continuous-assignment evaluations
+                                    ///< actually performed.
+  size_t settled_refreshes = 0;     ///< Refreshes skipped because the OID
+                                    ///< was settled (RunTimeEngine::
+                                    ///< RefreshComputedProperties).
   size_t property_writes = 0;       ///< Property values actually changed.
 
   // Template application.
@@ -84,6 +88,7 @@ struct EngineStats {
     notify_actions += other.notify_actions;
     post_actions += other.post_actions;
     reevaluations += other.reevaluations;
+    settled_refreshes += other.settled_refreshes;
     property_writes += other.property_writes;
     objects_templated += other.objects_templated;
     links_templated += other.links_templated;

@@ -29,15 +29,24 @@ EventJournal::PayloadKey EventJournal::MakePayloadKey(
   return key;
 }
 
+EventJournal::TargetSymbols EventJournal::InternTarget(
+    const metadb::Oid& target) {
+  TargetSymbols symbols;
+  symbols.block = strings_.Intern(target.block);
+  symbols.view = strings_.Intern(target.view);
+  return symbols;
+}
+
 EventJournal::Row EventJournal::RowFromKey(const PayloadKey& key,
-                                           const metadb::Oid& target) {
+                                           TargetSymbols target,
+                                           int32_t version) {
   Row row;
   row.name = key.name;
-  row.block = strings_.Intern(target.block);
-  row.view = strings_.Intern(target.view);
+  row.block = target.block;
+  row.view = target.view;
   row.arg = key.arg;
   row.user = key.user;
-  row.version = target.version;
+  row.version = version;
   row.timestamp = key.timestamp;
   row.epoch = key.epoch;
   row.extra_begin = key.extra_begin;
@@ -50,7 +59,8 @@ EventJournal::Row EventJournal::MakeRow(const EventMessage& event,
                                         const metadb::Oid& target) {
   // The per-event form keys the payload, then assembles the row
   // exactly like the seed-batch path does.
-  Row row = RowFromKey(MakePayloadKey(event), target);
+  const PayloadKey key = MakePayloadKey(event);
+  Row row = RowFromKey(key, InternTarget(target), target.version);
   row.origin = static_cast<uint8_t>(event.origin);
   return row;
 }
@@ -70,9 +80,14 @@ void EventJournal::RecordPropagated(const EventMessage& event,
   if (sink_ != nullptr) sink_->OnAppend(*this);
 }
 
-void EventJournal::RecordPropagated(const PayloadKey& key,
+void EventJournal::RecordPropagated(const PayloadKey& key, metadb::OidId slot,
                                     const metadb::Oid& target) {
-  Row row = RowFromKey(key, target);
+  if (slot.value() >= target_symbols_.size()) {
+    target_symbols_.resize(slot.value() + 1);
+  }
+  TargetSymbols& symbols = target_symbols_[slot.value()];
+  if (symbols.block == SymbolTable::kNoSymbol) symbols = InternTarget(target);
+  Row row = RowFromKey(key, symbols, target.version);
   row.origin = static_cast<uint8_t>(EventOrigin::kPropagated);
   rows_.push_back(row);
   if (sink_ != nullptr) sink_->OnAppend(*this);
@@ -109,6 +124,7 @@ JournalRecord EventJournal::At(size_t index) const {
 void EventJournal::Clear() {
   rows_.clear();
   extra_pool_.clear();
+  target_symbols_.clear();
   strings_ = SymbolTable();
   if (sink_ != nullptr) sink_->OnClear(*this);
 }

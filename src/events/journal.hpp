@@ -11,7 +11,8 @@
 // recording a delivery costs a few transparent string_view hash probes
 // and one vector push — no string copies. Propagated deliveries use
 // RecordPropagated, which journals the shared wave payload with a
-// per-delivery target without ever materializing an EventMessage.
+// per-delivery target without ever materializing an EventMessage, and
+// caches each target slot's interned block/view.
 // Accessors (At / ExternalTrace / Dump) rebuild full messages from the
 // side table on demand; their output is byte-identical to the
 // historical string-storing journal.
@@ -24,6 +25,7 @@
 
 #include "common/symbol.hpp"
 #include "events/event.hpp"
+#include "metadb/ids.hpp"
 
 namespace damocles::events {
 
@@ -92,8 +94,13 @@ class EventJournal {
   PayloadKey MakePayloadKey(const EventMessage& event);
 
   /// Seed-batch row append: journals one propagated delivery of the
-  /// payload behind `key` at `target`.
-  void RecordPropagated(const PayloadKey& key, const metadb::Oid& target);
+  /// payload behind `key` at `target`, whose meta-database slot is
+  /// `slot`. The target's interned (block, view) pair is cached per
+  /// slot until Clear(), so a repeat delivery interns nothing. A slot
+  /// must always name the same OID (meta-database slots are never
+  /// reused).
+  void RecordPropagated(const PayloadKey& key, metadb::OidId slot,
+                        const metadb::Oid& target);
 
   /// Materializes record `index` (bounds-checked; throws NotFoundError).
   JournalRecord At(size_t index) const;
@@ -101,7 +108,8 @@ class EventJournal {
   size_t Size() const noexcept { return rows_.size(); }
   bool Empty() const noexcept { return rows_.empty(); }
 
-  /// Drops all records and the side string table.
+  /// Drops all records, the side string table and the per-slot target
+  /// symbol cache.
   void Clear();
 
   /// Returns only the externally originated events — the trace to feed a
@@ -152,10 +160,20 @@ class EventJournal {
   }
 
  private:
+  /// A delivery target's interned block and view.
+  struct TargetSymbols {
+    SymbolId block = SymbolTable::kNoSymbol;
+    SymbolId view = SymbolTable::kNoSymbol;
+  };
+
+  /// Interns `target`'s block, then its view.
+  TargetSymbols InternTarget(const metadb::Oid& target);
+
   /// The one row-assembly path: fills a row from an interned payload
-  /// key plus the delivery target (whose block/view are interned here).
+  /// key plus the delivery target's interned block/view and version.
   /// Origin is left at the caller's discretion.
-  Row RowFromKey(const PayloadKey& key, const metadb::Oid& target);
+  static Row RowFromKey(const PayloadKey& key, TargetSymbols target,
+                        int32_t version);
 
   /// Builds a row for `event` delivered at `target` (the caller picks
   /// the payload's own target or a per-delivery substitute, so no field
@@ -167,6 +185,8 @@ class EventJournal {
   SymbolTable strings_;
   std::vector<Row> rows_;
   std::vector<SymbolId> extra_pool_;
+  /// RecordPropagated's target symbols by meta-database slot.
+  std::vector<TargetSymbols> target_symbols_;
   JournalSink* sink_ = nullptr;
 };
 

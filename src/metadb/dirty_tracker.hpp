@@ -78,6 +78,13 @@ struct DirtyChunks {
   const std::vector<uint32_t>& of(DirtyTable table) const noexcept {
     return tables[static_cast<size_t>(table)];
   }
+
+  bool empty() const noexcept {
+    for (const std::vector<uint32_t>& chunks : tables) {
+      if (!chunks.empty()) return false;
+    }
+    return true;
+  }
 };
 
 /// Per-slot and per-chunk dirty stamps with one cursor per consumer.

@@ -51,7 +51,6 @@ OidId MetaDatabase::CreateObject(const Oid& oid, std::string_view user,
 
   IndexOid(oid, id);
   chain.push_back(id);
-  Touch();
   MarkObjectDirty(id.value());
   for (LinkObserver* observer : link_observers_) {
     observer->OnObjectCreated(id, objects_[id.value()]);
@@ -82,7 +81,6 @@ void MetaDatabase::DeleteObject(OidId id) {
   const std::vector<LinkId> in = adjacency_[id.value()].in;
   for (const LinkId link : in) DeleteLink(link);
   UnindexOid(object.oid);
-  Touch();
   MarkObjectDirty(id.value());
 }
 
@@ -138,9 +136,11 @@ const MetaObject& MetaDatabase::GetObject(OidId id) const {
 
 MetaObject& MetaDatabase::GetObjectMutable(OidId id) {
   CheckObjectHandle(id);
-  Touch();  // Conservative: the caller holds a mutable reference.
+  // Conservative: the caller holds a mutable reference.
   MarkObjectDirty(id.value());
-  return objects_[id.value()];
+  MetaObject& object = objects_[id.value()];
+  ++object.revision;
+  return object;
 }
 
 // --- Properties -------------------------------------------------------------------
@@ -148,8 +148,9 @@ MetaObject& MetaDatabase::GetObjectMutable(OidId id) {
 void MetaDatabase::SetProperty(OidId id, const std::string& name,
                                const std::string& value) {
   CheckObjectHandle(id);
-  objects_[id.value()].properties[name] = value;
-  Touch();
+  MetaObject& object = objects_[id.value()];
+  object.properties[name] = value;
+  ++object.revision;
   MarkObjectDirty(id.value());
 }
 
@@ -163,9 +164,10 @@ const std::string* MetaDatabase::GetProperty(OidId id,
 
 bool MetaDatabase::RemoveProperty(OidId id, const std::string& name) {
   CheckObjectHandle(id);
-  const bool removed = objects_[id.value()].properties.erase(name) > 0;
+  MetaObject& object = objects_[id.value()];
+  const bool removed = object.properties.erase(name) > 0;
   if (removed) {
-    Touch();
+    ++object.revision;
     MarkObjectDirty(id.value());
   }
   return removed;
@@ -207,7 +209,6 @@ LinkId MetaDatabase::CreateLink(LinkKind kind, OidId from, OidId to,
   adjacency_[to.value()].in.push_back(id);
   MarkAdjacencyDirty(from);
   MarkAdjacencyDirty(to);
-  Touch();
   MarkLinkDirty(id.value());
   for (LinkObserver* observer : link_observers_) {
     observer->OnLinkAdded(id, links_[id.value()]);
@@ -224,7 +225,6 @@ void MetaDatabase::DeleteLink(LinkId id) {
   }
   DetachLinkFromAdjacency(id);
   link.alive = false;
-  Touch();
   MarkLinkDirty(id.value());
 }
 
@@ -235,7 +235,7 @@ const Link& MetaDatabase::GetLink(LinkId id) const {
 
 Link& MetaDatabase::GetLinkMutable(LinkId id) {
   CheckLinkHandle(id);
-  Touch();  // Conservative: the caller holds a mutable reference.
+  // Conservative: the caller holds a mutable reference.
   MarkLinkDirty(id.value());
   return links_[id.value()];
 }
@@ -275,7 +275,6 @@ void MetaDatabase::MoveLinkEndpoint(LinkId id, bool endpoint_from,
   new_list.push_back(id);
   MarkAdjacencyDirty(old_endpoint);
   MarkAdjacencyDirty(new_endpoint);
-  Touch();
   MarkLinkDirty(id.value());
   for (LinkObserver* observer : link_observers_) {
     observer->OnLinkEndpointMoved(id, endpoint_from, old_endpoint, link);
@@ -292,7 +291,6 @@ void MetaDatabase::SetLinkPropagates(LinkId id,
   if (link.propagates == propagates) return;
   std::vector<std::string> old_propagates = std::move(link.propagates);
   link.propagates = std::move(propagates);
-  Touch();
   MarkLinkDirty(id.value());
   for (LinkObserver* observer : link_observers_) {
     observer->OnLinkPropagatesChanged(id, old_propagates, link);
@@ -332,7 +330,6 @@ ConfigId MetaDatabase::SaveConfiguration(Configuration config) {
   for (const OidId oid : config.oids) CheckObjectHandle(oid);
   for (const LinkId link : config.links) CheckLinkHandle(link);
 
-  Touch();
   if (const ConfigId* existing = config_by_name_.Find(config.name)) {
     const ConfigId id = *existing;
     configurations_[id.value()] = std::move(config);
@@ -426,7 +423,6 @@ OidId MetaDatabase::RestoreObjectSlot(MetaObject object) {
   chain.push_back(id);
   objects_.push_back(std::move(object));
   adjacency_.push_back({});
-  Touch();
   MarkObjectDirty(id.value());
   for (LinkObserver* observer : link_observers_) {
     observer->OnObjectCreated(id, objects_[id.value()]);
@@ -446,7 +442,6 @@ LinkId MetaDatabase::RestoreLinkSlot(Link link) {
     MarkAdjacencyDirty(link.to);
   }
   links_.push_back(std::move(link));
-  Touch();
   MarkLinkDirty(id.value());
   if (alive) {
     for (LinkObserver* observer : link_observers_) {
@@ -462,7 +457,6 @@ ConfigId MetaDatabase::RestoreConfigurationSlot(Configuration config) {
     IndexConfig(config.name, id);
   }
   configurations_.push_back(std::move(config));
-  Touch();
   MarkConfigDirty(id.value());
   return id;
 }
@@ -492,8 +486,11 @@ void MetaDatabase::ApplyObjectSlot(size_t slot, MetaObject object) {
              by_oid_.Find(object.oid) == nullptr) {
     IndexOid(object.oid, OidId(static_cast<uint32_t>(slot)));
   }
+  // The slot's revision stays monotone across the replacement, so an
+  // engine that cached "settled at revision r" for it re-evaluates.
+  const uint32_t revision = std::max(existing.revision, object.revision) + 1;
   existing = std::move(object);
-  Touch();
+  existing.revision = revision;
   MarkObjectDirty(slot);
 }
 
@@ -512,7 +509,6 @@ void MetaDatabase::ApplyLinkSlot(size_t slot, Link link) {
   } else {
     links_[slot] = std::move(link);
   }
-  Touch();
   MarkLinkDirty(slot);
 }
 
@@ -537,7 +533,6 @@ void MetaDatabase::ApplyConfigurationSlot(size_t slot, Configuration config) {
   if (!configurations_[slot].name.empty()) {
     IndexConfig(configurations_[slot].name, id);
   }
-  Touch();
   MarkConfigDirty(slot);
 }
 
@@ -557,8 +552,7 @@ void MetaDatabase::RebuildLinkAdjacency() {
 // --- Snapshot reads ----------------------------------------------------------
 
 std::shared_ptr<const MetaDatabase> MetaDatabase::FreezeVersion(
-    const MetaDatabase* previous) {
-  const DirtyChunks dirty = dirty_->CutChunks();
+    const MetaDatabase* previous, const DirtyChunks& dirty) const {
   auto frozen = std::make_shared<MetaDatabase>();
   // Each table starts from the previous version's pieces and replaces
   // the dirty ones with copies of the live pieces. Observers are not

@@ -219,11 +219,11 @@ class MetaDatabase {
   // is safe from any thread.
 
   /// Freezes the current state under the next epoch and publishes it.
-  /// No-op (returns the existing head) when nothing mutated since the
-  /// last publish. The frozen version shares every chunk the dirty
-  /// tracker did not mark since the previous publish with that
-  /// version, so the cost follows what changed, not the database size.
-  /// Call only while the engine is drain-quiescent.
+  /// No-op (returns the existing head) when the dirty tracker marked
+  /// nothing since the last publish. The frozen version shares every
+  /// chunk the dirty tracker did not mark since the previous publish
+  /// with that version, so the cost follows what changed, not the
+  /// database size. Call only while the engine is drain-quiescent.
   Snapshot PublishSnapshot() { return snapshots_->Publish(*this); }
 
   /// The newest published snapshot — one atomic load, lock-free — or an
@@ -243,12 +243,6 @@ class MetaDatabase {
   /// the retention cap first trims). Atomic; any thread.
   uint64_t snapshot_purge_floor() const noexcept {
     return snapshots_->purge_floor();
-  }
-
-  /// Count of mutations recorded so far (relaxed-atomic; exact at
-  /// quiescent points). PublishSnapshot uses it to skip no-op publishes.
-  uint64_t mutation_generation() const noexcept {
-    return snapshots_->generation();
   }
 
   /// Published versions retained for AtEpoch before merge-out.
@@ -333,25 +327,24 @@ class MetaDatabase {
       PartitionedIndex<std::string, ConfigId, std::hash<std::string>>;
 
   /// Builds the frozen version the snapshot store publishes: `previous`
-  /// (the last published version, or null) with the chunks marked
-  /// since its publish replaced by copies of this database's. Cuts the
-  /// tracker's publish cursor. Writer-side, quiescent only.
+  /// (the last published version, or null) with the `dirty` chunks
+  /// (the tracker's publish cut) replaced by copies of this database's.
+  /// Writer-side, quiescent only.
   std::shared_ptr<const MetaDatabase> FreezeVersion(
-      const MetaDatabase* previous);
+      const MetaDatabase* previous, const DirtyChunks& dirty) const;
+
+  /// The publish consumer's cut: every chunk marked since the previous
+  /// publish. Writer-side, quiescent only.
+  DirtyChunks CutDirtyChunks() { return dirty_->CutChunks(); }
 
   void CheckObjectHandle(OidId id) const;
   void CheckLinkHandle(LinkId id) const;
   void DetachLinkFromAdjacency(LinkId id);
 
-  /// Bumps the mutation generation (null after a move-out; relaxed —
-  /// workers of disjoint shards may record concurrently).
-  void Touch() noexcept {
-    if (snapshots_ != nullptr) snapshots_->Touch();
-  }
-
-  // Dirty marks sit next to Touch(): same call sites, same thread
-  // contract (concurrent relaxed marks from disjoint-shard workers;
-  // array growth only on single-writer structural paths).
+  // Dirty marks: every mutation makes one, which is also how a publish
+  // recognizes that nothing changed. Thread contract: concurrent
+  // relaxed marks from disjoint-shard workers; array growth only on
+  // single-writer structural paths.
   void MarkObjectDirty(size_t slot) noexcept { dirty_->MarkObject(slot); }
   void MarkLinkDirty(size_t slot) noexcept { dirty_->MarkLink(slot); }
   void MarkConfigDirty(size_t slot) noexcept { dirty_->MarkConfig(slot); }

@@ -24,6 +24,16 @@ struct MetaObject {
   int64_t created_at = 0;  ///< SimClock seconds at creation.
   std::string created_by;  ///< User that created this version.
   bool alive = true;       ///< False once deleted.
+  /// Bumped by every property change (SetProperty, RemoveProperty,
+  /// GetObjectMutable) and kept monotone across a slot replacement
+  /// (ApplyObjectSlot). In-memory only: never persisted or dumped. The
+  /// run-time engine compares it to skip re-evaluating continuous
+  /// assignments of an object whose properties did not change. 32 bits
+  /// fill the padding after `alive`, so the object does not grow (a
+  /// 64-bit field added 8 bytes to every object and measurably slowed
+  /// snapshot reads); it repeats a value only after 2^32 changes of one
+  /// object.
+  uint32_t revision = 0;
 
   /// Returns the property value or `fallback` when absent.
   const std::string& PropertyOr(const std::string& name,

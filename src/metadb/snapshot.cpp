@@ -46,17 +46,18 @@ void SnapshotStore::InstallHead(std::shared_ptr<const Version> version) {
 }
 
 Snapshot SnapshotStore::Publish(MetaDatabase& db) {
-  // The writer is quiescent, so the generation cannot move under us.
-  const uint64_t generation = generation_.load(std::memory_order_acquire);
-  if (last_ != nullptr && last_->generation == generation) {
+  // The writer is quiescent, so no mark can land between the cut and
+  // the freeze. Every mutation marks a chunk: an empty cut means the
+  // head still equals the live state.
+  const DirtyChunks dirty = db.CutDirtyChunks();
+  if (last_ != nullptr && dirty.empty()) {
     return Snapshot(last_->frozen, last_->frozen.get(), last_->epoch);
   }
 
   auto version = std::make_shared<Version>();
   version->epoch = last_ == nullptr ? 1 : last_->epoch + 1;
-  version->generation = generation;
-  version->frozen =
-      db.FreezeVersion(last_ == nullptr ? nullptr : last_->frozen.get());
+  version->frozen = db.FreezeVersion(
+      last_ == nullptr ? nullptr : last_->frozen.get(), dirty);
   std::vector<std::shared_ptr<const Version>> retired;
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -16,10 +16,9 @@
 //    copies only the storage chunks marked dirty since the previous
 //    publish and shares the rest with the previous version
 //    (metadb/chunked.hpp), so its cost follows the change, not the
-//    database size. Publishing
-//    is a no-op returning the existing head when nothing mutated since
-//    the last publish (the database keeps a relaxed-atomic mutation
-//    generation exactly for this test), so idle publishes are free.
+//    database size. Publishing is a no-op returning the existing head
+//    when the dirty tracker marked no chunk since the last publish, so
+//    idle publishes are free and mutations write no shared counter.
 //  * READERS call MetaDatabase::Latest() — a wait-free head acquisition
 //    (left-right pattern: arrive on a read indicator, copy the active
 //    slot, depart), no locks, never blocked by (and never blocking) a
@@ -99,7 +98,7 @@ class Snapshot {
 ///
 /// Thread contract: Publish() is writer-side and must run at a
 /// drain-quiescent point (no wave is mutating the database). Latest(),
-/// AtEpoch(), purge_floor(), head_epoch() and Touch() are safe from any
+/// AtEpoch(), purge_floor() and head_epoch() are safe from any
 /// thread at any time; Latest() is lock-free.
 class SnapshotStore {
  public:
@@ -110,18 +109,9 @@ class SnapshotStore {
   explicit SnapshotStore(size_t retention = kDefaultRetention)
       : retention_(retention == 0 ? 1 : retention) {}
 
-  /// Records one database mutation (relaxed: the count only needs to be
-  /// exact at quiescent points, where Publish reads it).
-  void Touch() noexcept { generation_.fetch_add(1, std::memory_order_relaxed); }
-
-  /// Mutations recorded so far.
-  uint64_t generation() const noexcept {
-    return generation_.load(std::memory_order_relaxed);
-  }
-
   /// Freezes `db` under the next epoch and publishes it; returns the
-  /// existing head unchanged when no mutation happened since it was
-  /// published. Writer-side, quiescent callers only. The frozen version
+  /// existing head unchanged when no chunk was marked dirty since it
+  /// was published. Writer-side, quiescent callers only. The frozen version
   /// is built before the history lock is taken and retired versions are
   /// freed after it is released, so AtEpoch() never waits on a copy or
   /// a free.
@@ -155,7 +145,6 @@ class SnapshotStore {
  private:
   struct Version {
     uint64_t epoch = 0;
-    uint64_t generation = 0;  ///< Mutation generation at publish time.
     std::shared_ptr<const MetaDatabase> frozen;
   };
 
@@ -167,7 +156,6 @@ class SnapshotStore {
   /// rewrites.
   void InstallHead(std::shared_ptr<const Version> version);
 
-  std::atomic<uint64_t> generation_{0};
   /// The newest published version. Publisher-only state (Publish is the
   /// single writer), read without mutex_ to build the next version.
   std::shared_ptr<const Version> last_;

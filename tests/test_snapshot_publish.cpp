@@ -14,6 +14,7 @@
 //    version, and touched ones are fresh copies;
 //  * the checkpoint consumer of the same dirty marks still cuts exact
 //    deltas while publishes interleave;
+//  * a publish after writes that change nothing keeps the epoch;
 //  * a threaded 4-shard server publishing between batches meets the
 //    same contract.
 #include <gtest/gtest.h>
@@ -475,6 +476,45 @@ TEST(SnapshotPublish, PropertyOnlyPublishSharesIndexesAndAdjacency) {
   }
   EXPECT_EQ(before->GetProperty(ids[70], "state"), nullptr);
   EXPECT_EQ(*after->GetProperty(ids[70], "state"), "dirty");
+}
+
+TEST(SnapshotPublish, WritesThatChangeNothingKeepTheEpoch) {
+  // A publish is a no-op exactly when the dirty tracker marked nothing
+  // since the previous one; writes that change no value mark nothing.
+  MetaDatabase db;
+  const OidId a = db.CreateObject(Oid{"a", "v", 1}, "u", 0);
+  const OidId b = db.CreateObject(Oid{"b", "v", 1}, "u", 0);
+  const LinkId link = db.CreateLink(LinkKind::kDerive, a, b, {"outofdate"},
+                                    "", CarryPolicy::kNone);
+  db.SetProperty(a, "state", "true");
+  const Snapshot first = db.PublishSnapshot();
+  EXPECT_FALSE(db.RemoveProperty(a, "absent"));
+  db.SetLinkPropagates(link, {"outofdate"});
+  db.MoveLinkEndpoint(link, /*endpoint_from=*/false, b);
+  EXPECT_EQ(db.PublishSnapshot().epoch(), first.epoch());
+
+  db.GetObjectMutable(a);  // Conservatively a mutation.
+  const Snapshot second = db.PublishSnapshot();
+  EXPECT_EQ(second.epoch(), first.epoch() + 1);
+  EXPECT_EQ(db.PublishSnapshot().epoch(), second.epoch());
+
+  // Engine level: repeating an out-of-date wave over OIDs that are
+  // already out of date writes nothing, so the publish keeps the epoch.
+  const workload::FlowSpec flow;
+  engine::ProjectServer server("noop", {});
+  server.InitializeBlueprint(workload::MakeFlowBlueprint(flow, "noop"));
+  const Oid golden = workload::InstantiateFlow(server, flow, "blk");
+  const auto post_outofdate = [&] {
+    server.SubmitWireLine("postEvent outofdate down " +
+                              metadb::FormatOidWire(golden),
+                          "alice");
+  };
+  const Snapshot before = server.database().PublishSnapshot();
+  post_outofdate();
+  const Snapshot wave = server.database().PublishSnapshot();
+  ASSERT_EQ(wave.epoch(), before.epoch() + 1);
+  post_outofdate();
+  EXPECT_EQ(server.database().PublishSnapshot().epoch(), wave.epoch());
 }
 
 TEST(SnapshotPublish, CheckpointCutsStayExactWithInterleavedPublishes) {
