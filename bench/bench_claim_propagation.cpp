@@ -7,14 +7,13 @@
 // change event, selective engine vs full-recompute baseline, sweeping
 // the design size — the gap should widen linearly with design size
 // (full recompute is O(V+E) per event, selective is O(affected)).
-// The second half benchmarks the engine's wave-expansion fast paths on
-// a hub-heavy design where most links do not propagate the event being
-// delivered, across the engine's three generations:
-//   scan     — pre-index engine: linear link scans per delivery;
-//   indexed  — PR-1 engine: per-OID index, string-keyed lookups,
-//              per-delivery payload copies (use_propagation_index only);
-//   interned — symbol-interned hot path: packed integer keys, compiled
-//              rule tables, copy-free wave delivery (the default).
+// The second half benchmarks the engine's wave-expansion fast path on a
+// hub-heavy design where most links do not propagate the event being
+// delivered, against the scan oracle:
+//   scan     — use_propagation_index = false: linear link scans per
+//              delivery;
+//   interned — the propagation index: one packed-integer probe per OID
+//              (the default).
 // The third half scales out: the sharded engine partitions the design
 // into block subtrees (metadb::ShardMap) and runs one engine + worker
 // per shard, so independent subtrees propagate concurrently; the series
@@ -68,24 +67,18 @@ void BM_FullRecompute(benchmark::State& state) {
 }
 BENCHMARK(BM_FullRecompute)->Arg(4)->Arg(16)->Arg(64);
 
-// --- Wave-expansion fast path: scan vs indexed vs interned ----------------
+// --- Wave-expansion fast path: scan vs interned -----------------------------
 
-/// The engine generations the hub benchmark compares.
-enum class EngineMode { kScan, kIndexed, kInterned };
+/// The expansion modes the hub benchmark compares.
+enum class EngineMode { kScan, kInterned };
 
 const char* ModeName(EngineMode mode) {
-  switch (mode) {
-    case EngineMode::kScan: return "scan";
-    case EngineMode::kIndexed: return "indexed";
-    case EngineMode::kInterned: return "interned";
-  }
-  return "?";
+  return mode == EngineMode::kScan ? "scan" : "interned";
 }
 
 engine::EngineOptions ModeOptions(EngineMode mode) {
   engine::EngineOptions options;
-  options.use_propagation_index = mode != EngineMode::kScan;
-  options.interned_fast_path = mode == EngineMode::kInterned;
+  options.use_propagation_index = mode == EngineMode::kInterned;
   options.journal_propagated = false;
   return options;
 }
@@ -148,8 +141,6 @@ void BM_WaveExpansion(benchmark::State& state, EngineMode mode) {
 }
 BENCHMARK_CAPTURE(BM_WaveExpansion, linear_scan, EngineMode::kScan)
     ->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
-BENCHMARK_CAPTURE(BM_WaveExpansion, indexed, EngineMode::kIndexed)
-    ->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 BENCHMARK_CAPTURE(BM_WaveExpansion, interned, EngineMode::kInterned)
     ->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
@@ -191,25 +182,24 @@ void PrintSeries() {
 
 void PrintFastPathSeries() {
   benchutil::PrintHeader(
-      "Wave-expansion fast path: scan vs indexed vs interned engine",
+      "Wave-expansion fast path: scan vs interned engine",
       "run-time engine phase 5",
       "One 'edit' wave leaves a hub whose degree grows; only 1 in 16 links "
       "propagates the\nevent. scan wades through every PROPAGATE list; "
-      "indexed (PR-1) hashes event-name\nstrings and copies the payload per "
-      "delivery; interned does one integer probe per\nOID on a shared "
-      "payload.");
+      "interned does one integer probe per\nOID on a shared payload.");
 
-  const int waves = benchutil::SeriesScale(2000, 20);
-  const int warmup = benchutil::SeriesScale(100, 2);
+  // The Release CI job HARD-GATES on interned_d256 beating scan_d256
+  // from the smoke run, so the smoke sample is larger than the other
+  // series' (200 waves at degree 256 still finish in a few ms).
+  const int waves = benchutil::SeriesScale(2000, 200);
+  const int warmup = benchutil::SeriesScale(100, 10);
   const int max_degree = benchutil::SeriesScale(4096, 256);
-  constexpr EngineMode kModes[] = {EngineMode::kScan, EngineMode::kIndexed,
-                                   EngineMode::kInterned};
-  std::printf("%-10s %-18s %-14s %-14s %-14s %-12s %-12s\n", "degree",
-              "deliveries/wave", "scan (us)", "indexed (us)", "interned (us)",
-              "idx/scan", "int/idx");
+  constexpr EngineMode kModes[] = {EngineMode::kScan, EngineMode::kInterned};
+  std::printf("%-10s %-18s %-14s %-14s %-12s\n", "degree", "deliveries/wave",
+              "scan (us)", "interned (us)", "scan/int");
   for (const int degree : {256, 1024, 4096}) {
     if (degree > max_degree) break;
-    double micros[3] = {0.0, 0.0, 0.0};
+    double micros[2] = {0.0, 0.0};
     double deliveries_per_wave = 0.0;
     for (const EngineMode mode : kModes) {
       auto design = MakeHubDesign(degree, mode);
@@ -228,15 +218,14 @@ void PrintFastPathSeries() {
           us_per_wave * 1e3,
           us_per_wave > 0.0 ? deliveries_per_wave * 1e6 / us_per_wave : 0.0);
     }
-    std::printf("%-10d %-18.1f %-14.2f %-14.2f %-14.2f %-12.2f %-12.2f\n",
-                degree, deliveries_per_wave, micros[0], micros[1], micros[2],
-                micros[0] / micros[1], micros[1] / micros[2]);
+    std::printf("%-10d %-18.1f %-14.2f %-14.2f %-12.2f\n", degree,
+                deliveries_per_wave, micros[0], micros[1],
+                micros[0] / micros[1]);
   }
   std::printf(
-      "\nExpected shape: scan cost grows with hub degree while the indexed "
-      "engines follow\nthe receiver count only; the interned engine drops "
-      "the per-delivery string and\ncopy work on top, so int/idx holds "
-      "above 1.5x from degree 1024 up.\n\n");
+      "\nExpected shape: scan cost grows with hub degree while the interned "
+      "engine follows\nthe receiver count only, so scan/int widens with "
+      "degree.\n\n");
 }
 
 // --- Sharded wave engine: aggregate throughput by shard count ---------------
@@ -356,10 +345,8 @@ void PrintShardedSeries() {
 /// A deliberately boundary-heavy design: `hubs` hub blocks, each with
 /// `degree` derive links to single-block spoke subtrees dealt
 /// round-robin across the shards — so a hub wave's foreign receivers
-/// interleave across every shard with run length ~1, the worst case
-/// for the PR-4 consecutive-run handoff (one sub-wave task per
-/// receiver) and the best case for per-(epoch, shard) batching (one
-/// task per shard).
+/// interleave across every shard with run length ~1, which the
+/// per-(epoch, shard) batching still collapses to one task per shard.
 struct BoundaryDesign {
   metadb::MetaDatabase db;
   SimClock clock;
@@ -369,12 +356,10 @@ struct BoundaryDesign {
 };
 
 std::unique_ptr<BoundaryDesign> MakeBoundaryDesign(int hubs, int degree,
-                                                   uint32_t shards,
-                                                   bool batched) {
+                                                   uint32_t shards) {
   auto design = std::make_unique<BoundaryDesign>();
   engine::ShardedEngineOptions options;
   options.num_shards = shards;
-  options.batched_handoff = batched;
   options.engine.journal_propagated = false;
   design->engine = std::make_unique<engine::ShardedEngine>(
       design->db, design->clock, options);
@@ -420,61 +405,44 @@ void DeliverBoundaryRound(BoundaryDesign& design) {
 
 void PrintBatchedHandoffSeries() {
   benchutil::PrintHeader(
-      "Batched cross-shard handoff: aggregated vs per-run sub-waves",
+      "Batched cross-shard handoff: boundary-heavy workload",
       "per-(epoch, target shard) seed batching + lane stealing, "
       "src/engine/sharded_engine.hpp",
       "Hub waves whose foreign receivers interleave across every shard "
-      "(run length ~1).\nUnbatched posts one sub-wave task per receiver "
-      "run; batched posts one aggregated\ntask per (wave, target shard), "
-      "amortizing ring traffic and claim rounds.");
+      "(run length ~1);\nthe handoff posts one aggregated task per (wave, "
+      "target shard).");
 
-  // The Release CI job HARD-GATES on batched_s8 > unbatched_s8 from
-  // the smoke run, so the smoke sample is kept deliberately larger
-  // than the other series' (the measured gap is ~1.4-3x; 30 rounds on
-  // this small design still finish in a few ms and keep one scheduler
-  // hiccup from inverting the ratio on a shared runner).
   const int hubs = benchutil::SeriesScale(8, 4);
   const int degree = benchutil::SeriesScale(256, 48);
   const int rounds = benchutil::SeriesScale(150, 30);
   const int warmup = benchutil::SeriesScale(15, 3);
 
-  std::printf("%-10s %-12s %-16s %-22s %-14s %-12s\n", "shards", "mode",
-              "us/round", "deliveries/sec", "handoff", "batched/un");
+  std::printf("%-10s %-16s %-22s %-14s\n", "shards", "us/round",
+              "deliveries/sec", "handoff/round");
   for (const uint32_t shards : {2u, 4u, 8u}) {
-    double rates[2] = {0.0, 0.0};
-    size_t handoffs[2] = {0, 0};
-    for (const bool batched : {false, true}) {
-      auto design = MakeBoundaryDesign(hubs, degree, shards, batched);
-      for (int i = 0; i < warmup; ++i) DeliverBoundaryRound(*design);
-      design->engine->ResetStats();
-      const auto start = std::chrono::steady_clock::now();
-      for (int i = 0; i < rounds; ++i) DeliverBoundaryRound(*design);
-      const auto elapsed = std::chrono::steady_clock::now() - start;
-      const double us_per_round =
-          std::chrono::duration<double, std::micro>(elapsed).count() / rounds;
-      const double rate =
-          us_per_round > 0.0
-              ? static_cast<double>(design->deliveries_per_round) * 1e6 /
-                    us_per_round
-              : 0.0;
-      rates[batched ? 1 : 0] = rate;
-      handoffs[batched ? 1 : 0] =
-          design->engine->stats().handoff_waves / static_cast<size_t>(rounds);
-      benchutil::AddBenchJson(
-          std::string("wave_sharded_") + (batched ? "batched" : "unbatched") +
-              "_s" + std::to_string(shards),
-          us_per_round * 1e3, rate);
-      std::printf("%-10u %-12s %-16.1f %-22.0f %-14zu %-12s\n", shards,
-                  batched ? "batched" : "unbatched", us_per_round, rate,
-                  handoffs[batched ? 1 : 0], "");
-    }
-    std::printf("%-10u %-12s %-16s %-22s %-14s %-12.2f\n", shards, "ratio",
-                "", "", "", rates[0] > 0.0 ? rates[1] / rates[0] : 0.0);
+    auto design = MakeBoundaryDesign(hubs, degree, shards);
+    for (int i = 0; i < warmup; ++i) DeliverBoundaryRound(*design);
+    design->engine->ResetStats();
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < rounds; ++i) DeliverBoundaryRound(*design);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    const double us_per_round =
+        std::chrono::duration<double, std::micro>(elapsed).count() / rounds;
+    const double rate =
+        us_per_round > 0.0
+            ? static_cast<double>(design->deliveries_per_round) * 1e6 /
+                  us_per_round
+            : 0.0;
+    benchutil::AddBenchJson("wave_sharded_batched_s" + std::to_string(shards),
+                            us_per_round * 1e3, rate);
+    const size_t handoffs_per_round =
+        design->engine->stats().handoff_waves / static_cast<size_t>(rounds);
+    std::printf("%-10u %-16.1f %-22.0f %-14zu\n", shards, us_per_round, rate,
+                handoffs_per_round);
   }
   std::printf(
-      "\nExpected shape: batched posts ~(shards-1) sub-wave tasks per hub "
-      "wave instead of\n~degree, so deliveries/sec should hold a >=1.2x "
-      "lead at 8 shards on this workload.\n\n");
+      "\nExpected shape: ~hubs x (shards-1) sub-wave tasks per round, "
+      "independent of\ndegree.\n\n");
 }
 
 }  // namespace

@@ -83,7 +83,7 @@ int main() {
   show_tasks("after back-end sign-off");
 
   run(bob, "blockers uptodate=true sim_result=good");
-  run(bob, "snapshot signoff_candidate");
+  run(bob, "checkpoint signoff_candidate");
   run(alice, "validate");
 
   // --- The state relative to the flow ------------------------------------

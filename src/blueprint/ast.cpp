@@ -42,4 +42,19 @@ const ViewTemplate* Blueprint::DefaultView() const {
   return FindView(kDefaultViewName);
 }
 
+const LinkTemplate* Blueprint::FindLinkTemplate(metadb::LinkKind kind,
+                                               std::string_view from_view,
+                                               std::string_view to_view) const {
+  const ViewTemplate* sources[2] = {FindView(to_view), DefaultView()};
+  for (const ViewTemplate* source : sources) {
+    if (source == nullptr) continue;
+    for (const LinkTemplate& candidate : source->links) {
+      if (candidate.kind != kind) continue;
+      if (kind == metadb::LinkKind::kUse) return &candidate;
+      if (candidate.from_view == from_view) return &candidate;
+    }
+  }
+  return nullptr;
+}
+
 }  // namespace damocles::blueprint

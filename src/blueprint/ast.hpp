@@ -136,6 +136,14 @@ struct Blueprint {
   bool Tracks(std::string_view view_name) const {
     return FindView(view_name) != nullptr;
   }
+
+  /// The link template a new `kind` link from a `from_view` OID to a
+  /// `to_view` OID takes, or nullptr. link_from templates live in the
+  /// *target* view, use_link templates in the shared view of both
+  /// endpoints; the specific view is searched first, then the default.
+  const LinkTemplate* FindLinkTemplate(metadb::LinkKind kind,
+                                       std::string_view from_view,
+                                       std::string_view to_view) const;
 };
 
 }  // namespace damocles::blueprint

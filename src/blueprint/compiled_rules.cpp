@@ -46,9 +46,9 @@ void CompiledRules::Compile(const Blueprint& blueprint, SymbolTable& symbols,
     if (assignments_.find(view_sym) != assignments_.end()) {
       continue;  // Duplicate view declaration: first wins, like FindView.
     }
-    // The interpreted engine iterates {default view, specific view} —
-    // for the "default" view itself that pairs it with itself, running
-    // its rules and assignments twice; the tables reproduce that.
+    // Every view merges {default view, specific view} — for the
+    // "default" view itself that pairs it with itself, running its
+    // rules and assignments twice, as recorded journals expect.
     const ViewTemplate* sources[2] = {default_view, &view};
     std::vector<const ContinuousAssignment*>& assignments =
         assignments_[view_sym];

@@ -1,10 +1,9 @@
-// Compiled run-time rule tables: the symbol-interned fast path for rule
-// matching.
+// Compiled run-time rule tables: how the engine matches rules.
 //
-// The interpreted matcher (RunTimeEngine::ForEachMatchingRule) walks the
-// default view's rule list plus the target view's, comparing event-name
-// strings — three times per delivery, once per rule phase. On large
-// blueprints that is the dominant non-propagation cost of a wave.
+// Matching rules by walking the default view's rule list plus the
+// target view's, comparing event-name strings, costs three scans per
+// delivery (one per rule phase); on large blueprints that would be the
+// dominant non-propagation cost of a wave.
 //
 // CompiledRules flattens the blueprint once, at install time, into
 // phase-partitioned action lists keyed by (view SymbolId, event
@@ -12,10 +11,10 @@
 // view or that view reacts to, one RuleSet holds the assign actions
 // (phase 1), the exec/notify actions (phase 3, relative order preserved)
 // and the post actions (phase 4, posted-event names pre-interned) — with
-// the default view's actions prepended, exactly the order the
-// interpreted matcher produces. Untracked views resolve to a
-// default-view-only table. A delivery then costs one Resolve (cached
-// per OID by the engine) plus one integer-hash Find per phase set.
+// the default view's actions prepended, i.e. default-view rules first,
+// then the view's own, in declaration order. Untracked views resolve to
+// a default-view-only table. A delivery then costs one Resolve (cached
+// per OID by the engine) plus one integer-hash Find.
 //
 // RuleSets hold pointers into the Blueprint that was compiled; the
 // engine recompiles whenever it installs a blueprint, which also
@@ -43,7 +42,7 @@ class CompiledRules {
 
   /// Phase-partitioned actions for one (view, event) pair. Default-view
   /// rules come first, then the specific view's, preserving rule and
-  /// action order within each — the interpreted matcher's order.
+  /// action order within each.
   struct RuleSet {
     std::vector<const ActionAssign*> assigns;      ///< Phase 1.
     std::vector<const Action*> execs_and_notifies; ///< Phase 3 (exec|notify).

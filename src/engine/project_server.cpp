@@ -7,6 +7,7 @@
 #include "blueprint/parser.hpp"
 #include "common/error.hpp"
 #include "common/strings.hpp"
+#include "metadb/config_builder.hpp"
 #include "metadb/persistence.hpp"
 
 namespace damocles::engine {
@@ -270,6 +271,9 @@ void ProjectServer::ApplyOp(const events::WalOpRecord& op) {
       break;
     case events::WalRecordType::kOpPolicyRollback:
       PolicyRollback();
+      break;
+    case events::WalRecordType::kOpConfiguration:
+      SaveConfigurationAt(op.text, op.clock_seconds);
       break;
     default:
       throw Error("ApplyOp: record type " +
@@ -994,6 +998,27 @@ metadb::LinkId ProjectServer::RegisterLink(metadb::LinkKind kind,
   }
   MaybeAutoCheckpoint();
   return link;
+}
+
+metadb::ConfigId ProjectServer::SaveConfiguration(std::string_view name) {
+  return SaveConfigurationAt(name, clock_.NowSeconds());
+}
+
+metadb::ConfigId ProjectServer::SaveConfigurationAt(std::string_view name,
+                                                    int64_t timestamp) {
+  RequireWritable();
+  // Batch mode: waves posted earlier may still write the properties
+  // captured here.
+  if (sharded_ != nullptr) sharded_->AwaitQuiescence();
+  const metadb::ConfigId id = db_.SaveConfiguration(
+      metadb::BuildFullCheckpoint(db_, std::string(name), timestamp));
+  if (logging()) {
+    LogOp(/*pre_apply=*/false, [&](uint64_t seq) {
+      ops_writer_->AppendConfigurationOp(seq, name, timestamp);
+    });
+  }
+  MaybeAutoCheckpoint();
+  return id;
 }
 
 void ProjectServer::SubmitWireLine(std::string_view line,

@@ -238,6 +238,12 @@ class ProjectServer {
   metadb::LinkId RegisterLink(metadb::LinkKind kind, const metadb::Oid& from,
                               const metadb::Oid& to);
 
+  /// Saves a named configuration of every live object and link (paper
+  /// §2's design-cycle snapshot), replacing one of the same name. A
+  /// durable server logs it as one ops record (name + timestamp), so it
+  /// survives a restart. Returns the stored configuration's id.
+  metadb::ConfigId SaveConfiguration(std::string_view name);
+
   /// Accepts one wire-protocol line ("postEvent ckin up cpu,hdl,3 ...").
   void SubmitWireLine(std::string_view line, std::string_view user);
 
@@ -376,6 +382,11 @@ class ProjectServer {
 
   /// Re-executes one logged operation (replay path).
   void ApplyOp(const events::WalOpRecord& op);
+
+  /// SaveConfiguration at an explicit timestamp (replay passes the
+  /// logged one).
+  metadb::ConfigId SaveConfigurationAt(std::string_view name,
+                                       int64_t timestamp);
 
   /// Replays the post-checkpoint ops tail at construction.
   void ReplayOps(const std::vector<events::WalOpEntry>& ops);

@@ -99,13 +99,6 @@ const PropagationIndex::Bucket* PropagationIndex::Receivers(
   return &it->second;
 }
 
-const PropagationIndex::Bucket* PropagationIndex::Receivers(
-    OidId source, Direction direction, std::string_view event) const {
-  const SymbolId id = symbols_->Find(event);
-  if (id == SymbolTable::kNoSymbol) return nullptr;
-  return Receivers(source, direction, id);
-}
-
 void PropagationIndex::AddEntries(LinkId id,
                                   const std::vector<std::string>& events,
                                   OidId from, OidId to) {
@@ -412,13 +405,21 @@ bool PropagationIndex::ConsistentWith(const MetaDatabase& db,
                     std::to_string(theirs));
   };
 
+  // `index`'s bucket for `key`'s (source, direction) and `event` text:
+  // the two indexes intern through different tables.
+  const auto bucket_of = [](const PropagationIndex& index, uint64_t key,
+                            const std::string& event) -> const Bucket* {
+    const SymbolId sym = index.symbols_->Find(event);
+    if (sym == SymbolTable::kNoSymbol) return nullptr;
+    return index.Receivers(UnpackSource(key), UnpackDirection(key), sym);
+  };
+
   // Every bucket of mine must match the rescan's bucket for the same
   // (source, direction, event text); empty buckets count as absent.
   for (const auto& [key, bucket] : buckets_) {
     if (bucket.empty()) continue;
     const std::string& event = symbols_->Text(UnpackEvent(key));
-    const Bucket* theirs = fresh.Receivers(UnpackSource(key),
-                                           UnpackDirection(key), event);
+    const Bucket* theirs = bucket_of(fresh, key, event);
     if (theirs == nullptr) return mismatch(key, event, bucket.size(), 0);
     if (sorted(bucket) != sorted(*theirs)) {
       return mismatch(key, event, bucket.size(), theirs->size());
@@ -428,8 +429,7 @@ bool PropagationIndex::ConsistentWith(const MetaDatabase& db,
   for (const auto& [key, bucket] : fresh.buckets_) {
     if (bucket.empty()) continue;
     const std::string& event = fresh.symbols_->Text(UnpackEvent(key));
-    if (Receivers(UnpackSource(key), UnpackDirection(key),
-                  std::string_view(event)) == nullptr) {
+    if (bucket_of(*this, key, event) == nullptr) {
       return mismatch(key, event, 0, bucket.size());
     }
   }

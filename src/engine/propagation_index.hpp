@@ -21,9 +21,8 @@
 // lookup on the hot path is a single integer-hash probe with zero
 // string hashing. Event names are interned through a SymbolTable —
 // normally the engine's (shared so rule tables and the index agree on
-// ids), or a private one when the index is used standalone. A
-// string_view Receivers overload remains as a thin shim for tests and
-// tools; it pays one string hash to resolve the SymbolId.
+// ids), or a private one when the index is used standalone; callers
+// holding a name resolve it through symbols() first.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +30,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -84,12 +82,6 @@ class PropagationIndex {
   /// would produce.
   const Bucket* Receivers(metadb::OidId source, events::Direction direction,
                           SymbolId event) const;
-
-  /// String shim over the SymbolId lookup (tests / tools / the
-  /// non-interned engine path): resolves the id first, paying one
-  /// string hash.
-  const Bucket* Receivers(metadb::OidId source, events::Direction direction,
-                          std::string_view event) const;
 
   /// The table this index interns event names through.
   const SymbolTable& symbols() const noexcept { return *symbols_; }

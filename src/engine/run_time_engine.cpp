@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/strings.hpp"
 
 namespace damocles::engine {
 
@@ -34,14 +35,11 @@ RunTimeEngine::~RunTimeEngine() { db_.RemoveLinkObserver(this); }
 void RunTimeEngine::LoadBlueprint(Blueprint blueprint,
                                   uint64_t policy_version) {
   blueprint_ = std::make_unique<Blueprint>(std::move(blueprint));
-  ++blueprint_generation_;  // Every OID's settled state goes stale.
-  policy_version_ = policy_version;
-  if (options_.interned_fast_path) {
-    // Rule-table compile point. Cached OidBindings re-resolve lazily
-    // against the bumped generation; SymbolIds themselves stay valid
-    // (the interner only grows).
-    compiled_.Compile(*blueprint_, symbols_, policy_version);
-  }
+  // Rule-table compile point. Cached OidBindings re-resolve lazily
+  // against the bumped generation, and every OID's settled state goes
+  // stale with it; SymbolIds themselves stay valid (the interner only
+  // grows).
+  compiled_.Compile(*blueprint_, symbols_, policy_version);
   // Blueprint install is the index build point (and heals any direct
   // GetLinkMutable edits made outside the observer protocol).
   if (options_.use_propagation_index) index_.Rebuild(db_);
@@ -92,7 +90,7 @@ const Blueprint& RunTimeEngine::Current() const {
   return *blueprint_;
 }
 
-// --- Interned hot path ----------------------------------------------------
+// --- Per-OID state ---------------------------------------------------------
 
 RunTimeEngine::WaveVisited& RunTimeEngine::AcquireVisited() {
   if (visited_depth_ == visited_pool_.size()) {
@@ -133,9 +131,7 @@ OidId RunTimeEngine::OnCreateObject(std::string_view block,
   const OidId id =
       db_.CreateNextVersion(block, view, user, clock_.NowSeconds());
   const std::optional<OidId> previous = db_.PreviousVersion(id);
-  if (options_.interned_fast_path) {
-    BindingOf(id);  // Intern the view and bind rule tables up front.
-  }
+  BindingOf(id);  // Intern the view and bind rule tables up front.
 
   if (blueprint_) {
     ++stats_.objects_templated;
@@ -213,96 +209,64 @@ LinkId RunTimeEngine::OnCreateLink(LinkKind kind, OidId from, OidId to) {
   }
 
   const blueprint::LinkTemplate* match =
-      FindLinkTemplate(kind, from_object.oid.view, to_object.oid.view);
-
-  std::vector<std::string> propagates;
-  std::string type;
-  CarryPolicy carry = CarryPolicy::kNone;
+      blueprint_ ? blueprint_->FindLinkTemplate(kind, from_object.oid.view,
+                                                to_object.oid.view)
+                 : nullptr;
   if (match != nullptr) {
-    propagates = match->propagates;
-    type = match->type;
-    carry = match->carry;
     ++stats_.links_templated;
   } else {
     ++stats_.links_untemplated;
   }
+  // No template: the link propagates nothing and carries nothing.
+  const blueprint::LinkTemplate untemplated;
+  const blueprint::LinkTemplate& applied =
+      match != nullptr ? *match : untemplated;
 
-  const LinkId id =
-      db_.CreateLink(kind, from, to, std::move(propagates), type, carry);
+  const LinkId id = db_.CreateLink(kind, from, to, applied.propagates,
+                                   applied.type, applied.carry);
+  AnnotateLink(db_.GetLinkMutable(id));
+  return id;
+}
+
+void RunTimeEngine::AnnotateLink(Link& link) {
   // Mirror the template content into queryable link properties, the way
   // DAMOCLES annotates Link objects (paper §2).
-  Link& link = db_.GetLinkMutable(id);
-  std::string propagate_list;
-  for (size_t i = 0; i < link.propagates.size(); ++i) {
-    if (i != 0) propagate_list += ",";
-    propagate_list += link.propagates[i];
+  link.properties["PROPAGATE"] = Join(link.propagates, ",");
+  if (link.type.empty()) {
+    link.properties.erase("TYPE");
+  } else {
+    link.properties["TYPE"] = link.type;
   }
-  link.properties["PROPAGATE"] = propagate_list;
-  if (!link.type.empty()) link.properties["TYPE"] = link.type;
-  return id;
 }
 
 size_t RunTimeEngine::RetemplateLinks() {
   if (!blueprint_) return 0;
   size_t touched = 0;
+  const blueprint::LinkTemplate untemplated;
   std::vector<LinkId> live;
   db_.ForEachLink([&](LinkId id, const Link&) { live.push_back(id); });
   for (const LinkId id : live) {
     Link& link = db_.GetLinkMutable(id);
     const blueprint::LinkTemplate* match =
-        FindLinkTemplate(link.kind, db_.GetObject(link.from).oid.view,
-                         db_.GetObject(link.to).oid.view);
-    std::vector<std::string> propagates;
-    std::string type;
-    CarryPolicy carry = CarryPolicy::kNone;
-    if (match != nullptr) {
-      propagates = match->propagates;
-      type = match->type;
-      carry = match->carry;
-    }
-    if (link.propagates == propagates && link.type == type &&
-        link.carry == carry) {
+        blueprint_->FindLinkTemplate(link.kind,
+                                     db_.GetObject(link.from).oid.view,
+                                     db_.GetObject(link.to).oid.view);
+    const blueprint::LinkTemplate& applied =
+        match != nullptr ? *match : untemplated;
+    if (link.propagates == applied.propagates && link.type == applied.type &&
+        link.carry == applied.carry) {
       continue;
     }
     // PROPAGATE goes through the observer-notifying setter so
     // propagation indexes stay consistent; TYPE and carry do not
     // affect wave expansion and are written directly.
-    db_.SetLinkPropagates(id, std::move(propagates));
-    link.type = std::move(type);
-    link.carry = carry;
-    std::string propagate_list;
-    for (size_t i = 0; i < link.propagates.size(); ++i) {
-      if (i != 0) propagate_list += ",";
-      propagate_list += link.propagates[i];
-    }
-    link.properties["PROPAGATE"] = propagate_list;
-    if (link.type.empty()) {
-      link.properties.erase("TYPE");
-    } else {
-      link.properties["TYPE"] = link.type;
-    }
+    db_.SetLinkPropagates(id, applied.propagates);
+    link.type = applied.type;
+    link.carry = applied.carry;
+    AnnotateLink(link);
     ++touched;
   }
   return touched;
-}
-
-const blueprint::LinkTemplate* RunTimeEngine::FindLinkTemplate(
-    LinkKind kind, std::string_view from_view, std::string_view to_view)
-    const {
-  if (!blueprint_) return nullptr;
-  // link_from templates live in the *target* view; use_link templates in
-  // the shared view of both endpoints. Specific view first, then default.
-  const ViewTemplate* sources[2] = {blueprint_->FindView(to_view),
-                                    blueprint_->DefaultView()};
-  for (const ViewTemplate* source : sources) {
-    if (source == nullptr) continue;
-    for (const blueprint::LinkTemplate& candidate : source->links) {
-      if (candidate.kind != kind) continue;
-      if (kind == LinkKind::kUse) return &candidate;
-      if (candidate.from_view == from_view) return &candidate;
-    }
-  }
-  return nullptr;
 }
 
 // --- Event intake ----------------------------------------------------------------
@@ -346,7 +310,8 @@ bool RunTimeEngine::ProcessOne() {
 
   {
     processing_ = true;
-    ProcessWave(*target, *event, event_sym);
+    // One full wave: rules at the target, then link-filtered BFS.
+    ProcessWaveSeeded({*target}, /*seeds_are_origin=*/true, *event, event_sym);
     processing_ = false;
   }
 
@@ -397,11 +362,6 @@ size_t RunTimeEngine::ProcessAll() {
 
 // --- Wave processing -----------------------------------------------------------
 
-void RunTimeEngine::ProcessWave(OidId start, const EventMessage& event,
-                                SymbolId event_sym) {
-  ProcessWaveSeeded({start}, /*seeds_are_origin=*/true, event, event_sym);
-}
-
 void RunTimeEngine::AdmitReceiver(OidId receiver, const EventMessage& event,
                                   WaveVisited& visited,
                                   std::vector<OidId>& out) {
@@ -427,13 +387,8 @@ void RunTimeEngine::CollectReceivers(OidId source, const EventMessage& event,
                                      std::vector<OidId>& out) {
   if (options_.use_propagation_index) {
     ++stats_.index_lookups;
-    // Interned path: one integer-hash probe. String shim otherwise —
-    // the PR-1 cost model kept for differential benchmarks.
     const PropagationIndex::Bucket* bucket =
-        options_.interned_fast_path
-            ? index_.Receivers(source, event.direction, event_sym)
-            : index_.Receivers(source, event.direction,
-                               std::string_view(event.name));
+        index_.Receivers(source, event.direction, event_sym);
     if (bucket == nullptr) return;
     for (const PropagationIndex::Entry& entry : *bucket) {
       AdmitReceiver(entry.neighbor, event, visited, out);
@@ -541,19 +496,11 @@ void RunTimeEngine::ProcessWaveSeeded(std::vector<OidId> seeds,
       }
 
       // Direction-posted events (post without a 'to' clause) start their
-      // own sub-waves from this OID immediately after its rules.
+      // own sub-waves from this OID immediately after its rules. The
+      // payload is shared across the whole wave; RunRulesAt resolves
+      // per-delivery fields from `target`.
       direction_posts.clear();
-      if (options_.interned_fast_path) {
-        // The payload is shared across the whole wave; RunRulesAt
-        // resolves per-delivery fields from `target`.
-        RunRulesAt(target, event, event_sym, direction_posts);
-      } else {
-        // PR-1 delivery: one payload copy per OID reached. Kept as the
-        // baseline the interned path is benchmarked against.
-        EventMessage local = event;
-        local.target = db_.GetObject(target).oid;
-        RunRulesAt(target, local, event_sym, direction_posts);
-      }
+      RunRulesAt(target, event, event_sym, direction_posts);
 
       if (router_ != nullptr) router_->EndDelivery(target);
 
@@ -601,101 +548,45 @@ void RunTimeEngine::ProcessWaveSeeded(std::vector<OidId> seeds,
 
 // --- Rule execution ---------------------------------------------------------------
 
-void RunTimeEngine::ForEachMatchingRule(
-    std::string_view view, std::string_view event_name,
-    const std::function<void(const blueprint::RuntimeRule&)>& fn) const {
-  if (!blueprint_) return;
-  const ViewTemplate* sources[2] = {blueprint_->DefaultView(),
-                                    blueprint_->FindView(view)};
-  for (const ViewTemplate* source : sources) {
-    if (source == nullptr) continue;
-    for (const blueprint::RuntimeRule& rule : source->rules) {
-      if (rule.event == event_name) fn(rule);
-    }
-  }
-}
-
 void RunTimeEngine::RunRulesAt(OidId target, const EventMessage& event,
                                SymbolId event_sym,
                                std::vector<DirectionPost>& direction_posts) {
-  if (options_.interned_fast_path && blueprint_ != nullptr) {
-    // Compiled path: one cached binding + one integer-keyed lookup
-    // yields the phase-partitioned actions; no string touches a name.
-    const CompiledRules::RuleSet* rules =
-        compiled_.Find(BindingOf(target).rules, event_sym);
-    if (rules != nullptr) {
-      ++stats_.rule_table_hits;
-    } else {
-      ++stats_.rule_table_misses;
-    }
-
-    // Phase 1: assignments.
-    if (rules != nullptr) {
-      for (const blueprint::ActionAssign* assign : rules->assigns) {
-        ExecuteAssign(target, *assign, event);
-      }
-    }
-
-    // Phase 2: continuous assignments are re-evaluated.
-    RefreshComputedProperties(target);
-
-    if (rules == nullptr) return;
-    // Phase 3: exec and notify, in declaration order.
-    for (const blueprint::Action* action : rules->execs_and_notifies) {
-      if (const auto* exec = std::get_if<blueprint::ActionExec>(action)) {
-        ExecuteExec(target, *exec, event);
-      } else if (const auto* notify =
-                     std::get_if<blueprint::ActionNotify>(action)) {
-        ExecuteNotify(target, *notify, event);
-      }
-    }
-    // Phase 4: posts (posted-event names pre-interned at compile).
-    for (const CompiledRules::CompiledPost& post : rules->posts) {
-      ExecutePost(target, *post.action, post.event_sym, event,
-                  direction_posts);
-    }
-    return;
+  if (blueprint_ == nullptr) return;
+  // One cached binding + one integer-keyed lookup yields the
+  // phase-partitioned actions; no string touches a name.
+  const CompiledRules::RuleSet* rules =
+      compiled_.Find(BindingOf(target).rules, event_sym);
+  if (rules != nullptr) {
+    ++stats_.rule_table_hits;
+  } else {
+    ++stats_.rule_table_misses;
   }
 
-  // Interpreted path (PR-1 baseline): three rule-list scans with string
-  // comparisons per delivery. Borrowing the view avoids the historical
-  // per-delivery copy; meta-objects are stable while rules run.
-  const std::string_view view = db_.GetObject(target).oid.view;
-
   // Phase 1: assignments.
-  ForEachMatchingRule(view, event.name, [&](const blueprint::RuntimeRule& rule) {
-    for (const blueprint::Action& action : rule.actions) {
-      if (const auto* assign = std::get_if<blueprint::ActionAssign>(&action)) {
-        ExecuteAssign(target, *assign, event);
-      }
+  if (rules != nullptr) {
+    for (const blueprint::ActionAssign* assign : rules->assigns) {
+      ExecuteAssign(target, *assign, event);
     }
-  });
+  }
 
   // Phase 2: continuous assignments are re-evaluated.
   RefreshComputedProperties(target);
 
-  // Phase 3: exec (and notify — "a script can be executed (i.e. to send
-  // warnings to users, to invoke tools)").
-  ForEachMatchingRule(view, event.name, [&](const blueprint::RuntimeRule& rule) {
-    for (const blueprint::Action& action : rule.actions) {
-      if (const auto* exec = std::get_if<blueprint::ActionExec>(&action)) {
-        ExecuteExec(target, *exec, event);
-      } else if (const auto* notify =
-                     std::get_if<blueprint::ActionNotify>(&action)) {
-        ExecuteNotify(target, *notify, event);
-      }
+  if (rules == nullptr) return;
+  // Phase 3: exec and notify, in declaration order ("a script can be
+  // executed (i.e. to send warnings to users, to invoke tools)").
+  for (const blueprint::Action* action : rules->execs_and_notifies) {
+    if (const auto* exec = std::get_if<blueprint::ActionExec>(action)) {
+      ExecuteExec(target, *exec, event);
+    } else if (const auto* notify =
+                   std::get_if<blueprint::ActionNotify>(action)) {
+      ExecuteNotify(target, *notify, event);
     }
-  });
-
-  // Phase 4: posts.
-  ForEachMatchingRule(view, event.name, [&](const blueprint::RuntimeRule& rule) {
-    for (const blueprint::Action& action : rule.actions) {
-      if (const auto* post = std::get_if<blueprint::ActionPost>(&action)) {
-        ExecutePost(target, *post, symbols_.Intern(post->event), event,
-                    direction_posts);
-      }
-    }
-  });
+  }
+  // Phase 4: posts (posted-event names pre-interned at compile).
+  for (const CompiledRules::CompiledPost& post : rules->posts) {
+    ExecutePost(target, *post.action, post.event_sym, event, direction_posts);
+  }
 }
 
 void RunTimeEngine::ExecuteAssign(OidId target,
@@ -791,22 +682,8 @@ void RunTimeEngine::RefreshComputedProperties(OidId id) {
     return;
   }
 
-  const std::vector<const blueprint::ContinuousAssignment*>* assignments;
-  std::vector<const blueprint::ContinuousAssignment*> interpreted;
-  if (options_.interned_fast_path) {
-    assignments = BindingOf(id).rules.assignments;
-  } else {
-    const std::string_view view = db_.GetObject(id).oid.view;
-    for (const ViewTemplate* source :
-         {blueprint_->DefaultView(), blueprint_->FindView(view)}) {
-      if (source == nullptr) continue;
-      for (const blueprint::ContinuousAssignment& assignment :
-           source->assignments) {
-        interpreted.push_back(&assignment);
-      }
-    }
-    assignments = &interpreted;
-  }
+  const std::vector<const blueprint::ContinuousAssignment*>* assignments =
+      BindingOf(id).rules.assignments;
 
   // Continuous assignments may read each other; two passes let simple
   // one-level chains settle deterministically (document: deeper chains
@@ -834,14 +711,14 @@ void RunTimeEngine::RefreshComputedProperties(OidId id) {
     if (assignment->expr.ReadsVariable("date")) return;  // Clock-driven.
   }
   OidBinding& binding = SlotOf(id);
-  binding.settled_generation = blueprint_generation_;
+  binding.settled_generation = compiled_.generation();
   binding.settled_revision = db_.GetObject(id).revision;
 }
 
 bool RunTimeEngine::IsSettled(OidId id) const {
   if (blueprint_ == nullptr || id.value() >= bindings_.size()) return false;
   const OidBinding& binding = bindings_[id.value()];
-  return binding.settled_generation == blueprint_generation_ &&
+  return binding.settled_generation == compiled_.generation() &&
          binding.settled_revision == db_.GetObject(id).revision;
 }
 

@@ -35,12 +35,10 @@
 // (blueprint/compiled_rules.hpp); the wave's visited set is an
 // epoch-stamped vector pooled across waves; and one immutable event
 // payload is shared across every delivery of a wave instead of being
-// copied per OID. Two options gate the fast paths for differential
-// testing and benchmarking: use_propagation_index = false reproduces
-// the pre-index engine (adjacency scans), interned_fast_path = false
-// reproduces the string-keyed indexed engine (interpreted rule
-// matching, per-delivery payload copies). Delivery order — and thus the
-// journal — is byte-identical across all three engines.
+// copied per OID. One option swaps the expansion step for testing:
+// use_propagation_index = false scans adjacency lists instead of the
+// index — the differential suites' reference oracle. Delivery order,
+// and thus the journal, is byte-identical either way.
 #pragma once
 
 #include <algorithm>
@@ -80,17 +78,10 @@ struct EngineOptions {
   bool strict_targets = false;
 
   /// Serve wave expansion from the per-OID propagation index instead of
-  /// scanning adjacency lists. Off reproduces the pre-index engine
-  /// (benchmark baseline / differential testing); delivery order is
-  /// identical either way.
+  /// scanning adjacency lists. Off is the scan oracle the differential
+  /// tests compare against (and what steal engines run, see
+  /// sharded_engine.hpp); delivery order is identical either way.
   bool use_propagation_index = true;
-
-  /// Run the symbol-interned hot path: SymbolId-keyed receiver lookups,
-  /// compiled per-(view, event) rule tables and copy-free wave delivery.
-  /// Off reproduces the string-keyed indexed engine (interpreted rule
-  /// scans, one payload copy per delivery) for differential tests and
-  /// as the benchmark baseline; delivery order is identical either way.
-  bool interned_fast_path = true;
 
   /// Skip the constructor's observer registration and initial full
   /// index build: the owner installs a scoped index via SetIndexScope
@@ -307,10 +298,10 @@ class RunTimeEngine : private metadb::LinkObserver {
   }
 
   /// PolicyStore version id the installed blueprint was compiled from
-  /// (0 = unversioned). On the interned fast path this equals
-  /// compiled_rules().source_version(); the interpreted baseline tracks
-  /// it here so differential engines agree on version identity.
-  uint64_t policy_version() const noexcept { return policy_version_; }
+  /// (0 = unversioned).
+  uint64_t policy_version() const noexcept {
+    return compiled_.source_version();
+  }
 
   /// Zeroes the statistics (benchmark warm-up support). Gauges
   /// (interner size) are re-seeded from live state.
@@ -371,15 +362,15 @@ class RunTimeEngine : private metadb::LinkObserver {
     SymbolId name_sym = SymbolTable::kNoSymbol;
   };
 
-  /// Per-OID engine state. On the interned hot path: the OID's view
-  /// symbol (immutable — slots are never reused) and its rule-table
-  /// binding for the current compiled generation. On both paths: where
-  /// the OID's continuous assignments last reached a fixed point.
+  /// Per-OID engine state: the OID's view symbol (immutable — slots are
+  /// never reused), its rule-table binding for the current compiled
+  /// generation, and where its continuous assignments last reached a
+  /// fixed point.
   struct OidBinding {
     uint32_t generation = 0;  ///< compiled_.generation() when resolved.
     SymbolId view_sym = SymbolTable::kNoSymbol;
     blueprint::CompiledRules::Binding rules;
-    /// blueprint_generation_ and MetaObject::revision when a refresh
+    /// compiled_.generation() and MetaObject::revision when a refresh
     /// last reached a fixed point (generation 0 = never).
     uint32_t settled_generation = 0;
     uint32_t settled_revision = 0;
@@ -414,9 +405,10 @@ class RunTimeEngine : private metadb::LinkObserver {
   /// and cached by slot (re-resolved after blueprint reloads).
   const OidBinding& BindingOf(metadb::OidId id);
 
-  /// Rule phases executed at one OID for one event. `event_sym` is the
-  /// interned event name. The event payload is shared — per-delivery
-  /// fields ($oid, $block, ...) resolve from `target`, not the message.
+  /// Rule phases executed at one OID for one event, from the compiled
+  /// tables (none without a blueprint). `event_sym` is the interned
+  /// event name. The event payload is shared — per-delivery fields
+  /// ($oid, $block, ...) resolve from `target`, not the message.
   void RunRulesAt(metadb::OidId target, const events::EventMessage& event,
                   SymbolId event_sym,
                   std::vector<DirectionPost>& direction_posts);
@@ -430,10 +422,6 @@ class RunTimeEngine : private metadb::LinkObserver {
   void ExecutePost(metadb::OidId target, const blueprint::ActionPost& act,
                    SymbolId posted_sym, const events::EventMessage& event,
                    std::vector<DirectionPost>& direction_posts);
-
-  /// Runs one full wave: rules at the target, then link-filtered BFS.
-  void ProcessWave(metadb::OidId start, const events::EventMessage& event,
-                   SymbolId event_sym);
 
   /// Wave engine: delivers `event` to every seed (and onward through
   /// qualifying links) with one shared visited set. `seeds_are_origin`
@@ -452,19 +440,11 @@ class RunTimeEngine : private metadb::LinkObserver {
 
   /// Appends the receivers of `event` leaving `source` to `out`,
   /// skipping OIDs already in `visited` (which is updated). Served by
-  /// the propagation index when enabled (keyed by `event_sym` on the
-  /// interned path), by an adjacency scan otherwise; all paths produce
-  /// the same order.
+  /// the propagation index (keyed by `event_sym`) when enabled, by an
+  /// adjacency scan otherwise; both produce the same order.
   void CollectReceivers(metadb::OidId source,
                         const events::EventMessage& event, SymbolId event_sym,
                         WaveVisited& visited, std::vector<metadb::OidId>& out);
-
-  /// Collects the matching rule actions for (view of target, event) —
-  /// the interpreted matcher, kept as the interned_fast_path = false
-  /// baseline. Default-view rules come first, then the specific view's.
-  void ForEachMatchingRule(
-      std::string_view view, std::string_view event_name,
-      const std::function<void(const blueprint::RuntimeRule&)>& fn) const;
 
   /// Variable resolver bound to one OID + one event. Borrows `event`
   /// (callers use the resolver synchronously); per-delivery fields
@@ -478,10 +458,9 @@ class RunTimeEngine : private metadb::LinkObserver {
                                                events::Direction direction,
                                                std::string_view view);
 
-  /// Link-template lookup for OnCreateLink.
-  const blueprint::LinkTemplate* FindLinkTemplate(
-      metadb::LinkKind kind, std::string_view from_view,
-      std::string_view to_view) const;
+  /// Mirrors a link's PROPAGATE list and TYPE into its queryable
+  /// properties.
+  static void AnnotateLink(metadb::Link& link);
 
   /// Writes `value` unless the property already holds it; returns
   /// whether it wrote.
@@ -492,10 +471,6 @@ class RunTimeEngine : private metadb::LinkObserver {
   SimClock& clock_;
   EngineOptions options_;
   std::unique_ptr<blueprint::Blueprint> blueprint_;
-  /// Bumped by every LoadBlueprint (both rule paths); a settled binding
-  /// from an older generation is stale.
-  uint32_t blueprint_generation_ = 0;
-  uint64_t policy_version_ = 0;
   ScriptExecutor* executor_ = nullptr;
   WaveRouter* router_ = nullptr;
   NotificationSink notification_sink_;
@@ -509,11 +484,12 @@ class RunTimeEngine : private metadb::LinkObserver {
   /// members that key off it.
   SymbolTable symbols_;
 
-  /// Rule tables compiled from blueprint_ (interned fast path).
+  /// Rule tables compiled from blueprint_. Its generation() bumps on
+  /// every LoadBlueprint, which invalidates cached bindings and settled
+  /// state alike.
   blueprint::CompiledRules compiled_;
 
-  /// Per-OID-slot binding cache (rule tables: interned fast path only;
-  /// settled state: both paths).
+  /// Per-OID-slot binding cache (rule tables and settled state).
   std::vector<OidBinding> bindings_;
 
   /// Visited-set pool, indexed by sub-wave nesting depth.

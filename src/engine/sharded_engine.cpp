@@ -196,8 +196,8 @@ struct ShardedEngine::Counters {
   std::atomic<size_t> wave_epochs{0};    ///< Minted, for stats.
   /// In-flight refcounts per epoch; the ordered map keeps the purge
   /// horizon (the lowest live epoch) one begin() away. Guarded by
-  /// epoch_mutex — this is per-task bookkeeping, far off the per-OID
-  /// claim path, which stays lock-free inside the owning lane.
+  /// epoch_mutex — this is per-task bookkeeping, off the claim path
+  /// (one ClaimStore round per BFS generation).
   std::mutex epoch_mutex;
   std::map<uint64_t, size_t> live_epochs;
   std::atomic<uint64_t> min_live_epoch{~uint64_t{0}};
@@ -211,20 +211,28 @@ struct ShardedEngine::Counters {
   std::condition_variable wake_cv;
 };
 
-// --- Claim sets --------------------------------------------------------------
+// --- Claim store ------------------------------------------------------------
 
-namespace {
-
-/// (epoch -> delivered OID slots) exactly-once claim map with
-/// rate-limited lazy merge-out. The ONE implementation of the claim
-/// filter and purge cadence, wrapped unlocked by the lane-local router
-/// path and under a mutex by the shared ClaimStore.
-class EpochClaimSet {
+/// The per-shard exactly-once claim map (epoch -> delivered OID slots),
+/// published behind an epoch-versioned read path so sub-waves of the
+/// shard can be claimed from ANY executor (the owning lane's occupant
+/// or a stealing worker): claim rounds happen under the store mutex —
+/// one batched round per BFS generation, not one lock per receiver —
+/// and the purge floor (the epoch below which claim sets have been
+/// merged out, i.e. the version of the published claim state) is an
+/// atomic any thread may read without the lock;
+/// ShardedStats::claim_purge_floor surfaces it and the ShardedSteal
+/// suite asserts it advances. Every multi-shard engine claims here,
+/// deterministic and single-worker ones included (the lock is then
+/// uncontended).
+class ShardedEngine::ClaimStore {
  public:
-  /// Filters `seeds` down to the claim winners (preserving order);
-  /// returns the number suppressed. `horizon` is the caller's
-  /// lowest-live-epoch snapshot, the merge-out bound.
-  size_t Filter(uint64_t epoch, std::vector<OidId>& seeds, uint64_t horizon) {
+  /// Filters `seeds` down to the claim winners (preserving order) under
+  /// one lock acquisition; returns the number suppressed. `horizon` is
+  /// the caller's lowest-live-epoch snapshot, the merge-out bound.
+  size_t ClaimBatch(uint64_t epoch, std::vector<OidId>& seeds,
+                    uint64_t horizon) {
+    std::lock_guard<std::mutex> lock(mutex_);
     MaybePurge(horizon);
     claims_since_purge_ += seeds.size();
     std::unordered_set<uint32_t>& set = claims_[epoch];
@@ -241,9 +249,10 @@ class EpochClaimSet {
     return suppressed;
   }
 
-  /// The epoch below which completed waves' claim sets have been
-  /// merged out (0 until the first purge).
-  uint64_t purge_floor() const noexcept { return purge_floor_; }
+  /// Lock-free view of the merge-out horizon (0 until the first purge).
+  uint64_t purge_floor() const noexcept {
+    return purge_floor_.load(std::memory_order_acquire);
+  }
 
  private:
   /// Lazy merge-out. Rate-limited: when many epochs are pinned live (a
@@ -259,7 +268,7 @@ class EpochClaimSet {
     for (auto it = claims_.begin(); it != claims_.end();) {
       it = it->first < horizon ? claims_.erase(it) : std::next(it);
     }
-    purge_floor_ = horizon;
+    purge_floor_.store(horizon, std::memory_order_release);
   }
 
   /// Purge cadence: often enough that completed waves cannot pile up,
@@ -269,45 +278,9 @@ class EpochClaimSet {
   static constexpr size_t kPurgeEpochThreshold = 64;
   static constexpr size_t kPurgeSizeBackoff = 64;
 
+  std::mutex mutex_;
   std::unordered_map<uint64_t, std::unordered_set<uint32_t>> claims_;
   size_t claims_since_purge_ = 0;
-  uint64_t purge_floor_ = 0;
-};
-
-}  // namespace
-
-/// The per-shard exactly-once claim set, published behind an
-/// epoch-versioned read path so sub-waves of the shard can be claimed
-/// from ANY executor (the owning lane's occupant or a stealing
-/// worker): claim rounds happen under the store mutex — one batched
-/// round per BFS generation, not one lock per receiver — and the purge
-/// floor (the epoch below which claim sets have been merged out, i.e.
-/// the version of the published claim state) is an atomic any thread
-/// may read without the lock; ShardedStats::claim_purge_floor surfaces
-/// it and the ShardedSteal suite asserts it advances. Only
-/// instantiated for threaded multi-shard engines with lane stealing;
-/// single-executor shards keep their lock-free lane-local claim sets
-/// in the router.
-class ShardedEngine::ClaimStore {
- public:
-  /// Batched claim round under one lock acquisition; see
-  /// EpochClaimSet::Filter.
-  size_t ClaimBatch(uint64_t epoch, std::vector<OidId>& seeds,
-                    uint64_t horizon) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const size_t suppressed = claims_.Filter(epoch, seeds, horizon);
-    purge_floor_.store(claims_.purge_floor(), std::memory_order_release);
-    return suppressed;
-  }
-
-  /// Lock-free view of the merge-out horizon.
-  uint64_t purge_floor() const noexcept {
-    return purge_floor_.load(std::memory_order_acquire);
-  }
-
- private:
-  std::mutex mutex_;
-  EpochClaimSet claims_;
   std::atomic<uint64_t> purge_floor_{0};
 };
 
@@ -315,24 +288,18 @@ class ShardedEngine::ClaimStore {
 
 /// Per-executor WaveRouter bound to one shard: answers ownership from
 /// the shard map, arbitrates the per-wave (epoch, OID) exactly-once
-/// claims for the OIDs the bound shard owns, and accumulates foreign
-/// receivers until the executor flushes them as seeded sub-wave tasks
-/// after the current task completes. Lane routers stay bound to their
-/// lane for life; each stealing worker owns one router it re-binds to
-/// the stolen task's shard.
+/// claims for the OIDs the bound shard owns through that shard's
+/// ClaimStore, and accumulates foreign receivers until the executor
+/// flushes them as seeded sub-wave tasks after the current task
+/// completes. Lane routers stay bound to their lane for life; each
+/// stealing worker owns one router it re-binds to the stolen task's
+/// shard.
 ///
-/// Claim routing: with lane stealing active, claims go to the bound
-/// shard's shared ClaimStore (any executor may consult it); otherwise
-/// every task of a shard runs under the lane's busy flag and the claims
-/// stay in a lane-local map — no locks, no atomics on the claim path,
-/// published between workers by the busy flag's acquire/release.
-///
-/// Handoff batching (batched_handoff): foreign receivers aggregate per
-/// (wave epoch, target shard) in first-encounter order — the epoch
-/// uniquely identifies the wave payload within a task, each direction
-/// post minting its own — so a wave whose receivers interleave across
-/// shards posts one aggregated sub-wave per shard instead of one per
-/// consecutive run (the PR-4 baseline kept behind the option).
+/// Handoff batching: foreign receivers aggregate per (wave epoch,
+/// target shard) in first-encounter order — the epoch uniquely
+/// identifies the wave payload within a task, each direction post
+/// minting its own — so a wave whose receivers interleave across shards
+/// posts one aggregated sub-wave per shard.
 class ShardedEngine::LaneRouter final : public WaveRouter {
  public:
   LaneRouter(ShardedEngine& owner, uint32_t shard)
@@ -363,12 +330,8 @@ class ShardedEngine::LaneRouter final : public WaveRouter {
   }
 
   size_t ClaimSeedBatch(uint64_t epoch, std::vector<OidId>& seeds) override {
-    if (owner_.stealing_active_) {
-      return owner_.StoreOf(shard_).ClaimBatch(epoch, seeds,
-                                               owner_.MinLiveEpoch());
-    }
-    // Lane-local claims: same filter, no synchronization.
-    return claims_.Filter(epoch, seeds, owner_.MinLiveEpoch());
+    return owner_.StoreOf(shard_).ClaimBatch(epoch, seeds,
+                                             owner_.MinLiveEpoch());
   }
 
   void BeginDelivery(OidId receiver) override {
@@ -389,36 +352,25 @@ class ShardedEngine::LaneRouter final : public WaveRouter {
     const uint32_t target = receiver == last_receiver_
                                 ? last_shard_
                                 : owner_.shard_map_.ShardOf(receiver);
-    if (owner_.options_.batched_handoff) {
-      // One aggregated sub-wave per (epoch, target shard), regardless
-      // of how receivers interleave. Runs of same-shard receivers are
-      // the common case, so the last pending wave is checked before
-      // the map. Shards fit in 16 bits (enforced at construction); the
-      // packed key below cannot alias, and epochs are dense counters
-      // nowhere near 2^48.
-      if (!pending_.empty() && pending_.back().target_shard == target &&
-          pending_.back().epoch == event.wave_epoch) {
-        pending_.back().seeds.push_back(receiver);
-        return;
-      }
-      const uint64_t key = (event.wave_epoch << 16) |
-                           static_cast<uint64_t>(target & 0xFFFF);
-      const auto [it, inserted] =
-          pending_index_.try_emplace(key, pending_.size());
-      if (inserted) {
-        pending_.push_back(PendingWave{target, event.wave_epoch, event, {}});
-      }
-      pending_[it->second].seeds.push_back(receiver);
+    // One aggregated sub-wave per (epoch, target shard), regardless of
+    // how receivers interleave. Runs of same-shard receivers are the
+    // common case, so the last pending wave is checked before the map.
+    // Shards fit in 16 bits (enforced at construction); the packed key
+    // below cannot alias, and epochs are dense counters nowhere near
+    // 2^48.
+    if (!pending_.empty() && pending_.back().target_shard == target &&
+        pending_.back().epoch == event.wave_epoch) {
+      pending_.back().seeds.push_back(receiver);
       return;
     }
-    // Unbatched baseline: only consecutive receivers of the same wave
-    // payload headed for the same shard merge (the epoch uniquely
-    // identifies the payload within a task).
-    if (pending_.empty() || pending_.back().target_shard != target ||
-        pending_.back().epoch != event.wave_epoch) {
+    const uint64_t key =
+        (event.wave_epoch << 16) | static_cast<uint64_t>(target & 0xFFFF);
+    const auto [it, inserted] =
+        pending_index_.try_emplace(key, pending_.size());
+    if (inserted) {
       pending_.push_back(PendingWave{target, event.wave_epoch, event, {}});
     }
-    pending_.back().seeds.push_back(receiver);
+    pending_[it->second].seeds.push_back(receiver);
   }
 
   /// Enqueues every accumulated sub-wave on its target shard, splitting
@@ -490,10 +442,8 @@ class ShardedEngine::LaneRouter final : public WaveRouter {
   OidId last_receiver_;  ///< Owns() memo consumed by Handoff().
   uint32_t last_shard_ = 0;
   std::vector<PendingWave> pending_;  ///< First-encounter order.
-  /// (epoch, target shard) -> pending_ slot (batched_handoff mode).
+  /// (epoch, target shard) -> pending_ slot.
   std::unordered_map<uint64_t, size_t> pending_index_;
-  /// Lane-local claims (single-executor shards; no stealing).
-  EpochClaimSet claims_;
   std::vector<uint64_t> minted_;  ///< Epoch refs held for this task.
 };
 
@@ -820,7 +770,7 @@ ShardedEngine::ShardedEngine(metadb::MetaDatabase& db, SimClock& clock,
       shard_map_(db, num_shards_),
       counters_(std::make_unique<Counters>()) {
   if (num_shards_ > 0xFFFF) {
-    // The batched-handoff key packs the target shard into 16 bits
+    // The handoff batching key packs the target shard into 16 bits
     // (LaneRouter::Handoff); aliasing shards would break exactly-once.
     throw Error("ShardedEngine: num_shards must be <= 65535");
   }
@@ -836,11 +786,15 @@ ShardedEngine::ShardedEngine(metadb::MetaDatabase& db, SimClock& clock,
     lane->engine =
         std::make_unique<RunTimeEngine>(db_, clock_, engine_options);
     lane->router = std::make_unique<LaneRouter>(*this, shard);
-    // With one shard no receiver can be foreign: skip the router so the
-    // engine does not even pay the Owns() probe — num_shards = 1 is the
-    // PR-2 engine, byte for byte (it also keeps its self-maintained
-    // full index; scoping only pays off with actual shards).
-    if (num_shards_ > 1) lane->engine->SetWaveRouter(lane->router.get());
+    // With one shard no receiver can be foreign: skip the router (and
+    // the claim store) so the engine does not even pay the Owns() probe
+    // — num_shards = 1 is the plain engine, byte for byte (it also keeps
+    // its self-maintained full index; scoping only pays off with actual
+    // shards).
+    if (num_shards_ > 1) {
+      lane->engine->SetWaveRouter(lane->router.get());
+      claim_stores_.push_back(std::make_unique<ClaimStore>());
+    }
     if (!options_.deterministic) {
       lane->ring = std::make_unique<TaskRing>(
           RingCapacity(options_.queue_capacity));
@@ -872,17 +826,11 @@ ShardedEngine::ShardedEngine(metadb::MetaDatabase& db, SimClock& clock,
       worker_count = std::min<size_t>(num_shards_, cores);
     }
     worker_count = std::min<size_t>(worker_count, num_shards_);
-    // Lane stealing: shared per-shard claim stores replace the
-    // lane-local claim sets (any executor may consult them) and every
-    // worker gets a private scan-mode steal engine. A single worker
+    // Lane stealing: every worker gets a private scan-mode steal engine
+    // that claims through the owning shard's ClaimStore. A single worker
     // never observes a busy lane, so stealing is moot below two.
-    stealing_active_ =
-        options_.lane_stealing && num_shards_ > 1 && worker_count > 1;
+    stealing_active_ = num_shards_ > 1 && worker_count > 1;
     if (stealing_active_) {
-      claim_stores_.reserve(num_shards_);
-      for (uint32_t shard = 0; shard < num_shards_; ++shard) {
-        claim_stores_.push_back(std::make_unique<ClaimStore>());
-      }
       EngineOptions steal_options = options_.engine;
       steal_options.use_propagation_index = false;
       steal_options.external_index_maintenance = false;

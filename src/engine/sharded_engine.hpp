@@ -1,20 +1,20 @@
 // The sharded wave engine: parallel change propagation over
 // block-subtree shards.
 //
-// PR 2 made per-delivery cost flat (integer-keyed receiver lookups,
-// compiled rule tables, copy-free payloads); the remaining ceiling is
-// single-threaded wave throughput. The paper's propagation model is
-// naturally partitionable: a wave confined to one block subtree never
-// touches another, so independent subtrees can process waves
-// concurrently. This layer owns N per-shard RunTimeEngines over ONE
-// shared meta-database and
+// The run-time engine keeps per-delivery cost flat (integer-keyed
+// receiver lookups, compiled rule tables, copy-free payloads); what is
+// left is single-threaded wave throughput. The paper's propagation
+// model is naturally partitionable: a wave confined to one block
+// subtree never touches another, so independent subtrees can process
+// waves concurrently. This layer owns N per-shard RunTimeEngines over
+// ONE shared meta-database and
 //  * routes intake: PostEvent resolves the target's shard through the
 //    metadb::ShardMap (use-link subtree roots, dealt round-robin) and
 //    enqueues the event on that shard's bounded lock-free MPSC ring —
 //    intake never blocks on wave execution;
 //  * runs one worker thread per shard, each draining its ring in FIFO
 //    order through its shard engine, so delivery order *within a
-//    shard* is byte-identical to the unsharded PR-2 engine;
+//    shard* is byte-identical to the unsharded engine;
 //  * hands cross-shard waves off BATCHED: when a delivery's receiver
 //    set spans shards (a derive link between blocks of different
 //    subtrees — the PropagationIndex surfaces the receiver, the
@@ -33,12 +33,11 @@
 // — it opens a fresh visited universe in the unsharded engine too); all
 // cross-shard sub-waves of a wave carry the epoch in their payload.
 // Delivery is arbitrated per (epoch, OID) by the receiver's OWNING
-// shard, one batched claim round per BFS generation: without stealing
-// each lane keeps its own claim set (touched only by the worker
-// occupying the lane — no locks, no atomics on the claim path); with
-// lane stealing the claims live in per-shard ClaimStores published
-// behind an epoch-versioned read path (mutex-guarded writes, an atomic
-// purge floor) so ANY executor can consult the owning shard's claims.
+// shard, one batched claim round per BFS generation: the claims live
+// in per-shard ClaimStores published behind an epoch-versioned read
+// path (mutex-guarded writes, an atomic purge floor), so ANY executor —
+// the lane's occupant or a stealing worker — can consult the owning
+// shard's claims.
 // Foreign receivers are handed off unclaimed, and the claim at the
 // target collapses however many sub-waves reach an OID into one
 // delivery. Retired epochs are merged out lazily: claim sets below the
@@ -48,7 +47,8 @@
 // cycles terminate through the claims exactly like the single visited
 // set of an unsharded wave.
 //
-// Lane stealing. Top-level events and sub-waves queue separately: the
+// Lane stealing (threaded mode with N > 1 shards and at least two
+// workers). Top-level events and sub-waves queue separately: the
 // event ring stays single-consumer under the lane's busy flag (per
 // -shard FIFO for top-level waves is structural), while sub-wave tasks
 // sit in an MPMC ring any idle worker may pop. A stealing worker runs
@@ -75,7 +75,7 @@
 // The journal is the synchronization point: each shard engine journals
 // its own deliveries under dense per-shard sequence numbers, and the
 // merged views below stitch them together. Differential guarantees:
-//  * num_shards = 1 is journal-byte-identical to the plain PR-2 engine
+//  * num_shards = 1 is journal-byte-identical to the plain engine
 //    (no router is installed, so not even the Owns() probe is paid);
 //  * for N > 1 the multiset of journal records equals the 1-shard run
 //    — including reconvergent topologies where one wave reaches an OID
@@ -147,30 +147,14 @@ struct ShardedEngineOptions {
   /// bounded by the number of subtree crossings, far below this.
   uint32_t max_handoff_hops = 64;
 
-  /// Aggregate handoff seeds per (wave epoch, target shard): a wave
-  /// whose foreign receivers interleave across shards posts ONE seeded
-  /// sub-wave per target shard instead of one per consecutive run of
-  /// receivers, amortizing ring traffic and claim rounds. Off keeps the
-  /// PR-4 behaviour (only consecutive same-shard receivers merge) as
-  /// the benchmark baseline; the delivered record multiset is identical
-  /// either way.
-  bool batched_handoff = true;
-
-  /// Upper bound on seeds per handoff task (0 = unbounded). A batch
-  /// larger than this is split into consecutive FIFO chunks, which
-  /// bounds task granularity so stolen sub-waves stay small and a batch
-  /// larger than the intake ring spills cleanly instead of wedging one
-  /// giant task.
+  /// Upper bound on seeds per handoff task (0 = unbounded). Handoff
+  /// seeds aggregate per (wave epoch, target shard), so a wave whose
+  /// foreign receivers interleave across shards posts ONE seeded
+  /// sub-wave per target shard; a batch larger than this is split into
+  /// consecutive FIFO chunks, which bounds task granularity so stolen
+  /// sub-waves stay small and a batch larger than the intake ring
+  /// spills cleanly instead of wedging one giant task.
   size_t max_batch_seeds = 1024;
-
-  /// Let idle workers steal queued cross-shard sub-wave tasks from busy
-  /// lanes and execute them on a per-worker steal engine. Top-level
-  /// waves are never stolen (per-shard FIFO is preserved structurally:
-  /// they live in the lane's single-consumer ring); epoch-tagged
-  /// sub-waves may run anywhere because exactly-once is arbitrated by
-  /// the owning shard's shared claim store and same-OID rule execution
-  /// is serialized by per-OID delivery locks. Threaded mode only.
-  bool lane_stealing = true;
 
   /// Options forwarded to every per-shard engine.
   EngineOptions engine;
@@ -192,9 +176,9 @@ struct ShardedStats {
                                    ///< some shard's ClaimStore has
                                    ///< merged out completed waves (the
                                    ///< epoch-versioned read path's
-                                   ///< published version; 0 with
-                                   ///< lane-local claims or before the
-                                   ///< first merge-out).
+                                   ///< published version; 0 with one
+                                   ///< shard or before the first
+                                   ///< merge-out).
   size_t handoff_waves_truncated = 0;  ///< Dropped at max_handoff_hops.
   size_t reposted_events = 0;  ///< Rule-posted events re-routed at intake.
   size_t ring_overflows = 0;   ///< Pushes that took the fallback deque.
@@ -386,10 +370,9 @@ class ShardedEngine {
   std::unique_ptr<IndexRouter> index_router_;
   metadb::ShardMap shard_map_;
   std::vector<std::unique_ptr<Lane>> lanes_;
-  /// Per-shard shared claim stores (threaded N > 1 only; deterministic
-  /// and 1-shard runs keep lane-local claims inside the routers).
+  /// Per-shard claim stores (N > 1 only: one shard needs no router).
   std::vector<std::unique_ptr<ClaimStore>> claim_stores_;
-  /// Per-worker steal engines (threaded, lane_stealing): scan-mode
+  /// Per-worker steal engines (when stealing is active): scan-mode
   /// expansion over the shared read-only link graph, private journal
   /// and stats merged into the engine-wide views.
   std::vector<std::unique_ptr<StealContext>> steal_contexts_;

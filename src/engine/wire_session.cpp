@@ -5,7 +5,6 @@
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "common/strings.hpp"
-#include "metadb/config_builder.hpp"
 #include "query/report.hpp"
 #include "viz/flow_viz.hpp"
 
@@ -59,15 +58,8 @@ const std::string& WireCommandHelp() {
   static const std::string help = [] {
     std::string out = "commands:\n";
     for (const WireCommandInfo& info : WireCommands()) {
-      if (info.deprecated) continue;
       out += "  " + std::string(info.usage) + "\n      " +
              std::string(info.summary) + "\n";
-    }
-    out += "deprecated:\n";
-    for (const WireCommandInfo& info : WireCommands()) {
-      if (!info.deprecated) continue;
-      out += "  " + std::string(info.usage) + "  (use '" +
-             std::string(info.replacement) + "')\n";
     }
     return out;
   }();
@@ -79,13 +71,10 @@ std::string WireCommandMarkdownTable() {
       "| Command | Kind | Usage | Description |\n"
       "|---------|------|-------|-------------|\n";
   for (const WireCommandInfo& info : WireCommands()) {
-    std::string summary(info.summary);
-    if (info.deprecated) {
-      summary += " Deprecated; use `" + std::string(info.replacement) + "`.";
-    }
     out += "| `" + std::string(info.name) + "` | " +
            (info.kind == WireCommandKind::kRead ? "read" : "mutate") +
-           " | `" + std::string(info.usage) + "` | " + summary + " |\n";
+           " | `" + std::string(info.usage) + "` | " +
+           std::string(info.summary) + " |\n";
   }
   return out;
 }
@@ -284,17 +273,11 @@ std::string WireSession::CmdCheckpoint(Context& ctx) {
   std::string_view rest = ctx.rest;
   const std::string name = NextWord(rest);
   if (name.empty()) return "error: usage: checkpoint <name>\n";
-  auto config = metadb::BuildFullCheckpoint(server_.database(), name,
-                                            server_.clock().NowSeconds());
-  const size_t addresses = config.AddressCount();
-  server_.database().SaveConfiguration(std::move(config));
+  const metadb::ConfigId id = server_.SaveConfiguration(name);
+  const size_t addresses =
+      server_.database().GetConfiguration(id).AddressCount();
   return "ok checkpoint '" + name + "' with " + std::to_string(addresses) +
          " addresses\n";
-}
-
-std::string WireSession::CmdSnapshotAlias(Context& ctx) {
-  return "notice: 'snapshot' is deprecated; use 'checkpoint <name>'\n" +
-         CmdCheckpoint(ctx);
 }
 
 std::string WireSession::CmdValidate(Context& ctx) {
@@ -592,107 +575,98 @@ const std::vector<WireSession::Entry>& WireSession::Registry() {
   using Kind = WireCommandKind;
   static const std::vector<WireSession::Entry> registry = {
       {{"postEvent", "postEvent <ev> <up|down> <block,view,version> [\"arg\"]",
-        "Post a tracking event into the propagation engine.", Kind::kMutate,
-        false, ""},
+        "Post a tracking event into the propagation engine.", Kind::kMutate},
        &WireSession::CmdPostEvent},
       {{"checkin", "checkin <block> <view> [\"content\"]",
         "Check design data in; registers the new version and posts ckin.",
-        Kind::kMutate, false, ""},
+        Kind::kMutate},
        &WireSession::CmdCheckin},
       {{"checkout", "checkout <block> <view>",
-        "Check the latest version out for editing.", Kind::kMutate, false,
-        ""},
+        "Check the latest version out for editing.", Kind::kMutate},
        &WireSession::CmdCheckout},
       {{"link", "link <use|derive> <from-oid> <to-oid>",
-        "Register a hierarchy or derivation link.", Kind::kMutate, false, ""},
+        "Register a hierarchy or derivation link.", Kind::kMutate},
        &WireSession::CmdLink},
       {{"query", "query outofdate|state <oid>|block <block>",
         "Query project state (out-of-date set, one OID, one block).",
-        Kind::kRead, false, ""},
+        Kind::kRead},
        &WireSession::CmdQuery},
       {{"blockers", "blockers <prop>=<value> [...]",
-        "Distance to a planned state: what still blocks it.", Kind::kRead,
-        false, ""},
+        "Distance to a planned state: what still blocks it.", Kind::kRead},
        &WireSession::CmdBlockers},
       {{"report", "report", "Per-(block, view) project state report.",
-        Kind::kRead, false, ""},
+        Kind::kRead},
        &WireSession::CmdReport},
       {{"viz", "viz block <block>|dot",
         "Visualize one block's state, or export the graph as DOT.",
-        Kind::kRead, false, ""},
+        Kind::kRead},
        &WireSession::CmdViz},
       {{"epoch", "epoch",
-        "Snapshot epoch this session's reads are answering from.",
-        Kind::kRead, false, ""},
+        "Snapshot epoch this session's reads are answering from.", Kind::kRead},
        &WireSession::CmdEpoch},
       {{"checkpoint", "checkpoint <name>",
         "Save a named configuration capturing every live object and link.",
-        Kind::kMutate, false, ""},
+        Kind::kMutate},
        &WireSession::CmdCheckpoint},
       {{"validate", "validate", "Validate the installed blueprint.",
-        Kind::kRead, false, ""},
+        Kind::kRead},
        &WireSession::CmdValidate},
       {{"advance", "advance <seconds>", "Advance the simulated clock.",
-        Kind::kMutate, false, ""},
+        Kind::kMutate},
        &WireSession::CmdAdvance},
       {{"wal-status", "wal-status",
         "Durability state: WAL dir, fsync policy, recovery provenance.",
-        Kind::kRead, false, ""},
+        Kind::kRead},
        &WireSession::CmdWalStatus},
       {{"wal-checkpoint", "wal-checkpoint [full|delta]",
         "Sync the WAL and write a durable checkpoint now: the complete "
         "database (full, default), or only the slots dirtied since the "
-        "last checkpoint, chained onto it (delta).",
-        Kind::kMutate, false, ""},
+        "last checkpoint, chained onto it (delta).", Kind::kMutate},
        &WireSession::CmdWalCheckpoint},
       {{"recover", "recover <wal-dir>",
         "Replay another WAL directory's full operation history here.",
-        Kind::kMutate, false, ""},
+        Kind::kMutate},
        &WireSession::CmdRecover},
       {{"health", "health",
         "Fault-tolerance state: degraded flag, WAL failure counters.",
-        Kind::kRead, false, ""},
+        Kind::kRead},
        &WireSession::CmdHealth},
       {{"wal-reopen", "wal-reopen",
         "Heal a degraded server: reopen the WAL and resume writes.",
-        Kind::kMutate, false, "", /*allowed_degraded=*/true},
+        Kind::kMutate, /*allowed_degraded=*/true},
        &WireSession::CmdWalReopen},
       {{"failpoint", "failpoint set <name> <config>|clear <name>|list",
         "Arm, clear or list fault-injection points (failpoint builds only).",
-        Kind::kMutate, false, "", /*allowed_degraded=*/true},
+        Kind::kMutate, /*allowed_degraded=*/true},
        &WireSession::CmdFailpoint},
       {{"policy-propose", "policy-propose \"<rule-text>\" [\"message\"]",
         "Register a candidate blueprint version (parsed, not installed).",
-        Kind::kMutate, false, ""},
+        Kind::kMutate},
        &WireSession::CmdPolicyPropose},
       {{"policy-validate", "policy-validate <version-id>",
         "Statically validate a proposed version; records the verdict.",
-        Kind::kMutate, false, ""},
+        Kind::kMutate},
        &WireSession::CmdPolicyValidate},
       {{"policy-promote", "policy-promote <version-id>",
         "Make a validated version the live rule set (no restart).",
-        Kind::kMutate, false, ""},
+        Kind::kMutate},
        &WireSession::CmdPolicyPromote},
       {{"policy-rollback", "policy-rollback",
         "Restore the previously promoted version's compiled tables.",
-        Kind::kMutate, false, ""},
+        Kind::kMutate},
        &WireSession::CmdPolicyRollback},
       {{"policy-log", "policy-log",
         "The policy commit chain: every version, status and the active id.",
-        Kind::kRead, false, ""},
+        Kind::kRead},
        &WireSession::CmdPolicyLog},
       {{"shadow-wave",
         "shadow-wave <version-id> <event> <up|down> <block,view,version> "
         "[depth]",
         "Dry-run impact trace of a proposed version; touches nothing.",
-        Kind::kRead, false, ""},
+        Kind::kRead},
        &WireSession::CmdShadowWave},
-      {{"help", "help", "This command list.", Kind::kRead, false, ""},
+      {{"help", "help", "This command list.", Kind::kRead},
        &WireSession::CmdHelp},
-      {{"snapshot", "snapshot <name>",
-        "Save a named configuration capturing every live object and link.",
-        Kind::kMutate, true, "checkpoint"},
-       &WireSession::CmdSnapshotAlias},
   };
   return registry;
 }

@@ -36,8 +36,6 @@ struct WireCommandInfo {
   std::string_view usage;    ///< Full usage line.
   std::string_view summary;  ///< One-line description.
   WireCommandKind kind = WireCommandKind::kRead;
-  bool deprecated = false;
-  std::string_view replacement;  ///< Successor name (deprecated only).
   /// Mutate commands the mux must still admit while the server is in
   /// degraded read-only mode — the heal/observability surface
   /// (wal-reopen, failpoint). Reads are always admitted.
@@ -116,7 +114,6 @@ class WireSession {
   std::string CmdViz(Context& ctx);
   std::string CmdEpoch(Context& ctx);
   std::string CmdCheckpoint(Context& ctx);
-  std::string CmdSnapshotAlias(Context& ctx);
   std::string CmdValidate(Context& ctx);
   std::string CmdAdvance(Context& ctx);
   std::string CmdWalStatus(Context& ctx);

@@ -441,6 +441,13 @@ void EncodePolicyRollbackPayload(std::string& out, uint64_t op_seq) {
   AppendU64(out, op_seq);
 }
 
+void EncodeConfigurationPayload(std::string& out, uint64_t op_seq,
+                                std::string_view name, int64_t timestamp) {
+  AppendU64(out, op_seq);
+  AppendString(out, name);
+  AppendI64(out, timestamp);
+}
+
 }  // namespace
 
 std::string EncodeWalOp(const WalOpRecord& op) {
@@ -473,6 +480,9 @@ std::string EncodeWalOp(const WalOpRecord& op) {
       break;
     case WalRecordType::kOpPolicyRollback:
       EncodePolicyRollbackPayload(payload, op.op_seq);
+      break;
+    case WalRecordType::kOpConfiguration:
+      EncodeConfigurationPayload(payload, op.op_seq, op.text, op.clock_seconds);
       break;
     default:
       throw Error("EncodeWalOp: record type " +
@@ -518,6 +528,10 @@ WalOpRecord DecodeWalOp(WalRecordType type, std::string_view payload) {
       op.policy_version = reader.U64();
       break;
     case WalRecordType::kOpPolicyRollback:
+      break;
+    case WalRecordType::kOpConfiguration:
+      op.text = reader.String();
+      op.clock_seconds = reader.I64();
       break;
     default:
       throw WireFormatError("DecodeWalOp: record type " +
@@ -895,6 +909,16 @@ void WalWriter::AppendPolicyRollbackOp(uint64_t op_seq) {
   MaybeRoll();
   const size_t mark = BeginRecord(WalRecordType::kOpPolicyRollback);
   EncodePolicyRollbackPayload(write_buffer_, op_seq);
+  EndRecord(mark);
+  EndAppendGroup();
+}
+
+void WalWriter::AppendConfigurationOp(uint64_t op_seq, std::string_view name,
+                                      int64_t timestamp) {
+  CheckAppendFailpoint();
+  MaybeRoll();
+  const size_t mark = BeginRecord(WalRecordType::kOpConfiguration);
+  EncodeConfigurationPayload(write_buffer_, op_seq, name, timestamp);
   EndRecord(mark);
   EndAppendGroup();
 }

@@ -13,10 +13,11 @@
 //
 //  * The operation stream ("ops"): structural server operations
 //    (check-in, link registration, event submission, blueprint load,
-//    clock advance) logged *before* execution. This is the replay
-//    source: recovery re-executes the tail of "ops" past the newest
-//    checkpoint to regenerate post-checkpoint state — property values,
-//    journal rows, and per-shard epoch bookkeeping alike.
+//    clock advance, named configurations) logged *before* execution.
+//    This is the replay source: recovery re-executes the tail of "ops"
+//    past the newest checkpoint to regenerate post-checkpoint state —
+//    property values, journal rows, and per-shard epoch bookkeeping
+//    alike.
 //
 // Record framing: u32 payload length, u8 record type, payload bytes,
 // u32 CRC32 over (type + payload). Recovery truncates a stream at the
@@ -66,6 +67,7 @@ enum class WalRecordType : uint8_t {
   kOpPolicyValidate = 0x16,  ///< ProjectServer::PolicyValidate.
   kOpPolicyPromote = 0x17,   ///< ProjectServer::PolicyPromote.
   kOpPolicyRollback = 0x18,  ///< ProjectServer::PolicyRollback.
+  kOpConfiguration = 0x19,   ///< ProjectServer::SaveConfiguration.
 };
 
 /// True for the operation record types (the "ops" stream).
@@ -109,9 +111,13 @@ struct WalOpRecord {
   metadb::Oid link_from;   ///< kOpLink.
   metadb::Oid link_to;     ///< kOpLink.
 
-  std::string text;  ///< kOpBlueprint / kOpPolicyPropose (rule-file text).
+  /// kOpBlueprint / kOpPolicyPropose: rule-file text.
+  /// kOpConfiguration: the configuration name.
+  std::string text;
 
-  int64_t clock_seconds = 0;  ///< kOpClock (absolute simulated time).
+  /// kOpClock: absolute simulated time. kOpConfiguration: the
+  /// configuration's timestamp.
+  int64_t clock_seconds = 0;
 
   /// kOpPolicyValidate / kOpPolicyPromote: the PolicyStore version id
   /// the operation addressed. kOpPolicyPropose reuses `text` (proposed
@@ -202,6 +208,8 @@ class WalWriter final : public JournalSink {
   void AppendPolicyVersionOp(WalRecordType type, uint64_t op_seq,
                              uint64_t policy_version);
   void AppendPolicyRollbackOp(uint64_t op_seq);
+  void AppendConfigurationOp(uint64_t op_seq, std::string_view name,
+                             int64_t timestamp);
 
   /// Hands buffered bytes to the OS and notifies the observer. Throws
   /// WalIoError on write failure; already-written bytes are consumed

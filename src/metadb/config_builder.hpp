@@ -47,12 +47,6 @@ Configuration BuildQueryConfiguration(
 Configuration BuildFullCheckpoint(const MetaDatabase& db, std::string name,
                                   int64_t timestamp);
 
-/// Deprecated alias for BuildFullCheckpoint (pre-rename name).
-inline Configuration BuildFullSnapshot(const MetaDatabase& db,
-                                       std::string name, int64_t timestamp) {
-  return BuildFullCheckpoint(db, std::move(name), timestamp);
-}
-
 /// Returns the objects of `config` whose given property differs from the
 /// current database value recorded in `other`, i.e. the drift between
 /// two snapshots of the same scope. Objects present in only one of the

@@ -16,37 +16,16 @@ using blueprint::ViewTemplate;
 using events::Direction;
 using metadb::Link;
 using metadb::LinkId;
-using metadb::LinkKind;
 using metadb::MetaDatabase;
 using metadb::Oid;
 using metadb::OidId;
-
-/// Mirror of RunTimeEngine::FindLinkTemplate over the proposed
-/// blueprint: link_from templates live in the *target* view, use_link
-/// templates in the shared view; specific view first, then default.
-const LinkTemplate* FindProposedTemplate(const Blueprint& proposed,
-                                         LinkKind kind,
-                                         std::string_view from_view,
-                                         std::string_view to_view) {
-  const ViewTemplate* sources[2] = {proposed.FindView(to_view),
-                                    proposed.DefaultView()};
-  for (const ViewTemplate* source : sources) {
-    if (source == nullptr) continue;
-    for (const LinkTemplate& candidate : source->links) {
-      if (candidate.kind != kind) continue;
-      if (kind == LinkKind::kUse) return &candidate;
-      if (candidate.from_view == from_view) return &candidate;
-    }
-  }
-  return nullptr;
-}
 
 /// Would `link` propagate `event_name` if the proposed version were
 /// promoted and RetemplateLinks re-derived its PROPAGATE list?
 bool WouldPropagate(const MetaDatabase& db, const Blueprint& proposed,
                     const Link& link, std::string_view event_name) {
-  const LinkTemplate* match = FindProposedTemplate(
-      proposed, link.kind, db.GetObject(link.from).oid.view,
+  const LinkTemplate* match = proposed.FindLinkTemplate(
+      link.kind, db.GetObject(link.from).oid.view,
       db.GetObject(link.to).oid.view);
   if (match == nullptr) return false;
   for (const std::string& event : match->propagates) {
@@ -55,8 +34,8 @@ bool WouldPropagate(const MetaDatabase& db, const Blueprint& proposed,
   return false;
 }
 
-/// Mirror of RunTimeEngine::ForEachMatchingRule: rules matching the
-/// event at a view, default view included.
+/// Rules matching the event at a view, default view included (the
+/// rules CompiledRules would merge into the view's rule set).
 size_t CountMatchingRules(const Blueprint& proposed, std::string_view view,
                           std::string_view event_name) {
   size_t count = 0;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -36,6 +37,16 @@ struct Fixture {
   RunTimeEngine engine{db, clock};
 };
 
+/// The receivers of the event named `event` (resolved through the
+/// index's own symbol table), or nullptr.
+const PropagationIndex::Bucket* ReceiversOf(const PropagationIndex& index,
+                                            OidId source, Direction direction,
+                                            std::string_view event) {
+  const SymbolId sym = index.symbols().Find(event);
+  if (sym == SymbolTable::kNoSymbol) return nullptr;
+  return index.Receivers(source, direction, sym);
+}
+
 std::string MustBeConsistent(const RunTimeEngine& engine,
                              const MetaDatabase& db) {
   std::string diff;
@@ -51,15 +62,17 @@ TEST(PropagationIndex, LinkAddUpdatesBothDirections) {
                                       "derive_from", CarryPolicy::kNone);
 
   const PropagationIndex& index = f.engine.propagation_index();
-  ASSERT_NE(index.Receivers(a, Direction::kDown, "edit"), nullptr);
-  EXPECT_EQ(index.Receivers(a, Direction::kDown, "edit")->front().neighbor, b);
-  EXPECT_EQ(index.Receivers(a, Direction::kDown, "edit")->front().link, link);
-  ASSERT_NE(index.Receivers(b, Direction::kUp, "ok"), nullptr);
-  EXPECT_EQ(index.Receivers(b, Direction::kUp, "ok")->front().neighbor, a);
+  ASSERT_NE(ReceiversOf(index, a, Direction::kDown, "edit"), nullptr);
+  EXPECT_EQ(ReceiversOf(index, a, Direction::kDown, "edit")->front().neighbor,
+            b);
+  EXPECT_EQ(ReceiversOf(index, a, Direction::kDown, "edit")->front().link,
+            link);
+  ASSERT_NE(ReceiversOf(index, b, Direction::kUp, "ok"), nullptr);
+  EXPECT_EQ(ReceiversOf(index, b, Direction::kUp, "ok")->front().neighbor, a);
   // Wrong direction / unknown event / unlinked OID: no receivers.
-  EXPECT_EQ(index.Receivers(a, Direction::kUp, "edit"), nullptr);
-  EXPECT_EQ(index.Receivers(a, Direction::kDown, "nosuch"), nullptr);
-  EXPECT_EQ(index.Receivers(b, Direction::kDown, "edit"), nullptr);
+  EXPECT_EQ(ReceiversOf(index, a, Direction::kUp, "edit"), nullptr);
+  EXPECT_EQ(ReceiversOf(index, a, Direction::kDown, "nosuch"), nullptr);
+  EXPECT_EQ(ReceiversOf(index, b, Direction::kDown, "edit"), nullptr);
   EXPECT_EQ(MustBeConsistent(f.engine, f.db), "");
 }
 
@@ -74,11 +87,11 @@ TEST(PropagationIndex, LinkDeleteRemovesEntries) {
 
   f.db.DeleteLink(ab);
   const PropagationIndex& index = f.engine.propagation_index();
-  const auto* bucket = index.Receivers(a, Direction::kDown, "edit");
+  const auto* bucket = ReceiversOf(index, a, Direction::kDown, "edit");
   ASSERT_NE(bucket, nullptr);
   ASSERT_EQ(bucket->size(), 1u);
   EXPECT_EQ(bucket->front().neighbor, c);
-  EXPECT_EQ(index.Receivers(b, Direction::kUp, "edit"), nullptr);
+  EXPECT_EQ(ReceiversOf(index, b, Direction::kUp, "edit"), nullptr);
   EXPECT_EQ(MustBeConsistent(f.engine, f.db), "");
 }
 
@@ -92,8 +105,8 @@ TEST(PropagationIndex, DeleteObjectDropsItsLinks) {
 
   f.db.DeleteObject(b);
   const PropagationIndex& index = f.engine.propagation_index();
-  EXPECT_EQ(index.Receivers(a, Direction::kDown, "edit"), nullptr);
-  EXPECT_EQ(index.Receivers(c, Direction::kUp, "edit"), nullptr);
+  EXPECT_EQ(ReceiversOf(index, a, Direction::kDown, "edit"), nullptr);
+  EXPECT_EQ(ReceiversOf(index, c, Direction::kUp, "edit"), nullptr);
   EXPECT_EQ(index.entry_count(), 0u);
   EXPECT_EQ(MustBeConsistent(f.engine, f.db), "");
 }
@@ -109,11 +122,13 @@ TEST(PropagationIndex, EndpointMovePatchesNeighborAndRelocatesBucket) {
   // Shift the source endpoint to the new version (paper Fig. 3).
   f.db.MoveLinkEndpoint(link, /*endpoint_from=*/true, a2);
   const PropagationIndex& index = f.engine.propagation_index();
-  EXPECT_EQ(index.Receivers(a1, Direction::kDown, "edit"), nullptr);
-  ASSERT_NE(index.Receivers(a2, Direction::kDown, "edit"), nullptr);
-  EXPECT_EQ(index.Receivers(a2, Direction::kDown, "edit")->front().neighbor, b);
-  ASSERT_NE(index.Receivers(b, Direction::kUp, "edit"), nullptr);
-  EXPECT_EQ(index.Receivers(b, Direction::kUp, "edit")->front().neighbor, a2);
+  EXPECT_EQ(ReceiversOf(index, a1, Direction::kDown, "edit"), nullptr);
+  ASSERT_NE(ReceiversOf(index, a2, Direction::kDown, "edit"), nullptr);
+  EXPECT_EQ(ReceiversOf(index, a2, Direction::kDown, "edit")->front().neighbor,
+            b);
+  ASSERT_NE(ReceiversOf(index, b, Direction::kUp, "edit"), nullptr);
+  EXPECT_EQ(ReceiversOf(index, b, Direction::kUp, "edit")->front().neighbor,
+            a2);
   EXPECT_EQ(MustBeConsistent(f.engine, f.db), "");
 }
 
@@ -126,9 +141,9 @@ TEST(PropagationIndex, SetLinkPropagatesReindexes) {
 
   f.db.SetLinkPropagates(link, {"ok", "fail"});
   const PropagationIndex& index = f.engine.propagation_index();
-  EXPECT_EQ(index.Receivers(a, Direction::kDown, "edit"), nullptr);
-  ASSERT_NE(index.Receivers(a, Direction::kDown, "ok"), nullptr);
-  ASSERT_NE(index.Receivers(b, Direction::kUp, "fail"), nullptr);
+  EXPECT_EQ(ReceiversOf(index, a, Direction::kDown, "edit"), nullptr);
+  ASSERT_NE(ReceiversOf(index, a, Direction::kDown, "ok"), nullptr);
+  ASSERT_NE(ReceiversOf(index, b, Direction::kUp, "fail"), nullptr);
   EXPECT_EQ(MustBeConsistent(f.engine, f.db), "");
 }
 
@@ -227,7 +242,7 @@ TEST(PropagationIndex, BucketOrderMatchesAdjacencyScan) {
     return order;
   };
   const auto* bucket =
-      f.engine.propagation_index().Receivers(hub, Direction::kDown, "edit");
+      ReceiversOf(f.engine.propagation_index(), hub, Direction::kDown, "edit");
   ASSERT_NE(bucket, nullptr);
   std::vector<OidId> indexed;
   for (const auto& entry : *bucket) indexed.push_back(entry.neighbor);

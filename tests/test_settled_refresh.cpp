@@ -427,16 +427,16 @@ TEST(SettledRefresh, DeepChainsSettleOverSeveralDeliveries) {
   ExpectSettledAreFixedPoints(*f.server, "chain, two deliveries");
 }
 
-TEST(SettledRefresh, InterpretedRulePathSettlesIdentically) {
-  engine::ServerOptions interpreted;
-  interpreted.engine.interned_fast_path = false;
+TEST(SettledRefresh, ScanModeSettlesIdentically) {
+  engine::ServerOptions scan;
+  scan.engine.use_propagation_index = false;
   Fixture a;
-  Fixture b(interpreted);
+  Fixture b(scan);
   for (Fixture* f : {&a, &b}) {
     f->server->CheckIn("root", "cell", "v2", "alice");
     Post(*f->server, f->cells[4], "res0", "good");
     Poke(*f->server, f->chain);
-    ExpectSettledAreFixedPoints(*f->server, "interpreted differential");
+    ExpectSettledAreFixedPoints(*f->server, "scan-mode differential");
   }
   EXPECT_EQ(a.engine().journal().Dump(), b.engine().journal().Dump());
   EXPECT_EQ(metadb::SaveDatabaseString(a.server->database()),

@@ -804,40 +804,48 @@ std::vector<std::string> DriveHubWave(ShardedEngine& engine) {
   return SortedLines(engine.JournalLines());
 }
 
-/// Batched handoff posts ONE aggregated sub-wave per (epoch, target
-/// shard) no matter how receivers interleave; the unbatched baseline
-/// merges only consecutive same-shard runs (here: runs of length one).
+/// Handoff posts ONE aggregated sub-wave per (epoch, target shard) no
+/// matter how receivers interleave, and delivers exactly what the
+/// 1-shard deterministic run delivers.
 TEST(ShardedBatching, HandoffAggregatesPerTargetShard) {
   constexpr int kSpokes = 24;
 
-  const auto run = [&](bool batched, ShardedStats& stats_out) {
+  const auto run = [&](uint32_t shards, ShardedStats& stats_out,
+                       size_t& foreign_out) {
     MetaDatabase db;
     SimClock clock;
     ShardedEngineOptions options;
-    options.num_shards = 3;
+    options.num_shards = shards;
     options.deterministic = true;
-    options.batched_handoff = batched;
     ShardedEngine engine(db, clock, options);
-    BuildHubSpokes(engine, db, kSpokes);
+    const HubSpokes design = BuildHubSpokes(engine, db, kSpokes);
+    const uint32_t hub_shard = engine.shard_map().ShardOf(design.hub);
+    foreign_out = static_cast<size_t>(std::count_if(
+        design.spokes.begin(), design.spokes.end(), [&](OidId spoke) {
+          return engine.shard_map().ShardOf(spoke) != hub_shard;
+        }));
     const std::vector<std::string> lines = DriveHubWave(engine);
     stats_out = engine.stats();
     return lines;
   };
 
-  ShardedStats batched_stats;
-  ShardedStats unbatched_stats;
-  const std::vector<std::string> batched_lines = run(true, batched_stats);
-  const std::vector<std::string> unbatched_lines = run(false, unbatched_stats);
+  ShardedStats sharded_stats;
+  ShardedStats single_stats;
+  size_t foreign = 0;
+  size_t single_foreign = 0;
+  const std::vector<std::string> sharded_lines = run(3, sharded_stats, foreign);
+  const std::vector<std::string> single_lines =
+      run(1, single_stats, single_foreign);
 
-  // Same deliveries either way...
-  EXPECT_EQ(batched_lines, unbatched_lines);
-  EXPECT_EQ(batched_stats.handoff_seeds, unbatched_stats.handoff_seeds);
-  // ...but the batched run posts one task per foreign shard while the
-  // unbatched run pays one per receiver (round-robin spokes never put
-  // two consecutive receivers on the same shard).
-  EXPECT_EQ(batched_stats.handoff_waves, 2u);
-  EXPECT_EQ(unbatched_stats.handoff_waves, unbatched_stats.handoff_seeds);
-  EXPECT_GT(unbatched_stats.handoff_waves, batched_stats.handoff_waves);
+  // Same deliveries as one shard...
+  EXPECT_EQ(sharded_lines, single_lines);
+  EXPECT_EQ(single_stats.handoff_waves, 0u);
+  // ...with every foreign spoke carried as a seed, yet one task per
+  // foreign shard (round-robin spokes never put two consecutive
+  // receivers on the same shard).
+  EXPECT_EQ(foreign, static_cast<size_t>(kSpokes) * 2 / 3);
+  EXPECT_EQ(sharded_stats.handoff_seeds, foreign);
+  EXPECT_EQ(sharded_stats.handoff_waves, 2u);
 }
 
 /// A batch above max_batch_seeds splits into consecutive FIFO chunks:

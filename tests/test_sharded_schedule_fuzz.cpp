@@ -1,6 +1,6 @@
 // Randomized differential fuzz for the sharded wave engine's
-// scheduling freedoms: batched (epoch, target shard) handoff, seed
-// chunking, lane stealing and the shared claim stores must all be
+// scheduling freedoms: (epoch, target shard) handoff batching, seed
+// chunking, lane stealing and the per-shard claim stores must all be
 // invisible in the delivered record multiset and the final property
 // state, under ANY schedule.
 //
@@ -9,18 +9,20 @@
 // PROPAGATE lists — diamonds and cycles arise naturally) plus a random
 // event schedule, then replays the identical workload through:
 //   * a 1-shard deterministic engine       (the reference),
-//   * an N-shard deterministic engine      (batched handoff),
-//   * an N-shard deterministic engine      (unbatched PR-4 handoff),
-//   * an N-shard THREADED engine           (batching + lane stealing,
-//                                           small rings + seed chunks
-//                                           so spill paths run too),
+//   * an N-shard deterministic engine      (global ticket order),
+//   * an N-shard THREADED engine, 1 worker (claim stores without
+//                                           stealing: one executor
+//                                           services every lane),
+//   * an N-shard THREADED engine           (lane stealing; small rings
+//                                           + seed chunks so spill
+//                                           paths run too),
 // and asserts journal record-multiset equality, property-state
 // equality and exactly-once delivery counts across all four. The rule
 // set writes only constant values, so the final property state is
 // schedule-invariant by construction and any divergence is an engine
 // bug, not workload noise.
 //
-// The threaded variant runs under TSan in CI (the suite name matches
+// The threaded variants run under TSan in CI (the suite name matches
 // the TSan job's "Sharded" filter).
 #include <gtest/gtest.h>
 
@@ -208,26 +210,26 @@ void RunSeedRange(uint64_t first_seed, uint64_t last_seed) {
     reference.deterministic = true;
     const RunResult expected = RunPlan(plan, reference);
 
-    ShardedEngineOptions det_batched;
-    det_batched.num_shards = shards;
-    det_batched.deterministic = true;
-    det_batched.max_batch_seeds =
-        config_rng.Chance(0.5) ? 3 : det_batched.max_batch_seeds;
-
-    ShardedEngineOptions det_unbatched = det_batched;
-    det_unbatched.batched_handoff = false;
+    ShardedEngineOptions deterministic;
+    deterministic.num_shards = shards;
+    deterministic.deterministic = true;
+    deterministic.max_batch_seeds =
+        config_rng.Chance(0.5) ? 3 : deterministic.max_batch_seeds;
 
     ShardedEngineOptions threaded;
     threaded.num_shards = shards;
-    threaded.max_batch_seeds = det_batched.max_batch_seeds;
+    threaded.max_batch_seeds = deterministic.max_batch_seeds;
     threaded.queue_capacity = config_rng.Chance(0.5) ? 4 : 256;
+
+    ShardedEngineOptions single_worker = threaded;
+    single_worker.worker_threads = 1;
 
     const struct {
       const char* name;
       const ShardedEngineOptions& options;
     } variants[] = {
-        {"deterministic batched", det_batched},
-        {"deterministic unbatched", det_unbatched},
+        {"deterministic", deterministic},
+        {"threaded one worker", single_worker},
         {"threaded stealing", threaded},
     };
     for (const auto& variant : variants) {

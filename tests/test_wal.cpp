@@ -126,8 +126,14 @@ TEST(WalFraming, OpRecordsRoundTrip) {
   clock.op_seq = 11;
   clock.clock_seconds = 3600;
 
+  WalOpRecord config;
+  config.type = WalRecordType::kOpConfiguration;
+  config.op_seq = 12;
+  config.text = "tapeout_candidate";
+  config.clock_seconds = 7200;
+
   for (const WalOpRecord& op :
-       {event_op, checkin, link, blueprint, clock}) {
+       {event_op, checkin, link, blueprint, clock, config}) {
     const std::string payload = events::EncodeWalOp(op);
     const WalOpRecord back = events::DecodeWalOp(op.type, payload);
     EXPECT_EQ(back.op_seq, op.op_seq);
@@ -740,6 +746,38 @@ TEST(WireDurability, WalCheckpointAndRecoverCommands) {
       fresh->database().FindObject(Oid{"CPU", "HDL_model", 1}).has_value());
   // Errors stay in-band.
   EXPECT_EQ(session.HandleLine("recover"), "error: usage: recover <wal-dir>\n");
+}
+
+// `checkpoint <name>` must be as durable as every other acked mutation:
+// a configuration saved before a `wal-checkpoint` comes back from the
+// checkpoint files, one saved after it from the ops tail — with the
+// name and timestamp it was saved under.
+TEST(WireDurability, CheckpointCommandSurvivesRestart) {
+  TempDir dir("wire-config");
+  std::string db_text;
+  {
+    auto server = testutil::MakeEdtcServer(DurableOptions(dir.str()));
+    WireSession session(*server, "alice");
+    session.HandleLine("checkin CPU HDL_model \"module cpu;\"");
+    EXPECT_EQ(session.HandleLine("checkpoint m0"),
+              "ok checkpoint 'm0' with 1 addresses\n");
+    EXPECT_EQ(session.HandleLine("wal-checkpoint"), "ok checkpoint 1\n");
+    session.HandleLine("checkin CPU schematic \"cpu gates\"");
+    session.HandleLine("advance 90");
+    EXPECT_EQ(session.HandleLine("checkpoint m1"),
+              "ok checkpoint 'm1' with 2 addresses\n");
+    db_text = metadb::SaveDatabaseString(server->database());
+  }
+  auto recovered =
+      std::make_unique<ProjectServer>("edtc", DurableOptions(dir.str()));
+  const metadb::MetaDatabase& db = recovered->database();
+  ASSERT_TRUE(db.FindConfiguration("m0").has_value());
+  const std::optional<metadb::ConfigId> m1 = db.FindConfiguration("m1");
+  ASSERT_TRUE(m1.has_value());
+  EXPECT_EQ(db.GetConfiguration(*m1).AddressCount(), 2u);
+  EXPECT_EQ(db.GetConfiguration(*m1).created_at,
+            recovered->clock().NowSeconds());
+  EXPECT_EQ(metadb::SaveDatabaseString(db), db_text);
 }
 
 TEST(WireDurability, CommandsAreClassifiedForTheMux) {

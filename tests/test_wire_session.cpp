@@ -92,13 +92,12 @@ TEST_F(WireSessionTest, ReportAndCheckpoint) {
       server_->database().FindConfiguration("milestone1").has_value());
 }
 
-TEST_F(WireSessionTest, SnapshotIsADeprecatedCheckpointAlias) {
+TEST_F(WireSessionTest, SnapshotAliasIsRemoved) {
   session_.HandleLine("checkin CPU HDL_model \"m\"");
-  EXPECT_EQ(session_.HandleLine("snapshot milestone1"),
-            "notice: 'snapshot' is deprecated; use 'checkpoint <name>'\n"
-            "ok checkpoint 'milestone1' with 1 addresses\n");
-  EXPECT_TRUE(
-      server_->database().FindConfiguration("milestone1").has_value());
+  EXPECT_EQ(session_.HandleLine("snapshot m1"),
+            "error: unknown command 'snapshot' (try 'help')\n");
+  EXPECT_FALSE(server_->database().FindConfiguration("m1").has_value());
+  EXPECT_EQ(server_->database().ConfigurationNames().size(), 0u);
 }
 
 TEST_F(WireSessionTest, HelpIsGeneratedFromTheRegistry) {
@@ -107,9 +106,7 @@ TEST_F(WireSessionTest, HelpIsGeneratedFromTheRegistry) {
     EXPECT_NE(help.find(std::string(info.usage)), std::string::npos)
         << "usage line missing from help: " << info.usage;
   }
-  // The deprecated alias is listed with its replacement, not as a
-  // first-class command.
-  EXPECT_NE(help.find("deprecated:"), std::string::npos);
+  EXPECT_EQ(help.find("snapshot"), std::string::npos);
 }
 
 TEST_F(WireSessionTest, RegistryClassifiesReadsAndMutations) {
@@ -121,7 +118,8 @@ TEST_F(WireSessionTest, RegistryClassifiesReadsAndMutations) {
   EXPECT_EQ(ClassifyWireLine("postEvent ckin up a,b,1"),
             WireCommandKind::kMutate);
   EXPECT_EQ(ClassifyWireLine("checkpoint m1"), WireCommandKind::kMutate);
-  EXPECT_EQ(ClassifyWireLine("snapshot m1"), WireCommandKind::kMutate);
+  // The removed `snapshot` alias is an unknown command now.
+  EXPECT_EQ(ClassifyWireLine("snapshot m1"), WireCommandKind::kRead);
   EXPECT_EQ(ClassifyWireLine("advance 60"), WireCommandKind::kMutate);
   // Unknown commands classify as reads: they error out immediately
   // instead of occupying the mutation queue.
