@@ -68,7 +68,7 @@ void BM_A2_ParallelDuplicateLinks(benchmark::State& state) {
   events::EventMessage event;
   event.name = "outofdate";
   event.direction = events::Direction::kDown;
-  event.target = db.GetObject(from).oid;
+  event.target = db.OidOf(from);
   for (auto _ : state) {
     server->Submit(event);
   }
@@ -140,7 +140,7 @@ void PrintSeries() {
     events::EventMessage event;
     event.name = "outofdate";
     event.direction = events::Direction::kDown;
-    event.target = db.GetObject(from).oid;
+    event.target = db.OidOf(from);
     server->Submit(event);
     std::printf("%-18d %-22zu\n", duplicates,
                 server->engine().stats().propagated_deliveries);

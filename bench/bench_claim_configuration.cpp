@@ -34,9 +34,9 @@ DeepCopySnapshot DeepCopy(const metadb::MetaDatabase& db) {
 size_t ApproxBytes(const DeepCopySnapshot& snapshot) {
   size_t bytes = 0;
   for (const auto& object : snapshot.objects) {
-    bytes += sizeof(object) + object.oid.block.size() + object.oid.view.size();
-    for (const auto& [name, value] : object.properties) {
-      bytes += name.size() + value.size() + 2 * sizeof(void*);
+    bytes += sizeof(object);
+    for (const auto& property : object.properties) {
+      bytes += sizeof(property) + property.value.size();
     }
   }
   for (const auto& link : snapshot.links) {

@@ -100,7 +100,7 @@ std::unique_ptr<HubDesign> MakeHubDesign(int degree, EngineMode mode) {
 
   const metadb::OidId hub =
       design->db.CreateNextVersion("hub", "netlist", "bench", 0);
-  design->hub = design->db.GetObject(hub).oid;
+  design->hub = design->db.OidOf(hub);
   const std::vector<std::string> bystander = {
       "ckin", "outofdate", "hdl_sim", "nl_sim", "lvs", "drc", "erc"};
   for (int i = 0; i < degree; ++i) {
@@ -263,7 +263,7 @@ endblueprint)");
     const std::string block = "hub" + std::to_string(s);
     const metadb::OidId hub =
         design->engine->OnCreateObject(block, "netlist", "bench");
-    design->hubs.push_back(design->db.GetObject(hub).oid);
+    design->hubs.push_back(design->db.OidOf(hub));
     for (int i = 0; i < degree; ++i) {
       // Use links (hierarchy) keep every component in the hub's
       // subtree — and thus on the hub's shard.
@@ -373,7 +373,7 @@ endblueprint)");
     const std::string block = "bhub" + std::to_string(h);
     const metadb::OidId hub =
         design->engine->OnCreateObject(block, "netlist", "bench");
-    design->hubs.push_back(design->db.GetObject(hub).oid);
+    design->hubs.push_back(design->db.OidOf(hub));
     for (int i = 0; i < degree; ++i) {
       // Each spoke is its own block (and thus its own subtree root):
       // round-robin dealing spreads consecutive receivers across

@@ -70,13 +70,13 @@ void PrintSeries() {
   metadb::OidId v5;
   for (int v = 1; v <= 5; ++v) v5 = engine.OnCreateObject("alu", "GDSII", "u");
   db.SetProperty(v5, "DRC", "ok");
-  std::printf("  %s  Prop: DRC = %s\n", FormatOid(db.GetObject(v5).oid).c_str(),
+  std::printf("  %s  Prop: DRC = %s\n", FormatOid(db.OidOf(v5)).c_str(),
               db.GetProperty(v5, "DRC")->c_str());
 
   const metadb::OidId v6 = engine.OnCreateObject("alu", "GDSII", "u");
   std::printf("  -- create new OID (copy property) -->\n");
   std::printf("  %s  Prop: DRC = %s   <- copied, as in the figure\n",
-              FormatOid(db.GetObject(v6).oid).c_str(),
+              FormatOid(db.OidOf(v6)).c_str(),
               db.GetProperty(v6, "DRC")->c_str());
   std::printf("  properties carried so far: %zu\n\n",
               engine.stats().properties_carried);

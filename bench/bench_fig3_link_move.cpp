@@ -76,9 +76,9 @@ void PrintSeries() {
   const auto show = [&](const char* when) {
     const metadb::Link& l = db.GetLink(link);
     std::printf("  %s: %s --%s/%s--> %s\n", when,
-                FormatOid(db.GetObject(l.from).oid).c_str(),
+                FormatOid(db.OidOf(l.from)).c_str(),
                 l.properties.at("PROPAGATE").c_str(), l.type.c_str(),
-                FormatOid(db.GetObject(l.to).oid).c_str());
+                FormatOid(db.OidOf(l.to)).c_str());
   };
   show("before");
   engine.OnCreateObject("alu", "GDSII", "u");

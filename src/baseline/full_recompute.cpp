@@ -48,11 +48,7 @@ void FullRecomputeTracker::RecomputeAll() {
     ++stats_.objects_visited;
     const bool stale = newest_upstream[id.value()] > object.created_at;
     const char* value = stale ? "false" : "true";
-    const std::string* existing = db_.GetProperty(id, "uptodate");
-    if (existing == nullptr || *existing != value) {
-      db_.SetProperty(id, "uptodate", value);
-      ++stats_.property_writes;
-    }
+    if (db_.SetProperty(id, "uptodate", value)) ++stats_.property_writes;
   });
 }
 

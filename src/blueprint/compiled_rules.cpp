@@ -10,10 +10,12 @@ void CompiledRules::Clear() {
 }
 
 void CompiledRules::AppendActions(const RuntimeRule& rule,
-                                  SymbolTable& symbols, RuleSet& set) {
+                                  SymbolTable& symbols,
+                                  const PropertySymbols& property_symbol,
+                                  RuleSet& set) {
   for (const Action& action : rule.actions) {
     if (const auto* assign = std::get_if<ActionAssign>(&action)) {
-      set.assigns.push_back(assign);
+      set.assigns.push_back({assign, property_symbol(assign->property)});
     } else if (std::get_if<ActionExec>(&action) != nullptr ||
                std::get_if<ActionNotify>(&action) != nullptr) {
       // Phase 3 runs exec and notify interleaved in declaration order;
@@ -26,6 +28,7 @@ void CompiledRules::AppendActions(const RuntimeRule& rule,
 }
 
 void CompiledRules::Compile(const Blueprint& blueprint, SymbolTable& symbols,
+                            const PropertySymbols& property_symbol,
                             uint64_t source_version) {
   Clear();
   ++generation_;
@@ -34,10 +37,12 @@ void CompiledRules::Compile(const Blueprint& blueprint, SymbolTable& symbols,
   const ViewTemplate* default_view = blueprint.DefaultView();
   if (default_view != nullptr) {
     for (const ContinuousAssignment& assignment : default_view->assignments) {
-      default_assignments_.push_back(&assignment);
+      default_assignments_.push_back(
+          {&assignment, property_symbol(assignment.property)});
     }
     for (const RuntimeRule& rule : default_view->rules) {
-      AppendActions(rule, symbols, default_rules_[symbols.Intern(rule.event)]);
+      AppendActions(rule, symbols, property_symbol,
+                    default_rules_[symbols.Intern(rule.event)]);
     }
   }
 
@@ -50,15 +55,15 @@ void CompiledRules::Compile(const Blueprint& blueprint, SymbolTable& symbols,
     // "default" view itself that pairs it with itself, running its
     // rules and assignments twice, as recorded journals expect.
     const ViewTemplate* sources[2] = {default_view, &view};
-    std::vector<const ContinuousAssignment*>& assignments =
-        assignments_[view_sym];
+    std::vector<CompiledAssignment>& assignments = assignments_[view_sym];
     for (const ViewTemplate* source : sources) {
       if (source == nullptr) continue;
       for (const ContinuousAssignment& assignment : source->assignments) {
-        assignments.push_back(&assignment);
+        assignments.push_back(
+            {&assignment, property_symbol(assignment.property)});
       }
       for (const RuntimeRule& rule : source->rules) {
-        AppendActions(rule, symbols,
+        AppendActions(rule, symbols, property_symbol,
                       rules_[Key(view_sym, symbols.Intern(rule.event))]);
       }
     }

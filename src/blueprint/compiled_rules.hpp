@@ -19,10 +19,15 @@
 // RuleSets hold pointers into the Blueprint that was compiled; the
 // engine recompiles whenever it installs a blueprint, which also
 // refreshes any symbol bindings (SymbolIds themselves never go stale —
-// the engine's SymbolTable only grows).
+// the engine's SymbolTable only grows). Every property name a rule can
+// write is resolved at compile time through a caller-supplied function
+// (the engine passes the meta-database's interner), so a write names
+// its property by id and never hashes the name.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -40,11 +45,24 @@ class CompiledRules {
     SymbolId event_sym = SymbolTable::kNoSymbol;
   };
 
+  /// An assignment with its property name resolved by Compile's
+  /// property-symbol function.
+  template <typename Assignment>
+  struct Resolved {
+    const Assignment* action = nullptr;
+    SymbolId property = SymbolTable::kNoSymbol;
+  };
+  using CompiledAssign = Resolved<ActionAssign>;
+  using CompiledAssignment = Resolved<ContinuousAssignment>;
+
+  /// Resolves a property name to the id writes use.
+  using PropertySymbols = std::function<SymbolId(std::string_view)>;
+
   /// Phase-partitioned actions for one (view, event) pair. Default-view
   /// rules come first, then the specific view's, preserving rule and
   /// action order within each.
   struct RuleSet {
-    std::vector<const ActionAssign*> assigns;      ///< Phase 1.
+    std::vector<CompiledAssign> assigns;           ///< Phase 1.
     std::vector<const Action*> execs_and_notifies; ///< Phase 3 (exec|notify).
     std::vector<CompiledPost> posts;               ///< Phase 4.
   };
@@ -58,16 +76,18 @@ class CompiledRules {
     SymbolId rule_view = SymbolTable::kNoSymbol;
     /// Continuous assignments to re-evaluate at OIDs of the view
     /// (default view's first, then the view's own).
-    const std::vector<const ContinuousAssignment*>* assignments = nullptr;
+    const std::vector<CompiledAssignment>* assignments = nullptr;
   };
 
   /// Flattens `blueprint` into the tables, interning every view and
-  /// event name through `symbols`. Pointers into `blueprint` are kept;
+  /// event name through `symbols` and resolving every assigned property
+  /// name through `property_symbol`. Pointers into `blueprint` are kept;
   /// it must outlive the tables (the engine recompiles on install).
   /// `source_version` stamps the PolicyStore version the blueprint was
   /// compiled from (0 = unversioned / direct install), so every cached
   /// rule binding can be traced back to a commit-chain entry.
   void Compile(const Blueprint& blueprint, SymbolTable& symbols,
+               const PropertySymbols& property_symbol,
                uint64_t source_version = 0);
 
   void Clear();
@@ -119,6 +139,7 @@ class CompiledRules {
   };
 
   static void AppendActions(const RuntimeRule& rule, SymbolTable& symbols,
+                            const PropertySymbols& property_symbol,
                             RuleSet& set);
 
   /// (view sym, event sym) -> actions, for every tracked view.
@@ -126,10 +147,9 @@ class CompiledRules {
   /// event sym -> default-view actions, for untracked views.
   std::unordered_map<SymbolId, RuleSet> default_rules_;
   /// view sym -> merged continuous-assignment list, for tracked views.
-  std::unordered_map<SymbolId, std::vector<const ContinuousAssignment*>>
-      assignments_;
+  std::unordered_map<SymbolId, std::vector<CompiledAssignment>> assignments_;
   /// Default view's continuous assignments, for untracked views.
-  std::vector<const ContinuousAssignment*> default_assignments_;
+  std::vector<CompiledAssignment> default_assignments_;
   uint32_t generation_ = 0;
   uint64_t source_version_ = 0;
 };

@@ -38,8 +38,13 @@ void RunTimeEngine::LoadBlueprint(Blueprint blueprint,
   // Rule-table compile point. Cached OidBindings re-resolve lazily
   // against the bumped generation, and every OID's settled state goes
   // stale with it; SymbolIds themselves stay valid (the interner only
-  // grows).
-  compiled_.Compile(*blueprint_, symbols_, policy_version);
+  // grows). It is also a structural point: every property name a rule
+  // can write is interned into the database here, so wave workers only
+  // write by id.
+  compiled_.Compile(
+      *blueprint_, symbols_,
+      [this](std::string_view name) { return db_.Intern(name); },
+      policy_version);
   // Blueprint install is the index build point (and heals any direct
   // GetLinkMutable edits made outside the observer protocol).
   if (options_.use_propagation_index) index_.Rebuild(db_);
@@ -114,7 +119,7 @@ const RunTimeEngine::OidBinding& RunTimeEngine::BindingOf(OidId id) {
   if (binding.view_sym == SymbolTable::kNoSymbol) {
     // Slots are never reused for a different object, so the view symbol
     // is interned exactly once per OID.
-    binding.view_sym = symbols_.Intern(db_.GetObject(id).oid.view);
+    binding.view_sym = symbols_.Intern(db_.ViewOf(db_.GetObject(id)));
   }
   if (binding.generation != compiled_.generation()) {
     binding.rules = compiled_.Resolve(binding.view_sym);
@@ -154,7 +159,7 @@ OidId RunTimeEngine::OnCreateObject(std::string_view block,
             }
           }
         }
-        SetPropertyCounted(id, property.name, value);
+        SetPropertyCounted(id, db_.Intern(property.name), value);
       }
     }
   }
@@ -209,8 +214,8 @@ LinkId RunTimeEngine::OnCreateLink(LinkKind kind, OidId from, OidId to) {
   }
 
   const blueprint::LinkTemplate* match =
-      blueprint_ ? blueprint_->FindLinkTemplate(kind, from_object.oid.view,
-                                                to_object.oid.view)
+      blueprint_ ? blueprint_->FindLinkTemplate(kind, db_.ViewOf(from_object),
+                                                db_.ViewOf(to_object))
                  : nullptr;
   if (match != nullptr) {
     ++stats_.links_templated;
@@ -249,8 +254,8 @@ size_t RunTimeEngine::RetemplateLinks() {
     Link& link = db_.GetLinkMutable(id);
     const blueprint::LinkTemplate* match =
         blueprint_->FindLinkTemplate(link.kind,
-                                     db_.GetObject(link.from).oid.view,
-                                     db_.GetObject(link.to).oid.view);
+                                     db_.ViewOf(db_.GetObject(link.from)),
+                                     db_.ViewOf(db_.GetObject(link.to)));
     const blueprint::LinkTemplate& applied =
         match != nullptr ? *match : untemplated;
     if (link.propagates == applied.propagates && link.type == applied.type &&
@@ -490,8 +495,9 @@ void RunTimeEngine::ProcessWaveSeeded(std::vector<OidId> seeds,
             journal_key = journal_.MakePayloadKey(event);
             journal_key_ready = true;
           }
-          journal_.RecordPropagated(journal_key, target,
-                                    db_.GetObject(target).oid);
+          const MetaObject& object = db_.GetObject(target);
+          journal_.RecordPropagated(journal_key, target, db_.BlockOf(object),
+                                    db_.ViewOf(object), object.version);
         }
       }
 
@@ -564,8 +570,8 @@ void RunTimeEngine::RunRulesAt(OidId target, const EventMessage& event,
 
   // Phase 1: assignments.
   if (rules != nullptr) {
-    for (const blueprint::ActionAssign* assign : rules->assigns) {
-      ExecuteAssign(target, *assign, event);
+    for (const CompiledRules::CompiledAssign& assign : rules->assigns) {
+      ExecuteAssign(target, assign, event);
     }
   }
 
@@ -590,15 +596,16 @@ void RunTimeEngine::RunRulesAt(OidId target, const EventMessage& event,
 }
 
 void RunTimeEngine::ExecuteAssign(OidId target,
-                                  const blueprint::ActionAssign& act,
+                                  const CompiledRules::CompiledAssign& assign,
                                   const EventMessage& event) {
   ++stats_.assign_actions;
   // A literal (`uptodate = false`) expands without a resolver. Expand,
   // not source(): the source keeps `$$` escapes unexpanded.
-  const std::string value = act.value.IsPureLiteral()
-                                ? act.value.Expand(nullptr)
-                                : act.value.Expand(MakeResolver(target, event));
-  SetPropertyCounted(target, act.property, value);
+  const blueprint::StringTemplate& value = assign.action->value;
+  SetPropertyCounted(target, assign.property,
+                     value.IsPureLiteral()
+                         ? value.Expand(nullptr)
+                         : value.Expand(MakeResolver(target, event)));
 }
 
 void RunTimeEngine::ExecuteExec(OidId target, const blueprint::ActionExec& act,
@@ -612,7 +619,7 @@ void RunTimeEngine::ExecuteExec(OidId target, const blueprint::ActionExec& act,
   for (const blueprint::StringTemplate& arg : act.args) {
     request.args.push_back(arg.Expand(resolver));
   }
-  request.target = db_.GetObject(target).oid;
+  request.target = db_.OidOf(target);
   request.event = event.name;
   request.user = event.user;
   request.timestamp = clock_.NowSeconds();
@@ -629,7 +636,7 @@ void RunTimeEngine::ExecuteNotify(OidId target,
   if (!notification_sink_) return;
   Notification notification;
   notification.message = act.message.Expand(MakeResolver(target, event));
-  notification.target = db_.GetObject(target).oid;
+  notification.target = db_.OidOf(target);
   notification.event = event.name;
   notification.timestamp = clock_.NowSeconds();
   notification_sink_(notification);
@@ -667,7 +674,7 @@ void RunTimeEngine::ExecutePost(OidId target, const blueprint::ActionPost& act,
   }
   for (const OidId to : targets) {
     EventMessage copy = posted;
-    copy.target = db_.GetObject(to).oid;
+    copy.target = db_.OidOf(to);
     ++stats_.rule_posted_events;
     queue_.Push(std::move(copy));
   }
@@ -682,7 +689,7 @@ void RunTimeEngine::RefreshComputedProperties(OidId id) {
     return;
   }
 
-  const std::vector<const blueprint::ContinuousAssignment*>* assignments =
+  const std::vector<CompiledRules::CompiledAssignment>* assignments =
       BindingOf(id).rules.assignments;
 
   // Continuous assignments may read each other; two passes let simple
@@ -695,10 +702,10 @@ void RunTimeEngine::RefreshComputedProperties(OidId id) {
   const blueprint::VariableResolver resolver = MakeResolver(id, no_event);
   const auto pass = [&] {
     bool wrote = false;
-    for (const blueprint::ContinuousAssignment* assignment : *assignments) {
+    for (const CompiledRules::CompiledAssignment& assignment : *assignments) {
       ++stats_.reevaluations;
-      const bool value = assignment->expr.EvaluateBool(resolver);
-      wrote |= SetPropertyCounted(id, assignment->property,
+      const bool value = assignment.action->expr.EvaluateBool(resolver);
+      wrote |= SetPropertyCounted(id, assignment.property,
                                   value ? kTrue : kFalse);
     }
     return wrote;
@@ -707,8 +714,8 @@ void RunTimeEngine::RefreshComputedProperties(OidId id) {
   // write exactly what pass 1 did, i.e. nothing. A pass that writes
   // nothing is a fixed point.
   if (pass() && pass()) return;
-  for (const blueprint::ContinuousAssignment* assignment : *assignments) {
-    if (assignment->expr.ReadsVariable("date")) return;  // Clock-driven.
+  for (const CompiledRules::CompiledAssignment& assignment : *assignments) {
+    if (assignment.action->expr.ReadsVariable("date")) return;  // Clock-driven.
   }
   OidBinding& binding = SlotOf(id);
   binding.settled_generation = compiled_.generation();
@@ -737,19 +744,15 @@ blueprint::VariableResolver RunTimeEngine::MakeResolver(
     if (name == "dir") return events::DirectionName(message->direction);
     if (name == "date") return SimClock::FormatDate(clock_.NowSeconds());
     const MetaObject& object = db_.GetObject(target);
-    if (name == "oid") return metadb::FormatOidWire(object.oid);
-    if (name == "OID") return metadb::FormatOid(object.oid);
-    if (name == "block") return object.oid.block;
-    if (name == "view") return object.oid.view;
-    if (name == "version") return std::to_string(object.oid.version);
-    if (name == "owner") {
-      const auto it = object.properties.find("owner");
-      return it != object.properties.end() ? it->second : object.created_by;
-    }
-    if (const std::string* value =
-            db_.GetProperty(target, std::string(name))) {
+    if (name == "oid") return metadb::FormatOidWire(db_.OidOf(object));
+    if (name == "OID") return metadb::FormatOid(db_.OidOf(object));
+    if (name == "block") return db_.BlockOf(object);
+    if (name == "view") return db_.ViewOf(object);
+    if (name == "version") return std::to_string(object.version);
+    if (const std::string* value = db_.FindProperty(object, name)) {
       return *value;
     }
+    if (name == "owner") return db_.SymbolText(object.created_by);
     return std::string();
   };
 }
@@ -774,7 +777,7 @@ std::vector<OidId> RunTimeEngine::FindNearestOfView(OidId start,
     frontier.pop_front();
     if (!found.empty() && depth > found_depth) break;
 
-    if (current != start && db_.GetObject(current).oid.view == view) {
+    if (current != start && db_.ViewOf(db_.GetObject(current)) == view) {
       if (found.empty()) found_depth = depth;
       found.push_back(current);
       continue;  // Don't search beyond a hit.
@@ -798,11 +801,9 @@ std::vector<OidId> RunTimeEngine::FindNearestOfView(OidId start,
   return found;
 }
 
-bool RunTimeEngine::SetPropertyCounted(OidId id, const std::string& name,
-                                       const std::string& value) {
-  const std::string* existing = db_.GetProperty(id, name);
-  if (existing != nullptr && *existing == value) return false;
-  db_.SetProperty(id, name, value);
+bool RunTimeEngine::SetPropertyCounted(OidId id, SymbolId name,
+                                       std::string_view value) {
+  if (!db_.SetProperty(id, name, value)) return false;
   ++stats_.property_writes;
   return true;
 }

@@ -413,7 +413,8 @@ class RunTimeEngine : private metadb::LinkObserver {
                   SymbolId event_sym,
                   std::vector<DirectionPost>& direction_posts);
 
-  void ExecuteAssign(metadb::OidId target, const blueprint::ActionAssign& act,
+  void ExecuteAssign(metadb::OidId target,
+                     const blueprint::CompiledRules::CompiledAssign& assign,
                      const events::EventMessage& event);
   void ExecuteExec(metadb::OidId target, const blueprint::ActionExec& act,
                    const events::EventMessage& event);
@@ -462,10 +463,10 @@ class RunTimeEngine : private metadb::LinkObserver {
   /// properties.
   static void AnnotateLink(metadb::Link& link);
 
-  /// Writes `value` unless the property already holds it; returns
-  /// whether it wrote.
-  bool SetPropertyCounted(metadb::OidId id, const std::string& name,
-                          const std::string& value);
+  /// Writes `value` to the property named by database symbol `name`
+  /// unless it already holds it; returns whether it wrote.
+  bool SetPropertyCounted(metadb::OidId id, SymbolId name,
+                          std::string_view value);
 
   metadb::MetaDatabase& db_;
   SimClock& clock_;

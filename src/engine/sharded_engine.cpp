@@ -1088,6 +1088,9 @@ bool ShardedEngine::TrySteal(size_t worker_index) {
 
 void ShardedEngine::WorkerLoop(size_t worker_index) {
   tls_on_worker = true;
+  // Workers of disjoint shards read the database's symbol table
+  // concurrently; only structural paths may grow it.
+  metadb::MetaDatabase::DenyInterningOnThisThread();
   Task task;
   int idle_spins = 0;
   for (;;) {

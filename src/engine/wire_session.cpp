@@ -210,8 +210,9 @@ std::string WireSession::CmdQuery(Context& ctx) {
     }
     const metadb::MetaObject& object = db.GetObject(*id);
     std::string out = metadb::FormatOid(oid) + "\n";
-    for (const auto& [name, value] : object.properties) {
-      out += "  " + name + " = '" + value + "'\n";
+    for (const metadb::Property& property : object.properties) {
+      out += "  " + db.SymbolText(property.name) + " = '" + property.value +
+             "'\n";
     }
     return out;
   }

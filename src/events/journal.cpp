@@ -29,11 +29,11 @@ EventJournal::PayloadKey EventJournal::MakePayloadKey(
   return key;
 }
 
-EventJournal::TargetSymbols EventJournal::InternTarget(
-    const metadb::Oid& target) {
+EventJournal::TargetSymbols EventJournal::InternTarget(std::string_view block,
+                                                      std::string_view view) {
   TargetSymbols symbols;
-  symbols.block = strings_.Intern(target.block);
-  symbols.view = strings_.Intern(target.view);
+  symbols.block = strings_.Intern(block);
+  symbols.view = strings_.Intern(view);
   return symbols;
 }
 
@@ -60,7 +60,8 @@ EventJournal::Row EventJournal::MakeRow(const EventMessage& event,
   // The per-event form keys the payload, then assembles the row
   // exactly like the seed-batch path does.
   const PayloadKey key = MakePayloadKey(event);
-  Row row = RowFromKey(key, InternTarget(target), target.version);
+  Row row = RowFromKey(key, InternTarget(target.block, target.view),
+                       target.version);
   row.origin = static_cast<uint8_t>(event.origin);
   return row;
 }
@@ -81,13 +82,16 @@ void EventJournal::RecordPropagated(const EventMessage& event,
 }
 
 void EventJournal::RecordPropagated(const PayloadKey& key, metadb::OidId slot,
-                                    const metadb::Oid& target) {
+                                    std::string_view block,
+                                    std::string_view view, int32_t version) {
   if (slot.value() >= target_symbols_.size()) {
     target_symbols_.resize(slot.value() + 1);
   }
   TargetSymbols& symbols = target_symbols_[slot.value()];
-  if (symbols.block == SymbolTable::kNoSymbol) symbols = InternTarget(target);
-  Row row = RowFromKey(key, symbols, target.version);
+  if (symbols.block == SymbolTable::kNoSymbol) {
+    symbols = InternTarget(block, view);
+  }
+  Row row = RowFromKey(key, symbols, version);
   row.origin = static_cast<uint8_t>(EventOrigin::kPropagated);
   rows_.push_back(row);
   if (sink_ != nullptr) sink_->OnAppend(*this);

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/symbol.hpp"
@@ -94,13 +95,14 @@ class EventJournal {
   PayloadKey MakePayloadKey(const EventMessage& event);
 
   /// Seed-batch row append: journals one propagated delivery of the
-  /// payload behind `key` at `target`, whose meta-database slot is
-  /// `slot`. The target's interned (block, view) pair is cached per
-  /// slot until Clear(), so a repeat delivery interns nothing. A slot
-  /// must always name the same OID (meta-database slots are never
-  /// reused).
+  /// payload behind `key` at the OID <block.view.version>, whose
+  /// meta-database slot is `slot`. The target's interned (block, view)
+  /// pair is cached per slot until Clear(), so a repeat delivery
+  /// interns nothing. A slot must always name the same OID
+  /// (meta-database slots are never reused).
   void RecordPropagated(const PayloadKey& key, metadb::OidId slot,
-                        const metadb::Oid& target);
+                        std::string_view block, std::string_view view,
+                        int32_t version);
 
   /// Materializes record `index` (bounds-checked; throws NotFoundError).
   JournalRecord At(size_t index) const;
@@ -166,8 +168,8 @@ class EventJournal {
     SymbolId view = SymbolTable::kNoSymbol;
   };
 
-  /// Interns `target`'s block, then its view.
-  TargetSymbols InternTarget(const metadb::Oid& target);
+  /// Interns a target's block, then its view.
+  TargetSymbols InternTarget(std::string_view block, std::string_view view);
 
   /// The one row-assembly path: fills a row from an interned payload
   /// key plus the delivery target's interned block/view and version.

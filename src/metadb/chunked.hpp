@@ -4,7 +4,7 @@
 // Every MetaDatabase table lives in fixed-size pieces behind shared_ptr:
 //  * ChunkedVector<T> — a dense slot array split into chunks of
 //    kChunkSize consecutive slots (objects, links, configurations,
-//    adjacency);
+//    adjacency, symbol texts);
 //  * PartitionedIndex<K, V, Hash> — a hash map split into
 //    kPartitions independent maps by key hash (the lookup indexes).
 //
@@ -26,7 +26,9 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -122,24 +124,38 @@ class ChunkedVector {
   size_t size_ = 0;
 };
 
+/// Transparent string hash: string-keyed indexes look up a
+/// std::string_view without building a std::string.
+struct StringHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view text) const noexcept {
+    return std::hash<std::string_view>{}(text);
+  }
+};
+
 /// A hash map stored as kPartitions shared maps, split by key hash.
-template <typename Key, typename Value, typename Hash>
+/// With a transparent Hash and Equal, Find and PartitionOf accept any
+/// key type the two accept.
+template <typename Key, typename Value, typename Hash,
+          typename Equal = std::equal_to<Key>>
 class PartitionedIndex {
  public:
   static constexpr size_t kPartitionShift = 6;
   static constexpr size_t kPartitions = size_t{1} << kPartitionShift;
-  using Map = std::unordered_map<Key, Value, Hash>;
+  using Map = std::unordered_map<Key, Value, Hash, Equal>;
 
   /// The partition holding `key` (the top bits of a mixed hash, so the
   /// partition choice and the map's own bucket choice stay independent).
-  static size_t PartitionOf(const Key& key) noexcept {
+  template <typename K>
+  static size_t PartitionOf(const K& key) noexcept {
     const uint64_t mixed =
         static_cast<uint64_t>(Hash{}(key)) * 0x9E3779B97F4A7C15ULL;
     return static_cast<size_t>(mixed >> (64 - kPartitionShift));
   }
 
   /// The value stored under `key`, or nullptr.
-  const Value* Find(const Key& key) const {
+  template <typename K>
+  const Value* Find(const K& key) const {
     const Map* map = partitions_[PartitionOf(key)].get();
     if (map == nullptr) return nullptr;
     const auto it = map->find(key);

@@ -46,7 +46,7 @@ Configuration BuildHierarchyConfiguration(const MetaDatabase& db, OidId root,
                                           int64_t timestamp) {
   Configuration config;
   config.name = std::move(name);
-  config.built_from = "hierarchy of " + FormatOid(db.GetObject(root).oid);
+  config.built_from = "hierarchy of " + FormatOid(db.OidOf(root));
   config.created_at = timestamp;
   TraversalState state{db, rules, config, {}, {}};
   Visit(state, root, 0);

@@ -42,7 +42,8 @@ namespace damocles::metadb {
 /// The chunked tables of a MetaDatabase, as the tracker and the publish
 /// path name them. Objects, links and configurations are slot tables
 /// (chunks of consecutive slots); adjacency is chunked like objects;
-/// the three lookup indexes are hash partitions.
+/// symbol texts are chunked by id; the four lookup indexes are hash
+/// partitions.
 enum class DirtyTable : uint8_t {
   kObjects,
   kLinks,
@@ -51,8 +52,10 @@ enum class DirtyTable : uint8_t {
   kOidIndex,
   kChainIndex,
   kConfigIndex,
+  kSymbols,
+  kSymbolIndex,
 };
-inline constexpr size_t kDirtyTableCount = 7;
+inline constexpr size_t kDirtyTableCount = 9;
 
 /// The slots that mutated between two checkpoint cuts, per kind,
 /// ascending. Returned by DirtyTracker::Cut(); consumed by

@@ -8,12 +8,12 @@
 #pragma once
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "metadb/ids.hpp"
-#include "metadb/meta_object.hpp"
 
 namespace damocles::metadb {
 
@@ -58,7 +58,7 @@ struct Link {
   CarryPolicy carry = CarryPolicy::kNone;
 
   /// Free-form property/value annotations beyond PROPAGATE and TYPE.
-  PropertyMap properties;
+  std::map<std::string, std::string> properties;
 
   bool alive = true;
 

@@ -8,14 +8,12 @@ namespace damocles::metadb {
 
 namespace {
 
-std::string ChainKey(std::string_view block, std::string_view view) {
-  std::string key;
-  key.reserve(block.size() + 1 + view.size());
-  key.append(block);
-  key.push_back('\0');
-  key.append(view);
-  return key;
+uint64_t ChainKey(SymbolId block, SymbolId view) {
+  return (static_cast<uint64_t>(block) << 32) | view;
 }
+
+/// Set on wave worker threads (DenyInterningOnThisThread).
+thread_local bool tls_interning_denied = false;
 
 }  // namespace
 
@@ -29,9 +27,10 @@ OidId MetaDatabase::CreateObject(const Oid& oid, std::string_view user,
   if (by_oid_.Find(oid) != nullptr) {
     throw IntegrityError("CreateObject: duplicate OID " + FormatOid(oid));
   }
-  auto& chain = MutableChain(ChainKey(oid.block, oid.view));
-  const int expected =
-      chain.empty() ? 1 : objects_[chain.back().value()].oid.version + 1;
+  const std::vector<OidId>* existing = FindChain(oid.block, oid.view);
+  const int expected = existing == nullptr || existing->empty()
+                           ? 1
+                           : objects_[existing->back().value()].version + 1;
   if (oid.version != expected) {
     throw IntegrityError("CreateObject: version " +
                          std::to_string(oid.version) + " of " +
@@ -41,9 +40,12 @@ OidId MetaDatabase::CreateObject(const Oid& oid, std::string_view user,
 
   const OidId id(static_cast<uint32_t>(objects_.size()));
   MetaObject object;
-  object.oid = oid;
+  object.block = Intern(oid.block);
+  object.view = Intern(oid.view);
+  object.created_by = Intern(user);
+  object.version = oid.version;
   object.created_at = timestamp;
-  object.created_by = std::string(user);
+  auto& chain = MutableChain(object);
   objects_.push_back(std::move(object));
   // No adjacency mark: a fresh slot's link lists are the default value
   // every chunk already holds past its last slot.
@@ -62,10 +64,10 @@ OidId MetaDatabase::CreateNextVersion(std::string_view block,
                                       std::string_view view,
                                       std::string_view user,
                                       int64_t timestamp) {
-  const std::vector<OidId>* chain = chains_.Find(ChainKey(block, view));
+  const std::vector<OidId>* chain = FindChain(block, view);
   int next = 1;
   if (chain != nullptr && !chain->empty()) {
-    next = objects_[chain->back().value()].oid.version + 1;
+    next = objects_[chain->back().value()].version + 1;
   }
   return CreateObject(Oid{std::string(block), std::string(view), next}, user,
                       timestamp);
@@ -80,7 +82,7 @@ void MetaDatabase::DeleteObject(OidId id) {
   for (const LinkId link : out) DeleteLink(link);
   const std::vector<LinkId> in = adjacency_[id.value()].in;
   for (const LinkId link : in) DeleteLink(link);
-  UnindexOid(object.oid);
+  UnindexOid(OidOf(object));
   MarkObjectDirty(id.value());
 }
 
@@ -94,7 +96,7 @@ std::optional<OidId> MetaDatabase::FindObject(const Oid& oid) const {
 
 std::optional<OidId> MetaDatabase::FindLatest(std::string_view block,
                                               std::string_view view) const {
-  const std::vector<OidId>* chain = chains_.Find(ChainKey(block, view));
+  const std::vector<OidId>* chain = FindChain(block, view);
   if (chain == nullptr) return std::nullopt;
   // Walk backwards past deleted versions.
   for (auto rit = chain->rbegin(); rit != chain->rend(); ++rit) {
@@ -105,7 +107,7 @@ std::optional<OidId> MetaDatabase::FindLatest(std::string_view block,
 
 std::vector<OidId> MetaDatabase::VersionChain(std::string_view block,
                                               std::string_view view) const {
-  const std::vector<OidId>* chain = chains_.Find(ChainKey(block, view));
+  const std::vector<OidId>* chain = FindChain(block, view);
   if (chain == nullptr) return {};
   return *chain;
 }
@@ -114,14 +116,14 @@ std::optional<OidId> MetaDatabase::PreviousVersion(OidId id) const {
   CheckObjectHandle(id);
   const MetaObject& object = objects_[id.value()];
   const std::vector<OidId>* found =
-      chains_.Find(ChainKey(object.oid.block, object.oid.view));
+      chains_.Find(ChainKey(object.block, object.view));
   if (found == nullptr) return std::nullopt;
   const std::vector<OidId>& chain = *found;
   // Chains are ordered by strictly increasing version: binary search.
   const auto pos = std::lower_bound(
-      chain.begin(), chain.end(), object.oid.version,
+      chain.begin(), chain.end(), object.version,
       [this](OidId entry, int version) {
-        return objects_[entry.value()].oid.version < version;
+        return objects_[entry.value()].version < version;
       });
   if (pos == chain.end() || *pos != id || pos == chain.begin()) {
     return std::nullopt;
@@ -145,32 +147,89 @@ MetaObject& MetaDatabase::GetObjectMutable(OidId id) {
 
 // --- Properties -------------------------------------------------------------------
 
-void MetaDatabase::SetProperty(OidId id, const std::string& name,
-                               const std::string& value) {
+bool MetaDatabase::SetProperty(OidId id, std::string_view name,
+                               std::string_view value) {
+  return SetProperty(id, Intern(name), value);
+}
+
+bool MetaDatabase::SetProperty(OidId id, SymbolId name,
+                               std::string_view value) {
   CheckObjectHandle(id);
   MetaObject& object = objects_[id.value()];
-  object.properties[name] = value;
+  if (!PutProperty(object, name, value)) return false;
   ++object.revision;
   MarkObjectDirty(id.value());
+  return true;
+}
+
+bool MetaDatabase::PutProperty(MetaObject& object, SymbolId name,
+                               std::string_view value) const {
+  std::vector<Property>& properties = object.properties;
+  for (Property& property : properties) {
+    if (property.name != name) continue;
+    if (property.value == value) return false;
+    property.value.assign(value);
+    return true;
+  }
+  // New name: insert at its place in name-text order.
+  const std::string& text = SymbolText(name);
+  const auto pos = std::find_if(
+      properties.begin(), properties.end(),
+      [&](const Property& property) { return text < symbols_[property.name]; });
+  properties.insert(pos, Property{name, std::string(value)});
+  return true;
 }
 
 const std::string* MetaDatabase::GetProperty(OidId id,
-                                             const std::string& name) const {
+                                             std::string_view name) const {
   CheckObjectHandle(id);
-  const auto& properties = objects_[id.value()].properties;
-  const auto it = properties.find(name);
-  return it == properties.end() ? nullptr : &it->second;
+  return FindProperty(objects_[id.value()], name);
 }
 
-bool MetaDatabase::RemoveProperty(OidId id, const std::string& name) {
+bool MetaDatabase::RemoveProperty(OidId id, std::string_view name) {
   CheckObjectHandle(id);
-  MetaObject& object = objects_[id.value()];
-  const bool removed = object.properties.erase(name) > 0;
-  if (removed) {
-    ++object.revision;
-    MarkObjectDirty(id.value());
+  const SymbolId symbol = FindSymbol(name);
+  std::vector<Property>& properties = objects_[id.value()].properties;
+  const auto it = std::find_if(
+      properties.begin(), properties.end(),
+      [&](const Property& property) { return property.name == symbol; });
+  if (it == properties.end()) return false;
+  properties.erase(it);
+  ++objects_[id.value()].revision;
+  MarkObjectDirty(id.value());
+  return true;
+}
+
+// --- Symbols ----------------------------------------------------------------------
+
+SymbolId MetaDatabase::Intern(std::string_view text) {
+  const SymbolId found = FindSymbol(text);
+  if (found != SymbolTable::kNoSymbol) return found;
+  if (tls_interning_denied) {
+    throw IntegrityError("MetaDatabase::Intern: new name '" +
+                         std::string(text) +
+                         "' on a wave worker thread (names are interned "
+                         "only on structural paths)");
   }
-  return removed;
+  const auto id = static_cast<SymbolId>(symbols_.size());
+  symbols_.push_back(std::string(text));
+  dirty_->MarkChunk(DirtyTable::kSymbols, id >> kChunkShift);
+  const size_t partition = SymbolIndex::PartitionOf(text);
+  symbol_ids_.Mutable(partition).emplace(std::string(text), id);
+  dirty_->MarkChunk(DirtyTable::kSymbolIndex, partition);
+  return id;
+}
+
+const std::string& MetaDatabase::SymbolText(SymbolId id) const {
+  if (id >= symbols_.size()) {
+    throw NotFoundError("MetaDatabase::SymbolText: unknown symbol id " +
+                        std::to_string(id));
+  }
+  return symbols_[id];
+}
+
+void MetaDatabase::DenyInterningOnThisThread() noexcept {
+  tls_interning_denied = true;
 }
 
 // --- Links -----------------------------------------------------------------------
@@ -181,18 +240,16 @@ LinkId MetaDatabase::CreateLink(LinkKind kind, OidId from, OidId to,
   CheckObjectHandle(from);
   CheckObjectHandle(to);
   if (from == to) {
-    throw IntegrityError("CreateLink: self-link on " +
-                         FormatOid(objects_[from.value()].oid));
+    throw IntegrityError("CreateLink: self-link on " + FormatOid(OidOf(from)));
   }
   if (!objects_[from.value()].alive || !objects_[to.value()].alive) {
     throw IntegrityError("CreateLink: endpoint is deleted");
   }
   if (kind == LinkKind::kUse &&
-      objects_[from.value()].oid.view != objects_[to.value()].oid.view) {
+      objects_[from.value()].view != objects_[to.value()].view) {
     throw IntegrityError(
         "CreateLink: use link endpoints must share a view type (" +
-        FormatOid(objects_[from.value()].oid) + " vs " +
-        FormatOid(objects_[to.value()].oid) + ")");
+        FormatOid(OidOf(from)) + " vs " + FormatOid(OidOf(to)) + ")");
   }
 
   const LinkId id(static_cast<uint32_t>(links_.size()));
@@ -258,8 +315,7 @@ void MetaDatabase::MoveLinkEndpoint(LinkId id, bool endpoint_from,
   }
   if (endpoint == new_endpoint) return;
   if (link.kind == LinkKind::kUse &&
-      objects_[new_endpoint.value()].oid.view !=
-          objects_[other.value()].oid.view) {
+      objects_[new_endpoint.value()].view != objects_[other.value()].view) {
     throw IntegrityError(
         "MoveLinkEndpoint: use link endpoints must share a view type");
   }
@@ -407,19 +463,20 @@ DatabaseStats MetaDatabase::Stats() const {
 
 OidId MetaDatabase::RestoreObjectSlot(MetaObject object) {
   const OidId id(static_cast<uint32_t>(objects_.size()));
-  auto& chain = MutableChain(ChainKey(object.oid.block, object.oid.view));
+  const Oid oid = OidOf(object);
+  auto& chain = MutableChain(object);
   if (!chain.empty()) {
-    const int previous = objects_[chain.back().value()].oid.version;
-    if (object.oid.version <= previous) {
+    const int previous = objects_[chain.back().value()].version;
+    if (object.version <= previous) {
       throw IntegrityError("RestoreObjectSlot: version order violated for " +
-                           FormatOid(object.oid));
+                           FormatOid(oid));
     }
   }
-  if (object.alive && by_oid_.Find(object.oid) != nullptr) {
+  if (object.alive && by_oid_.Find(oid) != nullptr) {
     throw IntegrityError("RestoreObjectSlot: duplicate live OID " +
-                         FormatOid(object.oid));
+                         FormatOid(oid));
   }
-  if (object.alive) IndexOid(object.oid, id);
+  if (object.alive) IndexOid(oid, id);
   chain.push_back(id);
   objects_.push_back(std::move(object));
   adjacency_.push_back({});
@@ -474,17 +531,18 @@ void MetaDatabase::ApplyObjectSlot(size_t slot, MetaObject object) {
     return;
   }
   MetaObject& existing = objects_[slot];
-  if (!(existing.oid == object.oid)) {
+  const Oid oid = OidOf(object);
+  if (existing.block != object.block || existing.view != object.view ||
+      existing.version != object.version) {
     throw IntegrityError("ApplyObjectSlot: delta rewrites slot " +
                          std::to_string(slot) + " from " +
-                         FormatOid(existing.oid) + " to " +
-                         FormatOid(object.oid) + " (OIDs are immutable)");
+                         FormatOid(OidOf(existing)) + " to " +
+                         FormatOid(oid) + " (OIDs are immutable)");
   }
   if (existing.alive && !object.alive) {
-    UnindexOid(existing.oid);
-  } else if (!existing.alive && object.alive &&
-             by_oid_.Find(object.oid) == nullptr) {
-    IndexOid(object.oid, OidId(static_cast<uint32_t>(slot)));
+    UnindexOid(oid);
+  } else if (!existing.alive && object.alive && by_oid_.Find(oid) == nullptr) {
+    IndexOid(oid, OidId(static_cast<uint32_t>(slot)));
   }
   // The slot's revision stays monotone across the replacement, so an
   // engine that cached "settled at revision r" for it re-evaluates.
@@ -576,6 +634,11 @@ std::shared_ptr<const MetaDatabase> MetaDatabase::FreezeVersion(
   frozen->config_by_name_ = ConfigIndex::Freeze(
       p ? &p->config_by_name_ : nullptr, config_by_name_,
       dirty.of(DirtyTable::kConfigIndex));
+  frozen->symbols_ = ChunkedVector<std::string>::Freeze(
+      p ? &p->symbols_ : nullptr, symbols_, dirty.of(DirtyTable::kSymbols));
+  frozen->symbol_ids_ = SymbolIndex::Freeze(
+      p ? &p->symbol_ids_ : nullptr, symbol_ids_,
+      dirty.of(DirtyTable::kSymbolIndex));
   return frozen;
 }
 
@@ -589,9 +652,12 @@ size_t MetaDatabase::ChunkCount(DirtyTable table) const noexcept {
       return configurations_.chunk_count();
     case DirtyTable::kAdjacency:
       return adjacency_.chunk_count();
+    case DirtyTable::kSymbols:
+      return symbols_.chunk_count();
     case DirtyTable::kOidIndex:
     case DirtyTable::kChainIndex:
     case DirtyTable::kConfigIndex:
+    case DirtyTable::kSymbolIndex:
       return OidIndex::kPartitions;
   }
   return 0;
@@ -614,6 +680,10 @@ const void* MetaDatabase::ChunkAddress(DirtyTable table,
       return chains_.partition_address(index);
     case DirtyTable::kConfigIndex:
       return config_by_name_.partition_address(index);
+    case DirtyTable::kSymbols:
+      return symbols_.chunk_address(index);
+    case DirtyTable::kSymbolIndex:
+      return symbol_ids_.partition_address(index);
   }
   return nullptr;
 }
@@ -654,7 +724,19 @@ void MetaDatabase::UnindexOid(const Oid& oid) {
   dirty_->MarkChunk(DirtyTable::kOidIndex, partition);
 }
 
-std::vector<OidId>& MetaDatabase::MutableChain(const std::string& key) {
+const std::vector<OidId>* MetaDatabase::FindChain(
+    std::string_view block, std::string_view view) const {
+  const SymbolId block_symbol = FindSymbol(block);
+  const SymbolId view_symbol = FindSymbol(view);
+  if (block_symbol == SymbolTable::kNoSymbol ||
+      view_symbol == SymbolTable::kNoSymbol) {
+    return nullptr;
+  }
+  return chains_.Find(ChainKey(block_symbol, view_symbol));
+}
+
+std::vector<OidId>& MetaDatabase::MutableChain(const MetaObject& object) {
+  const uint64_t key = ChainKey(object.block, object.view);
   const size_t partition = ChainIndex::PartitionOf(key);
   dirty_->MarkChunk(DirtyTable::kChainIndex, partition);
   return chains_.Mutable(partition)[key];

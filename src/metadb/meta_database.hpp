@@ -11,6 +11,14 @@
 // handles — light-weight snapshots. Every table (and every lookup
 // index) is stored in fixed-size chunks (metadb/chunked.hpp) so a
 // snapshot publish copies only what changed since the previous one.
+//
+// The database owns a symbol table for every name its objects store:
+// block, view, creating user and property names. Objects hold ids
+// (metadb/meta_object.hpp); the Oid triplet stays the API and wire type
+// and is rebuilt on demand by OidOf. The table is stored like the other
+// tables, so a published version resolves names without touching live
+// state. Interning a new name is a structural (single-writer) mutation;
+// wave workers only look names up.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +28,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/symbol.hpp"
 #include "metadb/chunked.hpp"
 #include "metadb/configuration.hpp"
 #include "metadb/dirty_tracker.hpp"
@@ -85,7 +94,9 @@ class MetaDatabase {
  public:
   MetaDatabase()
       : snapshots_(std::make_unique<SnapshotStore>()),
-        dirty_(std::make_unique<DirtyTracker>()) {}
+        dirty_(std::make_unique<DirtyTracker>()) {
+    Intern("");
+  }
 
   // MetaDatabase owns large index structures; copying is almost always
   // a bug (use Configuration snapshots instead), so copies are disabled
@@ -138,13 +149,79 @@ class MetaDatabase {
     return id.value() < objects_.size() && objects_[id.value()].alive;
   }
 
+  /// The <block, view, version> triplet of an object.
+  Oid OidOf(OidId id) const { return OidOf(GetObject(id)); }
+  Oid OidOf(const MetaObject& object) const {
+    return Oid{BlockOf(object), ViewOf(object), object.version};
+  }
+  const std::string& BlockOf(const MetaObject& object) const noexcept {
+    return symbols_[object.block];
+  }
+  const std::string& ViewOf(const MetaObject& object) const noexcept {
+    return symbols_[object.view];
+  }
+
+  // --- Symbols -------------------------------------------------------------
+  // Thread contract: Intern of a NEW name is a structural mutation
+  // (create, check-in, load, recovery, blueprint install). FindSymbol
+  // and SymbolText are safe from wave workers, which never intern.
+
+  /// The id of `text`, interned on first use. Id 0 is the empty string.
+  /// Throws IntegrityError for a new name on a thread that called
+  /// DenyInterningOnThisThread().
+  SymbolId Intern(std::string_view text);
+
+  /// The id of `text`, or SymbolTable::kNoSymbol when it was never
+  /// interned. Never grows the table and never allocates.
+  SymbolId FindSymbol(std::string_view text) const {
+    const SymbolId* id = symbol_ids_.Find(text);
+    return id == nullptr ? SymbolTable::kNoSymbol : *id;
+  }
+
+  /// The text of `id`. Throws NotFoundError on an unknown id.
+  const std::string& SymbolText(SymbolId id) const;
+
+  size_t SymbolCount() const noexcept { return symbols_.size(); }
+
+  /// Marks the calling thread as a wave worker for the rest of its
+  /// life: interning a new name there fails loudly instead of racing
+  /// the concurrent readers of the table.
+  static void DenyInterningOnThisThread() noexcept;
+
   // --- Properties ---------------------------------------------------------
 
-  void SetProperty(OidId id, const std::string& name,
-                   const std::string& value);
-  /// Returns nullptr when the property is absent.
-  const std::string* GetProperty(OidId id, const std::string& name) const;
-  bool RemoveProperty(OidId id, const std::string& name);
+  /// Sets property `name` of `id`, interning the name on first use.
+  /// Returns false, bumping no revision and marking nothing dirty, when
+  /// the property already holds `value`.
+  bool SetProperty(OidId id, std::string_view name, std::string_view value);
+  /// The same for an interned name; never interns, so wave workers
+  /// write through it.
+  bool SetProperty(OidId id, SymbolId name, std::string_view value);
+  /// Returns nullptr when the property is absent. Never interns: a name
+  /// the database has never seen is absent.
+  const std::string* GetProperty(OidId id, std::string_view name) const;
+  bool RemoveProperty(OidId id, std::string_view name);
+
+  /// `object`'s property `name`, or nullptr (never interns).
+  const std::string* FindProperty(const MetaObject& object,
+                                  std::string_view name) const {
+    const SymbolId symbol = FindSymbol(name);
+    return symbol == SymbolTable::kNoSymbol ? nullptr
+                                            : object.FindProperty(symbol);
+  }
+  const std::string& PropertyOr(const MetaObject& object,
+                                std::string_view name,
+                                const std::string& fallback) const {
+    const std::string* value = FindProperty(object, name);
+    return value == nullptr ? fallback : *value;
+  }
+
+  /// Sets `name` to `value` in `object`'s property list, keeping the
+  /// list sorted by name text. Returns false when nothing changed.
+  /// Persistence assembles objects with it before RestoreObjectSlot /
+  /// ApplyObjectSlot; `name` must be a symbol of this database.
+  bool PutProperty(MetaObject& object, SymbolId name,
+                   std::string_view value) const;
 
   // --- Links ---------------------------------------------------------------
 
@@ -320,9 +397,11 @@ class MetaDatabase {
   };
 
   using OidIndex = PartitionedIndex<Oid, OidId, OidHash>;
-  // (block + '\0' + view) -> version chain, oldest first.
+  // ChainKey(block symbol, view symbol) -> version chain, oldest first.
   using ChainIndex =
-      PartitionedIndex<std::string, std::vector<OidId>, std::hash<std::string>>;
+      PartitionedIndex<uint64_t, std::vector<OidId>, std::hash<uint64_t>>;
+  using SymbolIndex =
+      PartitionedIndex<std::string, SymbolId, StringHash, std::equal_to<>>;
   using ConfigIndex =
       PartitionedIndex<std::string, ConfigId, std::hash<std::string>>;
 
@@ -356,7 +435,10 @@ class MetaDatabase {
   // partition it touches.
   void IndexOid(const Oid& oid, OidId id);
   void UnindexOid(const Oid& oid);
-  std::vector<OidId>& MutableChain(const std::string& key);
+  std::vector<OidId>& MutableChain(const MetaObject& object);
+  /// The chain of (block, view), or nullptr (never interns).
+  const std::vector<OidId>* FindChain(std::string_view block,
+                                      std::string_view view) const;
   void IndexConfig(const std::string& name, ConfigId id);
   void UnindexConfig(const std::string& name);
 
@@ -369,6 +451,8 @@ class MetaDatabase {
   OidIndex by_oid_;  ///< Live objects only.
   ChainIndex chains_;
   ConfigIndex config_by_name_;
+  ChunkedVector<std::string> symbols_;  ///< Symbol id -> text.
+  SymbolIndex symbol_ids_;              ///< Text -> symbol id.
 
   /// The epoch-versioned snapshot machinery. Behind a unique_ptr so the
   /// database stays movable (the store holds atomics and a mutex).

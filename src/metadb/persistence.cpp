@@ -15,14 +15,6 @@ namespace {
 constexpr std::string_view kMagic = "damocles-metadb v1";
 constexpr std::string_view kDeltaMagic = "damocles-metadb-delta v1";
 
-void WriteProperties(std::ostream& out, const char* keyword,
-                     const PropertyMap& properties) {
-  for (const auto& [name, value] : properties) {
-    out << "  " << keyword << " " << QuoteString(name) << " "
-        << QuoteString(value) << "\n";
-  }
-}
-
 class LineReader {
  public:
   explicit LineReader(std::istream& in) : in_(in) {}
@@ -95,13 +87,18 @@ std::vector<std::string> ParseQuotedList(LineReader& reader,
 // only which slots appear (and the config header's explicit slot in
 // deltas) differs.
 
-void WriteObjectSlot(std::ostream& out, size_t slot, const MetaObject& object) {
+void WriteObjectSlot(std::ostream& out, const MetaDatabase& db,
+                     uint32_t slot) {
+  const MetaObject& object = db.GetObject(OidId(slot));
   out << "object " << slot << " alive=" << (object.alive ? 1 : 0) << "\n";
-  out << "  oid " << QuoteString(object.oid.block) << " "
-      << QuoteString(object.oid.view) << " " << object.oid.version << "\n";
+  out << "  oid " << QuoteString(db.BlockOf(object)) << " "
+      << QuoteString(db.ViewOf(object)) << " " << object.version << "\n";
   out << "  created " << object.created_at << " "
-      << QuoteString(object.created_by) << "\n";
-  WriteProperties(out, "prop", object.properties);
+      << QuoteString(db.SymbolText(object.created_by)) << "\n";
+  for (const Property& property : object.properties) {
+    out << "  prop " << QuoteString(db.SymbolText(property.name)) << " "
+        << QuoteString(property.value) << "\n";
+  }
   out << "end\n";
 }
 
@@ -115,14 +112,17 @@ void WriteLinkSlot(std::ostream& out, size_t slot, const Link& link) {
     out << " " << QuoteString(event);
   }
   out << "\n";
-  WriteProperties(out, "lprop", link.properties);
+  for (const auto& [name, value] : link.properties) {
+    out << "  lprop " << QuoteString(name) << " " << QuoteString(value)
+        << "\n";
+  }
   out << "end\n";
 }
 
-/// Parses "object <slot> alive=<0|1>" + body through "end". Returns the
-/// slot index from the header.
+/// Parses "object <slot> alive=<0|1>" + body through "end", interning
+/// its names into `db`. Returns the slot index from the header.
 size_t ParseObjectRecord(LineReader& reader, const std::string& header_line,
-                         MetaObject& object) {
+                         MetaDatabase& db, MetaObject& object) {
   const auto header = SplitWhitespace(header_line);
   if (header.size() != 3 || !StartsWith(header[2], "alive=")) {
     reader.Fail("malformed object header '" + header_line + "'");
@@ -138,9 +138,9 @@ size_t ParseObjectRecord(LineReader& reader, const std::string& header_line,
     if (line == "end") break;
     if (StartsWith(line, "oid ")) {
       size_t pos = 4;
-      object.oid.block = ParseQuoted(reader, line, pos);
-      object.oid.view = ParseQuoted(reader, line, pos);
-      object.oid.version =
+      object.block = db.Intern(ParseQuoted(reader, line, pos));
+      object.view = db.Intern(ParseQuoted(reader, line, pos));
+      object.version =
           static_cast<int>(ParseInt(reader, Trim(line.substr(pos))));
     } else if (StartsWith(line, "created ")) {
       const auto pieces = SplitWhitespace(line);
@@ -148,13 +148,16 @@ size_t ParseObjectRecord(LineReader& reader, const std::string& header_line,
       object.created_at = ParseInt(reader, pieces[1]);
       size_t pos = line.find('"');
       if (pos != std::string::npos) {
-        object.created_by = ParseQuoted(reader, line, pos);
+        object.created_by = db.Intern(ParseQuoted(reader, line, pos));
       }
     } else if (StartsWith(line, "prop ")) {
       size_t pos = 5;
-      std::string name = ParseQuoted(reader, line, pos);
-      std::string value = ParseQuoted(reader, line, pos);
-      object.properties.emplace(std::move(name), std::move(value));
+      const SymbolId name = db.Intern(ParseQuoted(reader, line, pos));
+      const std::string value = ParseQuoted(reader, line, pos);
+      // The first record of a repeated name wins.
+      if (object.FindProperty(name) == nullptr) {
+        db.PutProperty(object, name, value);
+      }
     } else {
       reader.Fail("unexpected object line '" + line + "'");
     }
@@ -253,7 +256,7 @@ void SaveDatabaseText(const MetaDatabase& db, std::ostream& out) {
 
   out << "objects " << db.ObjectSlotCount() << "\n";
   for (size_t i = 0; i < db.ObjectSlotCount(); ++i) {
-    WriteObjectSlot(out, i, db.GetObject(OidId(static_cast<uint32_t>(i))));
+    WriteObjectSlot(out, db, static_cast<uint32_t>(i));
   }
 
   out << "links " << db.LinkSlotCount() << "\n";
@@ -298,7 +301,7 @@ MetaDatabase LoadDatabaseText(std::istream& in) {
       reader.Fail("expected 'object <slot> alive=<0|1>'");
     }
     MetaObject object;
-    ParseObjectRecord(reader, line, object);
+    ParseObjectRecord(reader, line, db, object);
     db.RestoreObjectSlot(std::move(object));
   }
 
@@ -365,7 +368,7 @@ void SaveDatabaseDeltaText(const MetaDatabase& db, const DirtySet& dirty,
 
   out << "objects " << dirty.objects.size() << "\n";
   for (const uint32_t slot : dirty.objects) {
-    WriteObjectSlot(out, slot, db.GetObject(OidId(slot)));
+    WriteObjectSlot(out, db, slot);
   }
 
   out << "links " << dirty.links.size() << "\n";
@@ -422,7 +425,7 @@ void ApplyDatabaseDeltaText(std::istream& in, MetaDatabase& db) {
       reader.Fail("expected 'object <slot> alive=<0|1>'");
     }
     MetaObject object;
-    const size_t slot = ParseObjectRecord(reader, line, object);
+    const size_t slot = ParseObjectRecord(reader, line, db, object);
     try {
       db.ApplyObjectSlot(slot, std::move(object));
     } catch (const Error& error) {

@@ -12,7 +12,7 @@ ShardMap::ShardMap(MetaDatabase& db, uint32_t num_shards)
   // protocol keep it current.
   block_of_slot_.assign(db_.ObjectSlotCount(), kUnassigned);
   db_.ForEachObject([this](OidId id, const MetaObject& object) {
-    const uint32_t block = InternBlock(object.oid.block);
+    const uint32_t block = InternBlock(db_.BlockOf(object));
     block_of_slot_[id.value()] = block;
     slots_of_block_[block].push_back(id.value());
   });
@@ -42,7 +42,7 @@ uint32_t ShardMap::ShardOf(OidId id) const noexcept {
 const std::string& ShardMap::RootBlockOf(OidId id) const {
   const uint32_t slot = id.value();
   if (slot >= block_of_slot_.size() || block_of_slot_[slot] == kUnassigned) {
-    return db_.GetObject(id).oid.block;  // Untracked: its own root.
+    return db_.BlockOf(db_.GetObject(id));  // Untracked: its own root.
   }
   return blocks_.Text(FindRoot(block_of_slot_[slot]));
 }
@@ -182,7 +182,7 @@ void ShardMap::OnObjectCreated(OidId id, const MetaObject& object) {
   if (id.value() >= block_of_slot_.size()) {
     block_of_slot_.resize(id.value() + 1, kUnassigned);
   }
-  const uint32_t block = InternBlock(object.oid.block);
+  const uint32_t block = InternBlock(db_.BlockOf(object));
   block_of_slot_[id.value()] = block;
   slots_of_block_[block].push_back(id.value());
 }

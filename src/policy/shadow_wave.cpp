@@ -25,8 +25,8 @@ using metadb::OidId;
 bool WouldPropagate(const MetaDatabase& db, const Blueprint& proposed,
                     const Link& link, std::string_view event_name) {
   const LinkTemplate* match = proposed.FindLinkTemplate(
-      link.kind, db.GetObject(link.from).oid.view,
-      db.GetObject(link.to).oid.view);
+      link.kind, db.ViewOf(db.GetObject(link.from)),
+      db.ViewOf(db.GetObject(link.to)));
   if (match == nullptr) return false;
   for (const std::string& event : match->propagates) {
     if (event == event_name) return true;
@@ -84,7 +84,7 @@ ShadowWaveReport TraceShadowWave(const MetaDatabase& db,
   const auto chain_of = [&](OidId target) {
     std::vector<Oid> chain;
     for (uint32_t at = target.value();;) {
-      chain.push_back(db.GetObject(OidId(at)).oid);
+      chain.push_back(db.OidOf(OidId(at)));
       if (at == start_id->value()) break;
       at = parent.at(at);
     }
@@ -123,7 +123,7 @@ ShadowWaveReport TraceShadowWave(const MetaDatabase& db,
         break;
       }
       ShadowWavePath path;
-      path.target = db.GetObject(receiver).oid;
+      path.target = db.OidOf(receiver);
       path.depth = depth;
       path.direct = depth == 1;
       path.chain = chain_of(receiver);

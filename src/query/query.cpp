@@ -25,42 +25,32 @@ void SortMatches(std::vector<Match>& matches) {
 }  // namespace
 
 std::vector<Match> ProjectQuery::FindByView(std::string_view view) const {
-  std::vector<Match> matches;
-  db_->ForEachObject([&](OidId id, const MetaObject& object) {
-    if (object.oid.view == view) matches.push_back(Match{id, object.oid});
-  });
-  SortMatches(matches);
-  return matches;
+  // A name the database never interned matches nothing.
+  const SymbolId symbol = db_->FindSymbol(view);
+  return FindWhere(
+      [symbol](const MetaObject& object) { return object.view == symbol; });
 }
 
 std::vector<Match> ProjectQuery::FindByBlock(std::string_view block) const {
-  std::vector<Match> matches;
-  db_->ForEachObject([&](OidId id, const MetaObject& object) {
-    if (object.oid.block == block) matches.push_back(Match{id, object.oid});
-  });
-  SortMatches(matches);
-  return matches;
+  const SymbolId symbol = db_->FindSymbol(block);
+  return FindWhere(
+      [symbol](const MetaObject& object) { return object.block == symbol; });
 }
 
 std::vector<Match> ProjectQuery::FindByProperty(std::string_view name,
                                                 std::string_view value) const {
-  std::vector<Match> matches;
-  const std::string key(name);
-  db_->ForEachObject([&](OidId id, const MetaObject& object) {
-    const auto it = object.properties.find(key);
-    if (it != object.properties.end() && it->second == value) {
-      matches.push_back(Match{id, object.oid});
-    }
+  const SymbolId symbol = db_->FindSymbol(name);
+  return FindWhere([symbol, value](const MetaObject& object) {
+    const std::string* found = object.FindProperty(symbol);
+    return found != nullptr && *found == value;
   });
-  SortMatches(matches);
-  return matches;
 }
 
 std::vector<Match> ProjectQuery::FindWhere(
     const std::function<bool(const MetaObject&)>& predicate) const {
   std::vector<Match> matches;
   db_->ForEachObject([&](OidId id, const MetaObject& object) {
-    if (predicate(object)) matches.push_back(Match{id, object.oid});
+    if (predicate(object)) matches.push_back(Match{id, db_->OidOf(object)});
   });
   SortMatches(matches);
   return matches;
@@ -68,14 +58,9 @@ std::vector<Match> ProjectQuery::FindWhere(
 
 std::vector<Match> ProjectQuery::FindMatching(
     const blueprint::Expr& expr) const {
-  std::vector<Match> matches;
-  db_->ForEachObject([&](OidId id, const MetaObject& object) {
-    if (expr.EvaluateBool(ResolverFor(object))) {
-      matches.push_back(Match{id, object.oid});
-    }
+  return FindWhere([&](const MetaObject& object) {
+    return expr.EvaluateBool(ResolverFor(object));
   });
-  SortMatches(matches);
-  return matches;
 }
 
 std::vector<Match> ProjectQuery::LatestVersions(
@@ -85,7 +70,7 @@ std::vector<Match> ProjectQuery::LatestVersions(
   std::unordered_set<std::string> seen;
   std::vector<Match> all;
   db_->ForEachObject([&](OidId id, const MetaObject& object) {
-    all.push_back(Match{id, object.oid});
+    all.push_back(Match{id, db_->OidOf(object)});
   });
   // Visit newest versions first so the first (block, view) hit wins.
   std::sort(all.begin(), all.end(), [](const Match& a, const Match& b) {
@@ -125,7 +110,7 @@ std::vector<Blocker> ProjectQuery::DistanceToPlannedState(
     const std::vector<std::string>& views) const {
   const auto in_scope = [&](const MetaObject& object) {
     if (views.empty()) return true;
-    return std::find(views.begin(), views.end(), object.oid.view) !=
+    return std::find(views.begin(), views.end(), db_->ViewOf(object)) !=
            views.end();
   };
   const std::vector<Match> scope = LatestVersions(in_scope);
@@ -134,10 +119,10 @@ std::vector<Blocker> ProjectQuery::DistanceToPlannedState(
   for (const Match& match : scope) {
     const MetaObject& object = db_->GetObject(match.id);
     for (const PlannedProperty& planned : plan) {
-      const auto it = object.properties.find(planned.property);
-      if (it == object.properties.end()) continue;  // Not tracked here.
-      if (it->second != planned.required_value) {
-        blockers.push_back(Blocker{object.oid, planned.property, it->second,
+      const std::string* value = db_->FindProperty(object, planned.property);
+      if (value == nullptr) continue;  // Not tracked here.
+      if (*value != planned.required_value) {
+        blockers.push_back(Blocker{match.oid, planned.property, *value,
                                    planned.required_value});
       }
     }
@@ -156,7 +141,7 @@ std::vector<Match> ProjectQuery::HierarchyMembers(const Oid& root) const {
   while (!frontier.empty()) {
     const OidId current = frontier.front();
     frontier.pop_front();
-    matches.push_back(Match{current, db_->GetObject(current).oid});
+    matches.push_back(Match{current, db_->OidOf(current)});
     for (const LinkId link_id : db_->OutLinks(current)) {
       const Link& link = db_->GetLink(link_id);
       if (link.kind != LinkKind::kUse) continue;
@@ -183,7 +168,7 @@ std::vector<Match> ProjectQuery::DerivationSources(const Oid& oid) const {
       const Link& link = db_->GetLink(link_id);
       if (link.kind != LinkKind::kDerive) continue;
       if (visited.insert(link.from.value()).second) {
-        matches.push_back(Match{link.from, db_->GetObject(link.from).oid});
+        matches.push_back(Match{link.from, db_->OidOf(link.from)});
         frontier.push_back(link.from);
       }
     }
@@ -206,12 +191,11 @@ metadb::Configuration ProjectQuery::ToConfiguration(
 
 blueprint::VariableResolver ProjectQuery::ResolverFor(
     const MetaObject& object) const {
-  return [&object](std::string_view name) -> std::string {
-    if (name == "block") return object.oid.block;
-    if (name == "view") return object.oid.view;
-    if (name == "version") return std::to_string(object.oid.version);
-    const auto it = object.properties.find(std::string(name));
-    return it == object.properties.end() ? std::string() : it->second;
+  return [this, &object](std::string_view name) -> std::string {
+    if (name == "block") return db_->BlockOf(object);
+    if (name == "view") return db_->ViewOf(object);
+    if (name == "version") return std::to_string(object.version);
+    return db_->PropertyOr(object, name, std::string());
   };
 }
 

@@ -13,9 +13,9 @@ ProjectReport BuildProjectReport(const metadb::Snapshot& snapshot) {
   for (const Match& match : query.LatestVersions(nullptr)) {
     const metadb::MetaObject& object = db.GetObject(match.id);
     ReportRow row;
-    row.oid = object.oid;
-    row.state = object.PropertyOr("state", "");
-    row.uptodate = object.PropertyOr("uptodate", "");
+    row.oid = match.oid;
+    row.state = db.PropertyOr(object, "state", "");
+    row.uptodate = db.PropertyOr(object, "uptodate", "");
     row.property_count = object.properties.size();
     row.out_links = db.OutLinks(match.id).size();
     row.in_links = db.InLinks(match.id).size();

@@ -91,8 +91,8 @@ bool TaskGraph::GoalsSatisfied(const metadb::MetaDatabase& db,
   for (const GoalCondition& goal : task.goals) {
     // Scope: latest version of each matching (block, view) pair.
     const auto in_scope = [&](const metadb::MetaObject& object) {
-      if (object.oid.view != goal.view) return false;
-      return goal.block.empty() || object.oid.block == goal.block;
+      if (db.ViewOf(object) != goal.view) return false;
+      return goal.block.empty() || db.BlockOf(object) == goal.block;
     };
     const auto scope = q.LatestVersions(in_scope);
     if (scope.empty()) {
@@ -107,11 +107,11 @@ bool TaskGraph::GoalsSatisfied(const metadb::MetaDatabase& db,
     }
     for (const auto& match : scope) {
       const metadb::MetaObject& object = db.GetObject(match.id);
-      const std::string actual = object.PropertyOr(goal.property, "");
+      const std::string actual = db.PropertyOr(object, goal.property, "");
       if (actual != goal.required_value) {
         satisfied = false;
         if (open_goals != nullptr) {
-          open_goals->push_back(query::Blocker{object.oid, goal.property,
+          open_goals->push_back(query::Blocker{match.oid, goal.property,
                                                actual, goal.required_value});
         }
       }

@@ -41,7 +41,7 @@ Oid LatestOid(const engine::ProjectServer& server, const std::string& block,
   if (!id.has_value()) {
     throw NotFoundError("no tracked version of " + block + "." + view);
   }
-  return server.database().GetObject(*id).oid;
+  return server.database().OidOf(*id);
 }
 
 }  // namespace

@@ -16,12 +16,11 @@ PermissionDecision RequestPermission(
   }
   const metadb::MetaObject& object = db.GetObject(*id);
   for (const InputRequirement& requirement : requirements) {
-    const auto it = object.properties.find(requirement.property);
     const std::string actual =
-        it == object.properties.end() ? std::string() : it->second;
+        db.PropertyOr(object, requirement.property, std::string());
     if (actual != requirement.required_value) {
       return PermissionDecision{
-          false, metadb::FormatOid(object.oid) + ": " + requirement.property +
+          false, metadb::FormatOid(db.OidOf(object)) + ": " + requirement.property +
                      " = '" + actual + "', required '" +
                      requirement.required_value + "'"};
     }

@@ -60,11 +60,11 @@ std::string RenderBlockState(const metadb::Snapshot& snapshot,
   // Collect the latest version of every view this block has.
   std::map<std::string, OidId> latest;
   db.ForEachObject([&](OidId id, const MetaObject& object) {
-    if (object.oid.block != block) return;
-    const auto it = latest.find(object.oid.view);
+    if (db.BlockOf(object) != block) return;
+    const auto it = latest.find(db.ViewOf(object));
     if (it == latest.end() ||
-        db.GetObject(it->second).oid.version < object.oid.version) {
-      latest[object.oid.view] = id;
+        db.GetObject(it->second).version < object.version) {
+      latest[db.ViewOf(object)] = id;
     }
   });
 
@@ -75,18 +75,18 @@ std::string RenderBlockState(const metadb::Snapshot& snapshot,
   }
   for (const auto& [view, id] : latest) {
     const MetaObject& object = db.GetObject(id);
-    const std::string uptodate = object.PropertyOr("uptodate", "-");
-    const std::string state = object.PropertyOr("state", "-");
-    text += "  [" + view + "] v" + std::to_string(object.oid.version) +
+    const std::string uptodate = db.PropertyOr(object, "uptodate", "-");
+    const std::string state = db.PropertyOr(object, "state", "-");
+    text += "  [" + view + "] v" + std::to_string(object.version) +
             "  uptodate=" + uptodate + " state=" + state + "\n";
-    for (const auto& [name, value] : object.properties) {
+    for (const metadb::Property& property : object.properties) {
+      const std::string& name = db.SymbolText(property.name);
       if (name == "uptodate" || name == "state") continue;
-      text += "      . " + name + " = '" + value + "'\n";
+      text += "      . " + name + " = '" + property.value + "'\n";
     }
     for (const LinkId link_id : db.InLinks(id)) {
       const Link& link = db.GetLink(link_id);
-      const MetaObject& source = db.GetObject(link.from);
-      text += "      <-- " + FormatOid(source.oid);
+      text += "      <-- " + FormatOid(db.OidOf(link.from));
       if (!link.type.empty()) text += " (" + link.type + ")";
       text += "\n";
     }
@@ -124,12 +124,12 @@ std::string ExportDot(const metadb::Snapshot& snapshot,
   if (options.latest_only) {
     std::map<std::string, OidId> latest;
     db.ForEachObject([&](OidId id, const MetaObject& object) {
-      std::string key = object.oid.block;
+      std::string key = db.BlockOf(object);
       key.push_back('\0');
-      key += object.oid.view;
+      key += db.ViewOf(object);
       const auto it = latest.find(key);
       if (it == latest.end() ||
-          db.GetObject(it->second).oid.version < object.oid.version) {
+          db.GetObject(it->second).version < object.version) {
         latest[key] = id;
       }
     });
@@ -145,12 +145,12 @@ std::string ExportDot(const metadb::Snapshot& snapshot,
     if (!included.contains(id.value())) return;
     std::string color = "lightgrey";
     if (options.color_by_state) {
-      const std::string uptodate = object.PropertyOr("uptodate", "");
+      const std::string uptodate = db.PropertyOr(object, "uptodate", "");
       if (uptodate == "true") color = "palegreen";
       if (uptodate == "false") color = "lightcoral";
     }
-    dot += "  " + DotId(object.oid) + " [label=\"" +
-           DotEscape(FormatOid(object.oid)) +
+    const metadb::Oid oid = db.OidOf(object);
+    dot += "  " + DotId(oid) + " [label=\"" + DotEscape(FormatOid(oid)) +
            "\", style=filled, fillcolor=" + color + "];\n";
   });
   db.ForEachLink([&](LinkId, const Link& link) {
@@ -158,8 +158,8 @@ std::string ExportDot(const metadb::Snapshot& snapshot,
         !included.contains(link.to.value())) {
       return;
     }
-    dot += "  " + DotId(db.GetObject(link.from).oid) + " -> " +
-           DotId(db.GetObject(link.to).oid);
+    dot += "  " + DotId(db.OidOf(link.from)) + " -> " +
+           DotId(db.OidOf(link.to));
     std::string attrs;
     if (link.kind == LinkKind::kUse) attrs += "style=dashed";
     if (options.label_links) {

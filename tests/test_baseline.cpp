@@ -87,8 +87,8 @@ TEST_P(SelectiveVsFullSweep, AgreeOnLatestVersionStaleness) {
   const auto latest_before = q.LatestVersions(nullptr);
   std::map<std::string, std::string> engine_state;
   for (const auto& match : latest_before) {
-    engine_state[FormatOid(match.oid)] =
-        server.database().GetObject(match.id).PropertyOr("uptodate", "?");
+    engine_state[FormatOid(match.oid)] = server.database().PropertyOr(
+        server.database().GetObject(match.id), "uptodate", "?");
   }
 
   FullRecomputeTracker tracker(
@@ -96,8 +96,8 @@ TEST_P(SelectiveVsFullSweep, AgreeOnLatestVersionStaleness) {
   tracker.RecomputeAll();
 
   for (const auto& match : q.LatestVersions(nullptr)) {
-    const std::string recomputed =
-        server.database().GetObject(match.id).PropertyOr("uptodate", "?");
+    const std::string recomputed = server.database().PropertyOr(
+        server.database().GetObject(match.id), "uptodate", "?");
     EXPECT_EQ(engine_state.at(FormatOid(match.oid)), recomputed)
         << "disagreement on " << FormatOid(match.oid) << " (seed "
         << GetParam() << ")";

@@ -77,7 +77,7 @@ TEST_F(ConfigBuilderTest, QueryConfiguration) {
   db_.SetProperty(a_, "uptodate", "false");
   const Configuration config = BuildQueryConfiguration(
       db_, "stale", [&](OidId, const MetaObject& object) {
-        return object.PropertyOr("uptodate", "") == "false";
+        return db_.PropertyOr(object, "uptodate", "") == "false";
       },
       20);
   ASSERT_EQ(config.oids.size(), 1u);

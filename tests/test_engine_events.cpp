@@ -30,7 +30,7 @@ class EngineEventTest : public ::testing::Test {
     EventMessage event;
     event.name = name;
     event.direction = direction;
-    event.target = db_.GetObject(target).oid;
+    event.target = db_.OidOf(target);
     event.arg = arg;
     event.user = "tester";
     return event;
@@ -402,7 +402,7 @@ TEST_F(EngineEventTest, WaveTruncationGuard) {
   EventMessage event;
   event.name = "flood";
   event.direction = Direction::kDown;
-  event.target = db_.GetObject(a).oid;
+  event.target = db_.OidOf(a);
   small.PostEvent(event);
   small.ProcessAll();
   EXPECT_EQ(small.stats().waves_truncated, 1u);
@@ -520,7 +520,7 @@ TEST_F(EngineEventTest, EventsWithoutBlueprintJustJournal) {
   const OidId id = db_.CreateNextVersion("x", "v", "u", 0);
   EventMessage event;
   event.name = "ev";
-  event.target = db_.GetObject(id).oid;
+  event.target = db_.OidOf(id);
   engine_.PostEvent(event);
   EXPECT_NO_THROW(engine_.ProcessAll());
   EXPECT_EQ(engine_.journal().Size(), 1u);

@@ -34,7 +34,7 @@ size_t Storm(engine::ProjectServer& server, size_t n, uint64_t seed) {
   std::vector<Oid> targets;
   server.database().ForEachObject(
       [&](metadb::OidId, const metadb::MetaObject& object) {
-        targets.push_back(object.oid);
+        targets.push_back(server.database().OidOf(object));
       });
   if (targets.empty()) return 0;
 
@@ -77,14 +77,12 @@ TEST_P(EngineFuzz, RandomStormsPreserveInvariants) {
 
   // Invariant 1: boolean-valued tracked properties stay boolean.
   db.ForEachObject([&](metadb::OidId, const metadb::MetaObject& object) {
-    const auto uptodate = object.properties.find("uptodate");
-    if (uptodate != object.properties.end()) {
-      EXPECT_TRUE(uptodate->second == "true" || uptodate->second == "false")
-          << FormatOid(object.oid) << " uptodate=" << uptodate->second;
+    if (const std::string* uptodate = db.FindProperty(object, "uptodate")) {
+      EXPECT_TRUE(*uptodate == "true" || *uptodate == "false")
+          << FormatOid(db.OidOf(object)) << " uptodate=" << *uptodate;
     }
-    const auto state = object.properties.find("state");
-    if (state != object.properties.end()) {
-      EXPECT_TRUE(state->second == "true" || state->second == "false");
+    if (const std::string* state = db.FindProperty(object, "state")) {
+      EXPECT_TRUE(*state == "true" || *state == "false");
     }
   });
 

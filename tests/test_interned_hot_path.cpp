@@ -202,7 +202,7 @@ TEST(InternedHotPath, NoBlueprintDeliveriesTouchNoRuleTables) {
   events::EventMessage event;
   event.name = "edit";
   event.direction = Direction::kDown;
-  event.target = db.GetObject(a).oid;
+  event.target = db.OidOf(a);
   engine.PostEvent(std::move(event));
   engine.ProcessAll();
   const EngineStats& stats = engine.stats();

@@ -20,8 +20,8 @@ class MetaDatabaseTest : public ::testing::Test {
 TEST_F(MetaDatabaseTest, CreateAssignsSequentialVersions) {
   const OidId v1 = Create("cpu", "hdl");
   const OidId v2 = Create("cpu", "hdl");
-  EXPECT_EQ(db_.GetObject(v1).oid.version, 1);
-  EXPECT_EQ(db_.GetObject(v2).oid.version, 2);
+  EXPECT_EQ(db_.GetObject(v1).version, 1);
+  EXPECT_EQ(db_.GetObject(v2).version, 2);
 }
 
 TEST_F(MetaDatabaseTest, CreateObjectRejectsDuplicates) {
@@ -286,7 +286,7 @@ TEST_F(MetaDatabaseTest, VersionContinuesAfterDeletingLatest) {
   const OidId v2 = Create("cpu", "hdl");
   db_.DeleteObject(v2);
   const OidId v3 = Create("cpu", "hdl");
-  EXPECT_EQ(db_.GetObject(v3).oid.version, 3);
+  EXPECT_EQ(db_.GetObject(v3).version, 3);
 }
 
 /// Chain-length sweep: version chains stay consistent at any length.
@@ -301,7 +301,7 @@ TEST_P(VersionChainSweep, ChainInvariants) {
   const auto chain = db.VersionChain("blk", "view");
   ASSERT_EQ(chain.size(), static_cast<size_t>(length));
   for (int i = 0; i < length; ++i) {
-    EXPECT_EQ(db.GetObject(chain[static_cast<size_t>(i)]).oid.version, i + 1);
+    EXPECT_EQ(db.GetObject(chain[static_cast<size_t>(i)]).version, i + 1);
     if (i > 0) {
       EXPECT_EQ(db.PreviousVersion(chain[static_cast<size_t>(i)]),
                 chain[static_cast<size_t>(i - 1)]);

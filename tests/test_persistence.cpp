@@ -5,6 +5,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "metadb/config_builder.hpp"
+#include "test_util.hpp"
 
 namespace damocles::metadb {
 namespace {
@@ -44,12 +45,15 @@ TEST(Persistence, RoundTripPreservesEverything) {
 
   // Objects keep identity, properties, liveness.
   for (size_t i = 0; i < original.ObjectSlotCount(); ++i) {
-    const MetaObject& a = original.GetObject(OidId(uint32_t(i)));
-    const MetaObject& b = loaded.GetObject(OidId(uint32_t(i)));
-    EXPECT_EQ(a.oid, b.oid);
-    EXPECT_EQ(a.properties, b.properties);
+    const OidId id(static_cast<uint32_t>(i));
+    const MetaObject& a = original.GetObject(id);
+    const MetaObject& b = loaded.GetObject(id);
+    EXPECT_EQ(original.OidOf(a), loaded.OidOf(b));
+    EXPECT_EQ(testutil::PropertyTexts(original, id),
+              testutil::PropertyTexts(loaded, id));
     EXPECT_EQ(a.created_at, b.created_at);
-    EXPECT_EQ(a.created_by, b.created_by);
+    EXPECT_EQ(original.SymbolText(a.created_by),
+              loaded.SymbolText(b.created_by));
     EXPECT_EQ(a.alive, b.alive);
   }
   // Links keep endpoints, kinds, carry, PROPAGATE.
@@ -90,7 +94,7 @@ TEST(Persistence, LoadedDatabaseRemainsUsable) {
   // Indexes were rebuilt: lookups and new versions work.
   EXPECT_TRUE(loaded.FindObject(Oid{"cpu", "HDL_model", 2}).has_value());
   const OidId v3 = loaded.CreateNextVersion("cpu", "HDL_model", "carol", 99);
-  EXPECT_EQ(loaded.GetObject(v3).oid.version, 3);
+  EXPECT_EQ(loaded.GetObject(v3).version, 3);
   // Adjacency was rebuilt.
   const auto sch = loaded.FindObject(Oid{"cpu", "schematic", 1});
   ASSERT_TRUE(sch.has_value());
@@ -166,7 +170,7 @@ void ExpectBitIdenticalIds(const MetaDatabase& original,
   for (size_t i = 0; i < original.ObjectSlotCount(); ++i) {
     const MetaObject& object = original.GetObject(OidId(uint32_t(i)));
     if (!object.alive) continue;
-    const auto found = loaded.FindObject(object.oid);
+    const auto found = loaded.FindObject(original.OidOf(object));
     ASSERT_TRUE(found.has_value()) << "slot " << i;
     EXPECT_EQ(found->value(), uint32_t(i));
   }
@@ -247,14 +251,14 @@ TEST(PersistenceAdversarial, InterleavedDeleteRecreateRoundTrips) {
   const MetaDatabase* const_loaded = &loaded;
   int max_version = 0;
   const_loaded->ForEachObject([&](OidId, const MetaObject& object) {
-    if (object.oid.block == "churn0") {
-      max_version = std::max(max_version, object.oid.version);
+    if (const_loaded->BlockOf(object) == "churn0") {
+      max_version = std::max(max_version, object.version);
     }
   });
   MetaDatabase mutable_loaded = LoadDatabaseString(once);
   const OidId next =
       mutable_loaded.CreateNextVersion("churn0", "view0", "next", 999);
-  EXPECT_GT(mutable_loaded.GetObject(next).oid.version, max_version);
+  EXPECT_GT(mutable_loaded.GetObject(next).version, max_version);
 }
 
 /// Property sweep: randomly built databases round-trip byte-identically.

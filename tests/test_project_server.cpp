@@ -123,7 +123,7 @@ TEST(ProjectServer, WorkspaceAndMetaDbVersionsAgree) {
   EXPECT_EQ(server->workspace().LatestVersion("CPU", "HDL_model"), 5);
   const auto latest = server->database().FindLatest("CPU", "HDL_model");
   ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(server->database().GetObject(*latest).oid.version, 5);
+  EXPECT_EQ(server->database().GetObject(*latest).version, 5);
 }
 
 }  // namespace

@@ -45,7 +45,9 @@ TEST(DesignerWorkspace, PromotionCreatesTrackedVersion) {
   EXPECT_EQ(LatestProp(*server, "CPU", "HDL_model", "uptodate"), "true");
   EXPECT_EQ(server->engine().stats().events_processed, 1u);
   const auto id = server->database().FindObject(promoted);
-  EXPECT_EQ(server->database().GetObject(*id).created_by, "alice");
+  EXPECT_EQ(server->database().SymbolText(
+                server->database().GetObject(*id).created_by),
+            "alice");
 }
 
 TEST(DesignerWorkspace, PromoteWithoutDraftThrows) {

@@ -58,7 +58,7 @@ TEST_F(QueryTest, FindByProperty) {
 TEST_F(QueryTest, FindWhereArbitraryPredicate) {
   ProjectQuery q(server_->database());
   const auto v2s = q.FindWhere([](const metadb::MetaObject& object) {
-    return object.oid.version == 2;
+    return object.version == 2;
   });
   ASSERT_EQ(v2s.size(), 1u);
   EXPECT_EQ(v2s[0].oid, (Oid{"CPU", "HDL_model", 2}));

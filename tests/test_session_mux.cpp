@@ -71,7 +71,7 @@ TEST(SessionMuxSnapshotTest, PinnedEpochIsStableUnderMutation) {
 
   // Handles are identical across the publish: the frozen version
   // resolves the same OidId to the same object.
-  EXPECT_EQ(s2.db().GetObject(id).oid, db.GetObject(id).oid);
+  EXPECT_EQ(s2.db().OidOf(id), db.OidOf(id));
 }
 
 TEST(SessionMuxSnapshotTest, PublishIsNoOpWithoutMutations) {

@@ -14,6 +14,7 @@
 // an assignment chain that needs more than one delivery to settle.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,7 +37,7 @@ using events::EventMessage;
 using metadb::MetaObject;
 using metadb::Oid;
 using metadb::OidId;
-using metadb::PropertyMap;
+using PropertyMap = std::map<std::string, std::string>;
 
 /// Blueprint exercising every input a continuous assignment can read:
 /// own properties (`cell`), a chain deeper than two passes (`chain`),
@@ -88,27 +89,30 @@ std::string PromotedBlueprint(const std::string& start_date) {
 /// passes over a copy of its properties — resolving variables the way
 /// the engine does for a refresh (no event payload).
 PropertyMap Recompute(const blueprint::Blueprint& blueprint,
-                      const MetaObject& object, const SimClock& clock) {
-  PropertyMap copy = object.properties;
+                      const metadb::MetaDatabase& db, OidId id,
+                      const SimClock& clock) {
+  const MetaObject& object = db.GetObject(id);
+  const Oid oid = db.OidOf(object);
+  PropertyMap copy = testutil::PropertyTexts(db, id);
   const blueprint::VariableResolver resolve =
       [&](std::string_view name) -> std::string {
     if (name == "arg" || name == "user" || name == "event") return "";
     if (name == "dir") return events::DirectionName(EventMessage{}.direction);
     if (name == "date") return SimClock::FormatDate(clock.NowSeconds());
-    if (name == "oid") return metadb::FormatOidWire(object.oid);
-    if (name == "OID") return metadb::FormatOid(object.oid);
-    if (name == "block") return object.oid.block;
-    if (name == "view") return object.oid.view;
-    if (name == "version") return std::to_string(object.oid.version);
+    if (name == "oid") return metadb::FormatOidWire(oid);
+    if (name == "OID") return metadb::FormatOid(oid);
+    if (name == "block") return oid.block;
+    if (name == "view") return oid.view;
+    if (name == "version") return std::to_string(oid.version);
     if (name == "owner") {
       const auto it = copy.find("owner");
-      return it != copy.end() ? it->second : object.created_by;
+      return it != copy.end() ? it->second : db.SymbolText(object.created_by);
     }
     const auto it = copy.find(std::string(name));
     return it == copy.end() ? std::string() : it->second;
   };
   const blueprint::ViewTemplate* sources[2] = {
-      blueprint.DefaultView(), blueprint.FindView(object.oid.view)};
+      blueprint.DefaultView(), blueprint.FindView(oid.view)};
   for (int pass = 0; pass < 2; ++pass) {
     for (const blueprint::ViewTemplate* source : sources) {
       if (source == nullptr) continue;
@@ -141,12 +145,12 @@ size_t ExpectSettledAreFixedPoints(ProjectServer& server,
   size_t checked = 0;
   const metadb::MetaDatabase& db = server.database();
   for (const RunTimeEngine* engine : Engines(server)) {
-    db.ForEachObject([&](OidId id, const MetaObject& object) {
+    db.ForEachObject([&](OidId id, const MetaObject&) {
       if (!engine->IsSettled(id)) return;
       ++checked;
-      EXPECT_EQ(Recompute(engine->Current(), object, server.clock()),
-                object.properties)
-          << label << ": settled " << metadb::FormatOid(object.oid)
+      EXPECT_EQ(Recompute(engine->Current(), db, id, server.clock()),
+                testutil::PropertyTexts(db, id))
+          << label << ": settled " << metadb::FormatOid(db.OidOf(id))
           << " would change on re-evaluation";
     });
   }
@@ -228,10 +232,8 @@ TEST(SettledRefresh, OutOfDateWavesSkipSettledOidsAndStayExact) {
   // a repeat of it reaches OIDs that are already out of date.
   f.server->CheckIn("root", "cell", "v2", "alice");
   ExpectSettledAreFixedPoints(*f.server, "after check-in");
-  const Oid root2 = f.server->database()
-                       .GetObject(*f.server->database().FindLatest("root",
-                                                                   "cell"))
-                       .oid;
+  const Oid root2 = f.server->database().OidOf(
+      *f.server->database().FindLatest("root", "cell"));
   for (const Oid& cell : f.cells) {
     EXPECT_EQ(Prop(*f.server, cell, "uptodate"), "false");
   }
@@ -299,7 +301,7 @@ TEST(SettledRefresh, DirectWritesUnsettleAndTheNextDeliveryReevaluates) {
   EXPECT_FALSE(db.RemoveProperty(id, "no_such_property"));
   EXPECT_TRUE(f.Settled(target));
 
-  db.GetObjectMutable(id).properties["uptodate"] = "true";
+  db.PutProperty(db.GetObjectMutable(id), db.FindSymbol("uptodate"), "true");
   EXPECT_FALSE(f.Settled(target));
   ExpectSettledAreFixedPoints(*f.server, "after GetObjectMutable");
   Poke(*f.server, target);
@@ -340,7 +342,7 @@ TEST(SettledRefresh, ReplacedSlotsNeverLookSettled) {
   // A slot replaced by a copy that carries the settled revision but
   // different properties: the revision must still move past it.
   MetaObject replacement = db.GetObject(id);
-  replacement.properties["result_0"] = "good";
+  db.PutProperty(replacement, db.FindSymbol("result_0"), "good");
   db.ApplyObjectSlot(id.value(), std::move(replacement));
   EXPECT_FALSE(f.Settled(target));
   ExpectSettledAreFixedPoints(*f.server, "after ApplyObjectSlot");
@@ -354,7 +356,10 @@ TEST(SettledRefresh, ReplacedSlotsNeverLookSettled) {
   metadb::MetaDatabase other = metadb::LoadDatabaseString(base);
   other.CutDirtySet();
   for (const Oid& cell : f.cells) {
+    // Most cells already read "bad", and a write of the value already
+    // there is no mutation; the note puts every cell in the delta.
     other.SetProperty(*other.FindObject(cell), "result_0", "bad");
+    other.SetProperty(*other.FindObject(cell), "note", "replaced");
   }
   metadb::ApplyDatabaseDeltaString(
       metadb::SaveDatabaseDeltaString(other, other.CutDirtySet()), db);

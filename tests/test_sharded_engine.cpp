@@ -171,8 +171,9 @@ std::vector<std::string> SortedLines(std::vector<std::string> lines) {
 std::map<std::string, std::string> PropertySnapshot(const MetaDatabase& db) {
   std::map<std::string, std::string> snapshot;
   db.ForEachObject([&](OidId, const metadb::MetaObject& object) {
-    for (const auto& [name, value] : object.properties) {
-      snapshot[metadb::FormatOid(object.oid) + "/" + name] = value;
+    for (const metadb::Property& property : object.properties) {
+      snapshot[metadb::FormatOid(db.OidOf(object)) + "/" +
+               db.SymbolText(property.name)] = property.value;
     }
   });
   return snapshot;
@@ -1142,8 +1143,8 @@ TEST(ShardMap, OracleAfterRandomLinkMoves) {
     std::map<std::string, std::set<std::string>> adjacency;
     db.ForEachLink([&](metadb::LinkId, const metadb::Link& link) {
       if (link.kind != LinkKind::kUse) return;
-      const std::string& from = db.GetObject(link.from).oid.block;
-      const std::string& to = db.GetObject(link.to).oid.block;
+      const std::string& from = db.BlockOf(db.GetObject(link.from));
+      const std::string& to = db.BlockOf(db.GetObject(link.to));
       adjacency[from].insert(to);
       adjacency[to].insert(from);
     });
@@ -1172,7 +1173,7 @@ TEST(ShardMap, OracleAfterRandomLinkMoves) {
     };
 
     for (const OidId id : oids) {
-      const std::string& block = db.GetObject(id).oid.block;
+      const std::string& block = db.BlockOf(db.GetObject(id));
       EXPECT_EQ(map.RootBlockOf(id), oracle_root(block))
           << "seed " << seed << " block " << block;
       EXPECT_LT(map.ShardOf(id), kShards);

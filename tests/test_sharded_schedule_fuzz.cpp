@@ -188,8 +188,9 @@ RunResult RunPlan(const FuzzPlan& plan, const ShardedEngineOptions& options) {
   result.journal = engine.JournalLines();
   std::sort(result.journal.begin(), result.journal.end());
   db.ForEachObject([&](OidId, const metadb::MetaObject& object) {
-    for (const auto& [name, value] : object.properties) {
-      result.properties[metadb::FormatOid(object.oid) + "/" + name] = value;
+    for (const metadb::Property& property : object.properties) {
+      result.properties[metadb::FormatOid(db.OidOf(object)) + "/" +
+                        db.SymbolText(property.name)] = property.value;
     }
   });
   const EngineStats stats = engine.AggregateEngineStats();

@@ -68,7 +68,7 @@ std::string Fingerprint(const MetaDatabase& db) {
   out << metadb::SaveDatabaseString(db);
   for (size_t slot = 0; slot < db.ObjectSlotCount(); ++slot) {
     const OidId id(static_cast<uint32_t>(slot));
-    const Oid& oid = db.GetObject(id).oid;
+    const Oid oid = db.OidOf(id);
     out << "slot " << slot << " out";
     for (const LinkId link : db.OutLinks(id)) out << ' ' << link.value();
     out << " in";
@@ -200,7 +200,7 @@ class Mutator {
   }
 
   void NextVersion() {
-    const Oid oid = db_.GetObject(PickLive()).oid;
+    const Oid oid = db_.OidOf(PickLive());
     Created(db_.CreateNextVersion(oid.block, oid.view, "mutator", 7));
   }
 
@@ -224,9 +224,11 @@ class Mutator {
 
   void SetProperty() {
     const OidId id = PickLive();
-    db_.SetProperty(id, "p" + std::to_string(rng_.UniformInt(0, 3)),
-                    std::to_string(rng_.UniformInt(0, 99)));
-    Touch(DirtyTable::kObjects, id.value());
+    // A write of the value already there changes nothing.
+    if (db_.SetProperty(id, "p" + std::to_string(rng_.UniformInt(0, 3)),
+                        std::to_string(rng_.UniformInt(0, 99)))) {
+      Touch(DirtyTable::kObjects, id.value());
+    }
   }
 
   void RemoveProperty() {
@@ -237,8 +239,9 @@ class Mutator {
 
   void MutateObjectInPlace() {
     const OidId id = PickLive();
-    db_.GetObjectMutable(id).properties["inplace"] =
-        std::to_string(rng_.UniformInt(0, 99));
+    const SymbolId name = db_.Intern("inplace");
+    db_.PutProperty(db_.GetObjectMutable(id), name,
+                    std::to_string(rng_.UniformInt(0, 99)));
     Touch(DirtyTable::kObjects, id.value());
   }
 
@@ -306,12 +309,13 @@ class Mutator {
   void RestoreSlots() {
     // Next version of an existing chain, a live link and a nameless
     // configuration, appended verbatim as a checkpoint load would.
-    const Oid base = db_.GetObject(PickLive()).oid;
+    const Oid base = db_.OidOf(PickLive());
     const OidId latest = db_.VersionChain(base.block, base.view).back();
     MetaObject object;
-    object.oid = base;
-    object.oid.version = db_.GetObject(latest).oid.version + 1;
-    object.properties["restored"] = "yes";
+    object.block = db_.GetObject(latest).block;
+    object.view = db_.GetObject(latest).view;
+    object.version = db_.GetObject(latest).version + 1;
+    db_.PutProperty(object, db_.Intern("restored"), "yes");
     Created(db_.RestoreObjectSlot(std::move(object)));
 
     Link link;
@@ -333,7 +337,8 @@ class Mutator {
     // configuration slot (renamed), then rebuild adjacency.
     const OidId id = PickLive();
     MetaObject object = db_.GetObject(id);
-    object.properties["applied"] = std::to_string(rng_.UniformInt(0, 99));
+    db_.PutProperty(object, db_.Intern("applied"),
+                    std::to_string(rng_.UniformInt(0, 99)));
     db_.ApplyObjectSlot(id.value(), std::move(object));
     Touch(DirtyTable::kObjects, id.value());
     if (db_.ConfigurationSlotCount() > 0) {
@@ -460,6 +465,9 @@ TEST(SnapshotPublish, PropertyOnlyPublishSharesIndexesAndAdjacency) {
                     ids.back(), {"outofdate"}, "", CarryPolicy::kNone);
     }
   }
+  // A known name: a first write of a new one also interns it, which
+  // copies a symbol chunk and a symbol-index partition.
+  db.Intern("state");
   const Snapshot before = db.PublishSnapshot();
   db.SetProperty(ids[70], "state", "dirty");
   const Snapshot after = db.PublishSnapshot();

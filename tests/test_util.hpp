@@ -1,6 +1,7 @@
 // Shared helpers for the DAMOCLES/BluePrint test suite.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <string>
 
@@ -35,6 +36,17 @@ inline std::string LatestProp(const engine::ProjectServer& server,
   if (!id.has_value()) return "<no version>";
   const std::string* value = server.database().GetProperty(*id, name);
   return value == nullptr ? std::string() : *value;
+}
+
+/// An object's properties as name -> value text. Symbol ids are per
+/// database, so objects of two databases compare through this.
+inline std::map<std::string, std::string> PropertyTexts(
+    const metadb::MetaDatabase& db, metadb::OidId id) {
+  std::map<std::string, std::string> texts;
+  for (const metadb::Property& property : db.GetObject(id).properties) {
+    texts.emplace(db.SymbolText(property.name), property.value);
+  }
+  return texts;
 }
 
 }  // namespace damocles::testutil

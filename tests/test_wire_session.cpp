@@ -34,7 +34,9 @@ TEST_F(WireSessionTest, CheckinCreatesTrackedData) {
   EXPECT_EQ(LatestProp(*server_, "CPU", "HDL_model", "uptodate"), "true");
   // The workspace attributes the data to the session user.
   const auto id = server_->database().FindLatest("CPU", "HDL_model");
-  EXPECT_EQ(server_->database().GetObject(*id).created_by, "alice");
+  EXPECT_EQ(server_->database().SymbolText(
+                server_->database().GetObject(*id).created_by),
+            "alice");
 }
 
 TEST_F(WireSessionTest, PostEventRoundTrip) {
