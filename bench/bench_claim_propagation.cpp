@@ -417,8 +417,9 @@ void PrintBatchedHandoffSeries() {
   const int rounds = benchutil::SeriesScale(150, 30);
   const int warmup = benchutil::SeriesScale(15, 3);
 
-  std::printf("%-10s %-16s %-22s %-14s\n", "shards", "us/round",
-              "deliveries/sec", "handoff/round");
+  std::printf("%-10s %-16s %-22s %-14s %-14s %-14s\n", "shards", "us/round",
+              "deliveries/sec", "handoff/round", "stolen/round",
+              "scanned/round");
   for (const uint32_t shards : {2u, 4u, 8u}) {
     auto design = MakeBoundaryDesign(hubs, degree, shards);
     for (int i = 0; i < warmup; ++i) DeliverBoundaryRound(*design);
@@ -435,14 +436,20 @@ void PrintBatchedHandoffSeries() {
             : 0.0;
     benchutil::AddBenchJson("wave_sharded_batched_s" + std::to_string(shards),
                             us_per_round * 1e3, rate);
-    const size_t handoffs_per_round =
-        design->engine->stats().handoff_waves / static_cast<size_t>(rounds);
-    std::printf("%-10u %-16.1f %-22.0f %-14zu\n", shards, us_per_round, rate,
-                handoffs_per_round);
+    const auto per_round = [rounds](size_t total) {
+      return static_cast<double>(total) / rounds;
+    };
+    // Information only: stolen sub-waves expand through the owning
+    // shard's index, so links scanned stays 0.
+    std::printf("%-10u %-16.1f %-22.0f %-14.1f %-14.1f %-14.1f\n", shards,
+                us_per_round, rate,
+                per_round(design->engine->stats().handoff_waves),
+                per_round(design->engine->stats().stolen_subwaves),
+                per_round(design->engine->AggregateEngineStats().links_scanned));
   }
   std::printf(
       "\nExpected shape: ~hubs x (shards-1) sub-wave tasks per round, "
-      "independent of\ndegree.\n\n");
+      "independent of\ndegree; 0 links scanned.\n\n");
 }
 
 }  // namespace

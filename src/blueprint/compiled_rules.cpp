@@ -10,25 +10,22 @@ void CompiledRules::Clear() {
 }
 
 void CompiledRules::AppendActions(const RuntimeRule& rule,
-                                  SymbolTable& symbols,
-                                  const PropertySymbols& property_symbol,
-                                  RuleSet& set) {
+                                  const Symbols& symbol, RuleSet& set) {
   for (const Action& action : rule.actions) {
     if (const auto* assign = std::get_if<ActionAssign>(&action)) {
-      set.assigns.push_back({assign, property_symbol(assign->property)});
+      set.assigns.push_back({assign, symbol(assign->property)});
     } else if (std::get_if<ActionExec>(&action) != nullptr ||
                std::get_if<ActionNotify>(&action) != nullptr) {
       // Phase 3 runs exec and notify interleaved in declaration order;
       // keeping the variant pointer preserves that order.
       set.execs_and_notifies.push_back(&action);
     } else if (const auto* post = std::get_if<ActionPost>(&action)) {
-      set.posts.push_back(CompiledPost{post, symbols.Intern(post->event)});
+      set.posts.push_back(CompiledPost{post, symbol(post->event)});
     }
   }
 }
 
-void CompiledRules::Compile(const Blueprint& blueprint, SymbolTable& symbols,
-                            const PropertySymbols& property_symbol,
+void CompiledRules::Compile(const Blueprint& blueprint, const Symbols& symbol,
                             uint64_t source_version) {
   Clear();
   ++generation_;
@@ -38,16 +35,18 @@ void CompiledRules::Compile(const Blueprint& blueprint, SymbolTable& symbols,
   if (default_view != nullptr) {
     for (const ContinuousAssignment& assignment : default_view->assignments) {
       default_assignments_.push_back(
-          {&assignment, property_symbol(assignment.property)});
+          {&assignment, symbol(assignment.property)});
     }
     for (const RuntimeRule& rule : default_view->rules) {
-      AppendActions(rule, symbols, property_symbol,
-                    default_rules_[symbols.Intern(rule.event)]);
+      AppendActions(rule, symbol, default_rules_[symbol(rule.event)]);
     }
   }
 
   for (const ViewTemplate& view : blueprint.views) {
-    const SymbolId view_sym = symbols.Intern(view.name);
+    for (const LinkTemplate& link : view.links) {
+      for (const std::string& event : link.propagates) symbol(event);
+    }
+    const SymbolId view_sym = symbol(view.name);
     if (assignments_.find(view_sym) != assignments_.end()) {
       continue;  // Duplicate view declaration: first wins, like FindView.
     }
@@ -59,12 +58,10 @@ void CompiledRules::Compile(const Blueprint& blueprint, SymbolTable& symbols,
     for (const ViewTemplate* source : sources) {
       if (source == nullptr) continue;
       for (const ContinuousAssignment& assignment : source->assignments) {
-        assignments.push_back(
-            {&assignment, property_symbol(assignment.property)});
+        assignments.push_back({&assignment, symbol(assignment.property)});
       }
       for (const RuntimeRule& rule : source->rules) {
-        AppendActions(rule, symbols, property_symbol,
-                      rules_[Key(view_sym, symbols.Intern(rule.event))]);
+        AppendActions(rule, symbol, rules_[Key(view_sym, symbol(rule.event))]);
       }
     }
   }

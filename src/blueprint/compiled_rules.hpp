@@ -17,12 +17,11 @@
 // per OID by the engine) plus one integer-hash Find.
 //
 // RuleSets hold pointers into the Blueprint that was compiled; the
-// engine recompiles whenever it installs a blueprint, which also
-// refreshes any symbol bindings (SymbolIds themselves never go stale —
-// the engine's SymbolTable only grows). Every property name a rule can
-// write is resolved at compile time through a caller-supplied function
-// (the engine passes the meta-database's interner), so a write names
-// its property by id and never hashes the name.
+// engine recompiles whenever it installs a blueprint. Every name the
+// tables key on — views, events, posted events, written properties —
+// resolves at compile time through one caller-supplied symbol function
+// (the engine passes the meta-database's interner), so the tables share
+// the database's symbol space and a delivery never hashes a name.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +44,8 @@ class CompiledRules {
     SymbolId event_sym = SymbolTable::kNoSymbol;
   };
 
-  /// An assignment with its property name resolved by Compile's
-  /// property-symbol function.
+  /// An assignment with its property name resolved by Compile's symbol
+  /// function.
   template <typename Assignment>
   struct Resolved {
     const Assignment* action = nullptr;
@@ -55,8 +54,8 @@ class CompiledRules {
   using CompiledAssign = Resolved<ActionAssign>;
   using CompiledAssignment = Resolved<ContinuousAssignment>;
 
-  /// Resolves a property name to the id writes use.
-  using PropertySymbols = std::function<SymbolId(std::string_view)>;
+  /// Resolves a name to its (database) symbol, interning it if new.
+  using Symbols = std::function<SymbolId(std::string_view)>;
 
   /// Phase-partitioned actions for one (view, event) pair. Default-view
   /// rules come first, then the specific view's, preserving rule and
@@ -79,15 +78,16 @@ class CompiledRules {
     const std::vector<CompiledAssignment>* assignments = nullptr;
   };
 
-  /// Flattens `blueprint` into the tables, interning every view and
-  /// event name through `symbols` and resolving every assigned property
-  /// name through `property_symbol`. Pointers into `blueprint` are kept;
-  /// it must outlive the tables (the engine recompiles on install).
+  /// Flattens `blueprint` into the tables, resolving every view, event
+  /// and assigned property name through `symbol`. Link-template
+  /// PROPAGATE names go through `symbol` too, although no table keys on
+  /// them: a templated link then never needs a new symbol mid-wave.
+  /// Pointers into `blueprint` are kept; it must outlive the tables
+  /// (the engine recompiles on install).
   /// `source_version` stamps the PolicyStore version the blueprint was
   /// compiled from (0 = unversioned / direct install), so every cached
   /// rule binding can be traced back to a commit-chain entry.
-  void Compile(const Blueprint& blueprint, SymbolTable& symbols,
-               const PropertySymbols& property_symbol,
+  void Compile(const Blueprint& blueprint, const Symbols& symbol,
                uint64_t source_version = 0);
 
   void Clear();
@@ -138,8 +138,7 @@ class CompiledRules {
     }
   };
 
-  static void AppendActions(const RuntimeRule& rule, SymbolTable& symbols,
-                            const PropertySymbols& property_symbol,
+  static void AppendActions(const RuntimeRule& rule, const Symbols& symbol,
                             RuleSet& set);
 
   /// (view sym, event sym) -> actions, for every tracked view.

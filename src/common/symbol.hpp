@@ -22,7 +22,10 @@ namespace damocles {
 /// Dense id for an interned string. Id 0 is reserved for the empty string.
 using SymbolId = uint32_t;
 
-/// A string interner. Not thread-safe; each engine owns one.
+/// A string interner. Not thread-safe. Wave execution uses the
+/// meta-database's own table (metadb/meta_database.hpp); this class
+/// serves private name spaces such as the shard map's block ids and the
+/// event journal's strings.
 class SymbolTable {
  public:
   SymbolTable();

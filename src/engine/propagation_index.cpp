@@ -31,6 +31,28 @@ void ForEachDistinct(const std::vector<std::string>& events, Fn&& fn) {
   }
 }
 
+/// Calls `fn(symbol)` once per name of `events`, duplicates included. A
+/// name the database never interned cannot be looked up, so it indexes
+/// nothing (structural paths intern every PROPAGATE name first).
+template <typename Fn>
+void ForEachSymbol(const MetaDatabase& db,
+                   const std::vector<std::string>& events, Fn&& fn) {
+  for (const std::string& event : events) {
+    const SymbolId sym = db.FindSymbol(event);
+    if (sym != SymbolTable::kNoSymbol) fn(sym);
+  }
+}
+
+/// ForEachSymbol, once per distinct name.
+template <typename Fn>
+void ForEachDistinctSymbol(const MetaDatabase& db,
+                           const std::vector<std::string>& events, Fn&& fn) {
+  ForEachDistinct(events, [&](const std::string& event) {
+    const SymbolId sym = db.FindSymbol(event);
+    if (sym != SymbolTable::kNoSymbol) fn(sym);
+  });
+}
+
 /// Occurrences of `event` in a PROPAGATE list (duplicates are legal and
 /// mirrored one-to-one into bucket entries).
 size_t CountOccurrences(const std::vector<std::string>& events,
@@ -52,43 +74,19 @@ SymbolId UnpackEvent(uint64_t key) noexcept {
 
 }  // namespace
 
-PropagationIndex::PropagationIndex()
-    : symbols_(nullptr), owned_(std::make_unique<SymbolTable>()) {
-  symbols_ = owned_.get();
-}
-
-PropagationIndex::PropagationIndex(SymbolTable& symbols)
-    : symbols_(&symbols) {}
-
 void PropagationIndex::Clear() {
   buckets_.clear();
   entries_ = 0;
 }
 
-void PropagationIndex::Rebuild(const MetaDatabase& db) {
+void PropagationIndex::Rebuild() {
   Clear();
   // Walk adjacency lists (not link slots): endpoint moves re-append
   // links, so adjacency order — the order a scan delivers in — can
   // differ from slot order. A source filter scopes the walk to this
   // index's own sources (one filter probe per object, not per link).
-  db.ForEachObject([&](OidId id, const metadb::MetaObject&) {
-    if (!OwnsSource(id)) return;
-    for (const LinkId link_id : db.OutLinks(id)) {
-      const Link& link = db.GetLink(link_id);
-      for (const std::string& event : link.propagates) {
-        buckets_[PackKey(id, Direction::kDown, symbols_->Intern(event))]
-            .push_back(Entry{link_id, link.to});
-        ++entries_;
-      }
-    }
-    for (const LinkId link_id : db.InLinks(id)) {
-      const Link& link = db.GetLink(link_id);
-      for (const std::string& event : link.propagates) {
-        buckets_[PackKey(id, Direction::kUp, symbols_->Intern(event))]
-            .push_back(Entry{link_id, link.from});
-        ++entries_;
-      }
-    }
+  db_.ForEachObject([&](OidId id, const metadb::MetaObject&) {
+    if (OwnsSource(id)) AddSourceBuckets(id);
   });
 }
 
@@ -97,25 +95,6 @@ const PropagationIndex::Bucket* PropagationIndex::Receivers(
   const auto it = buckets_.find(PackKey(source, direction, event));
   if (it == buckets_.end() || it->second.empty()) return nullptr;
   return &it->second;
-}
-
-void PropagationIndex::AddEntries(LinkId id,
-                                  const std::vector<std::string>& events,
-                                  OidId from, OidId to) {
-  const bool down = OwnsSource(from);
-  const bool up = OwnsSource(to);
-  if (!down && !up) return;
-  for (const std::string& event : events) {
-    const SymbolId sym = symbols_->Intern(event);
-    if (down) {
-      buckets_[PackKey(from, Direction::kDown, sym)].push_back(Entry{id, to});
-      ++entries_;
-    }
-    if (up) {
-      buckets_[PackKey(to, Direction::kUp, sym)].push_back(Entry{id, from});
-      ++entries_;
-    }
-  }
 }
 
 void PropagationIndex::EraseLinkEntries(OidId source, Direction direction,
@@ -132,50 +111,27 @@ void PropagationIndex::EraseLinkEntries(OidId source, Direction direction,
   if (bucket.empty()) buckets_.erase(it);
 }
 
-void PropagationIndex::RemoveEntries(LinkId id,
-                                     const std::vector<std::string>& events,
-                                     OidId from, OidId to) {
-  ForEachDistinct(events, [&](const std::string& event) {
-    // A removed event name was necessarily interned when it was added.
-    const SymbolId sym = symbols_->Find(event);
-    if (sym == SymbolTable::kNoSymbol) return;
-    EraseLinkEntries(from, Direction::kDown, sym, id);
-    EraseLinkEntries(to, Direction::kUp, sym, id);
-  });
-}
-
 // --- Single-side maintenance -------------------------------------------------
 
 void PropagationIndex::AddLinkSide(LinkId id, const Link& link,
                                    bool down_side) {
   const OidId source = down_side ? link.from : link.to;
   const OidId neighbor = down_side ? link.to : link.from;
-  if (!OwnsSource(source)) return;
-  const Direction direction = down_side ? Direction::kDown : Direction::kUp;
-  for (const std::string& event : link.propagates) {
-    buckets_[PackKey(source, direction, symbols_->Intern(event))].push_back(
-        Entry{id, neighbor});
-    ++entries_;
-  }
+  AppendEntriesAt(source, down_side ? Direction::kDown : Direction::kUp,
+                  link.propagates, id, neighbor);
 }
 
 void PropagationIndex::RemoveLinkSide(LinkId id, const Link& link,
                                       bool down_side) {
-  const OidId source = down_side ? link.from : link.to;
-  const Direction direction = down_side ? Direction::kDown : Direction::kUp;
-  ForEachDistinct(link.propagates, [&](const std::string& event) {
-    const SymbolId sym = symbols_->Find(event);
-    if (sym == SymbolTable::kNoSymbol) return;
-    EraseLinkEntries(source, direction, sym, id);
-  });
+  EraseEntriesAt(down_side ? link.from : link.to,
+                 down_side ? Direction::kDown : Direction::kUp,
+                 link.propagates, id);
 }
 
 void PropagationIndex::EraseEntriesAt(OidId source, Direction direction,
                                       const std::vector<std::string>& events,
                                       LinkId link) {
-  ForEachDistinct(events, [&](const std::string& event) {
-    const SymbolId sym = symbols_->Find(event);
-    if (sym == SymbolTable::kNoSymbol) return;
+  ForEachDistinctSymbol(db_, events, [&](SymbolId sym) {
     EraseLinkEntries(source, direction, sym, link);
   });
 }
@@ -184,19 +140,16 @@ void PropagationIndex::AppendEntriesAt(OidId source, Direction direction,
                                        const std::vector<std::string>& events,
                                        LinkId link, OidId neighbor) {
   if (!OwnsSource(source)) return;
-  for (const std::string& event : events) {
-    buckets_[PackKey(source, direction, symbols_->Intern(event))].push_back(
-        Entry{link, neighbor});
+  ForEachSymbol(db_, events, [&](SymbolId sym) {
+    buckets_[PackKey(source, direction, sym)].push_back(Entry{link, neighbor});
     ++entries_;
-  }
+  });
 }
 
 void PropagationIndex::PatchNeighborAt(OidId source, Direction direction,
                                        const std::vector<std::string>& events,
                                        LinkId link, OidId neighbor) {
-  ForEachDistinct(events, [&](const std::string& event) {
-    const SymbolId sym = symbols_->Find(event);
-    if (sym == SymbolTable::kNoSymbol) return;
+  ForEachDistinctSymbol(db_, events, [&](SymbolId sym) {
     const auto it = buckets_.find(PackKey(source, direction, sym));
     if (it == buckets_.end()) return;
     for (Entry& entry : it->second) {
@@ -206,76 +159,73 @@ void PropagationIndex::PatchNeighborAt(OidId source, Direction direction,
 }
 
 void PropagationIndex::RebuildBucketsAt(
-    const MetaDatabase& db, OidId source, Direction direction,
+    OidId source, Direction direction,
     const std::vector<std::string>& old_events,
     const std::vector<std::string>& new_events) {
   if (!OwnsSource(source)) return;
   ForEachDistinct(old_events, [&](const std::string& event) {
-    RebuildBucket(db, source, direction, event);
+    RebuildBucket(source, direction, event);
   });
   ForEachDistinct(new_events, [&](const std::string& event) {
     if (std::find(old_events.begin(), old_events.end(), event) !=
         old_events.end()) {
       return;  // Already rebuilt through the old list.
     }
-    RebuildBucket(db, source, direction, event);
+    RebuildBucket(source, direction, event);
   });
 }
 
 // --- Bucket migration --------------------------------------------------------
 
-void PropagationIndex::RemoveSourceBuckets(const MetaDatabase& db,
-                                           OidId source) {
+void PropagationIndex::RemoveSourceBuckets(OidId source) {
   // The affected (direction, event) keys are derived from the current
   // adjacency: a bucket under `source` holds only entries of `source`'s
   // own links, so dropping whole buckets is exact.
-  const auto drop = [&](Direction direction, const std::string& event) {
-    const SymbolId sym = symbols_->Find(event);
-    if (sym == SymbolTable::kNoSymbol) return;
+  const auto drop = [&](Direction direction, SymbolId sym) {
     const auto it = buckets_.find(PackKey(source, direction, sym));
     if (it == buckets_.end()) return;
     entries_ -= it->second.size();
     buckets_.erase(it);
   };
-  for (const LinkId link_id : db.OutLinks(source)) {
-    for (const std::string& event : db.GetLink(link_id).propagates) {
-      drop(Direction::kDown, event);
-    }
+  for (const LinkId link_id : db_.OutLinks(source)) {
+    ForEachSymbol(db_, db_.GetLink(link_id).propagates,
+                  [&](SymbolId sym) { drop(Direction::kDown, sym); });
   }
-  for (const LinkId link_id : db.InLinks(source)) {
-    for (const std::string& event : db.GetLink(link_id).propagates) {
-      drop(Direction::kUp, event);
-    }
+  for (const LinkId link_id : db_.InLinks(source)) {
+    ForEachSymbol(db_, db_.GetLink(link_id).propagates,
+                  [&](SymbolId sym) { drop(Direction::kUp, sym); });
   }
 }
 
-void PropagationIndex::AddSourceBuckets(const MetaDatabase& db, OidId source) {
+void PropagationIndex::AddSourceBuckets(OidId source) {
   // No filter probe: the caller routed the source here deliberately
   // (assignment changes land before the migration notification fires).
-  for (const LinkId link_id : db.OutLinks(source)) {
-    const Link& link = db.GetLink(link_id);
-    for (const std::string& event : link.propagates) {
-      buckets_[PackKey(source, Direction::kDown, symbols_->Intern(event))]
-          .push_back(Entry{link_id, link.to});
+  for (const LinkId link_id : db_.OutLinks(source)) {
+    const Link& link = db_.GetLink(link_id);
+    ForEachSymbol(db_, link.propagates, [&](SymbolId sym) {
+      buckets_[PackKey(source, Direction::kDown, sym)].push_back(
+          Entry{link_id, link.to});
       ++entries_;
-    }
+    });
   }
-  for (const LinkId link_id : db.InLinks(source)) {
-    const Link& link = db.GetLink(link_id);
-    for (const std::string& event : link.propagates) {
-      buckets_[PackKey(source, Direction::kUp, symbols_->Intern(event))]
-          .push_back(Entry{link_id, link.from});
+  for (const LinkId link_id : db_.InLinks(source)) {
+    const Link& link = db_.GetLink(link_id);
+    ForEachSymbol(db_, link.propagates, [&](SymbolId sym) {
+      buckets_[PackKey(source, Direction::kUp, sym)].push_back(
+          Entry{link_id, link.from});
       ++entries_;
-    }
+    });
   }
 }
 
 void PropagationIndex::AddLink(LinkId id, const Link& link) {
-  AddEntries(id, link.propagates, link.from, link.to);
+  AddLinkSide(id, link, /*down_side=*/true);
+  AddLinkSide(id, link, /*down_side=*/false);
 }
 
 void PropagationIndex::RemoveLink(LinkId id, const Link& link) {
-  RemoveEntries(id, link.propagates, link.from, link.to);
+  RemoveLinkSide(id, link, /*down_side=*/true);
+  RemoveLinkSide(id, link, /*down_side=*/false);
 }
 
 void PropagationIndex::MoveLinkEndpoint(LinkId id, bool endpoint_from,
@@ -284,48 +234,22 @@ void PropagationIndex::MoveLinkEndpoint(LinkId id, bool endpoint_from,
   // on the new one (appended, mirroring the adjacency push_back). The
   // unmoved side keeps its bucket positions; only the neighbour field
   // changes.
-  const auto patch_neighbor = [this](OidId source, Direction direction,
-                                     SymbolId event, LinkId link_id,
-                                     OidId neighbor) {
-    const auto it = buckets_.find(PackKey(source, direction, event));
-    if (it == buckets_.end()) return;
-    for (Entry& entry : it->second) {
-      if (entry.link == link_id) entry.neighbor = neighbor;
-    }
-  };
-
-  ForEachDistinct(link.propagates, [&](const std::string& event) {
-    const SymbolId sym = symbols_->Intern(event);
-    const size_t multiplicity = CountOccurrences(link.propagates, event);
-    if (endpoint_from) {
-      EraseLinkEntries(old_endpoint, Direction::kDown, sym, id);
-      if (OwnsSource(link.from)) {
-        Bucket& bucket = buckets_[PackKey(link.from, Direction::kDown, sym)];
-        for (size_t i = 0; i < multiplicity; ++i) {
-          bucket.push_back(Entry{id, link.to});
-          ++entries_;
-        }
-      }
-      patch_neighbor(link.to, Direction::kUp, sym, id, link.from);
-    } else {
-      EraseLinkEntries(old_endpoint, Direction::kUp, sym, id);
-      if (OwnsSource(link.to)) {
-        Bucket& bucket = buckets_[PackKey(link.to, Direction::kUp, sym)];
-        for (size_t i = 0; i < multiplicity; ++i) {
-          bucket.push_back(Entry{id, link.from});
-          ++entries_;
-        }
-      }
-      patch_neighbor(link.from, Direction::kDown, sym, id, link.to);
-    }
-  });
+  if (endpoint_from) {
+    EraseEntriesAt(old_endpoint, Direction::kDown, link.propagates, id);
+    AppendEntriesAt(link.from, Direction::kDown, link.propagates, id, link.to);
+    PatchNeighborAt(link.to, Direction::kUp, link.propagates, id, link.from);
+  } else {
+    EraseEntriesAt(old_endpoint, Direction::kUp, link.propagates, id);
+    AppendEntriesAt(link.to, Direction::kUp, link.propagates, id, link.from);
+    PatchNeighborAt(link.from, Direction::kDown, link.propagates, id, link.to);
+  }
 }
 
-void PropagationIndex::RebuildBucket(const MetaDatabase& db, OidId source,
-                                     Direction direction,
+void PropagationIndex::RebuildBucket(OidId source, Direction direction,
                                      const std::string& event) {
   if (!OwnsSource(source)) return;  // Foreign sources hold no buckets.
-  const SymbolId sym = symbols_->Intern(event);
+  const SymbolId sym = db_.FindSymbol(event);
+  if (sym == SymbolTable::kNoSymbol) return;
   const uint64_t key = PackKey(source, direction, sym);
   const auto it = buckets_.find(key);
   if (it != buckets_.end()) {
@@ -334,10 +258,10 @@ void PropagationIndex::RebuildBucket(const MetaDatabase& db, OidId source,
   }
   Bucket bucket;
   const std::vector<LinkId>& adjacency = direction == Direction::kDown
-                                             ? db.OutLinks(source)
-                                             : db.InLinks(source);
+                                             ? db_.OutLinks(source)
+                                             : db_.InLinks(source);
   for (const LinkId link_id : adjacency) {
-    const Link& link = db.GetLink(link_id);
+    const Link& link = db_.GetLink(link_id);
     const OidId neighbor = direction == Direction::kDown ? link.to : link.from;
     for (size_t i = 0; i < CountOccurrences(link.propagates, event); ++i) {
       bucket.push_back(Entry{link_id, neighbor});
@@ -350,32 +274,21 @@ void PropagationIndex::RebuildBucket(const MetaDatabase& db, OidId source,
 }
 
 void PropagationIndex::SetLinkPropagates(
-    const MetaDatabase& db, LinkId /*id*/,
     const std::vector<std::string>& old_propagates, const Link& link) {
   // Rebuild every affected bucket from adjacency rather than
   // remove-and-append: the rewritten link keeps its adjacency position,
   // so its entries must keep their bucket position too.
-  ForEachDistinct(old_propagates, [&](const std::string& event) {
-    RebuildBucket(db, link.from, Direction::kDown, event);
-    RebuildBucket(db, link.to, Direction::kUp, event);
-  });
-  // Skip events already rebuilt through the old list.
-  ForEachDistinct(link.propagates, [&](const std::string& event) {
-    if (std::find(old_propagates.begin(), old_propagates.end(), event) !=
-        old_propagates.end()) {
-      return;
-    }
-    RebuildBucket(db, link.from, Direction::kDown, event);
-    RebuildBucket(db, link.to, Direction::kUp, event);
-  });
+  RebuildBucketsAt(link.from, Direction::kDown, old_propagates,
+                   link.propagates);
+  RebuildBucketsAt(link.to, Direction::kUp, old_propagates, link.propagates);
 }
 
 bool PropagationIndex::ConsistentWith(const MetaDatabase& db,
                                       std::string* diff) const {
-  PropagationIndex fresh;  // Private symbol table; compared by text.
-  fresh.filter_ = filter_;  // Same scope: shard-local indexes compare
-                            // against a rescan of their own subtree.
-  fresh.Rebuild(db);
+  PropagationIndex fresh(db);  // Same symbol space: compared by key.
+  fresh.filter_ = filter_;     // Same scope: shard-local indexes compare
+                               // against a rescan of their own subtree.
+  fresh.Rebuild();
 
   const auto describe = [diff](const std::string& what) {
     if (diff != nullptr) *diff = what;
@@ -395,42 +308,32 @@ bool PropagationIndex::ConsistentWith(const MetaDatabase& db,
               });
     return bucket;
   };
-  const auto mismatch = [&](uint64_t key, const std::string& event,
-                            size_t mine, size_t theirs) {
-    const OidId source = UnpackSource(key);
+  const auto mismatch = [&](uint64_t key, size_t mine, size_t theirs) {
     const bool down = UnpackDirection(key) == Direction::kDown;
-    return describe("oid " + std::to_string(source.value()) + " " +
-                    (down ? "down" : "up") + " '" + event + "': index has " +
+    return describe("oid " + std::to_string(UnpackSource(key).value()) + " " +
+                    (down ? "down" : "up") + " '" +
+                    db_.SymbolText(UnpackEvent(key)) + "': index has " +
                     std::to_string(mine) + " entries, rescan has " +
                     std::to_string(theirs));
   };
 
-  // `index`'s bucket for `key`'s (source, direction) and `event` text:
-  // the two indexes intern through different tables.
-  const auto bucket_of = [](const PropagationIndex& index, uint64_t key,
-                            const std::string& event) -> const Bucket* {
-    const SymbolId sym = index.symbols_->Find(event);
-    if (sym == SymbolTable::kNoSymbol) return nullptr;
-    return index.Receivers(UnpackSource(key), UnpackDirection(key), sym);
-  };
-
-  // Every bucket of mine must match the rescan's bucket for the same
-  // (source, direction, event text); empty buckets count as absent.
+  // Every bucket of mine must match the rescan's bucket under the same
+  // key, and the rescan must hold nothing this index lacks; empty
+  // buckets count as absent.
   for (const auto& [key, bucket] : buckets_) {
     if (bucket.empty()) continue;
-    const std::string& event = symbols_->Text(UnpackEvent(key));
-    const Bucket* theirs = bucket_of(fresh, key, event);
-    if (theirs == nullptr) return mismatch(key, event, bucket.size(), 0);
+    const Bucket* theirs =
+        fresh.Receivers(UnpackSource(key), UnpackDirection(key),
+                        UnpackEvent(key));
+    if (theirs == nullptr) return mismatch(key, bucket.size(), 0);
     if (sorted(bucket) != sorted(*theirs)) {
-      return mismatch(key, event, bucket.size(), theirs->size());
+      return mismatch(key, bucket.size(), theirs->size());
     }
   }
-  // And the rescan must hold nothing this index lacks.
   for (const auto& [key, bucket] : fresh.buckets_) {
-    if (bucket.empty()) continue;
-    const std::string& event = fresh.symbols_->Text(UnpackEvent(key));
-    if (bucket_of(*this, key, event) == nullptr) {
-      return mismatch(key, event, 0, bucket.size());
+    if (!bucket.empty() && Receivers(UnpackSource(key), UnpackDirection(key),
+                                     UnpackEvent(key)) == nullptr) {
+      return mismatch(key, 0, bucket.size());
     }
   }
   return true;

@@ -17,18 +17,18 @@
 // / PROPAGATE change).
 //
 // Buckets are keyed by one packed 64-bit integer combining the source
-// OID, the direction and the event's interned SymbolId, so a receiver
-// lookup on the hot path is a single integer-hash probe with zero
-// string hashing. Event names are interned through a SymbolTable —
-// normally the engine's (shared so rule tables and the index agree on
-// ids), or a private one when the index is used standalone; callers
-// holding a name resolve it through symbols() first.
+// OID, the direction and the event's SymbolId in the meta-database's
+// symbol table, so a receiver lookup on the hot path is a single
+// integer-hash probe with zero string hashing. The index never interns:
+// every PROPAGATE name is interned by the structural path that creates
+// the link or rewrites its PROPAGATE list, so building and maintaining
+// the index only look names up, and work on a const database. Callers
+// holding a name resolve it with MetaDatabase::FindSymbol first.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -48,13 +48,9 @@ namespace damocles::engine {
 /// Per-(source, direction, event) receiver index over the link graph.
 class PropagationIndex {
  public:
-  /// Standalone index with a private symbol table.
-  PropagationIndex();
-
-  /// Index sharing the caller's symbol table (the engine passes its
-  /// own, so SymbolIds agree across the index and the rule tables).
-  /// `symbols` must outlive the index.
-  explicit PropagationIndex(SymbolTable& symbols);
+  /// An empty index over `db`'s link graph and symbol table; `db` must
+  /// outlive the index.
+  explicit PropagationIndex(const metadb::MetaDatabase& db) : db_(db) {}
 
   /// One qualifying link, as seen from the indexed source OID.
   struct Entry {
@@ -67,24 +63,21 @@ class PropagationIndex {
   };
   using Bucket = std::vector<Entry>;
 
-  /// Drops every bucket (interned symbols are kept — SymbolIds stay
-  /// stable for the life of the table) and re-indexes every live link
-  /// of `db`, walking each object's adjacency lists so bucket order
-  /// matches scan order even after endpoint moves reordered adjacency.
-  /// O(links × |PROPAGATE|); called at blueprint install.
-  void Rebuild(const metadb::MetaDatabase& db);
+  /// Drops every bucket and re-indexes every live link of the database
+  /// (within the source filter), walking each object's adjacency lists
+  /// so bucket order matches scan order even after endpoint moves
+  /// reordered adjacency. O(links × |PROPAGATE|); called at blueprint
+  /// install.
+  void Rebuild();
 
   void Clear();
 
-  /// The receivers of the event interned as `event` leaving `source` in
+  /// The receivers of the event with symbol `event` leaving `source` in
   /// `direction`, or nullptr when no link qualifies: one integer-hash
   /// lookup. The bucket order matches the order a full adjacency scan
   /// would produce.
   const Bucket* Receivers(metadb::OidId source, events::Direction direction,
                           SymbolId event) const;
-
-  /// The table this index interns event names through.
-  const SymbolTable& symbols() const noexcept { return *symbols_; }
 
   // --- Scope (shard-local indexes) --------------------------------------
 
@@ -114,11 +107,10 @@ class PropagationIndex {
                         metadb::OidId old_endpoint, const metadb::Link& link);
 
   /// `link` carries the new PROPAGATE list, `old_propagates` the prior.
-  /// The affected buckets are rebuilt from `db`'s adjacency lists so
-  /// their order keeps matching a scan (a remove-and-append would leave
-  /// the rewritten link out of adjacency position).
-  void SetLinkPropagates(const metadb::MetaDatabase& db, metadb::LinkId id,
-                         const std::vector<std::string>& old_propagates,
+  /// The affected buckets are rebuilt from the adjacency lists so their
+  /// order keeps matching a scan (a remove-and-append would leave the
+  /// rewritten link out of adjacency position).
+  void SetLinkPropagates(const std::vector<std::string>& old_propagates,
                          const metadb::Link& link);
 
   // --- Single-side maintenance (sharded index router) --------------------
@@ -158,10 +150,9 @@ class PropagationIndex {
                        metadb::LinkId link, metadb::OidId neighbor);
 
   /// Rebuilds the (source, direction) buckets named by the union of the
-  /// two PROPAGATE lists from `db`'s adjacency (one side of a PROPAGATE
+  /// two PROPAGATE lists from the adjacency (one side of a PROPAGATE
   /// rewrite).
-  void RebuildBucketsAt(const metadb::MetaDatabase& db, metadb::OidId source,
-                        events::Direction direction,
+  void RebuildBucketsAt(metadb::OidId source, events::Direction direction,
                         const std::vector<std::string>& old_events,
                         const std::vector<std::string>& new_events);
 
@@ -169,30 +160,28 @@ class PropagationIndex {
   // When an OID's shard assignment changes, its buckets move between
   // shard indexes instead of either index rebuilding: the old index
   // drops the OID's buckets, the new index re-derives them from the
-  // adjacency lists (which also re-interns event names — SymbolIds are
-  // per-index and never cross an index boundary).
+  // adjacency lists.
 
   /// Drops every bucket keyed under `source`, deriving the affected
-  /// (direction, event) keys from `source`'s adjacency in `db`.
-  void RemoveSourceBuckets(const metadb::MetaDatabase& db,
-                           metadb::OidId source);
+  /// (direction, event) keys from `source`'s adjacency.
+  void RemoveSourceBuckets(metadb::OidId source);
 
-  /// Indexes every qualifying link of `source` from `db`'s adjacency
-  /// (both directions, scan order). The source must not already have
-  /// buckets here. Ignores the source filter — the caller (the index
-  /// router) has already decided this index owns the source.
-  void AddSourceBuckets(const metadb::MetaDatabase& db, metadb::OidId source);
+  /// Indexes every qualifying link of `source` from its adjacency (both
+  /// directions, scan order). The source must not already have buckets
+  /// here. Ignores the source filter — the caller (the index router)
+  /// has already decided this index owns the source.
+  void AddSourceBuckets(metadb::OidId source);
 
   // --- Introspection ----------------------------------------------------
 
   /// Live (link, event, direction) entries currently indexed.
   size_t entry_count() const noexcept { return entries_; }
 
-  /// Oracle check: compares against a freshly rebuilt index of `db`
-  /// (under the same source filter, if any), bucket contents compared
-  /// as sets (incremental maintenance may order a bucket differently
-  /// from slot order after endpoint moves). Comparison is by event
-  /// *text*, so it holds across indexes with different symbol tables.
+  /// Oracle check: compares against a freshly rebuilt index of `db` —
+  /// this index's database or a snapshot of it, so symbols agree —
+  /// under the same source filter, if any. Buckets are matched by key
+  /// and their contents compared as sets (incremental maintenance may
+  /// order a bucket differently from slot order after endpoint moves).
   /// On mismatch returns false and, when `diff` is non-null, describes
   /// the first divergence.
   bool ConsistentWith(const metadb::MetaDatabase& db,
@@ -238,22 +227,16 @@ class PropagationIndex {
     return filter_ == nullptr || filter_(source);
   }
 
-  void AddEntries(metadb::LinkId id, const std::vector<std::string>& events,
-                  metadb::OidId from, metadb::OidId to);
-  void RemoveEntries(metadb::LinkId id, const std::vector<std::string>& events,
-                     metadb::OidId from, metadb::OidId to);
-
   /// Ordered removal of every entry of `link` from one bucket; keeps
   /// entry accounting and drops the bucket when it empties.
   void EraseLinkEntries(metadb::OidId source, events::Direction direction,
                         SymbolId event, metadb::LinkId link);
 
-  /// Recomputes one bucket from `source`'s adjacency list in `db`.
-  void RebuildBucket(const metadb::MetaDatabase& db, metadb::OidId source,
-                     events::Direction direction, const std::string& event);
+  /// Recomputes one bucket from `source`'s adjacency list.
+  void RebuildBucket(metadb::OidId source, events::Direction direction,
+                     const std::string& event);
 
-  SymbolTable* symbols_;                   ///< Shared or owned_ below.
-  std::unique_ptr<SymbolTable> owned_;     ///< Set for standalone indexes.
+  const metadb::MetaDatabase& db_;  ///< Link graph and symbol table.
   BucketMap buckets_;
   size_t entries_ = 0;
   std::function<bool(metadb::OidId)> filter_;  ///< Source scope; see above.

@@ -22,11 +22,16 @@ using metadb::Oid;
 using metadb::OidId;
 
 RunTimeEngine::RunTimeEngine(metadb::MetaDatabase& db, SimClock& clock,
-                             EngineOptions options)
-    : db_(db), clock_(clock), options_(options), index_(symbols_) {
-  if (options_.use_propagation_index && !options_.external_index_maintenance) {
+                             EngineOptions options,
+                             const PropagationIndex* index)
+    : db_(db),
+      clock_(clock),
+      options_(options),
+      own_index_(db),
+      index_(index != nullptr ? index : &own_index_) {
+  if (index == nullptr && options_.use_propagation_index) {
     db_.AddLinkObserver(this);
-    index_.Rebuild(db_);
+    own_index_.Rebuild();
   }
 }
 
@@ -37,57 +42,39 @@ void RunTimeEngine::LoadBlueprint(Blueprint blueprint,
   blueprint_ = std::make_unique<Blueprint>(std::move(blueprint));
   // Rule-table compile point. Cached OidBindings re-resolve lazily
   // against the bumped generation, and every OID's settled state goes
-  // stale with it; SymbolIds themselves stay valid (the interner only
-  // grows). It is also a structural point: every property name a rule
-  // can write is interned into the database here, so wave workers only
-  // write by id.
+  // stale with it; SymbolIds themselves stay valid (the database's
+  // table only grows). It is also a structural point: every name a rule
+  // or link template mentions is interned into the database here, so
+  // wave workers only look names up and write by id.
   compiled_.Compile(
-      *blueprint_, symbols_,
-      [this](std::string_view name) { return db_.Intern(name); },
+      *blueprint_, [this](std::string_view name) { return db_.Intern(name); },
       policy_version);
-  // Blueprint install is the index build point (and heals any direct
-  // GetLinkMutable edits made outside the observer protocol).
-  if (options_.use_propagation_index) index_.Rebuild(db_);
-  stats_.interner_symbols = symbols_.size();
+  // Blueprint install is the index build point (an owner that lends the
+  // index rebuilds it itself).
+  if (index_ == &own_index_ && options_.use_propagation_index) {
+    own_index_.Rebuild();
+  }
 }
 
 // --- Propagation index maintenance ----------------------------------------
 
 void RunTimeEngine::OnLinkAdded(LinkId id, const Link& link) {
-  index_.AddLink(id, link);
+  own_index_.AddLink(id, link);
 }
 
 void RunTimeEngine::OnLinkRemoved(LinkId id, const Link& link) {
-  index_.RemoveLink(id, link);
+  own_index_.RemoveLink(id, link);
 }
 
 void RunTimeEngine::OnLinkEndpointMoved(LinkId id, bool endpoint_from,
                                         OidId old_endpoint, const Link& link) {
-  index_.MoveLinkEndpoint(id, endpoint_from, old_endpoint, link);
+  own_index_.MoveLinkEndpoint(id, endpoint_from, old_endpoint, link);
 }
 
 void RunTimeEngine::OnLinkPropagatesChanged(
-    LinkId id, const std::vector<std::string>& old_propagates,
+    LinkId /*id*/, const std::vector<std::string>& old_propagates,
     const Link& link) {
-  index_.SetLinkPropagates(db_, id, old_propagates, link);
-}
-
-void RunTimeEngine::SetIndexScope(std::function<bool(metadb::OidId)> owns,
-                                  bool rebuild) {
-  if (!options_.use_propagation_index) return;
-  if (owns != nullptr) {
-    // External maintenance: the sharded index router applies link ops
-    // to the owning shard's index, so this engine stops observing.
-    db_.RemoveLinkObserver(this);
-  } else {
-    db_.AddLinkObserver(this);  // Registration is idempotent.
-  }
-  index_.SetSourceFilter(std::move(owns));
-  if (rebuild) {
-    index_.Rebuild(db_);
-  } else {
-    index_.Clear();  // The caller fills the index (bulk routed pass).
-  }
+  own_index_.SetLinkPropagates(old_propagates, link);
 }
 
 const Blueprint& RunTimeEngine::Current() const {
@@ -116,13 +103,10 @@ RunTimeEngine::OidBinding& RunTimeEngine::SlotOf(OidId id) {
 
 const RunTimeEngine::OidBinding& RunTimeEngine::BindingOf(OidId id) {
   OidBinding& binding = SlotOf(id);
-  if (binding.view_sym == SymbolTable::kNoSymbol) {
-    // Slots are never reused for a different object, so the view symbol
-    // is interned exactly once per OID.
-    binding.view_sym = symbols_.Intern(db_.ViewOf(db_.GetObject(id)));
-  }
   if (binding.generation != compiled_.generation()) {
-    binding.rules = compiled_.Resolve(binding.view_sym);
+    // The object's view is already a database symbol, the key the rule
+    // tables were compiled under.
+    binding.rules = compiled_.Resolve(db_.GetObject(id).view);
     binding.generation = compiled_.generation();
   }
   return binding;
@@ -136,7 +120,6 @@ OidId RunTimeEngine::OnCreateObject(std::string_view block,
   const OidId id =
       db_.CreateNextVersion(block, view, user, clock_.NowSeconds());
   const std::optional<OidId> previous = db_.PreviousVersion(id);
-  BindingOf(id);  // Intern the view and bind rule tables up front.
 
   if (blueprint_) {
     ++stats_.objects_templated;
@@ -278,9 +261,6 @@ size_t RunTimeEngine::RetemplateLinks() {
 
 void RunTimeEngine::PostEvent(EventMessage event) {
   if (event.timestamp == 0) event.timestamp = clock_.NowSeconds();
-  // Intern at intake so the wave's symbol lookup is a guaranteed hit.
-  symbols_.Intern(event.name);
-  stats_.interner_symbols = symbols_.size();
   queue_.Push(std::move(event));
 }
 
@@ -308,10 +288,9 @@ bool RunTimeEngine::ProcessOne() {
   }
 
   // One string hash per queue event; everything past this point works
-  // on the SymbolId. (Events can reach the queue without PostEvent —
-  // replayed traces, direct queue pushes — so Intern, not Find.)
-  const SymbolId event_sym = symbols_.Intern(event->name);
-  stats_.interner_symbols = symbols_.size();
+  // on the SymbolId. A lookup, never an intern: a name the database has
+  // no symbol for (kNoSymbol) matches no rule set and no bucket.
+  const SymbolId event_sym = db_.FindSymbol(event->name);
 
   {
     processing_ = true;
@@ -345,8 +324,7 @@ void RunTimeEngine::DeliverSeededWave(std::vector<OidId> seeds,
                                       EventMessage event) {
   if (processing_ || seeds.empty()) return;
   if (event.timestamp == 0) event.timestamp = clock_.NowSeconds();
-  const SymbolId event_sym = symbols_.Intern(event.name);
-  stats_.interner_symbols = symbols_.size();
+  const SymbolId event_sym = db_.FindSymbol(event.name);
   ++stats_.seeded_handoff_waves;
   event.origin = events::EventOrigin::kPropagated;
   {
@@ -393,7 +371,7 @@ void RunTimeEngine::CollectReceivers(OidId source, const EventMessage& event,
   if (options_.use_propagation_index) {
     ++stats_.index_lookups;
     const PropagationIndex::Bucket* bucket =
-        index_.Receivers(source, event.direction, event_sym);
+        index_->Receivers(source, event.direction, event_sym);
     if (bucket == nullptr) return;
     for (const PropagationIndex::Entry& entry : *bucket) {
       AdmitReceiver(entry.neighbor, event, visited, out);
@@ -663,7 +641,7 @@ void RunTimeEngine::ExecutePost(OidId target, const blueprint::ActionPost& act,
 
   // Example 1 form: "post behavioral_sim_ok down to VerilogNetList" —
   // posted to the nearest OIDs of the named view; they go through the
-  // FIFO queue like any other event (and are re-interned at intake).
+  // FIFO queue like any other event (and are looked up again there).
   const std::vector<OidId> targets =
       FindNearestOfView(target, act.direction, act.to_view);
   if (targets.empty()) {

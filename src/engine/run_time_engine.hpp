@@ -16,26 +16,30 @@
 //    receiving OID runs its own rules and propagates further.
 //
 // Propagation fast path: wave expansion is served by a per-OID
-// PropagationIndex keyed by (event, direction). The index is built in
-// one pass when a blueprint is installed and maintained incrementally
-// through MetaDatabase link-observer notifications (link add / delete /
-// endpoint move / PROPAGATE change), so phase 5 asks one hash lookup per
-// OID instead of scanning its adjacency and every link's PROPAGATE list.
-// Waves are processed in batches (BFS generations): all receivers of a
-// generation are collected and de-duplicated before any of their rules
-// run, which keeps delivery order identical to the naive scan and lets
-// stats report deliveries and batches per wave.
+// PropagationIndex keyed by (event, direction). An engine builds its own
+// index when it is created and when a blueprint is installed, and keeps
+// it current through MetaDatabase link-observer notifications (link add
+// / delete / endpoint move / PROPAGATE change), so phase 5 asks one hash
+// lookup per OID instead of scanning its adjacency and every link's
+// PROPAGATE list. An owner that maintains indexes itself lends one
+// instead (the sharded engine lends each shard's). Waves are processed
+// in batches (BFS generations): all receivers of a generation are
+// collected and de-duplicated before any of their rules run, which keeps
+// delivery order identical to the naive scan and lets stats report
+// deliveries and batches per wave.
 //
 // Interned hot path: after intake the engine never hashes or compares a
-// string. Event and view names are interned through an engine-owned
-// SymbolTable (at PostEvent / ProcessOne / object creation / blueprint
-// install); the propagation index is keyed by packed
-// (OID, direction, SymbolId) integers; rule matching is served by
-// per-(view, event) tables compiled at LoadBlueprint
-// (blueprint/compiled_rules.hpp); the wave's visited set is an
-// epoch-stamped vector pooled across waves; and one immutable event
-// payload is shared across every delivery of a wave instead of being
-// copied per OID. One option swaps the expansion step for testing:
+// string. Names are ids of the meta-database's symbol table, the only
+// symbol space: objects store view ids, blueprint install interns every
+// rule and link-template name, and a queue event's name is looked up
+// once per wave with FindSymbol, which never grows the table — a name
+// no blueprint or link mentions matches no rule and no receiver. The
+// propagation index is keyed by packed (OID, direction, SymbolId)
+// integers; rule matching is served by per-(view, event) tables compiled
+// at LoadBlueprint (blueprint/compiled_rules.hpp); the wave's visited set
+// is an epoch-stamped vector pooled across waves; and one immutable
+// event payload is shared across every delivery of a wave instead of
+// being copied per OID. One option swaps the expansion step for testing:
 // use_propagation_index = false scans adjacency lists instead of the
 // index — the differential suites' reference oracle. Delivery order,
 // and thus the journal, is byte-identical either way.
@@ -79,16 +83,8 @@ struct EngineOptions {
 
   /// Serve wave expansion from the per-OID propagation index instead of
   /// scanning adjacency lists. Off is the scan oracle the differential
-  /// tests compare against (and what steal engines run, see
-  /// sharded_engine.hpp); delivery order is identical either way.
+  /// tests compare against; delivery order is identical either way.
   bool use_propagation_index = true;
-
-  /// Skip the constructor's observer registration and initial full
-  /// index build: the owner installs a scoped index via SetIndexScope
-  /// right after construction (the sharded engine does this for every
-  /// shard engine), so building — and briefly holding — a full-graph
-  /// index first would be pure waste on a pre-populated database.
-  bool external_index_maintenance = false;
 };
 
 /// Routes propagation receivers that live outside this engine's shard
@@ -144,8 +140,13 @@ class RunTimeEngine : private metadb::LinkObserver {
  public:
   using NotificationSink = std::function<void(const Notification&)>;
 
+  /// With `index` null the engine builds and maintains its own
+  /// propagation index. Otherwise it expands waves through `index`, a
+  /// lent index over `db` that the caller maintains (the sharded engine
+  /// lends each shard's) and that must outlive the engine.
   RunTimeEngine(metadb::MetaDatabase& db, SimClock& clock,
-                EngineOptions options = {});
+                EngineOptions options = {},
+                const PropagationIndex* index = nullptr);
   ~RunTimeEngine() override;
 
   RunTimeEngine(const RunTimeEngine&) = delete;
@@ -204,8 +205,8 @@ class RunTimeEngine : private metadb::LinkObserver {
 
   // --- Event intake -----------------------------------------------------
 
-  /// Queues an event (FIFO). The event name is interned here, so by the
-  /// time the wave runs its symbol is a table hit.
+  /// Queues an event (FIFO). Never grows the symbol table: the wave
+  /// looks the name up when it runs.
   void PostEvent(events::EventMessage event);
 
   /// Processes the head event; returns false when the queue is empty.
@@ -227,19 +228,10 @@ class RunTimeEngine : private metadb::LinkObserver {
   /// be cleared before destruction.
   void SetWaveRouter(WaveRouter* router) noexcept { router_ = router; }
 
-  /// Restricts the propagation index to sources for which `owns`
-  /// returns true and detaches this engine from MetaDatabase link
-  /// notifications — an external maintainer (the sharded engine's index
-  /// router) applies each link op to the owning shard's index instead,
-  /// so a link op costs O(1) index updates, not one per shard. The
-  /// index is rebuilt under the new scope (and again on every
-  /// LoadBlueprint) unless `rebuild` is false — the sharded engine
-  /// passes false and bulk-fills all shard indexes in one routed pass
-  /// instead of N filtered walks. Pass nullptr to restore
-  /// self-maintenance over the full link graph. Structural: call only
-  /// while quiescent.
-  void SetIndexScope(std::function<bool(metadb::OidId)> owns,
-                     bool rebuild = true);
+  /// Points wave expansion at another lent index (the sharded engine's
+  /// steal engines, between tasks). Only for engines built with a lent
+  /// index.
+  void LendIndex(const PropagationIndex& index) noexcept { index_ = &index; }
 
   // --- State access ------------------------------------------------------
 
@@ -269,7 +261,9 @@ class RunTimeEngine : private metadb::LinkObserver {
   events::EventJournal& mutable_journal() noexcept { return journal_; }
   const EngineStats& stats() const noexcept { return stats_; }
   SimClock& clock() noexcept { return clock_; }
-  const PropagationIndex& propagation_index() const noexcept { return index_; }
+  const PropagationIndex& propagation_index() const noexcept {
+    return *index_;
+  }
 
   /// Oracle check of the propagation index against a snapshot of the
   /// database (primary form — published versions are handle-identical,
@@ -277,20 +271,12 @@ class RunTimeEngine : private metadb::LinkObserver {
   /// database (compat overload).
   bool ConsistentWith(const metadb::Snapshot& snapshot,
                       std::string* diff = nullptr) const {
-    return index_.ConsistentWith(snapshot, diff);
+    return index_->ConsistentWith(snapshot, diff);
   }
   bool ConsistentWith(const metadb::MetaDatabase& db,
                       std::string* diff = nullptr) const {
-    return index_.ConsistentWith(db, diff);
+    return index_->ConsistentWith(db, diff);
   }
-
-  /// Mutable index access for the external maintainer installed with
-  /// SetIndexScope (the sharded engine's index router).
-  PropagationIndex& mutable_propagation_index() noexcept { return index_; }
-
-  /// The engine's interner. Symbol ids are stable for the engine's
-  /// lifetime (the table only grows, even across blueprint reloads).
-  const SymbolTable& symbols() const noexcept { return symbols_; }
 
   /// The rule tables compiled from the current blueprint.
   const blueprint::CompiledRules& compiled_rules() const noexcept {
@@ -303,12 +289,8 @@ class RunTimeEngine : private metadb::LinkObserver {
     return compiled_.source_version();
   }
 
-  /// Zeroes the statistics (benchmark warm-up support). Gauges
-  /// (interner size) are re-seeded from live state.
-  void ResetStats() noexcept {
-    stats_ = EngineStats{};
-    stats_.interner_symbols = symbols_.size();
-  }
+  /// Zeroes the statistics (benchmark warm-up support).
+  void ResetStats() noexcept { stats_ = EngineStats{}; }
 
   /// Drops the audit journal (benchmark support: long measurement loops
   /// would otherwise accumulate unbounded records).
@@ -362,13 +344,11 @@ class RunTimeEngine : private metadb::LinkObserver {
     SymbolId name_sym = SymbolTable::kNoSymbol;
   };
 
-  /// Per-OID engine state: the OID's view symbol (immutable — slots are
-  /// never reused), its rule-table binding for the current compiled
-  /// generation, and where its continuous assignments last reached a
-  /// fixed point.
+  /// Per-OID engine state: its rule-table binding for the current
+  /// compiled generation, and where its continuous assignments last
+  /// reached a fixed point.
   struct OidBinding {
     uint32_t generation = 0;  ///< compiled_.generation() when resolved.
-    SymbolId view_sym = SymbolTable::kNoSymbol;
     blueprint::CompiledRules::Binding rules;
     /// compiled_.generation() and MetaObject::revision when a refresh
     /// last reached a fixed point (generation 0 = never).
@@ -401,13 +381,13 @@ class RunTimeEngine : private metadb::LinkObserver {
   /// The slot's binding entry, unresolved (grows the cache on demand).
   OidBinding& SlotOf(metadb::OidId id);
 
-  /// The interned-view/rule-table binding of one OID, resolved lazily
-  /// and cached by slot (re-resolved after blueprint reloads).
+  /// The rule-table binding of one OID's view, resolved lazily and
+  /// cached by slot (re-resolved after blueprint reloads).
   const OidBinding& BindingOf(metadb::OidId id);
 
   /// Rule phases executed at one OID for one event, from the compiled
-  /// tables (none without a blueprint). `event_sym` is the interned
-  /// event name. The event payload is shared — per-delivery fields
+  /// tables (none without a blueprint). `event_sym` is the event name's
+  /// database symbol. The event payload is shared — per-delivery fields
   /// ($oid, $block, ...) resolve from `target`, not the message.
   void RunRulesAt(metadb::OidId target, const events::EventMessage& event,
                   SymbolId event_sym,
@@ -480,11 +460,6 @@ class RunTimeEngine : private metadb::LinkObserver {
   events::EventJournal journal_;
   EngineStats stats_;
 
-  /// The engine's interner: every event and view name crossing the
-  /// intake boundary becomes a SymbolId here. Declared before the
-  /// members that key off it.
-  SymbolTable symbols_;
-
   /// Rule tables compiled from blueprint_. Its generation() bumps on
   /// every LoadBlueprint, which invalidates cached bindings and settled
   /// state alike.
@@ -497,10 +472,13 @@ class RunTimeEngine : private metadb::LinkObserver {
   std::vector<std::unique_ptr<WaveVisited>> visited_pool_;
   size_t visited_depth_ = 0;
 
-  /// Per-OID receiver index for phase-5 wave expansion; maintained via
-  /// the LinkObserver callbacks above while options_.use_propagation_index
-  /// is set (and rebuilt wholesale on LoadBlueprint). Shares symbols_.
-  PropagationIndex index_;
+  /// The engine's own receiver index for phase-5 wave expansion, when
+  /// no index was lent: maintained via the LinkObserver callbacks above
+  /// while options_.use_propagation_index is set (and rebuilt wholesale
+  /// on LoadBlueprint).
+  PropagationIndex own_index_;
+  /// The index waves expand through: &own_index_ or the lent one.
+  const PropagationIndex* index_;
 
   // Wrapper scripts are *launched* in rule phase 3 but their effects
   // arrive asynchronously (they are shell scripts talking back over the

@@ -469,12 +469,7 @@ class ShardedEngine::IndexRouter final : public metadb::LinkObserver,
                                          public metadb::ShardMapListener {
  public:
   explicit IndexRouter(ShardedEngine& owner) : owner_(owner) {
-    // Scan-mode engines (use_propagation_index = false) query no index;
-    // maintaining one per shard would be pure overhead.
-    if (owner_.num_shards_ > 1 &&
-        owner_.options_.engine.use_propagation_index) {
-      owner_.db_.AddLinkObserver(this);
-    }
+    if (owner_.num_shards_ > 1) owner_.db_.AddLinkObserver(this);
   }
 
   ~IndexRouter() override { owner_.db_.RemoveLinkObserver(this); }
@@ -536,11 +531,10 @@ class ShardedEngine::IndexRouter final : public metadb::LinkObserver,
     if (!active_) return;
     ++observer_updates_;
     using events::Direction;
-    IndexOf(link.from).RebuildBucketsAt(owner_.db_, link.from,
-                                        Direction::kDown, old_propagates,
-                                        link.propagates);
-    IndexOf(link.to).RebuildBucketsAt(owner_.db_, link.to, Direction::kUp,
-                                      old_propagates, link.propagates);
+    IndexOf(link.from).RebuildBucketsAt(link.from, Direction::kDown,
+                                        old_propagates, link.propagates);
+    IndexOf(link.to).RebuildBucketsAt(link.to, Direction::kUp, old_propagates,
+                                      link.propagates);
     // Connectivity (and thus the boundary set) is unchanged.
   }
 
@@ -550,8 +544,8 @@ class ShardedEngine::IndexRouter final : public metadb::LinkObserver,
                       uint32_t new_shard) override {
     if (!active_) return;
     ++migrated_sources_;
-    owner_.ShardIndex(old_shard).RemoveSourceBuckets(owner_.db_, id);
-    owner_.ShardIndex(new_shard).AddSourceBuckets(owner_.db_, id);
+    owner_.ShardIndex(old_shard).RemoveSourceBuckets(id);
+    owner_.ShardIndex(new_shard).AddSourceBuckets(id);
     // The move can flip the crossing status of every adjacent link.
     for (const metadb::LinkId link_id : owner_.db_.OutLinks(id)) {
       UpdateBoundary(link_id, owner_.db_.GetLink(link_id));
@@ -742,15 +736,13 @@ struct ShardedEngine::Lane {
 // --- Steal contexts ----------------------------------------------------------
 
 /// One stealing worker's private executor: a RunTimeEngine over the
-/// shared meta-database plus a re-bindable router. The engine runs in
-/// scan mode (use_propagation_index = false): wave expansion reads the
-/// immutable-during-drain link graph directly, so it needs neither a
-/// propagation index of its own nor access to the owning lane's (whose
-/// symbol table the occupant may be growing concurrently). Scan and
-/// index expansion produce identical receiver sets, so the delivered
-/// record multiset is unchanged; the steal path trades per-hop lookup
-/// speed for running on cycles that were idle anyway. Journal and
-/// stats are private and merged into the engine-wide views.
+/// shared meta-database plus a re-bindable router. Both are pointed at
+/// the stolen task's shard: the router claims through that shard's
+/// ClaimStore, and the engine expands waves through that shard's
+/// propagation index — the index is read-only during a drain and keyed
+/// by the database's symbols, which workers only look up, so the
+/// stealer and the lane's occupant share it. Journal and stats are
+/// private and merged into the engine-wide views.
 struct ShardedEngine::StealContext {
   std::unique_ptr<RunTimeEngine> engine;
   std::unique_ptr<LaneRouter> router;
@@ -774,23 +766,32 @@ ShardedEngine::ShardedEngine(metadb::MetaDatabase& db, SimClock& clock,
     // (LaneRouter::Handoff); aliasing shards would break exactly-once.
     throw Error("ShardedEngine: num_shards must be <= 65535");
   }
+  if (num_shards_ > 1) {
+    // One index per shard, scoped to the shard's own sources, filled in
+    // ONE routed pass over the database instead of N filtered walks;
+    // then the router and migration listener are armed.
+    for (uint32_t shard = 0; shard < num_shards_; ++shard) {
+      indexes_.push_back(std::make_unique<PropagationIndex>(db_));
+      indexes_.back()->SetSourceFilter(
+          [this, shard](OidId id) { return shard_map_.ShardOf(id) == shard; });
+    }
+    RebuildShardIndexes();
+    index_router_->Activate();
+    shard_map_.SetListener(index_router_.get());
+  }
   lanes_.reserve(num_shards_);
-  // Shard engines never self-maintain their index: SetIndexScope below
-  // installs the scoped build, so the constructor's full-graph build
-  // would be N wasted passes over a pre-populated database.
-  EngineOptions engine_options = options_.engine;
-  if (num_shards_ > 1) engine_options.external_index_maintenance = true;
   for (uint32_t shard = 0; shard < num_shards_; ++shard) {
     auto lane = std::make_unique<Lane>();
     lane->shard = shard;
-    lane->engine =
-        std::make_unique<RunTimeEngine>(db_, clock_, engine_options);
+    // Shard engines borrow their shard's index. With one shard there is
+    // none: the engine maintains its own full index, as a plain engine.
+    lane->engine = std::make_unique<RunTimeEngine>(
+        db_, clock_, options_.engine,
+        num_shards_ > 1 ? &ShardIndex(shard) : nullptr);
     lane->router = std::make_unique<LaneRouter>(*this, shard);
     // With one shard no receiver can be foreign: skip the router (and
     // the claim store) so the engine does not even pay the Owns() probe
-    // — num_shards = 1 is the plain engine, byte for byte (it also keeps
-    // its self-maintained full index; scoping only pays off with actual
-    // shards).
+    // — num_shards = 1 is the plain engine, byte for byte.
     if (num_shards_ > 1) {
       lane->engine->SetWaveRouter(lane->router.get());
       claim_stores_.push_back(std::make_unique<ClaimStore>());
@@ -803,22 +804,6 @@ ShardedEngine::ShardedEngine(metadb::MetaDatabase& db, SimClock& clock,
     }
     lanes_.push_back(std::move(lane));
   }
-  if (num_shards_ > 1 && options_.engine.use_propagation_index) {
-    // Scope every shard engine's index to its own subtree (the engine
-    // never self-registered — external_index_maintenance above), then
-    // fill all N indexes in ONE routed pass over the database instead
-    // of N filtered walks, and arm the router + migration listener.
-    for (uint32_t shard = 0; shard < num_shards_; ++shard) {
-      lanes_[shard]->engine->SetIndexScope(
-          [this, shard](OidId id) { return shard_map_.ShardOf(id) == shard; },
-          /*rebuild=*/false);
-    }
-    db_.ForEachObject([this](OidId id, const metadb::MetaObject&) {
-      ShardIndex(shard_map_.ShardOf(id)).AddSourceBuckets(db_, id);
-    });
-    index_router_->Activate();
-    shard_map_.SetListener(index_router_.get());
-  }
   if (!options_.deterministic) {
     size_t worker_count = options_.worker_threads;
     if (worker_count == 0) {
@@ -826,19 +811,17 @@ ShardedEngine::ShardedEngine(metadb::MetaDatabase& db, SimClock& clock,
       worker_count = std::min<size_t>(num_shards_, cores);
     }
     worker_count = std::min<size_t>(worker_count, num_shards_);
-    // Lane stealing: every worker gets a private scan-mode steal engine
-    // that claims through the owning shard's ClaimStore. A single worker
-    // never observes a busy lane, so stealing is moot below two.
+    // Lane stealing: every worker gets a private steal engine that
+    // borrows the owning shard's index and claims through its
+    // ClaimStore. A single worker never observes a busy lane, so
+    // stealing is moot below two.
     stealing_active_ = num_shards_ > 1 && worker_count > 1;
     if (stealing_active_) {
-      EngineOptions steal_options = options_.engine;
-      steal_options.use_propagation_index = false;
-      steal_options.external_index_maintenance = false;
       steal_contexts_.reserve(worker_count);
       for (size_t i = 0; i < worker_count; ++i) {
         auto context = std::make_unique<StealContext>();
-        context->engine =
-            std::make_unique<RunTimeEngine>(db_, clock_, steal_options);
+        context->engine = std::make_unique<RunTimeEngine>(
+            db_, clock_, options_.engine, &ShardIndex(0));
         context->router = std::make_unique<LaneRouter>(*this, 0);
         context->engine->SetWaveRouter(context->router.get());
         steal_contexts_.push_back(std::move(context));
@@ -861,7 +844,15 @@ ShardedEngine::~ShardedEngine() {
 }
 
 PropagationIndex& ShardedEngine::ShardIndex(uint32_t shard) {
-  return lanes_[shard]->engine->mutable_propagation_index();
+  return *indexes_[shard];
+}
+
+void ShardedEngine::RebuildShardIndexes() {
+  for (auto& index : indexes_) index->Clear();
+  if (indexes_.empty()) return;
+  db_.ForEachObject([this](OidId id, const metadb::MetaObject&) {
+    ShardIndex(shard_map_.ShardOf(id)).AddSourceBuckets(id);
+  });
 }
 
 ShardedEngine::ClaimStore& ShardedEngine::StoreOf(uint32_t shard) {
@@ -957,6 +948,7 @@ void ShardedEngine::LoadBlueprint(const blueprint::Blueprint& blueprint,
   for (auto& context : steal_contexts_) {
     context->engine->LoadBlueprint(blueprint.Clone(), policy_version);
   }
+  RebuildShardIndexes();
 }
 
 void ShardedEngine::LoadBlueprintText(std::string_view text,
@@ -1078,6 +1070,7 @@ bool ShardedEngine::TrySteal(size_t worker_index) {
     if (!lane.PopSub(task)) continue;
     counters_->stolen_subwaves.fetch_add(1, std::memory_order_relaxed);
     context.router->Bind(lane.shard);
+    context.engine->LendIndex(ShardIndex(lane.shard));
     const uint64_t epoch = task.event.wave_epoch;
     ExecuteTask(*context.engine, *context.router, std::move(task));
     FinishTask(epoch);

@@ -52,22 +52,24 @@
 // event ring stays single-consumer under the lane's busy flag (per
 // -shard FIFO for top-level waves is structural), while sub-wave tasks
 // sit in an MPMC ring any idle worker may pop. A stealing worker runs
-// the stolen sub-wave on its private scan-mode engine (wave expansion
-// reads the drain-quiescent link graph directly; scan and index
-// expansion deliver identical receiver sets), claims against the
-// owning shard's ClaimStore, and serializes same-OID rule execution
-// against the lane's occupant through striped per-OID delivery locks
-// (different epochs may reach one OID concurrently). Stolen deliveries
-// journal into the steal engine's private journal; the merged views
-// below and AggregateEngineStats fold them in.
+// the stolen sub-wave on its private engine, which expands waves through
+// the owning shard's propagation index (read-only during a drain and
+// keyed by the meta-database's symbols, which workers only look up),
+// claims against the owning shard's ClaimStore, and serializes same-OID
+// rule execution against the lane's occupant through striped per-OID
+// delivery locks (different epochs may reach one OID concurrently).
+// Stolen deliveries journal into the steal engine's private journal;
+// the merged views below and AggregateEngineStats fold them in.
 //
-// Per-shard propagation indexes. Each shard engine's PropagationIndex
-// is scoped to the sources its shard owns (SetIndexScope), so N shards
-// together hold ~1× the link graph instead of N×. The shard engines do
-// not observe the meta-database; one IndexRouter (registered before the
-// ShardMap so it sees pre-union assignments) applies each link op to
-// the owning shard's index — O(1) observer updates per op, not O(N) —
-// tracks the boundary set (links whose endpoints sit on different
+// Per-shard propagation indexes. This layer owns one PropagationIndex
+// per shard, scoped to the sources the shard owns, so N shards together
+// hold ~1× the link graph instead of N×; it lends each to the shard's
+// engine and to whichever steal engine runs the shard's sub-waves. One
+// routed pass over the database fills all N at construction and on
+// every LoadBlueprint. Afterwards one IndexRouter (registered before
+// the ShardMap so it sees pre-union assignments) applies each link op
+// to the owning shard's index — O(1) observer updates per op, not O(N)
+// — tracks the boundary set (links whose endpoints sit on different
 // shards), and, when the ShardMap reassigns an OID (incremental union
 // or Rebalance re-deal), migrates that OID's buckets between shard
 // indexes instead of rebuilding either one.
@@ -223,7 +225,8 @@ class ShardedEngine {
   void AwaitQuiescence();
 
   /// Installs the blueprint on every shard engine (deep copies; each
-  /// engine compiles its own rule tables against its own interner).
+  /// engine compiles its own rule tables, all keyed by the database's
+  /// symbols) and rebuilds the shard indexes in one routed pass.
   /// `policy_version` stamps the PolicyStore commit the blueprint came
   /// from (0 = direct install); every shard's compiled generation
   /// carries it, so live rebinds stay version-traceable per shard.
@@ -322,6 +325,8 @@ class ShardedEngine {
 
   uint32_t ShardOfTarget(const metadb::Oid& target) const;
   PropagationIndex& ShardIndex(uint32_t shard);
+  /// Refills every shard index in one routed pass over the database.
+  void RebuildShardIndexes();
   void Route(events::EventMessage event);
   void Enqueue(uint32_t shard, Task&& task);
   void ExecuteTask(RunTimeEngine& engine, LaneRouter& router, Task&& task);
@@ -369,12 +374,14 @@ class ShardedEngine {
   /// land under the assignment they were placed with.
   std::unique_ptr<IndexRouter> index_router_;
   metadb::ShardMap shard_map_;
+  /// Per-shard propagation indexes (N > 1 only), lent to the engines.
+  std::vector<std::unique_ptr<PropagationIndex>> indexes_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   /// Per-shard claim stores (N > 1 only: one shard needs no router).
   std::vector<std::unique_ptr<ClaimStore>> claim_stores_;
-  /// Per-worker steal engines (when stealing is active): scan-mode
-  /// expansion over the shared read-only link graph, private journal
-  /// and stats merged into the engine-wide views.
+  /// Per-worker steal engines (when stealing is active): expansion
+  /// through the bound shard's index, private journal and stats merged
+  /// into the engine-wide views.
   std::vector<std::unique_ptr<StealContext>> steal_contexts_;
   bool stealing_active_ = false;
   std::vector<std::thread> workers_;

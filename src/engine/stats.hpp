@@ -51,7 +51,6 @@ struct EngineStats {
   // Interned hot path (symbol-keyed rule tables; see compiled_rules.hpp).
   size_t rule_table_hits = 0;       ///< Deliveries served a compiled rule set.
   size_t rule_table_misses = 0;     ///< Deliveries with no rules for the event.
-  size_t interner_symbols = 0;      ///< Symbols in the engine's table (gauge).
 
   // Sharded execution (see sharded_engine.hpp; zero on unsharded engines).
   size_t handoff_receivers = 0;     ///< Receivers routed to another shard.
@@ -107,11 +106,6 @@ struct EngineStats {
     links_scanned += other.links_scanned;
     rule_table_hits += other.rule_table_hits;
     rule_table_misses += other.rule_table_misses;
-    // Gauge, not a counter: per-shard interners hold largely the same
-    // strings, so summing would overstate by ~num_shards.
-    if (other.interner_symbols > interner_symbols) {
-      interner_symbols = other.interner_symbols;
-    }
     handoff_receivers += other.handoff_receivers;
     seeded_handoff_waves += other.seeded_handoff_waves;
     dedup_suppressed += other.dedup_suppressed;

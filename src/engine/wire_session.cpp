@@ -1,5 +1,7 @@
 #include "engine/wire_session.hpp"
 
+#include <charconv>
+
 #include "blueprint/parser.hpp"
 #include "blueprint/validator.hpp"
 #include "common/error.hpp"
@@ -20,6 +22,16 @@ std::string NextWord(std::string_view& rest) {
   std::string word(rest.substr(start, i - start));
   rest.remove_prefix(i);
   return word;
+}
+
+/// Parses the whole of `word` as a decimal integer. False for an empty
+/// word, trailing characters, a sign `Int` cannot hold or overflow —
+/// std::stoull would read "3xyz" as 3 and wrap "-1" to 2^64-1.
+template <typename Int>
+bool ParseWhole(std::string_view word, Int& out) {
+  const auto [ptr, ec] =
+      std::from_chars(word.data(), word.data() + word.size(), out);
+  return ec == std::errc{} && ptr == word.data() + word.size();
 }
 
 /// Remaining text as one argument: quoted or verbatim-trimmed.
@@ -292,9 +304,12 @@ std::string WireSession::CmdValidate(Context& ctx) {
 
 std::string WireSession::CmdAdvance(Context& ctx) {
   std::string_view rest = ctx.rest;
-  const std::string seconds = NextWord(rest);
+  int64_t seconds = 0;
+  if (!ParseWhole(NextWord(rest), seconds)) {
+    return "error: usage: advance <seconds>\n";
+  }
   try {
-    server_.AdvanceClock(std::stoll(seconds));
+    server_.AdvanceClock(seconds);
   } catch (const std::exception&) {
     return "error: usage: advance <seconds>\n";
   }
@@ -468,11 +483,8 @@ std::string WireSession::CmdPolicyPropose(Context& ctx) {
 
 std::string WireSession::CmdPolicyValidate(Context& ctx) {
   std::string_view rest = ctx.rest;
-  const std::string id_word = NextWord(rest);
   uint64_t id = 0;
-  try {
-    id = std::stoull(id_word);
-  } catch (const std::exception&) {
+  if (!ParseWhole(NextWord(rest), id)) {
     return "error: usage: policy-validate <version-id>\n";
   }
   const blueprint::ValidationReport report = server_.PolicyValidate(id);
@@ -484,11 +496,8 @@ std::string WireSession::CmdPolicyValidate(Context& ctx) {
 
 std::string WireSession::CmdPolicyPromote(Context& ctx) {
   std::string_view rest = ctx.rest;
-  const std::string id_word = NextWord(rest);
   uint64_t id = 0;
-  try {
-    id = std::stoull(id_word);
-  } catch (const std::exception&) {
+  if (!ParseWhole(NextWord(rest), id)) {
     return "error: usage: policy-promote <version-id>\n";
   }
   const policy::PolicyVersion version = server_.PolicyPromote(id);
@@ -536,12 +545,9 @@ std::string WireSession::CmdShadowWave(Context& ctx) {
       "error: usage: shadow-wave <version-id> <event> <up|down> "
       "<block,view,version> [depth]\n";
   uint64_t id = 0;
-  try {
-    id = std::stoull(id_word);
-  } catch (const std::exception&) {
+  if (!ParseWhole(id_word, id) || event.empty() || oid_word.empty()) {
     return usage;
   }
-  if (event.empty() || oid_word.empty()) return usage;
   events::Direction direction;
   if (dir_word == "up") {
     direction = events::Direction::kUp;
@@ -551,12 +557,8 @@ std::string WireSession::CmdShadowWave(Context& ctx) {
     return usage;
   }
   policy::ShadowWaveOptions options;
-  if (!depth_word.empty()) {
-    try {
-      options.depth_cap = std::stoull(depth_word);
-    } catch (const std::exception&) {
-      return usage;
-    }
+  if (!depth_word.empty() && !ParseWhole(depth_word, options.depth_cap)) {
+    return usage;
   }
   const policy::PolicyVersion version = server_.policy_store().Get(id);
   const blueprint::Blueprint proposed =

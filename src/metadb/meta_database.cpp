@@ -228,6 +228,10 @@ const std::string& MetaDatabase::SymbolText(SymbolId id) const {
   return symbols_[id];
 }
 
+void MetaDatabase::InternAll(const std::vector<std::string>& names) {
+  for (const std::string& name : names) Intern(name);
+}
+
 void MetaDatabase::DenyInterningOnThisThread() noexcept {
   tls_interning_denied = true;
 }
@@ -252,6 +256,7 @@ LinkId MetaDatabase::CreateLink(LinkKind kind, OidId from, OidId to,
         FormatOid(OidOf(from)) + " vs " + FormatOid(OidOf(to)) + ")");
   }
 
+  InternAll(propagates);
   const LinkId id(static_cast<uint32_t>(links_.size()));
   Link link;
   link.kind = kind;
@@ -345,6 +350,7 @@ void MetaDatabase::SetLinkPropagates(LinkId id,
     throw IntegrityError("SetLinkPropagates: link is deleted");
   }
   if (link.propagates == propagates) return;
+  InternAll(propagates);
   std::vector<std::string> old_propagates = std::move(link.propagates);
   link.propagates = std::move(propagates);
   MarkLinkDirty(id.value());
@@ -488,6 +494,7 @@ OidId MetaDatabase::RestoreObjectSlot(MetaObject object) {
 }
 
 LinkId MetaDatabase::RestoreLinkSlot(Link link) {
+  InternAll(link.propagates);
   const LinkId id(static_cast<uint32_t>(links_.size()));
   const bool alive = link.alive;
   if (alive) {
@@ -562,6 +569,7 @@ void MetaDatabase::ApplyLinkSlot(size_t slot, Link link) {
     CheckObjectHandle(link.from);
     CheckObjectHandle(link.to);
   }
+  InternAll(link.propagates);
   if (slot == links_.size()) {
     links_.push_back(std::move(link));
   } else {

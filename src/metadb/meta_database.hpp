@@ -12,8 +12,10 @@
 // index) is stored in fixed-size chunks (metadb/chunked.hpp) so a
 // snapshot publish copies only what changed since the previous one.
 //
-// The database owns a symbol table for every name its objects store:
-// block, view, creating user and property names. Objects hold ids
+// The database owns a symbol table for every name its objects and links
+// store: block, view, creating user, property and PROPAGATE names. It is
+// the only symbol space of wave execution: rule tables and propagation
+// indexes key on its ids. Objects hold ids
 // (metadb/meta_object.hpp); the Oid triplet stays the API and wire type
 // and is rebuilt on demand by OidOf. The table is stored like the other
 // tables, so a published version resolves names without touching live
@@ -163,8 +165,9 @@ class MetaDatabase {
 
   // --- Symbols -------------------------------------------------------------
   // Thread contract: Intern of a NEW name is a structural mutation
-  // (create, check-in, load, recovery, blueprint install). FindSymbol
-  // and SymbolText are safe from wave workers, which never intern.
+  // (create, check-in, link create or PROPAGATE rewrite, load, recovery,
+  // blueprint install). FindSymbol and SymbolText are safe from wave
+  // workers, which never intern.
 
   /// The id of `text`, interned on first use. Id 0 is the empty string.
   /// Throws IntegrityError for a new name on a thread that called
@@ -418,6 +421,9 @@ class MetaDatabase {
 
   void CheckObjectHandle(OidId id) const;
   void CheckLinkHandle(LinkId id) const;
+  /// Interns a link's PROPAGATE names: every link-structural path calls
+  /// it, so propagation indexes only ever look names up.
+  void InternAll(const std::vector<std::string>& names);
   void DetachLinkFromAdjacency(LinkId id);
 
   // Dirty marks: every mutation makes one, which is also how a publish

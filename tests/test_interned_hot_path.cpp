@@ -2,9 +2,11 @@
 // rule tables, SymbolId-keyed receiver lookups and copy-free wave
 // delivery must behave identically to the scan oracle (the same engine
 // expanding waves by adjacency scans instead of the index) — pinned by
-// differential journals — and the interner-backed index must rekey
-// correctly through retemplating, endpoint moves and blueprint reloads
-// (SymbolIds never go stale: the table only grows).
+// differential journals — and the index, keyed by the meta-database's
+// symbols, must rekey correctly through retemplating, endpoint moves and
+// blueprint reloads (SymbolIds never go stale: the table only grows).
+// Event names arriving over the wire are looked up, never interned, so
+// they cannot grow the table.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -177,17 +179,64 @@ TEST(InternedHotPath, UntrackedViewResolvesToDefaultRules) {
 }
 
 /// Deliveries for events no rule reacts to are counted as table misses,
-/// and the interner-size gauge tracks the symbol table.
+/// and the event's name does not grow the database's symbol table.
 TEST(InternedHotPath, StatsCountTableHitsMissesAndInternerSize) {
   ProjectServer server("stats", ModeOptions(Mode::kInterned));
   server.InitializeBlueprint(kOrderBlueprint);
   server.CheckIn("blk", "sch", "new", "t");
+  const size_t symbols = server.database().SymbolCount();
   server.SubmitWireLine("postEvent nobodycares down blk,sch,1", "t");
   const EngineStats& stats = server.engine().stats();
   EXPECT_GT(stats.rule_table_misses, 0u);
-  EXPECT_EQ(stats.interner_symbols, server.engine().symbols().size());
-  EXPECT_NE(server.engine().symbols().Find("nobodycares"),
+  EXPECT_EQ(server.database().SymbolCount(), symbols);
+  EXPECT_EQ(server.database().FindSymbol("nobodycares"),
             SymbolTable::kNoSymbol);
+}
+
+/// Wire clients choose event names freely, and none of them may grow
+/// the database's symbol table: 1,000 distinct names no blueprint or
+/// link mentions are all journaled, on one shard and on a threaded
+/// four-shard server whose workers look each name up concurrently (a
+/// worker that tried to intern one would throw).
+TEST(InternedHotPath, WireEventNamesDoNotGrowTheSymbolTable) {
+  constexpr size_t kNames = 1000;
+  for (const uint32_t shards : {1u, 4u}) {
+    engine::ServerOptions options = ModeOptions(Mode::kInterned);
+    options.num_shards = shards;
+    ProjectServer server("bounded", options);
+    server.InitializeBlueprint(kOrderBlueprint);
+    for (const char* block : {"b0", "b1", "b2", "b3"}) {
+      server.CheckIn(block, "sch", "new", "t");
+    }
+    server.Drain();
+    const size_t symbols = server.database().SymbolCount();
+    for (size_t i = 0; i < kNames; ++i) {
+      server.SubmitWireLine("postEvent undeclared" + std::to_string(i) +
+                                " down b" + std::to_string(i % 4) + ",sch,1",
+                            "t");
+    }
+    server.Drain();
+
+    const std::string label = std::to_string(shards) + " shard(s)";
+    EXPECT_EQ(server.database().SymbolCount(), symbols) << label;
+    EXPECT_EQ(server.database().FindSymbol("undeclared7"),
+              SymbolTable::kNoSymbol)
+        << label;
+    std::vector<std::string> lines;
+    if (server.is_sharded()) {
+      lines = server.sharded_engine()->JournalLines();
+    } else {
+      const events::EventJournal& journal = server.engine().journal();
+      for (size_t i = 0; i < journal.Size(); ++i) {
+        lines.push_back(events::FormatEvent(journal.At(i).event));
+      }
+    }
+    size_t journaled = 0;
+    for (const std::string& line : lines) {
+      if (line.find("undeclared") != std::string::npos) ++journaled;
+    }
+    EXPECT_EQ(journaled, kNames) << label;
+  }
 }
 
 /// Without a blueprint a wave still propagates along PROPAGATE links,
@@ -223,7 +272,7 @@ TEST(InternedHotPath, BlueprintReloadRebindsRuleTables) {
   server.SubmitWireLine("postEvent mark down blk,sch,1", "t");
   ASSERT_EQ(testutil::LatestProp(server, "blk", "sch", "tag"), "override");
 
-  const SymbolId mark_before = server.engine().symbols().Find("mark");
+  const SymbolId mark_before = server.database().FindSymbol("mark");
   ASSERT_NE(mark_before, SymbolTable::kNoSymbol);
 
   server.InitializeBlueprint(R"(blueprint order2
@@ -233,11 +282,11 @@ endview
 endblueprint)");
   server.SubmitWireLine("postEvent mark down blk,sch,1", "t");
   EXPECT_EQ(testutil::LatestProp(server, "blk", "sch", "tag"), "reloaded");
-  // Symbols are stable across reloads (the interner only grows).
-  EXPECT_EQ(server.engine().symbols().Find("mark"), mark_before);
+  // Symbols are stable across reloads (the table only grows).
+  EXPECT_EQ(server.database().FindSymbol("mark"), mark_before);
 }
 
-// --- Interner-backed propagation index rekeying ----------------------------
+// --- Symbol-keyed propagation index rekeying --------------------------------
 
 /// A database + engine pair on the interned fast path.
 struct Fixture {
@@ -247,12 +296,13 @@ struct Fixture {
 };
 
 /// Test-local string shim over the SymbolId lookup: resolves the name
-/// through the index's table first.
-const PropagationIndex::Bucket* ReceiversByName(const PropagationIndex& index,
+/// through the database's table first.
+const PropagationIndex::Bucket* ReceiversByName(const MetaDatabase& db,
+                                                const PropagationIndex& index,
                                                 OidId source,
                                                 Direction direction,
                                                 std::string_view event) {
-  const SymbolId sym = index.symbols().Find(event);
+  const SymbolId sym = db.FindSymbol(event);
   if (sym == SymbolTable::kNoSymbol) return nullptr;
   return index.Receivers(source, direction, sym);
 }
@@ -265,8 +315,8 @@ std::string MustBeConsistent(const RunTimeEngine& engine,
 }
 
 /// The SymbolId lookup is the hot path; it must agree with resolving
-/// the name through the index's table (the test-local shim), bucket for
-/// bucket.
+/// the name through the database's table (the test-local shim), bucket
+/// for bucket.
 TEST(InternedHotPath, SymbolKeyedReceiversMatchStringShim) {
   Fixture f;
   const OidId a = f.db.CreateNextVersion("a", "sch", "t", 0);
@@ -275,16 +325,17 @@ TEST(InternedHotPath, SymbolKeyedReceiversMatchStringShim) {
                   CarryPolicy::kNone);
 
   const PropagationIndex& index = f.engine.propagation_index();
-  const SymbolId edit = index.symbols().Find("edit");
+  const SymbolId edit = f.db.FindSymbol("edit");
   ASSERT_NE(edit, SymbolTable::kNoSymbol);
   ASSERT_NE(index.Receivers(a, Direction::kDown, edit), nullptr);
   EXPECT_EQ(index.Receivers(a, Direction::kDown, edit),
-            ReceiversByName(index, a, Direction::kDown, "edit"));
+            ReceiversByName(f.db, index, a, Direction::kDown, "edit"));
   // Unknown symbol / unknown name: both say "no receivers", and the
   // lookup interns nothing.
   EXPECT_EQ(index.Receivers(a, Direction::kDown, SymbolId{0xdeadu}), nullptr);
-  EXPECT_EQ(ReceiversByName(index, a, Direction::kDown, "nosuch"), nullptr);
-  EXPECT_EQ(index.symbols().Find("nosuch"), SymbolTable::kNoSymbol);
+  EXPECT_EQ(ReceiversByName(f.db, index, a, Direction::kDown, "nosuch"),
+            nullptr);
+  EXPECT_EQ(f.db.FindSymbol("nosuch"), SymbolTable::kNoSymbol);
 }
 
 /// Endpoint moves rekey the packed (OID, direction, SymbolId) buckets:
@@ -297,7 +348,7 @@ TEST(InternedHotPath, EndpointMoveRekeysSymbolBuckets) {
   const metadb::LinkId link = f.db.CreateLink(LinkKind::kDerive, a1, b,
                                               {"edit"}, "", CarryPolicy::kMove);
   const OidId a2 = f.db.CreateNextVersion("a", "sch", "t", 1);
-  const SymbolId edit = f.engine.propagation_index().symbols().Find("edit");
+  const SymbolId edit = f.db.FindSymbol("edit");
   ASSERT_NE(edit, SymbolTable::kNoSymbol);
 
   f.db.MoveLinkEndpoint(link, /*endpoint_from=*/true, a2);
@@ -324,7 +375,7 @@ TEST(InternedHotPath, RetemplateAndReloadRekeySymbolBuckets) {
   const OidId golden_id = *server.database().FindObject(golden);
 
   const PropagationIndex& index = server.engine().propagation_index();
-  const SymbolId outofdate = index.symbols().Find("outofdate");
+  const SymbolId outofdate = server.database().FindSymbol("outofdate");
   ASSERT_NE(outofdate, SymbolTable::kNoSymbol);
   ASSERT_NE(index.Receivers(golden_id, Direction::kDown, outofdate), nullptr);
   ASSERT_EQ(MustBeConsistent(server.engine(), server.database()), "");
@@ -341,7 +392,7 @@ TEST(InternedHotPath, RetemplateAndReloadRekeySymbolBuckets) {
   // Tighten again: the pre-loosening SymbolId serves the rebuilt index.
   server.InitializeBlueprint(strict);
   ASSERT_NE(index.Receivers(golden_id, Direction::kDown, outofdate), nullptr);
-  EXPECT_EQ(index.symbols().Find("outofdate"), outofdate);
+  EXPECT_EQ(server.database().FindSymbol("outofdate"), outofdate);
   EXPECT_EQ(MustBeConsistent(server.engine(), server.database()), "");
 }
 

@@ -38,11 +38,12 @@ struct Fixture {
 };
 
 /// The receivers of the event named `event` (resolved through the
-/// index's own symbol table), or nullptr.
-const PropagationIndex::Bucket* ReceiversOf(const PropagationIndex& index,
+/// database's symbol table, which the index keys on), or nullptr.
+const PropagationIndex::Bucket* ReceiversOf(const MetaDatabase& db,
+                                            const PropagationIndex& index,
                                             OidId source, Direction direction,
                                             std::string_view event) {
-  const SymbolId sym = index.symbols().Find(event);
+  const SymbolId sym = db.FindSymbol(event);
   if (sym == SymbolTable::kNoSymbol) return nullptr;
   return index.Receivers(source, direction, sym);
 }
@@ -62,17 +63,17 @@ TEST(PropagationIndex, LinkAddUpdatesBothDirections) {
                                       "derive_from", CarryPolicy::kNone);
 
   const PropagationIndex& index = f.engine.propagation_index();
-  ASSERT_NE(ReceiversOf(index, a, Direction::kDown, "edit"), nullptr);
-  EXPECT_EQ(ReceiversOf(index, a, Direction::kDown, "edit")->front().neighbor,
+  ASSERT_NE(ReceiversOf(f.db, index, a, Direction::kDown, "edit"), nullptr);
+  EXPECT_EQ(ReceiversOf(f.db, index, a, Direction::kDown, "edit")->front().neighbor,
             b);
-  EXPECT_EQ(ReceiversOf(index, a, Direction::kDown, "edit")->front().link,
+  EXPECT_EQ(ReceiversOf(f.db, index, a, Direction::kDown, "edit")->front().link,
             link);
-  ASSERT_NE(ReceiversOf(index, b, Direction::kUp, "ok"), nullptr);
-  EXPECT_EQ(ReceiversOf(index, b, Direction::kUp, "ok")->front().neighbor, a);
+  ASSERT_NE(ReceiversOf(f.db, index, b, Direction::kUp, "ok"), nullptr);
+  EXPECT_EQ(ReceiversOf(f.db, index, b, Direction::kUp, "ok")->front().neighbor, a);
   // Wrong direction / unknown event / unlinked OID: no receivers.
-  EXPECT_EQ(ReceiversOf(index, a, Direction::kUp, "edit"), nullptr);
-  EXPECT_EQ(ReceiversOf(index, a, Direction::kDown, "nosuch"), nullptr);
-  EXPECT_EQ(ReceiversOf(index, b, Direction::kDown, "edit"), nullptr);
+  EXPECT_EQ(ReceiversOf(f.db, index, a, Direction::kUp, "edit"), nullptr);
+  EXPECT_EQ(ReceiversOf(f.db, index, a, Direction::kDown, "nosuch"), nullptr);
+  EXPECT_EQ(ReceiversOf(f.db, index, b, Direction::kDown, "edit"), nullptr);
   EXPECT_EQ(MustBeConsistent(f.engine, f.db), "");
 }
 
@@ -87,11 +88,11 @@ TEST(PropagationIndex, LinkDeleteRemovesEntries) {
 
   f.db.DeleteLink(ab);
   const PropagationIndex& index = f.engine.propagation_index();
-  const auto* bucket = ReceiversOf(index, a, Direction::kDown, "edit");
+  const auto* bucket = ReceiversOf(f.db, index, a, Direction::kDown, "edit");
   ASSERT_NE(bucket, nullptr);
   ASSERT_EQ(bucket->size(), 1u);
   EXPECT_EQ(bucket->front().neighbor, c);
-  EXPECT_EQ(ReceiversOf(index, b, Direction::kUp, "edit"), nullptr);
+  EXPECT_EQ(ReceiversOf(f.db, index, b, Direction::kUp, "edit"), nullptr);
   EXPECT_EQ(MustBeConsistent(f.engine, f.db), "");
 }
 
@@ -105,8 +106,8 @@ TEST(PropagationIndex, DeleteObjectDropsItsLinks) {
 
   f.db.DeleteObject(b);
   const PropagationIndex& index = f.engine.propagation_index();
-  EXPECT_EQ(ReceiversOf(index, a, Direction::kDown, "edit"), nullptr);
-  EXPECT_EQ(ReceiversOf(index, c, Direction::kUp, "edit"), nullptr);
+  EXPECT_EQ(ReceiversOf(f.db, index, a, Direction::kDown, "edit"), nullptr);
+  EXPECT_EQ(ReceiversOf(f.db, index, c, Direction::kUp, "edit"), nullptr);
   EXPECT_EQ(index.entry_count(), 0u);
   EXPECT_EQ(MustBeConsistent(f.engine, f.db), "");
 }
@@ -122,12 +123,12 @@ TEST(PropagationIndex, EndpointMovePatchesNeighborAndRelocatesBucket) {
   // Shift the source endpoint to the new version (paper Fig. 3).
   f.db.MoveLinkEndpoint(link, /*endpoint_from=*/true, a2);
   const PropagationIndex& index = f.engine.propagation_index();
-  EXPECT_EQ(ReceiversOf(index, a1, Direction::kDown, "edit"), nullptr);
-  ASSERT_NE(ReceiversOf(index, a2, Direction::kDown, "edit"), nullptr);
-  EXPECT_EQ(ReceiversOf(index, a2, Direction::kDown, "edit")->front().neighbor,
+  EXPECT_EQ(ReceiversOf(f.db, index, a1, Direction::kDown, "edit"), nullptr);
+  ASSERT_NE(ReceiversOf(f.db, index, a2, Direction::kDown, "edit"), nullptr);
+  EXPECT_EQ(ReceiversOf(f.db, index, a2, Direction::kDown, "edit")->front().neighbor,
             b);
-  ASSERT_NE(ReceiversOf(index, b, Direction::kUp, "edit"), nullptr);
-  EXPECT_EQ(ReceiversOf(index, b, Direction::kUp, "edit")->front().neighbor,
+  ASSERT_NE(ReceiversOf(f.db, index, b, Direction::kUp, "edit"), nullptr);
+  EXPECT_EQ(ReceiversOf(f.db, index, b, Direction::kUp, "edit")->front().neighbor,
             a2);
   EXPECT_EQ(MustBeConsistent(f.engine, f.db), "");
 }
@@ -141,9 +142,9 @@ TEST(PropagationIndex, SetLinkPropagatesReindexes) {
 
   f.db.SetLinkPropagates(link, {"ok", "fail"});
   const PropagationIndex& index = f.engine.propagation_index();
-  EXPECT_EQ(ReceiversOf(index, a, Direction::kDown, "edit"), nullptr);
-  ASSERT_NE(ReceiversOf(index, a, Direction::kDown, "ok"), nullptr);
-  ASSERT_NE(ReceiversOf(index, b, Direction::kUp, "fail"), nullptr);
+  EXPECT_EQ(ReceiversOf(f.db, index, a, Direction::kDown, "edit"), nullptr);
+  ASSERT_NE(ReceiversOf(f.db, index, a, Direction::kDown, "ok"), nullptr);
+  ASSERT_NE(ReceiversOf(f.db, index, b, Direction::kUp, "fail"), nullptr);
   EXPECT_EQ(MustBeConsistent(f.engine, f.db), "");
 }
 
@@ -242,7 +243,7 @@ TEST(PropagationIndex, BucketOrderMatchesAdjacencyScan) {
     return order;
   };
   const auto* bucket =
-      ReceiversOf(f.engine.propagation_index(), hub, Direction::kDown, "edit");
+      ReceiversOf(f.db, f.engine.propagation_index(), hub, Direction::kDown, "edit");
   ASSERT_NE(bucket, nullptr);
   std::vector<OidId> indexed;
   for (const auto& entry : *bucket) indexed.push_back(entry.neighbor);

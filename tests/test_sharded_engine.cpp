@@ -1039,6 +1039,21 @@ TEST(ShardedSteal, StalledLaneSubWavesAreStolenTopLevelFifoHolds) {
     // published epoch-versioned floor (thousands of claims ran).
     EXPECT_GT(engine.stats().claim_purge_floor, 0u);
     stolen = engine.stats().stolen_subwaves;
+    if (stolen > 0) {
+      // Steal engines expand waves through the owning shard's index
+      // (ForEachEngine visits the shard engines first, then the steal
+      // engines): no engine falls back to adjacency scans.
+      size_t visited = 0;
+      size_t steal_lookups = 0;
+      engine.ForEachEngine([&](const RunTimeEngine& each) {
+        if (visited++ >= engine.num_shards()) {
+          steal_lookups += each.stats().index_lookups;
+        }
+      });
+      EXPECT_GT(steal_lookups, 0u) << "attempt " << attempt;
+      EXPECT_EQ(engine.AggregateEngineStats().links_scanned, 0u)
+          << "attempt " << attempt;
+    }
   }
   EXPECT_GT(stolen, 0u) << "no sub-wave was ever stolen across attempts";
 }

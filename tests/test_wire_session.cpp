@@ -1,6 +1,9 @@
 #include "engine/wire_session.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
 
 #include "test_util.hpp"
 #include "workload/edtc.hpp"
@@ -194,6 +197,49 @@ TEST_F(WireSessionTest, CheckoutEnforcesExclusivity) {
   WireSession bob(*server_, "bob");
   EXPECT_NE(bob.HandleLine("checkout CPU HDL_model").find("error:"),
             std::string::npos);
+}
+
+/// Numeric arguments must be whole decimal tokens: "1x", "10s" and a
+/// negative depth are usage errors that change no state — no policy is
+/// promoted, the clock does not move and no WAL op is written.
+TEST(WireSessionNumbers, MalformedNumbersAreRejectedWithoutSideEffects) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("damocles-wire-numbers-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    ServerOptions options;
+    options.wal_dir = dir.string();
+    auto server = MakeEdtcServer(options);
+    WireSession session(*server, "alice");
+    ASSERT_EQ(session.HandleLine("checkin CPU HDL_model \"m\""),
+              "ok CPU,HDL_model,1\n");
+    const uint64_t loose = server->PolicyPropose(
+        workload::EdtcLoosenedBlueprintText(), "admin", "loosen");
+    server->PolicyValidate(loose);
+
+    const uint64_t active = server->policy_store().active_id();
+    const int64_t now = server->clock().NowSeconds();
+    const uint64_t ops = server->GetWalStatus().ops_logged;
+    for (const std::string& line :
+         {"policy-promote " + std::to_string(loose) + "x",
+          std::string("advance 10s"),
+          "shadow-wave " + std::to_string(loose) + " edit down a,b,1 -1"}) {
+      EXPECT_EQ(session.HandleLine(line).rfind("error: usage:", 0), 0u)
+          << line;
+    }
+    EXPECT_EQ(server->policy_store().active_id(), active);
+    EXPECT_EQ(server->clock().NowSeconds(), now);
+    EXPECT_EQ(server->GetWalStatus().ops_logged, ops);
+
+    // The well-formed forms still work.
+    EXPECT_EQ(session.HandleLine("advance 10").rfind("ok ", 0), 0u);
+    EXPECT_EQ(server->clock().NowSeconds(), now + 10);
+    EXPECT_EQ(session.HandleLine("policy-promote " + std::to_string(loose))
+                  .rfind("ok promoted version", 0),
+              0u);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
