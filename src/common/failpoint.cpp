@@ -14,6 +14,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 
 namespace damocles::common {
 
@@ -39,22 +40,14 @@ int ParseErrnoName(const std::string& text) {
   if (text == "EINTR") return EINTR;
   if (text == "EAGAIN") return EAGAIN;
   if (text == "EDQUOT") return EDQUOT;
-  try {
-    size_t used = 0;
-    const int value = std::stoi(text, &used);
-    if (used == text.size() && value > 0) return value;
-  } catch (const std::exception&) {
-  }
+  int value = 0;
+  if (ParseWhole(text, value) && value > 0) return value;
   throw Error("failpoint: unknown errno '" + text + "'");
 }
 
 uint64_t ParseU64(const std::string& text, const std::string& what) {
-  try {
-    size_t used = 0;
-    const uint64_t value = std::stoull(text, &used);
-    if (used == text.size()) return value;
-  } catch (const std::exception&) {
-  }
+  uint64_t value = 0;
+  if (ParseWhole(text, value)) return value;
   throw Error("failpoint: bad " + what + " '" + text + "'");
 }
 

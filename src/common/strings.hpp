@@ -5,8 +5,10 @@
 // needs ownership.
 #pragma once
 
+#include <charconv>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace damocles {
@@ -46,6 +48,16 @@ bool UnquoteString(std::string_view text, size_t& pos, std::string& out);
 /// True if `name` is a valid identifier for blocks, views, properties and
 /// events: [A-Za-z_][A-Za-z0-9_.-]*.
 bool IsIdentifier(std::string_view name);
+
+/// Parses the whole of `word` as a decimal integer. False for an empty
+/// word, trailing characters, a sign `Int` cannot hold or overflow —
+/// std::stoull would read "3xyz" as 3, wrap "-1" and throw on overflow.
+template <typename Int>
+bool ParseWhole(std::string_view word, Int& out) {
+  const auto [ptr, ec] =
+      std::from_chars(word.data(), word.data() + word.size(), out);
+  return ec == std::errc{} && ptr == word.data() + word.size();
+}
 
 /// Replaces every occurrence of `from` in `text` with `to`.
 std::string ReplaceAll(std::string_view text, std::string_view from,

@@ -174,16 +174,9 @@ events::EventJournal* ProjectServer::JournalForStream(
   if (sharded_ == nullptr) {
     return &engine_->mutable_journal();
   }
-  const auto parse_index = [&name](const char* prefix,
-                                   size_t& out) -> bool {
-    if (!StartsWith(name, prefix)) return false;
-    const std::string digits = name.substr(std::string(prefix).size());
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      return false;
-    }
-    out = static_cast<size_t>(std::stoull(digits));
-    return true;
+  const auto parse_index = [&name](std::string_view prefix, size_t& out) {
+    return StartsWith(name, prefix) &&
+           ParseWhole(std::string_view(name).substr(prefix.size()), out);
   };
   size_t index = 0;
   if (parse_index("shard", index) && index < sharded_->num_shards()) {

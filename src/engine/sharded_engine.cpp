@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <map>
@@ -27,10 +25,30 @@ using metadb::OidId;
 
 namespace {
 
-/// True on this engine's worker threads. A structural call made from
-/// inside a task (an exec rule's tool checking in) must not wait for
-/// the task it runs in.
+/// True while the thread executes wave tasks (a worker, or a drainer
+/// helping). A structural call made from inside a task (an exec rule's
+/// tool checking in) must not wait for the task it runs in.
 thread_local bool tls_on_worker = false;
+
+/// Makes the calling thread a wave executor while alive: tls_on_worker
+/// set and interning denied (executors read the database's symbol table
+/// concurrently; only structural paths may grow it).
+struct ExecutorScope {
+  bool was_executor = std::exchange(tls_on_worker, true);
+  bool was_denied = metadb::MetaDatabase::DenyInterning(true);
+  ~ExecutorScope() {
+    metadb::MetaDatabase::DenyInterning(was_denied);
+    tls_on_worker = was_executor;
+  }
+};
+
+constexpr size_t kLaneBurst = 64;  ///< Tasks per lane claim.
+/// Empty sweeps a worker yields through before it parks: intake usually
+/// refills within a scheduling quantum, and a yield is far cheaper than
+/// a park/wake round trip.
+constexpr int kIdleSweeps = 16;
+constexpr uint32_t kAwake = 0;  ///< Worker parking word states.
+constexpr uint32_t kParked = 1;
 
 /// Smallest power of two >= n (and >= 4).
 size_t RingCapacity(size_t n) {
@@ -166,8 +184,24 @@ class ShardedEngine::TaskRing {
 
 struct ShardedEngine::Counters {
   std::atomic<uint64_t> next_ticket{0};
-  std::atomic<size_t> pending{0};  ///< Enqueued but not yet finished tasks.
+  /// Enqueued but not yet finished tasks: the word a drainer with
+  /// nothing left to run sleeps on until it reaches zero.
+  std::atomic<size_t> pending{0};
   std::atomic<bool> stop{false};
+
+  /// Per-worker parking words (kAwake / kParked), one line each.
+  struct alignas(64) Parker {
+    std::atomic<uint32_t> state{kAwake};
+  };
+  std::unique_ptr<Parker[]> parkers;
+  /// Workers awake and looking for work. Enqueue wakes a parked worker
+  /// only when none is; the last searcher to take a task wakes the next
+  /// while work is queued, so a batch ramps to every worker. A parking
+  /// worker leaves the count, then re-checks for work; a producer
+  /// pushes, then reads the count. Every access is an acq_rel RMW, so
+  /// one side sees the other: no lost wakeup, and no standalone fence
+  /// (ThreadSanitizer does not model those).
+  std::atomic<size_t> searching{0};
 
   /// Per-OID delivery locks, striped by OID slot: a lane occupant and a
   /// stealer may deliver *different* epochs to the same OID
@@ -187,6 +221,7 @@ struct ShardedEngine::Counters {
   std::atomic<size_t> handoff_seeds{0};
   std::atomic<size_t> seed_batch_splits{0};
   std::atomic<size_t> stolen_subwaves{0};
+  std::atomic<size_t> inline_tasks{0};
   std::atomic<size_t> handoff_waves_truncated{0};
   std::atomic<size_t> reposted_events{0};
   std::atomic<size_t> ring_overflows{0};
@@ -201,14 +236,6 @@ struct ShardedEngine::Counters {
   std::mutex epoch_mutex;
   std::map<uint64_t, size_t> live_epochs;
   std::atomic<uint64_t> min_live_epoch{~uint64_t{0}};
-
-  std::mutex drain_mutex;
-  std::condition_variable drain_cv;
-
-  /// Shared worker parking lot (workers service any lane, so there is
-  /// no per-lane consumer to target a wakeup at).
-  std::mutex wake_mutex;
-  std::condition_variable wake_cv;
 };
 
 // --- Claim store ------------------------------------------------------------
@@ -596,20 +623,49 @@ struct ShardedEngine::Lane {
   /// executors is free, exactly-once comes from the claim stores.
   std::unique_ptr<TaskRing> sub_ring;
 
-  /// Claim flag: at most one worker occupies a lane at a time, which
+  /// Claim flag: at most one executor occupies a lane at a time, which
   /// keeps the event ring single-consumer and the shard's top-level
   /// delivery order FIFO with any worker count.
   std::atomic<bool> busy{false};
 
-  /// Overflow fallbacks (threaded only). Once a push overflows, later
-  /// pushes follow until a consumer drains the deque, so FIFO order
-  /// holds across the spill.
-  std::mutex overflow_mutex;
-  std::deque<Task> overflow;
-  std::atomic<bool> overflowed{false};
-  std::mutex sub_overflow_mutex;
-  std::deque<Task> sub_overflow;
-  std::atomic<bool> sub_overflowed{false};
+  /// Overflow fallback behind a ring (threaded only). Once a push
+  /// spills, later pushes follow until a consumer drains the deque, so
+  /// FIFO order holds across the spill.
+  struct Spill {
+    std::mutex mutex;
+    std::deque<Task> tasks;
+    std::atomic<bool> active{false};
+
+    /// Pushes onto `ring` unless a spill is active; returns true when
+    /// the task spilled.
+    bool Push(TaskRing& ring, Task&& task) {
+      // Chaos hook: a hit spills as if the lock-free ring were full.
+      common::FailpointHit hit;
+      if (!DAMOCLES_FAILPOINT("sharded.ring.spill", &hit) &&
+          !active.load(std::memory_order_acquire) &&
+          ring.TryPush(std::move(task))) {
+        return false;
+      }
+      std::lock_guard<std::mutex> lock(mutex);
+      active.store(true, std::memory_order_release);
+      tasks.push_back(std::move(task));
+      return true;
+    }
+
+    bool Pop(Task& out) {
+      if (!active.load(std::memory_order_acquire)) return false;
+      std::lock_guard<std::mutex> lock(mutex);
+      const bool popped = !tasks.empty();
+      if (popped) {
+        out = std::move(tasks.front());
+        tasks.pop_front();
+      }
+      if (tasks.empty()) active.store(false, std::memory_order_release);
+      return popped;
+    }
+  };
+  Spill overflow;
+  Spill sub_overflow;
 
   /// Queued sub-wave gauge (incremented before a push is visible, so
   /// it never under-counts): the stealers' cheap probe for whether this
@@ -625,88 +681,38 @@ struct ShardedEngine::Lane {
   bool HasWork() {
     if (ring != nullptr && !ring->Empty()) return true;
     if (queued_subwaves.load(std::memory_order_acquire) > 0) return true;
-    if (!overflowed.load(std::memory_order_acquire)) return false;
-    std::lock_guard<std::mutex> lock(overflow_mutex);
-    return !overflow.empty();
+    if (!overflow.active.load(std::memory_order_acquire)) return false;
+    std::lock_guard<std::mutex> lock(overflow.mutex);
+    return !overflow.tasks.empty();
   }
 
   void Push(Task&& task, std::atomic<size_t>& overflow_counter) {
     if (ring == nullptr) {  // Deterministic mode.
-      std::lock_guard<std::mutex> lock(overflow_mutex);
+      std::lock_guard<std::mutex> lock(overflow.mutex);
       const auto key = std::make_pair(task.order_epoch, task.ticket);
       ordered.emplace(key, std::move(task));
       return;
     }
-    if (task.kind == Task::Kind::kSeededWave) {
-      PushSub(std::move(task), overflow_counter);
-      return;
+    const bool sub = task.kind == Task::Kind::kSeededWave;
+    if (sub) queued_subwaves.fetch_add(1, std::memory_order_release);
+    if (sub ? sub_overflow.Push(*sub_ring, std::move(task))
+            : overflow.Push(*ring, std::move(task))) {
+      overflow_counter.fetch_add(1, std::memory_order_relaxed);
     }
-    // Chaos hook: a hit forces this task onto the overflow deque as
-    // if the lock-free ring were full, exercising the spill path.
-    common::FailpointHit spill;
-    if (!DAMOCLES_FAILPOINT("sharded.ring.spill", &spill) &&
-        !overflowed.load(std::memory_order_acquire) &&
-        ring->TryPush(std::move(task))) {
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(overflow_mutex);
-      overflowed.store(true, std::memory_order_release);
-      overflow.push_back(std::move(task));
-    }
-    overflow_counter.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  void PushSub(Task&& task, std::atomic<size_t>& overflow_counter) {
-    queued_subwaves.fetch_add(1, std::memory_order_release);
-    common::FailpointHit spill;
-    if (!DAMOCLES_FAILPOINT("sharded.ring.spill", &spill) &&
-        !sub_overflowed.load(std::memory_order_acquire) &&
-        sub_ring->TryPush(std::move(task))) {
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(sub_overflow_mutex);
-      sub_overflowed.store(true, std::memory_order_release);
-      sub_overflow.push_back(std::move(task));
-    }
-    overflow_counter.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Single consumer (the occupant): event ring first (older tasks),
   /// then the spill.
   bool Pop(Task& out) {
-    if (ring != nullptr && ring->TryPop(out)) return true;
-    if (!overflowed.load(std::memory_order_acquire)) return false;
-    std::lock_guard<std::mutex> lock(overflow_mutex);
-    if (overflow.empty()) {
-      overflowed.store(false, std::memory_order_release);
-      return false;
-    }
-    out = std::move(overflow.front());
-    overflow.pop_front();
-    if (overflow.empty()) overflowed.store(false, std::memory_order_release);
-    return true;
+    return ring != nullptr && (ring->TryPop(out) || overflow.Pop(out));
   }
 
   /// Multi-consumer sub-wave pop: occupant and stealers race through
   /// the MPMC ring, then the spill deque under its mutex.
   bool PopSub(Task& out) {
-    if (sub_ring == nullptr) return false;
-    if (sub_ring->TryPopShared(out)) {
-      queued_subwaves.fetch_sub(1, std::memory_order_release);
-      return true;
-    }
-    if (!sub_overflowed.load(std::memory_order_acquire)) return false;
-    std::lock_guard<std::mutex> lock(sub_overflow_mutex);
-    if (sub_overflow.empty()) {
-      sub_overflowed.store(false, std::memory_order_release);
+    if (sub_ring == nullptr ||
+        !(sub_ring->TryPopShared(out) || sub_overflow.Pop(out))) {
       return false;
-    }
-    out = std::move(sub_overflow.front());
-    sub_overflow.pop_front();
-    if (sub_overflow.empty()) {
-      sub_overflowed.store(false, std::memory_order_release);
     }
     queued_subwaves.fetch_sub(1, std::memory_order_release);
     return true;
@@ -717,7 +723,7 @@ struct ShardedEngine::Lane {
   /// finishes each wave's reachable work before the next wave starts,
   /// like the single FIFO queue would.
   bool PeekBest(std::pair<uint64_t, uint64_t>& key) {
-    std::lock_guard<std::mutex> lock(overflow_mutex);
+    std::lock_guard<std::mutex> lock(overflow.mutex);
     if (ordered.empty()) return false;
     key = ordered.begin()->first;
     return true;
@@ -727,7 +733,7 @@ struct ShardedEngine::Lane {
   /// Same-wave tasks keep their enqueue (ticket) order; only cross-wave
   /// tasks jump the line, which a single-threaded drain may freely do.
   void PopBest(Task& out) {
-    std::lock_guard<std::mutex> lock(overflow_mutex);
+    std::lock_guard<std::mutex> lock(overflow.mutex);
     out = std::move(ordered.begin()->second);
     ordered.erase(ordered.begin());
   }
@@ -827,6 +833,8 @@ ShardedEngine::ShardedEngine(metadb::MetaDatabase& db, SimClock& clock,
         steal_contexts_.push_back(std::move(context));
       }
     }
+    counters_->parkers = std::make_unique<Counters::Parker[]>(worker_count);
+    counters_->searching.store(worker_count, std::memory_order_relaxed);
     workers_.reserve(worker_count);
     for (size_t i = 0; i < worker_count; ++i) {
       workers_.emplace_back(&ShardedEngine::WorkerLoop, this, i);
@@ -835,8 +843,13 @@ ShardedEngine::ShardedEngine(metadb::MetaDatabase& db, SimClock& clock,
 }
 
 ShardedEngine::~ShardedEngine() {
-  counters_->stop.store(true, std::memory_order_release);
-  counters_->wake_cv.notify_all();
+  counters_->stop.store(true, std::memory_order_relaxed);
+  // Joins the search chain: a parking worker sees stop, or is woken.
+  counters_->searching.fetch_add(0, std::memory_order_acq_rel);
+  for (size_t i = 0; i < workers_.size(); ++i) {
+    counters_->parkers[i].state.store(kAwake, std::memory_order_release);
+    counters_->parkers[i].state.notify_one();
+  }
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
@@ -931,12 +944,24 @@ uint64_t ShardedEngine::MinLiveEpoch() const noexcept {
 
 // --- Structural operations ---------------------------------------------------
 
-void ShardedEngine::AwaitQuiescence() {
+void ShardedEngine::AwaitQuiescence() noexcept {
   if (options_.deterministic || tls_on_worker) return;
-  std::unique_lock<std::mutex> lock(counters_->drain_mutex);
-  counters_->drain_cv.wait(lock, [&] {
-    return counters_->pending.load(std::memory_order_acquire) == 0;
-  });
+  const ExecutorScope scope;
+  Counters& counters = *counters_;
+  bool searching = false;  // A drainer never searches, parks or steals.
+  for (;;) {
+    const size_t pending = counters.pending.load(std::memory_order_acquire);
+    if (pending == 0) return;
+    size_t ran = 0;
+    for (auto& lane : lanes_) ran += RunLaneBurst(*lane, searching);
+    if (ran > 0) {
+      counters.inline_tasks.fetch_add(ran, std::memory_order_relaxed);
+      continue;
+    }
+    // Every remaining task is held by another executor (which also runs
+    // what those spawn): sleep until none is pending.
+    counters.pending.wait(pending, std::memory_order_acquire);
+  }
 }
 
 void ShardedEngine::LoadBlueprint(const blueprint::Blueprint& blueprint,
@@ -1015,7 +1040,51 @@ void ShardedEngine::Enqueue(uint32_t shard, Task&& task) {
   // becomes visible to workers; released in FinishTask.
   if (task.event.wave_epoch != 0) AcquireEpochRef(task.event.wave_epoch);
   lanes_[shard]->Push(std::move(task), counters_->ring_overflows);
-  if (!options_.deterministic) counters_->wake_cv.notify_one();
+  if (workers_.empty()) return;
+  if (counters_->searching.fetch_add(0, std::memory_order_acq_rel) == 0) {
+    WakeOneWorker();
+  }
+}
+
+bool ShardedEngine::AnyLaneHasWork() {
+  return std::any_of(lanes_.begin(), lanes_.end(),
+                     [](const auto& lane) { return lane->HasWork(); });
+}
+
+void ShardedEngine::WakeOneWorker() {
+  Counters& counters = *counters_;
+  for (size_t i = 0; i < workers_.size(); ++i) {
+    std::atomic<uint32_t>& state = counters.parkers[i].state;
+    uint32_t expected = kParked;
+    if (state.compare_exchange_strong(expected, kAwake,
+                                      std::memory_order_acq_rel)) {
+      counters.searching.fetch_add(1, std::memory_order_acq_rel);
+      state.notify_one();
+      return;
+    }
+  }
+}
+
+void ShardedEngine::StopSearching(bool& searching) {
+  searching = false;
+  if (counters_->searching.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+      AnyLaneHasWork()) {
+    WakeOneWorker();
+  }
+}
+
+bool ShardedEngine::Park(size_t worker_index, bool searching) {
+  Counters& counters = *counters_;
+  std::atomic<uint32_t>& state = counters.parkers[worker_index].state;
+  state.store(kParked, std::memory_order_relaxed);
+  counters.searching.fetch_sub(searching ? 1 : 0, std::memory_order_acq_rel);
+  if (!counters.stop.load(std::memory_order_relaxed) && !AnyLaneHasWork()) {
+    state.wait(kParked, std::memory_order_acquire);
+    return true;  // The waker counted this worker.
+  }
+  // Retract uncounted (the work may sit in occupied lanes), unless a
+  // waker already claimed and counted this worker.
+  return state.exchange(kAwake, std::memory_order_acq_rel) != kParked;
 }
 
 // --- Execution ---------------------------------------------------------------
@@ -1050,12 +1119,30 @@ void ShardedEngine::ExecuteTask(RunTimeEngine& engine, LaneRouter& router,
 void ShardedEngine::FinishTask(uint64_t epoch) {
   if (epoch != 0) ReleaseEpochRef(epoch);
   if (counters_->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(counters_->drain_mutex);
-    counters_->drain_cv.notify_all();
+    counters_->pending.notify_all();  // No syscall without a waiter.
   }
 }
 
-bool ShardedEngine::TrySteal(size_t worker_index) {
+size_t ShardedEngine::RunLaneBurst(Lane& lane, bool& searching) {
+  // Probe first, so idle sweeps do not bounce the lanes' busy lines.
+  if (!lane.HasWork() || lane.busy.exchange(true, std::memory_order_acquire)) {
+    return 0;
+  }
+  // Sub-waves first: they complete in-flight epochs, which lowers the
+  // claim purge horizon.
+  size_t ran = 0;
+  Task task;
+  for (; ran < kLaneBurst && (lane.PopSub(task) || lane.Pop(task)); ++ran) {
+    if (searching) StopSearching(searching);
+    const uint64_t epoch = task.event.wave_epoch;
+    ExecuteTask(*lane.engine, *lane.router, std::move(task));
+    FinishTask(epoch);
+  }
+  lane.busy.store(false, std::memory_order_release);
+  return ran;
+}
+
+bool ShardedEngine::TrySteal(size_t worker_index, bool& searching) {
   // One stolen task per pass, then back to the regular sweep: occupying
   // a free lane beats stealing from a busy one. Sub-waves may be stolen
   // from any lane (busy or not) — exactly-once is arbitrated by the
@@ -1068,6 +1155,7 @@ bool ShardedEngine::TrySteal(size_t worker_index) {
     Lane& lane = *lanes_[(worker_index + i) % lanes_.size()];
     if (lane.queued_subwaves.load(std::memory_order_acquire) == 0) continue;
     if (!lane.PopSub(task)) continue;
+    if (searching) StopSearching(searching);
     counters_->stolen_subwaves.fetch_add(1, std::memory_order_relaxed);
     context.router->Bind(lane.shard);
     context.engine->LendIndex(ShardIndex(lane.shard));
@@ -1080,57 +1168,36 @@ bool ShardedEngine::TrySteal(size_t worker_index) {
 }
 
 void ShardedEngine::WorkerLoop(size_t worker_index) {
-  tls_on_worker = true;
-  // Workers of disjoint shards read the database's symbol table
-  // concurrently; only structural paths may grow it.
-  metadb::MetaDatabase::DenyInterningOnThisThread();
-  Task task;
-  int idle_spins = 0;
+  const ExecutorScope scope;
+  bool searching = true;  // Counted at construction.
+  int idle_sweeps = 0;
   for (;;) {
     // Sweep the lanes, starting at this worker's home lane so workers
-    // spread out. A claimed lane is skipped — its occupant drains it —
+    // spread out. An occupied lane is skipped — its occupant drains it —
     // which keeps every event ring single-consumer.
     bool did_work = false;
     for (size_t i = 0; i < lanes_.size(); ++i) {
       Lane& lane = *lanes_[(worker_index + i) % lanes_.size()];
-      if (lane.busy.exchange(true, std::memory_order_acquire)) continue;
-      // Bounded burst per claim so one hot lane cannot starve the rest
-      // of this worker's sweep. Queued sub-waves first: they complete
-      // in-flight epochs, which lowers the claim purge horizon.
-      for (int burst = 0;
-           burst < 64 && (lane.PopSub(task) || lane.Pop(task)); ++burst) {
-        const uint64_t epoch = task.event.wave_epoch;
-        ExecuteTask(*lane.engine, *lane.router, std::move(task));
-        FinishTask(epoch);
-        did_work = true;
-      }
-      lane.busy.store(false, std::memory_order_release);
+      did_work |= RunLaneBurst(lane, searching) > 0;
     }
-    if (!did_work && stealing_active_) did_work = TrySteal(worker_index);
+    if (!did_work && stealing_active_) {
+      did_work = TrySteal(worker_index, searching);
+    }
     if (did_work) {
-      idle_spins = 0;
+      idle_sweeps = 0;
       continue;
     }
     if (counters_->stop.load(std::memory_order_acquire)) return;
-    // Briefly yield before parking: intake usually refills within a
-    // scheduling quantum, and a yield is far cheaper than the
-    // sleep/notify round trip (on a loaded host it also lets the
-    // producer run).
-    if (++idle_spins < 16) {
+    if (!searching && idle_sweeps == 0) {  // Just ran out of work.
+      searching = true;
+      counters_->searching.fetch_add(1, std::memory_order_acq_rel);
+    }
+    if (++idle_sweeps < kIdleSweeps) {
       std::this_thread::yield();
       continue;
     }
-    std::unique_lock<std::mutex> lock(counters_->wake_mutex);
-    // Timed wait: the producer's notify races the predicate check, and
-    // the short timeout makes a lost wakeup cost a millisecond, not a
-    // hang.
-    counters_->wake_cv.wait_for(lock, std::chrono::milliseconds(1), [&] {
-      if (counters_->stop.load(std::memory_order_acquire)) return true;
-      for (const auto& lane : lanes_) {
-        if (lane->HasWork()) return true;
-      }
-      return false;
-    });
+    searching = Park(worker_index, searching);
+    idle_sweeps = searching ? 0 : 1;  // Uncounted until it works again.
   }
 }
 
@@ -1156,8 +1223,7 @@ void ShardedEngine::DrainDeterministic() {
     next->PopBest(task);
     const uint64_t epoch = task.event.wave_epoch;
     ExecuteTask(*next->engine, *next->router, std::move(task));
-    if (epoch != 0) ReleaseEpochRef(epoch);
-    counters_->pending.fetch_sub(1, std::memory_order_acq_rel);
+    FinishTask(epoch);
   }
 }
 
@@ -1210,6 +1276,7 @@ ShardedStats ShardedEngine::stats() const {
       counters_->seed_batch_splits.load(std::memory_order_relaxed);
   stats.stolen_subwaves =
       counters_->stolen_subwaves.load(std::memory_order_relaxed);
+  stats.inline_tasks = counters_->inline_tasks.load(std::memory_order_relaxed);
   for (const auto& store : claim_stores_) {
     stats.claim_purge_floor =
         std::max(stats.claim_purge_floor, store->purge_floor());
@@ -1245,21 +1312,6 @@ void ShardedEngine::ForEachEngine(
   for (const auto& context : steal_contexts_) fn(*context->engine);
 }
 
-std::string ShardedEngine::MergedJournalDump() const {
-  std::string text;
-  for (const auto& lane : lanes_) {
-    text += "shard " + std::to_string(lane->shard) + ":\n";
-    text += lane->engine->journal().Dump();
-  }
-  for (size_t i = 0; i < steal_contexts_.size(); ++i) {
-    const events::EventJournal& journal = steal_contexts_[i]->engine->journal();
-    if (journal.Empty()) continue;
-    text += "steal worker " + std::to_string(i) + ":\n";
-    text += journal.Dump();
-  }
-  return text;
-}
-
 std::vector<std::string> ShardedEngine::JournalLines() const {
   std::vector<std::string> lines;
   const auto append = [&lines](const events::EventJournal& journal) {
@@ -1293,6 +1345,7 @@ void ShardedEngine::ResetStats() {
   counters_->handoff_seeds.store(0, std::memory_order_relaxed);
   counters_->seed_batch_splits.store(0, std::memory_order_relaxed);
   counters_->stolen_subwaves.store(0, std::memory_order_relaxed);
+  counters_->inline_tasks.store(0, std::memory_order_relaxed);
   counters_->handoff_waves_truncated.store(0, std::memory_order_relaxed);
   counters_->reposted_events.store(0, std::memory_order_relaxed);
   counters_->ring_overflows.store(0, std::memory_order_relaxed);

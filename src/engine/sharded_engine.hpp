@@ -12,9 +12,10 @@
 //    metadb::ShardMap (use-link subtree roots, dealt round-robin) and
 //    enqueues the event on that shard's bounded lock-free MPSC ring —
 //    intake never blocks on wave execution;
-//  * runs one worker thread per shard, each draining its ring in FIFO
-//    order through its shard engine, so delivery order *within a
-//    shard* is byte-identical to the unsharded engine;
+//  * runs executors (worker threads, and any thread inside Drain) that
+//    occupy one lane at a time and drain its ring FIFO through its shard
+//    engine, so delivery order *within a shard* is byte-identical to the
+//    unsharded engine;
 //  * hands cross-shard waves off BATCHED: when a delivery's receiver
 //    set spans shards (a derive link between blocks of different
 //    subtrees — the PropagationIndex surfaces the receiver, the
@@ -47,19 +48,17 @@
 // cycles terminate through the claims exactly like the single visited
 // set of an unsharded wave.
 //
-// Lane stealing (threaded mode with N > 1 shards and at least two
-// workers). Top-level events and sub-waves queue separately: the
-// event ring stays single-consumer under the lane's busy flag (per
-// -shard FIFO for top-level waves is structural), while sub-wave tasks
-// sit in an MPMC ring any idle worker may pop. A stealing worker runs
-// the stolen sub-wave on its private engine, which expands waves through
-// the owning shard's propagation index (read-only during a drain and
-// keyed by the meta-database's symbols, which workers only look up),
-// claims against the owning shard's ClaimStore, and serializes same-OID
-// rule execution against the lane's occupant through striped per-OID
-// delivery locks (different epochs may reach one OID concurrently).
-// Stolen deliveries journal into the steal engine's private journal;
-// the merged views below and AggregateEngineStats fold them in.
+// Lane stealing (threaded mode, N > 1 shards, at least two workers).
+// Top-level events and sub-waves queue separately: the event ring stays
+// single-consumer under the lane's busy flag (per-shard FIFO for
+// top-level waves is structural), while any idle worker may pop the
+// MPMC sub-wave ring. Only workers steal; a draining thread runs only
+// lanes it occupies. A stealer runs the sub-wave on its private engine
+// through the owning shard's propagation index (read-only during a
+// drain), claims against that shard's ClaimStore, and serializes
+// same-OID rule execution with the lane's occupant through striped
+// per-OID delivery locks. Stolen deliveries journal into the steal
+// engine's journal; the merged views and AggregateEngineStats fold them.
 //
 // Per-shard propagation indexes. This layer owns one PropagationIndex
 // per shard, scoped to the sources the shard owns, so N shards together
@@ -89,18 +88,21 @@
 // wave's, mirroring the wave atomicity of the single FIFO queue — so
 // differential tests get a reproducible schedule.
 //
-// Threading contract: PostEvent / Drain may be called from any thread
-// (intake is lock-free until a ring overflows to its fallback deque).
+// Threading contract: PostEvent may be called from any thread (intake
+// is lock-free until a ring overflows); Drain and AwaitQuiescence from
+// one coordinating thread at a time, holding no lock a task could need.
 // Everything structural — LoadBlueprint, OnCreateObject / OnCreateLink,
 // direct MetaDatabase mutations, Rebalance, journal/stat accessors —
-// must happen while the engine is quiescent (after Drain returns and
-// before new events are posted). The structural entry points of this
-// class wait for quiescence themselves (AwaitQuiescence), so batch-mode
-// callers that post events and then check in or link without a Drain
-// never mutate slots or indexes under a running wave; callers that
-// mutate the database directly call AwaitQuiescence first. Workers
-// only write disjoint state: per-shard engine internals and the
-// properties of OIDs inside their own shard's waves.
+// needs a quiescent engine. This class's structural entry points call
+// AwaitQuiescence first, so batch-mode callers may check in or link
+// right after posting; direct database mutators call it themselves.
+// Waiting is executing: AwaitQuiescence runs free lanes' tasks on the
+// calling thread, and once every remaining task is held by another
+// executor it sleeps until none is pending. While it helps, the thread
+// is a wave executor like a worker: a structural call from inside a
+// task returns without waiting, a new symbol cannot be interned, and a
+// task exception terminates. Executors write only per-shard engine
+// state and the properties of OIDs in the waves of the lane they occupy.
 #pragma once
 
 #include <cstdint>
@@ -133,10 +135,9 @@ struct ShardedEngineOptions {
   size_t queue_capacity = 1024;
 
   /// Worker threads servicing the shard lanes. 0 = auto:
-  /// min(num_shards, hardware cores). A worker claims one lane at a
-  /// time (per-shard FIFO is preserved with any worker count), so
-  /// fewer workers than shards degrades gracefully instead of
-  /// oversubscribing the host.
+  /// min(num_shards, hardware cores). Executors occupy one lane at a
+  /// time (per-shard FIFO holds with any count), so fewer workers than
+  /// shards degrades gracefully; a draining thread executes besides.
   size_t worker_threads = 0;
 
   /// Backstop cap on cross-shard handoff chains. Cycles terminate
@@ -174,6 +175,7 @@ struct ShardedStats {
                                  ///< exceeded max_batch_seeds.
   size_t stolen_subwaves = 0;  ///< Sub-wave tasks executed by a worker
                                ///< that did not occupy the owning lane.
+  size_t inline_tasks = 0;  ///< Tasks a draining thread ran itself.
   uint64_t claim_purge_floor = 0;  ///< Gauge: highest epoch below which
                                    ///< some shard's ClaimStore has
                                    ///< merged out completed waves (the
@@ -218,11 +220,11 @@ class ShardedEngine {
   // --- Structural operations (quiescent engine only) --------------------
   // Each of these first waits for every queued task to finish.
 
-  /// Blocks until no task is queued or running (threaded mode), without
-  /// counting as a Drain. No-op in deterministic mode, where tasks only
-  /// run inside Drain, and on worker threads (a task cannot wait for
-  /// itself). The coordinating thread only.
-  void AwaitQuiescence();
+  /// Runs queued tasks on the calling thread until none is queued or
+  /// running (threaded mode), without counting as a Drain. No-op in
+  /// deterministic mode and inside a task. The coordinating thread only;
+  /// a task exception terminates, as on a worker.
+  void AwaitQuiescence() noexcept;
 
   /// Installs the blueprint on every shard engine (deep copies; each
   /// engine compiles its own rule tables, all keyed by the database's
@@ -254,10 +256,10 @@ class ShardedEngine {
   /// until the ring overflows. Safe from multiple threads.
   void PostEvent(events::EventMessage event);
 
-  /// Blocks until every queued event (and every task it spawned) has
-  /// been processed. Returns the number of tasks processed by this
-  /// drain. One drainer at a time (the coordinating thread); PostEvent
-  /// from other threads stays safe while a drain waits.
+  /// Processes every queued event (and every task it spawned), helping
+  /// the workers like AwaitQuiescence. Returns the number of tasks this
+  /// drain processed. One drainer at a time (the coordinating thread);
+  /// PostEvent from other threads stays safe during a drain.
   size_t Drain();
 
   /// Rebalances the shard map if a use-link removal/move dirtied it
@@ -285,10 +287,6 @@ class ShardedEngine {
   /// Calls `fn` for every engine that executes deliveries: the shard
   /// engines in shard order, then the steal engines.
   void ForEachEngine(const std::function<void(const RunTimeEngine&)>& fn) const;
-
-  /// All shards' journals, one "shard N:" section per shard, each in
-  /// its own per-shard sequence order.
-  std::string MergedJournalDump() const;
 
   /// Every journal record across all shards as "[origin] <event>"
   /// lines (no sequence numbers), shard by shard. Sorting the result
@@ -331,14 +329,29 @@ class ShardedEngine {
   void Enqueue(uint32_t shard, Task&& task);
   void ExecuteTask(RunTimeEngine& engine, LaneRouter& router, Task&& task);
   void FinishTask(uint64_t epoch);
-  void WorkerLoop(size_t worker_index);
   void DrainDeterministic();
 
-  /// One steal pass for `worker_index`: pops queued sub-wave tasks from
-  /// any lane (busy or not) and executes them on the worker's steal
-  /// engine against the owning shard's claim store. Returns true when a
-  /// task was executed.
-  bool TrySteal(size_t worker_index);
+  /// A worker: sweeps the lanes from its home lane, steals when none has
+  /// free work, yields through a few empty sweeps, then parks.
+  void WorkerLoop(size_t worker_index);
+
+  /// Occupies `lane` if it has work and is free, runs a burst of its
+  /// tasks (sub-waves first) and frees it; returns the tasks run. A
+  /// searching worker stops searching when it takes one.
+  size_t RunLaneBurst(Lane& lane, bool& searching);
+
+  /// One steal pass for `worker_index`: pops a queued sub-wave task from
+  /// any lane (busy or not) and executes it on the worker's steal engine
+  /// against the owning shard's claim store. Returns true when a task
+  /// was executed.
+  bool TrySteal(size_t worker_index, bool& searching);
+
+  /// Worker parking, one atomic word per worker (Counters::searching).
+  /// Park returns whether the worker is counted as searching again.
+  bool AnyLaneHasWork();
+  void WakeOneWorker();
+  void StopSearching(bool& searching);
+  bool Park(size_t worker_index, bool searching);
 
   /// The shared (epoch, OID) claim store arbitrating shard `shard`'s
   /// deliveries.

@@ -1,7 +1,5 @@
 #include "engine/wire_session.hpp"
 
-#include <charconv>
-
 #include "blueprint/parser.hpp"
 #include "blueprint/validator.hpp"
 #include "common/error.hpp"
@@ -22,16 +20,6 @@ std::string NextWord(std::string_view& rest) {
   std::string word(rest.substr(start, i - start));
   rest.remove_prefix(i);
   return word;
-}
-
-/// Parses the whole of `word` as a decimal integer. False for an empty
-/// word, trailing characters, a sign `Int` cannot hold or overflow —
-/// std::stoull would read "3xyz" as 3 and wrap "-1" to 2^64-1.
-template <typename Int>
-bool ParseWhole(std::string_view word, Int& out) {
-  const auto [ptr, ec] =
-      std::from_chars(word.data(), word.data() + word.size(), out);
-  return ec == std::errc{} && ptr == word.data() + word.size();
 }
 
 /// Remaining text as one argument: quoted or verbatim-trimmed.

@@ -250,13 +250,11 @@ std::vector<std::pair<uint64_t, std::string>> ListSegments(
     if (!entry.is_regular_file(ec)) continue;
     const std::string name = entry.path().filename().string();
     if (!StartsWith(name, prefix) || !EndsWith(name, ".wal")) continue;
-    const std::string digits =
-        name.substr(prefix.size(), name.size() - prefix.size() - 4);
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    segments.emplace_back(std::stoull(digits), entry.path().string());
+    const std::string_view digits = std::string_view(name).substr(
+        prefix.size(), name.size() - prefix.size() - 4);
+    uint64_t index = 0;
+    if (!ParseWhole(digits, index)) continue;
+    segments.emplace_back(index, entry.path().string());
   }
   std::sort(segments.begin(), segments.end());
   return segments;

@@ -1,6 +1,7 @@
 #include "metadb/meta_database.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -12,7 +13,7 @@ uint64_t ChainKey(SymbolId block, SymbolId view) {
   return (static_cast<uint64_t>(block) << 32) | view;
 }
 
-/// Set on wave worker threads (DenyInterningOnThisThread).
+/// Set on wave executor threads (MetaDatabase::DenyInterning).
 thread_local bool tls_interning_denied = false;
 
 }  // namespace
@@ -232,8 +233,8 @@ void MetaDatabase::InternAll(const std::vector<std::string>& names) {
   for (const std::string& name : names) Intern(name);
 }
 
-void MetaDatabase::DenyInterningOnThisThread() noexcept {
-  tls_interning_denied = true;
+bool MetaDatabase::DenyInterning(bool deny) noexcept {
+  return std::exchange(tls_interning_denied, deny);
 }
 
 // --- Links -----------------------------------------------------------------------

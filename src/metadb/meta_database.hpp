@@ -170,8 +170,8 @@ class MetaDatabase {
   // workers, which never intern.
 
   /// The id of `text`, interned on first use. Id 0 is the empty string.
-  /// Throws IntegrityError for a new name on a thread that called
-  /// DenyInterningOnThisThread().
+  /// Throws IntegrityError for a new name on a thread that denies
+  /// interning (DenyInterning).
   SymbolId Intern(std::string_view text);
 
   /// The id of `text`, or SymbolTable::kNoSymbol when it was never
@@ -186,10 +186,10 @@ class MetaDatabase {
 
   size_t SymbolCount() const noexcept { return symbols_.size(); }
 
-  /// Marks the calling thread as a wave worker for the rest of its
-  /// life: interning a new name there fails loudly instead of racing
-  /// the concurrent readers of the table.
-  static void DenyInterningOnThisThread() noexcept;
+  /// Sets whether interning a new name on the calling thread (a wave
+  /// executor) fails loudly instead of racing the table's concurrent
+  /// readers; returns the previous setting, for the caller to restore.
+  static bool DenyInterning(bool deny) noexcept;
 
   // --- Properties ---------------------------------------------------------
 

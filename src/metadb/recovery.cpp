@@ -60,10 +60,11 @@ struct LineCursor {
     SkipSpaces();
     const size_t begin = pos;
     while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9') ++pos;
-    if (pos == begin) {
+    uint64_t value = 0;
+    if (!ParseWhole(line.substr(begin, pos - begin), value)) {
       FailLine(what, line_no, std::string("expected number for ") + field);
     }
-    return std::stoull(std::string(line.substr(begin, pos - begin)));
+    return value;
   }
 
   int64_t I64(const char* field) {
@@ -158,12 +159,11 @@ std::vector<std::pair<uint64_t, std::string>> ListManifests(
     if (!entry.is_regular_file(ec)) continue;
     const std::string name = entry.path().filename().string();
     if (!StartsWith(name, "manifest-") || !EndsWith(name, ".txt")) continue;
-    const std::string digits = name.substr(9, name.size() - 9 - 4);
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
+    uint64_t id = 0;
+    if (!ParseWhole(std::string_view(name).substr(9, name.size() - 13), id)) {
       continue;
     }
-    manifests.emplace_back(std::stoull(digits), entry.path().string());
+    manifests.emplace_back(id, entry.path().string());
   }
   std::sort(manifests.begin(), manifests.end());
   return manifests;
@@ -653,12 +653,11 @@ WalGcStats PrepareWalDirectory(const std::string& wal_dir,
       if (!StartsWith(name, "checkpoint-")) continue;
       const size_t dot = name.rfind('.');
       if (dot == std::string::npos || dot <= 11) continue;
-      const std::string digits = name.substr(11, dot - 11);
-      if (digits.empty() ||
-          digits.find_first_not_of("0123456789") != std::string::npos) {
+      uint64_t id = 0;
+      if (!ParseWhole(std::string_view(name).substr(11, dot - 11), id)) {
         continue;
       }
-      if (manifest_ids.find(std::stoull(digits)) == manifest_ids.end()) {
+      if (manifest_ids.find(id) == manifest_ids.end()) {
         orphans.push_back(entry.path().string());
       }
     }

@@ -16,6 +16,8 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -540,6 +542,69 @@ TEST(RecoveryNegatives, PartiallyPrunedSegmentDirectoryRecovers) {
   EXPECT_TRUE(recovered->GetWalStatus().recovered);
   EXPECT_EQ(ServerJournalLines(*recovered), lines);
   EXPECT_EQ(DbText(*recovered), db_text);
+}
+
+/// A stray file whose digit run overflows uint64 is skipped like any
+/// other non-matching name: the reopen neither throws nor touches it,
+/// and recovers byte-equal state.
+void ExpectOverflowingNameIsSkipped(const std::string& tag,
+                                    const std::string& stray_name) {
+  TempDir dir(tag);
+  std::vector<std::string> lines;
+  std::string db_text;
+  {
+    auto server = testutil::MakeEdtcServer(DurableOptions(dir.str()));
+    MutateOnce(*server, 0);
+    server->WalCheckpoint(CheckpointMode::kFull);
+    MutateOnce(*server, 1);
+    lines = ServerJournalLines(*server);
+    db_text = DbText(*server);
+  }
+  const std::filesystem::path stray = dir.path() / stray_name;
+  std::ofstream(stray) << "stray\n";
+
+  std::unique_ptr<ProjectServer> recovered;
+  ASSERT_NO_THROW(recovered = std::make_unique<ProjectServer>(
+                      "edtc", DurableOptions(dir.str())));
+  EXPECT_TRUE(recovered->GetWalStatus().recovered);
+  EXPECT_TRUE(std::filesystem::exists(stray));
+  EXPECT_EQ(ServerJournalLines(*recovered), lines);
+  EXPECT_EQ(DbText(*recovered), db_text);
+}
+
+TEST(RecoveryNegatives, OverflowingManifestNameIsSkipped) {
+  ExpectOverflowingNameIsSkipped("overflow-manifest",
+                                 "manifest-99999999999999999999999.txt");
+}
+
+TEST(RecoveryNegatives, OverflowingSegmentNameIsSkipped) {
+  ExpectOverflowingNameIsSkipped("overflow-segment",
+                                 "ops-99999999999999999999999.wal");
+}
+
+TEST(RecoveryNegatives, OverflowingCheckpointNameIsSkipped) {
+  ExpectOverflowingNameIsSkipped("overflow-checkpoint",
+                                 "checkpoint-99999999999999999999999.db");
+}
+
+TEST(RecoveryNegatives, OverflowingManifestFieldIsAWireFormatError) {
+  TempDir dir("overflow-field");
+  {
+    auto server = testutil::MakeEdtcServer(DurableOptions(dir.str()));
+    MutateOnce(*server, 0);
+    server->WalCheckpoint(CheckpointMode::kFull);
+  }
+  std::ifstream in(dir.path() / metadb::ManifestFileName(1));
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  ASSERT_NO_THROW(metadb::ParseWalManifest(text));
+  const size_t key = text.find("\nop-seq ");
+  ASSERT_NE(key, std::string::npos);
+  const size_t value = key + 8;
+  const size_t value_end = text.find_first_not_of("0123456789", value);
+  std::string overflowing = text;
+  overflowing.replace(value, value_end - value, "99999999999999999999999");
+  EXPECT_THROW(metadb::ParseWalManifest(overflowing), WireFormatError);
 }
 
 // --- Wire surface -----------------------------------------------------------

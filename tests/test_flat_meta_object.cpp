@@ -324,13 +324,21 @@ TEST(FlatMetaObject, WaveWorkerThreadsCannotInternNewNames) {
   const OidId id = db.CreateObject(Oid{"b", "v", 1}, "u", 0);
   db.Intern("known");
   std::thread worker([&] {
-    MetaDatabase::DenyInterningOnThisThread();
+    MetaDatabase::DenyInterning(true);
     EXPECT_TRUE(db.SetProperty(id, "known", "1"));
     EXPECT_THROW(db.SetProperty(id, "brand_new", "1"), IntegrityError);
   });
   worker.join();
   EXPECT_EQ(db.FindSymbol("brand_new"), SymbolTable::kNoSymbol);
   EXPECT_TRUE(db.SetProperty(id, "brand_new", "1"));  // Structural thread.
+  // Set and restore nest: restoring an inner denial keeps the outer one,
+  // and restoring the outer one lets the thread intern again.
+  const bool outer = MetaDatabase::DenyInterning(true);
+  EXPECT_FALSE(outer);
+  MetaDatabase::DenyInterning(MetaDatabase::DenyInterning(true));
+  EXPECT_THROW(db.SetProperty(id, "after_inner", "1"), IntegrityError);
+  MetaDatabase::DenyInterning(outer);
+  EXPECT_TRUE(db.SetProperty(id, "after_inner", "1"));
 }
 
 TEST(FlatMetaObjectInterning, ThreadedShardsReadersAndNewBlocks) {

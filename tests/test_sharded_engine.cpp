@@ -20,10 +20,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "blueprint/parser.hpp"
@@ -1268,6 +1271,185 @@ TEST(ShardedBatchMode, StructuralCallsWaitForQueuedWaves) {
   EXPECT_GE(after_link - before, kWaves);
   server.Drain();
   EXPECT_EQ(sharded.stats().tasks_processed, after_link);
+}
+
+// --- Worker parking and drain help -------------------------------------------
+
+/// Flow blocks with use-linked children, plus derive links from each
+/// block into the next so outofdate waves hand off across shards.
+std::vector<Oid> BuildBridgedFlows(ShardedEngine& engine, int blocks) {
+  workload::FlowSpec flow;
+  flow.n_views = 3;
+  engine.LoadBlueprintText(workload::MakeFlowBlueprint(flow, "wake"));
+  const std::vector<std::string> views = workload::FlowViewNames(flow);
+  std::vector<OidId> roots;
+  std::vector<OidId> second_views;
+  for (int b = 0; b < blocks; ++b) {
+    const std::string block = "blk" + std::to_string(b);
+    OidId previous;
+    for (size_t v = 0; v < views.size(); ++v) {
+      const OidId id = engine.OnCreateObject(block, views[v], "test");
+      if (v == 0) roots.push_back(id);
+      if (v == 1) second_views.push_back(id);
+      if (v > 0) engine.OnCreateLink(LinkKind::kDerive, previous, id);
+      previous = id;
+    }
+    for (int c = 0; c < 2; ++c) {
+      const OidId child = engine.OnCreateObject(
+          block + "_sub" + std::to_string(c), views[0], "test");
+      engine.OnCreateLink(LinkKind::kUse, roots.back(), child);
+    }
+  }
+  engine.shard_map().Rebalance();
+  const size_t n = roots.size();
+  for (size_t b = 0; b < n; ++b) {
+    engine.OnCreateLink(LinkKind::kDerive, roots[b], second_views[(b + 1) % n]);
+  }
+  std::vector<Oid> targets;
+  for (int b = 0; b < blocks; ++b) {
+    targets.push_back(Oid{"blk" + std::to_string(b), views[0], 1});
+    targets.push_back(Oid{"blk" + std::to_string(b) + "_sub0", views[0], 1});
+  }
+  return targets;
+}
+
+/// The round-th event of the wake trace: outofdate waves (which cross
+/// shards) and check-ins, over a fixed target list.
+EventMessage WakeEvent(const std::vector<Oid>& targets, int round) {
+  const Oid& target = targets[static_cast<size_t>(round) % targets.size()];
+  return round % 3 == 0
+             ? Event("ckin", target, Direction::kUp, std::to_string(round))
+             : Event("outofdate", target, Direction::kDown);
+}
+
+std::vector<std::string> WakeReference(int rounds) {
+  MetaDatabase db;
+  SimClock clock;
+  ShardedEngineOptions options;
+  options.num_shards = 1;
+  options.deterministic = true;
+  ShardedEngine reference(db, clock, options);
+  const std::vector<Oid> targets = BuildBridgedFlows(reference, 6);
+  for (int round = 0; round < rounds; ++round) {
+    reference.PostEvent(WakeEvent(targets, round));
+  }
+  reference.Drain();
+  return SortedLines(reference.JournalLines());
+}
+
+/// Workers must pick up posted work with nobody draining: every round
+/// posts one event (alternately from this thread and from a second
+/// one) and polls tasks_processed, without a Drain, until a worker ran
+/// it. Every 100th round sleeps first so that all workers have parked.
+TEST(ShardedWake, WorkersWakeWithoutDrain) {
+  constexpr int kRounds = 2000;
+  const std::vector<std::string> expected = WakeReference(kRounds);
+  struct Config {
+    uint32_t shards;
+    size_t workers;
+  };
+  for (const Config config : {Config{4, 0}, Config{2, 1}}) {
+    MetaDatabase db;
+    SimClock clock;
+    ShardedEngineOptions options;
+    options.num_shards = config.shards;
+    options.worker_threads = config.workers;
+    ShardedEngine engine(db, clock, options);
+    const std::vector<Oid> targets = BuildBridgedFlows(engine, 6);
+    engine.Drain();
+    for (int round = 0; round < kRounds; ++round) {
+      if (round % 100 == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(3));
+      }
+      const size_t before = engine.stats().tasks_processed;
+      if (round % 2 == 0) {
+        engine.PostEvent(WakeEvent(targets, round));
+      } else {
+        std::thread poster([&engine, &targets, round] {
+          engine.PostEvent(WakeEvent(targets, round));
+        });
+        poster.join();
+      }
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(2);
+      while (engine.stats().tasks_processed == before) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+            << config.shards << " shards, round " << round
+            << ": no worker woke for the posted event";
+        std::this_thread::yield();
+      }
+    }
+    engine.Drain();
+    EXPECT_EQ(expected, SortedLines(engine.JournalLines()))
+        << config.shards << " shards";
+    ExpectTopLevelFifo(engine);
+  }
+}
+
+/// Destroying an engine whose workers have all parked wakes and joins
+/// every one of them (a lost shutdown wake would hang here).
+TEST(ShardedWake, DestructorWakesParkedWorkers) {
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    MetaDatabase db;
+    SimClock clock;
+    ShardedEngineOptions options;
+    options.num_shards = 4;
+    auto engine = std::make_unique<ShardedEngine>(db, clock, options);
+    const std::vector<Oid> targets = BuildBridgedFlows(*engine, 4);
+    engine->PostEvent(WakeEvent(targets, cycle));
+    engine->Drain();
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    engine.reset();
+  }
+}
+
+/// Create, post and Drain in a loop: the draining thread executes
+/// queued tasks itself, and the results stay those of the one-shard
+/// engine.
+TEST(ShardedDrainHelp, CoordinatorRunsQueuedTasks) {
+  constexpr int kRounds = 1000;
+  const auto run = [](ShardedEngine& engine, MetaDatabase& db) {
+    const std::vector<Oid> targets = BuildBridgedFlows(engine, 6);
+    for (int round = 0; round < kRounds; ++round) {
+      const Oid& parent = targets[static_cast<size_t>(round) % targets.size()];
+      const std::string block = "r" + std::to_string(round);
+      const OidId child = engine.OnCreateObject(block, parent.view, "test");
+      engine.OnCreateLink(LinkKind::kUse, *db.FindObject(parent), child);
+      engine.PostEvent(Event("ckin", Oid{block, parent.view, 1},
+                             Direction::kUp, "rev"));
+      engine.PostEvent(WakeEvent(targets, round));
+      engine.Drain();
+    }
+  };
+
+  MetaDatabase ref_db;
+  SimClock ref_clock;
+  ShardedEngineOptions ref_options;
+  ref_options.num_shards = 1;
+  ref_options.deterministic = true;
+  ShardedEngine reference(ref_db, ref_clock, ref_options);
+  run(reference, ref_db);
+  const std::vector<std::string> expected =
+      SortedLines(reference.JournalLines());
+
+  for (const size_t workers : {size_t{0}, size_t{1}}) {
+    MetaDatabase db;
+    SimClock clock;
+    ShardedEngineOptions options;
+    options.num_shards = 4;
+    options.worker_threads = workers;
+    ShardedEngine engine(db, clock, options);
+    run(engine, db);
+    EXPECT_GT(engine.stats().inline_tasks, 0u) << workers << " workers";
+    EXPECT_LE(engine.stats().inline_tasks, engine.stats().tasks_processed);
+    EXPECT_EQ(expected, SortedLines(engine.JournalLines()))
+        << workers << " workers";
+    ExpectTopLevelFifo(engine);
+    // The drains' interning denial was scoped to the drains.
+    EXPECT_NO_THROW(db.Intern("interned_after_drains"));
+    engine.ResetStats();
+    EXPECT_EQ(engine.stats().inline_tasks, 0u);
+  }
 }
 
 }  // namespace
