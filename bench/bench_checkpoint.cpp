@@ -17,8 +17,12 @@
 //     report the WORST single-op latency over a run that crosses
 //     several auto-checkpoint thresholds:
 //
-//       checkpoint_stall_inline          worst op ns, inline full ckpts
-//       checkpoint_stall_background      worst op ns, background ckpts
+//       checkpoint_stall_inline          worst op ns, the op waits
+//       checkpoint_stall_background      worst op ns, the op does not
+//
+//     The checkpoint thread writes every checkpoint either way;
+//     "inline" names the default mode, where the triggering op waits
+//     for the worker's write and commit.
 //
 // CI's Release guard gates delta-vs-full and background-vs-inline
 // ratios on these series.
@@ -122,9 +126,9 @@ void RunWriteCostSeries(uint32_t shards) {
 }
 
 /// Worst single-op latency across a run whose op count crosses several
-/// auto-checkpoint thresholds. Inline full checkpoints stall the
-/// triggering op for the whole dump + write; background checkpoints
-/// charge it only the cut. Reports the best-of-passes maximum so one
+/// auto-checkpoint thresholds. In the default (inline) mode the
+/// triggering op waits for the worker's whole dump + write; background
+/// checkpoints charge it only the cut. Reports the best-of-passes maximum so one
 /// noisy CI tick cannot fake a stall.
 void RunStallSeries(bool background) {
   const int objects = damocles::benchutil::SeriesScale(3000, 200);

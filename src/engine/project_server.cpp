@@ -61,11 +61,13 @@ ProjectServer::ProjectServer(std::string project_name, ServerOptions options)
       committed_chain_length_.store(plan.chain_ids.size(),
                                     std::memory_order_relaxed);
     }
-    // The loaded state is the checkpoint baseline: cut away the marks
-    // loading made, so every mutation below (blueprint retemplating,
-    // replayed ops, live traffic) lands in the delta of the next
-    // chained checkpoint, whose base is exactly the state loaded above.
-    db_.CutDirtySet();
+    // The loaded state is the checkpoint baseline: the next cut starts
+    // past the marks loading made, so every mutation below (blueprint
+    // retemplating, replayed ops, live traffic) lands in the delta of
+    // the next chained checkpoint, whose base is exactly the state
+    // loaded above.
+    committed_dirty_since_.store(db_.CutDirtySet(0).next_since,
+                                 std::memory_order_relaxed);
   }
 
   if (options_.num_shards > 1) {
@@ -141,10 +143,7 @@ ProjectServer::ProjectServer(std::string project_name, ServerOptions options)
     op_seq_ = plan.last_op_seq;
     replayed_ops_offset_ = plan.replay_ops_end;
     if (!plan.replay_ops.empty()) ReplayOps(plan.replay_ops);
-    if (options_.background_checkpoints) {
-      checkpoint_thread_ =
-          std::thread([this] { CheckpointWorkerLoop(); });
-    }
+    checkpoint_thread_ = std::thread([this] { CheckpointWorkerLoop(); });
   }
 }
 
@@ -366,22 +365,14 @@ void ProjectServer::MaybeAutoCheckpoint() {
   if (SteadyNowMs() < checkpoint_retry_at_ms_.load(std::memory_order_acquire)) {
     return;
   }
+  {
+    // A cut that nobody waits for may still be in flight; skip.
+    std::lock_guard<std::mutex> lock(checkpoint_mutex_);
+    if (checkpoint_busy_) return;
+  }
   try {
-    if (options_.background_checkpoints && checkpoint_thread_.joinable()) {
-      // Fire and forget: skip when the worker is already on a cut.
-      {
-        std::lock_guard<std::mutex> lock(checkpoint_mutex_);
-        if (checkpoint_busy_ || checkpoint_shutdown_) return;
-      }
-      CheckpointCut cut = BuildCheckpointCut(options_.auto_checkpoint_mode);
-      std::lock_guard<std::mutex> lock(checkpoint_mutex_);
-      pending_cut_.emplace(std::move(cut));
-      checkpoint_busy_ = true;
-      ++checkpoint_ticket_;
-      checkpoint_cv_.notify_all();
-    } else {
-      WalCheckpoint(options_.auto_checkpoint_mode);
-    }
+    const uint64_t ticket = StartCheckpoint(options_.auto_checkpoint_mode);
+    if (!options_.background_checkpoints) AwaitCheckpoint(ticket);
   } catch (const Error&) {
     // A failed checkpoint (disk full mid-write, torn manifest) leaves
     // the previous manifest chain valid — recovery falls back to it.
@@ -532,11 +523,13 @@ uint64_t ProjectServer::WalCheckpoint(CheckpointMode mode) {
   if (!durable()) {
     throw Error("wal-checkpoint: durability is off (no wal_dir configured)");
   }
-  const bool background =
-      options_.background_checkpoints && checkpoint_thread_.joinable();
-  if (background) {
-    // One cut pending or in flight at a time; synchronous callers queue
-    // behind whatever the worker is writing.
+  return AwaitCheckpoint(StartCheckpoint(mode));
+}
+
+uint64_t ProjectServer::StartCheckpoint(CheckpointMode mode) {
+  {
+    // One cut pending or in flight at a time; a new cut queues behind
+    // whatever the worker is writing.
     std::unique_lock<std::mutex> lock(checkpoint_mutex_);
     checkpoint_cv_.wait(lock, [this] { return !checkpoint_busy_; });
   }
@@ -544,25 +537,32 @@ uint64_t ProjectServer::WalCheckpoint(CheckpointMode mode) {
   try {
     cut = BuildCheckpointCut(mode);
   } catch (const Error&) {
-    // The cut never froze (a drain/sync failure): no dirty marks were
-    // consumed, but arm the retry deadline so auto-attempts don't storm.
-    HandleCheckpointFailure(CheckpointCut{});
+    // The cut never froze (a drain/sync failure). Count it and arm the
+    // retry deadline so auto-attempts don't storm.
+    HandleCheckpointFailure();
     throw;
   }
-  return background ? CheckpointThroughWorker(std::move(cut))
-                    : CheckpointInline(std::move(cut));
+  std::lock_guard<std::mutex> lock(checkpoint_mutex_);
+  pending_cut_.emplace(std::move(cut));
+  checkpoint_busy_ = true;
+  checkpoint_cv_.notify_all();
+  return ++checkpoint_ticket_;
+}
+
+uint64_t ProjectServer::AwaitCheckpoint(uint64_t ticket) {
+  std::unique_lock<std::mutex> lock(checkpoint_mutex_);
+  checkpoint_cv_.wait(lock,
+                      [this, ticket] { return checkpoint_done_ >= ticket; });
+  // Single producer, one cut at a time: `ticket` completed last, so the
+  // slots are its.
+  if (last_worker_error_ != nullptr) {
+    std::rethrow_exception(last_worker_error_);
+  }
+  return last_worker_id_;
 }
 
 ProjectServer::CheckpointCut ProjectServer::BuildCheckpointCut(
     CheckpointMode mode) {
-  {
-    // Failed cuts parked their dirty sets; restamp them before cutting
-    // so the next delta re-covers those slots. Apply thread only — the
-    // tracker's stamp arrays may grow under structural appends, which
-    // only this thread performs.
-    std::lock_guard<std::mutex> lock(checkpoint_mutex_);
-    MergeBackFailedDirtyLocked();
-  }
   Drain();
   // Self-heal stale mirrors before freezing offsets: a fail-soft sink
   // that dropped rows leaves its stream short of the in-memory journal,
@@ -609,14 +609,12 @@ ProjectServer::CheckpointCut ProjectServer::BuildCheckpointCut(
   for (const auto& writer : row_writers_) {
     cut.prune_floors.emplace_back(writer->stream(), writer->last_reset_end());
   }
-  // The dirty cut and the snapshot pin come last, after everything that
-  // can throw: a failed build must never consume marks.
-  cut.dirty = db_.CutDirtySet();
-  // Background writes serialize off-thread from a pinned immutable
-  // version; inline writes serialize right here and can use the live
-  // database without paying the publish copy.
-  cut.snap = options_.background_checkpoints ? db_.PublishSnapshot()
-                                             : metadb::Snapshot::Live(db_);
+  // The dirty cut starts at the last committed cut, so it also covers
+  // the slots of every cut whose write failed since. The worker
+  // serializes from the pinned version.
+  cut.dirty = db_.CutDirtySet(
+      committed_dirty_since_.load(std::memory_order_relaxed));
+  cut.snap = db_.PublishSnapshot();
   return cut;
 }
 
@@ -650,6 +648,8 @@ void ProjectServer::CommitCheckpoint(const CheckpointCut& cut, uint64_t id) {
     committed_chain_base_.store(id, std::memory_order_relaxed);
     committed_chain_length_.store(1, std::memory_order_relaxed);
   }
+  committed_dirty_since_.store(cut.dirty.next_since,
+                               std::memory_order_relaxed);
   ops_since_checkpoint_.store(0, std::memory_order_relaxed);
   checkpoints_taken_.fetch_add(1, std::memory_order_relaxed);
   checkpoint_retry_at_ms_.store(0, std::memory_order_release);
@@ -687,36 +687,6 @@ void ProjectServer::PruneAfterCommit(const CheckpointCut& cut) {
   }
 }
 
-uint64_t ProjectServer::CheckpointInline(CheckpointCut&& cut) {
-  try {
-    const uint64_t id = RunCheckpointWrite(cut);
-    CommitCheckpoint(cut, id);
-    PruneAfterCommit(cut);
-    return id;
-  } catch (const Error&) {
-    HandleCheckpointFailure(std::move(cut));
-    throw;
-  }
-}
-
-uint64_t ProjectServer::CheckpointThroughWorker(CheckpointCut&& cut) {
-  std::unique_lock<std::mutex> lock(checkpoint_mutex_);
-  if (checkpoint_shutdown_) {
-    throw Error("wal-checkpoint: checkpoint worker is shut down");
-  }
-  pending_cut_.emplace(std::move(cut));
-  checkpoint_busy_ = true;
-  const uint64_t ticket = ++checkpoint_ticket_;
-  checkpoint_cv_.notify_all();
-  checkpoint_cv_.wait(lock,
-                      [this, ticket] { return checkpoint_done_ >= ticket; });
-  // Single producer: our ticket completed last, so the slots are ours.
-  if (last_worker_error_ != nullptr) {
-    std::rethrow_exception(last_worker_error_);
-  }
-  return last_worker_id_;
-}
-
 void ProjectServer::CheckpointWorkerLoop() {
   std::unique_lock<std::mutex> lock(checkpoint_mutex_);
   for (;;) {
@@ -736,7 +706,7 @@ void ProjectServer::CheckpointWorkerLoop() {
     } catch (...) {
       error = std::current_exception();
     }
-    if (error != nullptr) HandleCheckpointFailure(std::move(cut));
+    if (error != nullptr) HandleCheckpointFailure();
     lock.lock();
     ++checkpoint_done_;
     last_worker_id_ = id;
@@ -746,11 +716,10 @@ void ProjectServer::CheckpointWorkerLoop() {
   }
 }
 
-void ProjectServer::HandleCheckpointFailure(CheckpointCut&& cut) {
+void ProjectServer::HandleCheckpointFailure() {
   checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
   checkpoint_retries_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(checkpoint_mutex_);
-  if (!cut.dirty.empty()) failed_dirty_.push_back(std::move(cut.dirty));
   // Walk the shared schedule; once exhausted, keep re-arming at the cap
   // instead of giving up — the next success resets the walk.
   std::chrono::milliseconds delay = options_.wal_retry.max;
@@ -759,13 +728,6 @@ void ProjectServer::HandleCheckpointFailure(CheckpointCut&& cut) {
   }
   checkpoint_retry_at_ms_.store(SteadyNowMs() + delay.count(),
                                 std::memory_order_release);
-}
-
-void ProjectServer::MergeBackFailedDirtyLocked() {
-  for (const metadb::DirtySet& dirty : failed_dirty_) {
-    db_.MergeBackDirtySet(dirty);
-  }
-  failed_dirty_.clear();
 }
 
 WalStatus ProjectServer::GetWalStatus() const {

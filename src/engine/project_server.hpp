@@ -96,11 +96,13 @@ struct ServerOptions {
   /// Manifests a base→delta chain may span before the next checkpoint
   /// is forced full, bounding recovery's base + deltas + tail work.
   size_t checkpoint_chain_limit = 8;
-  /// Write checkpoints on a dedicated background thread: the apply
-  /// thread only builds the cut (pinned snapshot, dirty delta, stream
-  /// offsets) and keeps serving mutations while the worker serializes,
-  /// writes and commits. Synchronous WalCheckpoint() calls enqueue and
-  /// wait; auto-checkpoints enqueue and return.
+  /// Auto-checkpoints do not wait for their write. Every checkpoint is
+  /// written by the server's checkpoint thread: the apply thread only
+  /// builds the cut (pinned snapshot, dirty delta, stream offsets).
+  /// Off (default), the op that trips an auto-checkpoint waits for the
+  /// commit; on, it returns and keeps serving mutations while the
+  /// worker serializes, writes and commits. WalCheckpoint() always
+  /// waits.
   bool background_checkpoints = false;
   /// Segment retention: after a checkpoint commits, WAL segments wholly
   /// below the committed floor (ops offset for "ops", last journal
@@ -151,7 +153,7 @@ struct WalStatus {
   bool last_checkpoint_delta = false;  ///< Its kind (true = delta).
   uint64_t chain_base_id = 0;       ///< Full checkpoint anchoring the chain.
   size_t chain_length = 0;          ///< Manifests in the chain (1 = full only).
-  bool background = false;          ///< Background checkpointing enabled.
+  bool background = false;          ///< Auto-checkpoints do not wait.
   int retain_segments = -1;         ///< Retention knob (-1 = never prune).
   uint64_t segments_pruned = 0;     ///< WAL segments removed by retention.
   uint64_t bytes_pruned = 0;        ///< Bytes those segments held.
@@ -267,8 +269,8 @@ class ProjectServer {
   /// complete database; kDelta writes only the slots dirtied since the
   /// last committed checkpoint and chains onto it (silently upgraded to
   /// full when no base exists or the chain hit checkpoint_chain_limit).
-  /// With background_checkpoints on, the call enqueues the cut to the
-  /// worker thread and waits for the commit.
+  /// The call builds the cut, hands it to the checkpoint thread and
+  /// waits for the commit.
   uint64_t WalCheckpoint(CheckpointMode mode = CheckpointMode::kFull);
 
   /// Current durability state (recovery provenance included).
@@ -398,13 +400,14 @@ class ProjectServer {
 
   void MaybeAutoCheckpoint();
 
-  // --- Incremental / background checkpointing ------------------------------
+  // --- Incremental checkpointing on the checkpoint thread ------------------
 
   /// Everything a checkpoint write needs, frozen on the apply thread at
-  /// a drain-quiescent point. The snapshot pins the database version
-  /// (background mode) or wraps it live (inline mode); serialization
-  /// happens wherever the write runs, so with background checkpointing
-  /// on the apply thread never pays the dump cost.
+  /// a drain-quiescent point. The snapshot pins the published database
+  /// version the checkpoint thread serializes, so the apply thread
+  /// never pays the dump cost. `dirty` holds the slots mutated since
+  /// the last committed cut; its `next_since` becomes the next cut's
+  /// start only when this one commits.
   struct CheckpointCut {
     bool delta = false;
     uint64_t base_id = 0;
@@ -426,20 +429,30 @@ class ProjectServer {
   };
 
   /// Apply-thread half: drains, heals stale mirrors, syncs every
-  /// stream, then freezes offsets + snapshot + dirty delta. Anything
-  /// that can throw runs before the dirty cut, so a failed build never
-  /// loses dirty marks. Resolves kDelta down to full when no base
-  /// exists or the chain hit its limit.
+  /// stream, then freezes offsets + snapshot + dirty delta. Resolves
+  /// kDelta down to full when no base exists or the chain hit its
+  /// limit.
   CheckpointCut BuildCheckpointCut(CheckpointMode mode);
 
-  /// Write half (worker thread in background mode): serializes the
-  /// database from the cut's snapshot and writes checkpoint files +
-  /// manifest. Returns the new checkpoint id.
+  /// The one way a checkpoint starts (apply thread): waits until the
+  /// worker is free, builds the cut and hands it over. Returns the
+  /// cut's ticket for AwaitCheckpoint. A failed build counts as a
+  /// failed checkpoint and rethrows.
+  uint64_t StartCheckpoint(CheckpointMode mode);
+
+  /// Waits until cut `ticket` is written; returns its checkpoint id or
+  /// rethrows its failure.
+  uint64_t AwaitCheckpoint(uint64_t ticket);
+
+  /// Write half (checkpoint thread): serializes the database from the
+  /// cut's snapshot and writes checkpoint files + manifest. Returns the
+  /// new checkpoint id.
   uint64_t RunCheckpointWrite(const CheckpointCut& cut);
 
-  /// Publishes a committed checkpoint: chain/floor atomics, counter
-  /// resets, backoff re-arm. Worker thread in background mode — touches
-  /// atomics and the checkpoint mutex only, never the live database.
+  /// Publishes a committed checkpoint: chain/floor atomics, the next
+  /// cut's dirty start, counter resets, backoff re-arm. Checkpoint
+  /// thread — touches atomics and the checkpoint mutex only, never the
+  /// live database.
   void CommitCheckpoint(const CheckpointCut& cut, uint64_t id);
 
   /// Retention after a commit: prunes WAL segments wholly below the
@@ -448,19 +461,13 @@ class ProjectServer {
   /// checkpoint failure — the manifest already committed.
   void PruneAfterCommit(const CheckpointCut& cut);
 
-  /// Failure bookkeeping shared by the inline and worker paths: counts
-  /// the failure, parks the cut's dirty set for merge-back on the apply
-  /// thread, and arms the next auto-attempt on the backoff schedule
+  /// Failure bookkeeping for a failed build or write: counts the
+  /// failure and arms the next auto-attempt on the backoff schedule
   /// (after the schedule exhausts, re-attempts keep the max interval —
-  /// never once-per-op).
-  void HandleCheckpointFailure(CheckpointCut&& cut);
+  /// never once-per-op). The committed dirty start stays put, so the
+  /// next cut covers the failed one's slots.
+  void HandleCheckpointFailure();
 
-  /// Re-marks dirty sets parked by failed checkpoints (apply thread
-  /// only; caller holds checkpoint_mutex_).
-  void MergeBackFailedDirtyLocked();
-
-  uint64_t CheckpointInline(CheckpointCut&& cut);
-  uint64_t CheckpointThroughWorker(CheckpointCut&& cut);
   void CheckpointWorkerLoop();
   void StopCheckpointWorker();
 
@@ -513,7 +520,7 @@ class ProjectServer {
   std::vector<events::EventJournal*> sink_journals_;
   uint64_t op_seq_ = 0;
   /// Ops since the last *committed* checkpoint (reset at commit, which
-  /// runs on the worker thread in background mode — hence atomic).
+  /// runs on the checkpoint thread — hence atomic).
   std::atomic<size_t> ops_since_checkpoint_{0};
   bool replaying_ = false;
   /// The active blueprint's source text (checkpointed alongside the
@@ -528,10 +535,14 @@ class ProjectServer {
   size_t manifests_skipped_ = 0;
   std::atomic<uint64_t> checkpoints_taken_{0};
 
-  // Committed-checkpoint chain + retention state. Written by whichever
-  // thread commits (worker in background mode), read by health/status
-  // sessions — atomics throughout.
+  // Committed-checkpoint chain + retention state. Written by the
+  // checkpoint thread at commit, read by health/status sessions —
+  // atomics throughout.
   std::atomic<uint64_t> committed_checkpoint_id_{0};
+  /// Dirty-tracker generation the next checkpoint cut starts at: the
+  /// last committed cut's `next_since` (0 before the first: every
+  /// slot).
+  std::atomic<uint64_t> committed_dirty_since_{0};
   std::atomic<bool> committed_checkpoint_delta_{false};
   std::atomic<uint64_t> committed_chain_base_{0};
   std::atomic<uint64_t> committed_chain_length_{0};
@@ -547,8 +558,8 @@ class ProjectServer {
   /// counter to the threshold, re-attempting on *every* subsequent op.
   std::atomic<int64_t> checkpoint_retry_at_ms_{0};
 
-  // Background-checkpoint worker. One cut pending or in flight at a
-  // time; only the apply thread enqueues.
+  // The checkpoint thread (every durable server runs it). One cut
+  // pending or in flight at a time; only the apply thread enqueues.
   std::mutex checkpoint_mutex_;
   std::condition_variable checkpoint_cv_;
   std::thread checkpoint_thread_;
@@ -559,9 +570,6 @@ class ProjectServer {
   uint64_t checkpoint_done_ = 0;    ///< Cuts completed (either way).
   uint64_t last_worker_id_ = 0;     ///< Id from the last completed cut.
   std::exception_ptr last_worker_error_;  ///< Its failure, if any.
-  /// Dirty sets from failed cuts, parked until the apply thread can
-  /// safely restamp them (the tracker's arrays may grow concurrently).
-  std::vector<metadb::DirtySet> failed_dirty_;
   common::BackoffState checkpoint_backoff_;
 
   // Fault-tolerance state. The atomics are read by concurrent health /

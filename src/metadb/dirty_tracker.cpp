@@ -36,12 +36,10 @@ void DirtyTracker::Grow(StampArray& array, size_t needed) {
   array.size = std::max(array.size, needed);
 }
 
-uint64_t DirtyTracker::Advance(Consumer consumer) noexcept {
-  const uint64_t since = cursor_[consumer];
+uint64_t DirtyTracker::Advance() noexcept {
   const uint64_t next = generation_.load(std::memory_order_relaxed) + 1;
   generation_.store(next, std::memory_order_relaxed);
-  cursor_[consumer] = next;
-  return since;
+  return next;
 }
 
 void DirtyTracker::Collect(const StampArray& array, uint64_t since,
@@ -58,7 +56,7 @@ void DirtyTracker::Collect(const StampArray& array, uint64_t since,
 void DirtyTracker::CollectSlots(DirtyTable table, uint64_t since,
                                 std::vector<uint32_t>& out) const {
   // Every slot mark also stamps its chunk, so only chunks stamped since
-  // the cursor need a slot scan.
+  // `since` need a slot scan.
   const StampArray& chunks = chunks_[static_cast<size_t>(table)];
   const StampArray& slots = slots_[static_cast<size_t>(table)];
   for (size_t chunk = 0; chunk < chunks.size; ++chunk) {
@@ -68,38 +66,18 @@ void DirtyTracker::CollectSlots(DirtyTable table, uint64_t since,
   }
 }
 
-void DirtyTracker::Restamp(DirtyTable table,
-                           const std::vector<uint32_t>& slots,
-                           uint64_t generation) noexcept {
-  StampArray& slot_stamps = slots_[static_cast<size_t>(table)];
-  StampArray& chunk_stamps = chunks_[static_cast<size_t>(table)];
-  for (const uint32_t slot : slots) {
-    if (slot < slot_stamps.size) {
-      slot_stamps.stamps[slot].store(generation, std::memory_order_relaxed);
-      chunk_stamps.stamps[slot >> kChunkShift].store(
-          generation, std::memory_order_relaxed);
-    }
-  }
-}
-
-DirtySet DirtyTracker::Cut() {
-  const uint64_t since = Advance(kCheckpoint);
+DirtySet DirtyTracker::Cut(uint64_t since) {
   DirtySet set;
   CollectSlots(DirtyTable::kObjects, since, set.objects);
   CollectSlots(DirtyTable::kLinks, since, set.links);
   CollectSlots(DirtyTable::kConfigs, since, set.configs);
+  set.next_since = Advance();
   return set;
 }
 
-void DirtyTracker::MergeBack(const DirtySet& set) noexcept {
-  const uint64_t generation = generation_.load(std::memory_order_relaxed);
-  Restamp(DirtyTable::kObjects, set.objects, generation);
-  Restamp(DirtyTable::kLinks, set.links, generation);
-  Restamp(DirtyTable::kConfigs, set.configs, generation);
-}
-
 DirtyChunks DirtyTracker::CutChunks() {
-  const uint64_t since = Advance(kPublish);
+  const uint64_t since = publish_since_;
+  publish_since_ = Advance();
   DirtyChunks dirty;
   for (size_t table = 0; table < kDirtyTableCount; ++table) {
     const StampArray& chunks = chunks_[table];

@@ -3,11 +3,11 @@
 //
 //  * Delta checkpoints. A full checkpoint serializes every slot of the
 //    MetaDatabase; under heavy traffic that is an O(total state) stall
-//    per checkpoint. The checkpoint consumer collects which object,
-//    link and configuration SLOTS mutated since its last cut so the
-//    server can write a delta containing only those slots
-//    (metadb/persistence's SaveDatabaseDeltaString), chained onto the
-//    previous checkpoint by the manifest's base pointer.
+//    per checkpoint. A checkpoint cut collects which object, link and
+//    configuration SLOTS mutated since the last COMMITTED checkpoint so
+//    the server can write a delta containing only those slots
+//    (metadb/persistence's SaveDatabaseDeltaString), chained onto that
+//    checkpoint by the manifest's base pointer.
 //  * Snapshot publish. The database stores every table in fixed-size
 //    chunks (metadb/chunked.hpp); the publish consumer collects which
 //    CHUNKS of which table mutated since its last cut, so a published
@@ -15,20 +15,22 @@
 //    version.
 //
 // Both consumers read the same marks. A mark stores the current
-// generation into the slot's stamp and into its chunk's stamp; every
-// cut bumps the generation, and each consumer keeps its own cursor (the
-// generation right after its previous cut), so a stamp at or above a
-// consumer's cursor means "mutated since that consumer last looked".
-// Marks check before they store, so shard workers re-marking a hot
-// chunk only read its cache line.
+// generation into the slot's stamp and into its chunk's stamp, and
+// every cut bumps the generation, so a stamp at or above a generation
+// means "mutated since the cut that moved the generation there". The
+// tracker keeps one cursor, the publish one. A checkpoint cut takes its
+// starting generation from the caller, which stores the cut's
+// `next_since` only once the checkpoint commits: a cut whose write
+// fails leaves it where it was, so the next cut covers the failed one's
+// slots too. Marks check before they store, so shard workers re-marking
+// a hot chunk only read its cache line.
 //
 // Thread contract (the MetaDatabase mutation contract, verbatim):
 // structural mutations (slot appends, which grow the stamp arrays, and
 // index changes) are single-writer and never concurrent with wave
 // workers; property writes from workers of disjoint shards may mark
-// concurrently, so stamps are relaxed atomics. Cuts and MergeBack() are
-// writer-side and quiescent-only, exactly like
-// MetaDatabase::PublishSnapshot().
+// concurrently, so stamps are relaxed atomics. Cuts are writer-side and
+// quiescent-only, exactly like MetaDatabase::PublishSnapshot().
 #pragma once
 
 #include <array>
@@ -57,13 +59,17 @@ enum class DirtyTable : uint8_t {
 };
 inline constexpr size_t kDirtyTableCount = 9;
 
-/// The slots that mutated between two checkpoint cuts, per kind,
-/// ascending. Returned by DirtyTracker::Cut(); consumed by
-/// SaveDatabaseDeltaString and (on checkpoint failure) MergeBack.
+/// The slots that mutated since a checkpoint cut's starting
+/// generation, per kind, ascending. Returned by DirtyTracker::Cut();
+/// consumed by SaveDatabaseDeltaString.
 struct DirtySet {
   std::vector<uint32_t> objects;
   std::vector<uint32_t> links;
   std::vector<uint32_t> configs;
+  /// The generation right after this cut: every later mark stamps it
+  /// or a newer one. A committed checkpoint's `next_since` is where the
+  /// next cut starts.
+  uint64_t next_since = 0;
 
   bool empty() const noexcept {
     return objects.empty() && links.empty() && configs.empty();
@@ -90,7 +96,7 @@ struct DirtyChunks {
   }
 };
 
-/// Per-slot and per-chunk dirty stamps with one cursor per consumer.
+/// Per-slot and per-chunk dirty stamps with the publish cursor.
 class DirtyTracker {
  public:
   /// log2 of the slots per chunk; shared with the chunked tables so a
@@ -112,22 +118,16 @@ class DirtyTracker {
     Mark(chunks_[static_cast<size_t>(table)], chunk);
   }
 
-  /// Checkpoint consumer: collects every slot marked since its previous
-  /// cut and moves its cursor past them. Quiescent callers only.
-  DirtySet Cut();
-
-  /// Re-marks `set`'s slots under the current generation so a failed
-  /// checkpoint's dirty set is carried into the next cut instead of
-  /// being lost. Quiescent callers only.
-  void MergeBack(const DirtySet& set) noexcept;
+  /// Checkpoint consumer: collects every slot stamped at generation
+  /// `since` or later (0 collects every slot ever marked) and moves the
+  /// generation on. Quiescent callers only.
+  DirtySet Cut(uint64_t since);
 
   /// Publish consumer: collects every chunk marked since its previous
   /// cut and moves its cursor past them. Quiescent callers only.
   DirtyChunks CutChunks();
 
  private:
-  enum Consumer : size_t { kCheckpoint, kPublish, kConsumerCount };
-
   struct StampArray {
     std::unique_ptr<std::atomic<uint64_t>[]> stamps;
     size_t size = 0;
@@ -139,22 +139,21 @@ class DirtyTracker {
     MarkChunk(table, slot >> kChunkShift);
   }
   void Mark(StampArray& array, size_t index) noexcept;
-  /// Returns `consumer`'s cursor and moves it (and the generation) past
-  /// every mark made so far.
-  uint64_t Advance(Consumer consumer) noexcept;
+  /// Moves the generation past every mark made so far and returns the
+  /// new one.
+  uint64_t Advance() noexcept;
   static void Grow(StampArray& array, size_t needed);
   void CollectSlots(DirtyTable table, uint64_t since,
                     std::vector<uint32_t>& out) const;
   static void Collect(const StampArray& array, uint64_t since, size_t begin,
                       size_t end, std::vector<uint32_t>& out);
-  void Restamp(DirtyTable table, const std::vector<uint32_t>& slots,
-               uint64_t generation) noexcept;
 
   /// Relaxed: marks read it mid-mutation, cuts write it only at
   /// quiescent points.
   std::atomic<uint64_t> generation_{1};
-  /// Writer-side only (cuts are quiescent).
-  std::array<uint64_t, kConsumerCount> cursor_{1, 1};
+  /// The publish cursor: the generation right after the previous
+  /// publish cut. Writer-side only (cuts are quiescent).
+  uint64_t publish_since_ = 1;
   /// Slot stamps; only the three slot tables use theirs.
   std::array<StampArray, kDirtyTableCount> slots_;
   std::array<StampArray, kDirtyTableCount> chunks_;

@@ -379,16 +379,12 @@ class MetaDatabase {
   /// delta chain is indistinguishable from a full load.
   void RebuildLinkAdjacency();
 
-  /// Collects every slot mutated since the previous checkpoint cut
-  /// (or since construction) and moves the checkpoint cursor past
-  /// them. Quiescent callers only (the PublishSnapshot contract).
-  DirtySet CutDirtySet() { return dirty_->Cut(); }
-
-  /// Returns a failed checkpoint's cut to the dirty set so the next
-  /// delta still covers those slots. Quiescent callers only.
-  void MergeBackDirtySet(const DirtySet& set) noexcept {
-    dirty_->MergeBack(set);
-  }
+  /// Collects every slot mutated at or after generation `since` (a
+  /// committed checkpoint cut's `next_since`; 0 collects every slot)
+  /// and moves the generation on, so later mutations land past the
+  /// returned set's `next_since`. Quiescent callers only (the
+  /// PublishSnapshot contract).
+  DirtySet CutDirtySet(uint64_t since) { return dirty_->Cut(since); }
 
  private:
   friend class SnapshotStore;

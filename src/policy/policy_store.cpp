@@ -212,12 +212,6 @@ PolicyVersion PolicyStore::Get(uint64_t id) const {
   return versions_[id - 1];
 }
 
-std::optional<PolicyVersion> PolicyStore::Find(uint64_t id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (id == 0 || id > versions_.size()) return std::nullopt;
-  return versions_[id - 1];
-}
-
 std::vector<PolicyVersion> PolicyStore::Versions() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return versions_;

@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -98,8 +97,6 @@ class PolicyStore {
 
   /// Copy of one version. Throws NotFoundError for unknown ids.
   PolicyVersion Get(uint64_t id) const;
-
-  std::optional<PolicyVersion> Find(uint64_t id) const;
 
   /// Copies of every version, id order.
   std::vector<PolicyVersion> Versions() const;

@@ -3,7 +3,8 @@
 //  * base -> delta -> delta chains recover byte-equal state;
 //  * the chain limit and a missing base silently force full checkpoints;
 //  * failed auto-checkpoints re-arm on the backoff schedule instead of
-//    re-attempting on every op (the checkpoint-failure storm);
+//    re-attempting on every op (the checkpoint-failure storm), and the
+//    next delta after failed checkpoints still carries their slots;
 //  * segment retention prunes below the committed floor, failed
 //    removals surface as a prune-behind warning, and recovery handles
 //    leftover .tmp manifests, orphaned checkpoint files and partially
@@ -115,13 +116,15 @@ TEST(DeltaCheckpoint, DeltaTextRoundTripsOntoBase) {
   TempDir dir("delta-roundtrip");
   auto server = testutil::MakeEdtcServer(DurableOptions(dir.str()));
   MutateOnce(*server, 0);
-  server->WalCheckpoint(CheckpointMode::kFull);  // Clears the dirty set.
+  server->WalCheckpoint(CheckpointMode::kFull);
   const std::string base_text = DbText(*server);
+  // Marks from here on are the delta's.
+  const uint64_t since = server->database().CutDirtySet(0).next_since;
 
   MutateOnce(*server, 1);
   server->CheckIn("CPU", "schematic", "cpu gates", "bob");
   server->Drain();
-  const metadb::DirtySet dirty = server->database().CutDirtySet();
+  const metadb::DirtySet dirty = server->database().CutDirtySet(since);
   EXPECT_FALSE(dirty.empty());
   const std::string delta =
       metadb::SaveDatabaseDeltaString(server->database(), dirty);
@@ -139,9 +142,10 @@ TEST(DeltaCheckpoint, WrongBaseIsRejected) {
   MutateOnce(*server, 0);
   MutateOnce(*server, 1);
   server->WalCheckpoint(CheckpointMode::kFull);
+  const uint64_t since = server->database().CutDirtySet(0).next_since;
   MutateOnce(*server, 2);
   server->Drain();
-  const metadb::DirtySet dirty = server->database().CutDirtySet();
+  const metadb::DirtySet dirty = server->database().CutDirtySet(since);
   const std::string delta =
       metadb::SaveDatabaseDeltaString(server->database(), dirty);
   // Applying onto an empty database: the post-application slot totals
@@ -246,6 +250,15 @@ TEST(DeltaCheckpoint, AutoCheckpointsChainAndRecover) {
 
 // --- Background checkpointing -----------------------------------------------
 
+/// Polls `done` for up to two seconds: a checkpoint nobody waits for
+/// (background_checkpoints) commits or fails on the checkpoint thread.
+template <typename Done>
+void AwaitCheckpointThread(Done done) {
+  for (int spin = 0; spin < 400 && !done(); ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+}
+
 TEST(BackgroundCheckpoint, SynchronousCallsCommitThroughWorker) {
   TempDir dir("bg-sync");
   ServerOptions options = DurableOptions(dir.str());
@@ -280,11 +293,8 @@ TEST(BackgroundCheckpoint, AutoCheckpointsCommitEventually) {
   options.checkpoint_every_ops = 4;
   auto server = testutil::MakeEdtcServer(options);
   for (int i = 0; i < 20; ++i) MutateOnce(*server, i);
-  // Auto-checkpoints are fire-and-forget; give the worker a moment.
-  for (int spin = 0; spin < 200; ++spin) {
-    if (server->GetWalStatus().checkpoints_taken > 0) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  AwaitCheckpointThread(
+      [&] { return server->GetWalStatus().checkpoints_taken > 0; });
   EXPECT_GT(server->GetWalStatus().checkpoints_taken, 0u);
   EXPECT_EQ(server->GetHealth().checkpoint_failures, 0u);
 }
@@ -293,64 +303,114 @@ TEST(BackgroundCheckpoint, AutoCheckpointsCommitEventually) {
 
 #if defined(DAMOCLES_FAILPOINTS_ENABLED)
 
+/// Evaluations of `failpoint` that fired.
+uint64_t FailpointHits(const std::string& failpoint) {
+  for (const common::FailpointStatus& status :
+       common::Failpoints::Instance().List()) {
+    if (status.name == failpoint) return status.hits;
+  }
+  return 0;
+}
+
 TEST(CheckpointBackoff, FailedAutoCheckpointsDoNotStorm) {
-  TempDir dir("ckpt-storm");
-  ServerOptions options = DurableOptions(dir.str());
-  options.checkpoint_every_ops = 4;
-  // Deterministic schedule: one retry step at 100ms, then re-arm at the
-  // 200ms cap forever.
-  options.wal_retry = common::BackoffPolicy{
-      1, std::chrono::milliseconds(100), std::chrono::milliseconds(200),
-      2.0, 0.0, 7};
-  auto server = testutil::MakeEdtcServer(options);
-  common::Failpoints::Instance().Configure("checkpoint.write", "error");
+  // A write that fails on the checkpoint thread and a cut that fails on
+  // the apply thread (its stream sync) both count and back off, whether
+  // or not the triggering op waits.
+  for (const bool background : {false, true}) {
+    for (const std::string failpoint : {"checkpoint.write", "wal.fsync"}) {
+      SCOPED_TRACE(failpoint + (background ? " background" : " waiting"));
+      TempDir dir("ckpt-storm");
+      ServerOptions options = DurableOptions(dir.str());
+      options.checkpoint_every_ops = 4;
+      options.background_checkpoints = background;
+      // Deterministic schedule: one retry step at 100ms, then re-arm at
+      // the 200ms cap forever.
+      options.wal_retry = common::BackoffPolicy{
+          1, std::chrono::milliseconds(100), std::chrono::milliseconds(200),
+          2.0, 0.0, 7};
+      auto server = testutil::MakeEdtcServer(options);
+      common::Failpoints::Instance().Configure(failpoint, "error");
 
-  // A rapid burst far past the threshold. The storm bug reset the op
-  // counter to the threshold on failure, so every one of these ops
-  // re-attempted (and re-failed) a checkpoint: ~37 failures. With the
-  // backoff gate a burst this fast fits in one or two intervals.
-  for (int i = 0; i < 40; ++i) MutateOnce(*server, i);
-  const ServerHealth stormy = server->GetHealth();
-  EXPECT_GE(stormy.checkpoint_failures, 1u);
-  EXPECT_LE(stormy.checkpoint_failures, 6u);
-  EXPECT_GE(stormy.checkpoint_retries, 1u);
-  EXPECT_EQ(server->GetWalStatus().checkpoints_taken, 0u);
-  EXPECT_FALSE(server->degraded());  // Checkpoint failures never degrade.
+      // A rapid burst far past the threshold. The storm bug reset the op
+      // counter to the threshold on failure, so every one of these ops
+      // re-attempted (and re-failed) a checkpoint: ~37 failures. With
+      // the backoff gate a burst this fast fits in one or two intervals.
+      for (int i = 0; i < 40; ++i) MutateOnce(*server, i);
+      AwaitCheckpointThread(
+          [&] { return server->GetHealth().checkpoint_failures > 0; });
+      const ServerHealth stormy = server->GetHealth();
+      EXPECT_GE(stormy.checkpoint_failures, 1u);
+      EXPECT_LE(stormy.checkpoint_failures, 6u);
+      EXPECT_LE(FailpointHits(failpoint), 6u);
+      EXPECT_GE(stormy.checkpoint_retries, 1u);
+      EXPECT_EQ(server->GetWalStatus().checkpoints_taken, 0u);
+      EXPECT_FALSE(server->degraded());  // Checkpoint failures never degrade.
 
-  // Fault clears; once the armed deadline passes, the very next op
-  // retries and commits (the op counter was never reset).
-  common::Failpoints::Instance().ClearAll();
-  std::this_thread::sleep_for(std::chrono::milliseconds(250));
-  MutateOnce(*server, 40);
-  const WalStatus status = server->GetWalStatus();
-  EXPECT_GE(status.checkpoints_taken, 1u);
-  EXPECT_GT(status.last_checkpoint_id, 0u);
-  EXPECT_EQ(server->GetHealth().checkpoint_failures,
-            stormy.checkpoint_failures);
+      // Fault clears; once the armed deadline passes, the very next op
+      // retries and commits (the op counter was never reset).
+      common::Failpoints::Instance().ClearAll();
+      std::this_thread::sleep_for(std::chrono::milliseconds(250));
+      MutateOnce(*server, 40);
+      AwaitCheckpointThread(
+          [&] { return server->GetWalStatus().checkpoints_taken > 0; });
+      const WalStatus status = server->GetWalStatus();
+      EXPECT_GE(status.checkpoints_taken, 1u);
+      EXPECT_GT(status.last_checkpoint_id, 0u);
+      EXPECT_EQ(server->GetHealth().checkpoint_failures,
+                stormy.checkpoint_failures);
+    }
+  }
 }
 
 TEST(CheckpointBackoff, FailedDeltaMarksAreNotLost) {
-  TempDir dir("ckpt-dirty-merge");
-  auto server = testutil::MakeEdtcServer(DurableOptions(dir.str()));
-  MutateOnce(*server, 0);
-  server->WalCheckpoint(CheckpointMode::kFull);
-  MutateOnce(*server, 1);  // Dirties slots the next delta must carry.
-  std::vector<std::string> lines = ServerJournalLines(*server);
-
-  common::Failpoints::Instance().Configure("checkpoint.write", "error,count=1");
-  EXPECT_THROW(server->WalCheckpoint(CheckpointMode::kDelta), Error);
-  common::Failpoints::Instance().ClearAll();
-
-  // The failed cut consumed the dirty set; the retry must merge it back
-  // or the committed delta would silently miss those slots.
-  EXPECT_EQ(server->WalCheckpoint(CheckpointMode::kDelta), 2u);
-  const std::string db_text = DbText(*server);
-  server.reset();
-  auto recovered =
-      std::make_unique<ProjectServer>("edtc", DurableOptions(dir.str()));
-  EXPECT_EQ(recovered->GetWalStatus().checkpoint_id, 2u);
-  EXPECT_EQ(DbText(*recovered), db_text);
-  EXPECT_EQ(ServerJournalLines(*recovered), lines);
+  // Each case commits a full checkpoint, then fails one or more
+  // checkpoints, each after a mutation only it saw, then commits a
+  // delta. A failed write never moves the committed dirty start, so
+  // that delta chains onto checkpoint 1 and must carry every slot
+  // dirtied since it, the failed cuts' slots included; recovery from
+  // it alone (no ops tail) must be byte-equal.
+  struct Case {
+    const char* name;
+    std::vector<CheckpointMode> failed;
+  };
+  const Case cases[] = {
+      {"failed delta", {CheckpointMode::kDelta}},
+      {"failed full", {CheckpointMode::kFull}},
+      {"two failed deltas", {CheckpointMode::kDelta, CheckpointMode::kDelta}},
+  };
+  for (const bool background : {false, true}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.name) + (background ? " background" : ""));
+      TempDir dir("ckpt-dirty-carry");
+      ServerOptions options = DurableOptions(dir.str());
+      options.background_checkpoints = background;
+      auto server = testutil::MakeEdtcServer(options);
+      MutateOnce(*server, 0);
+      ASSERT_EQ(server->WalCheckpoint(CheckpointMode::kFull), 1u);
+      int op = 1;
+      for (const CheckpointMode mode : c.failed) {
+        MutateOnce(*server, op++);
+        common::Failpoints::Instance().Configure("checkpoint.write",
+                                                 "error,count=1");
+        EXPECT_THROW(server->WalCheckpoint(mode), Error);
+        common::Failpoints::Instance().ClearAll();
+      }
+      MutateOnce(*server, op++);
+      EXPECT_EQ(server->WalCheckpoint(CheckpointMode::kDelta), 2u);
+      const WalStatus status = server->GetWalStatus();
+      EXPECT_TRUE(status.last_checkpoint_delta);
+      EXPECT_EQ(status.chain_base_id, 1u);
+      const std::vector<std::string> lines = ServerJournalLines(*server);
+      const std::string db_text = DbText(*server);
+      server.reset();
+      auto recovered =
+          std::make_unique<ProjectServer>("edtc", DurableOptions(dir.str()));
+      EXPECT_EQ(recovered->GetWalStatus().checkpoint_id, 2u);
+      EXPECT_EQ(recovered->GetWalStatus().replayed_ops, 0u);
+      EXPECT_EQ(DbText(*recovered), db_text);
+      EXPECT_EQ(ServerJournalLines(*recovered), lines);
+    }
+  }
 }
 
 #endif  // DAMOCLES_FAILPOINTS_ENABLED

@@ -354,7 +354,7 @@ TEST(SettledRefresh, ReplacedSlotsNeverLookSettled) {
   // from the text format (revision 0) replaces settled slots.
   const std::string base = metadb::SaveDatabaseString(db);
   metadb::MetaDatabase other = metadb::LoadDatabaseString(base);
-  other.CutDirtySet();
+  const uint64_t since = other.CutDirtySet(0).next_since;
   for (const Oid& cell : f.cells) {
     // Most cells already read "bad", and a write of the value already
     // there is no mutation; the note puts every cell in the delta.
@@ -362,7 +362,7 @@ TEST(SettledRefresh, ReplacedSlotsNeverLookSettled) {
     other.SetProperty(*other.FindObject(cell), "note", "replaced");
   }
   metadb::ApplyDatabaseDeltaString(
-      metadb::SaveDatabaseDeltaString(other, other.CutDirtySet()), db);
+      metadb::SaveDatabaseDeltaString(other, other.CutDirtySet(since)), db);
   for (const Oid& cell : f.cells) EXPECT_FALSE(f.Settled(cell));
   ExpectSettledAreFixedPoints(*f.server, "after the delta");
   Poke(*f.server, target);

@@ -13,7 +13,8 @@
 //  * chunks no mutation touched are pointer-shared with the previous
 //    version, and touched ones are fresh copies;
 //  * the checkpoint consumer of the same dirty marks still cuts exact
-//    deltas while publishes interleave;
+//    deltas while publishes interleave, and a cut whose write failed
+//    is covered by the next;
 //  * a publish after writes that change nothing keeps the epoch;
 //  * a threaded 4-shard server publishing between batches meets the
 //    same contract.
@@ -526,20 +527,22 @@ TEST(SnapshotPublish, WritesThatChangeNothingKeepTheEpoch) {
 }
 
 TEST(SnapshotPublish, CheckpointCutsStayExactWithInterleavedPublishes) {
-  // One set of marks, two cursors: publishes between checkpoint cuts
-  // must not consume the checkpoint's marks, and vice versa.
+  // One set of marks, one publish cursor: publishes between checkpoint
+  // cuts must not consume the checkpoint's marks, and vice versa. A cut
+  // counted as failed keeps the previous base and start generation, so
+  // the next cut must cover its slots too.
   MetaDatabase db;
   Mutator mutator(db, 5);
   Rng rng(55);
   for (int i = 0; i < 50; ++i) mutator.Step();
   std::string base = metadb::SaveDatabaseString(db);
-  db.CutDirtySet();
+  uint64_t since = db.CutDirtySet(0).next_since;
   for (int round = 0; round < 30; ++round) {
     for (int i = 0; i < 40; ++i) {
       mutator.Step();
       if (rng.Chance(0.1)) db.PublishSnapshot();
     }
-    const metadb::DirtySet dirty = db.CutDirtySet();
+    const metadb::DirtySet dirty = db.CutDirtySet(since);
     MetaDatabase replay = metadb::LoadDatabaseString(base);
     metadb::ApplyDatabaseDeltaString(
         metadb::SaveDatabaseDeltaString(db, dirty), replay);
@@ -547,7 +550,9 @@ TEST(SnapshotPublish, CheckpointCutsStayExactWithInterleavedPublishes) {
     ASSERT_EQ(metadb::SaveDatabaseString(replay), live) << "round " << round;
     const Snapshot published = db.PublishSnapshot();
     ASSERT_EQ(Fingerprint(published.db()), Fingerprint(db)) << round;
+    if (rng.Chance(0.3)) continue;  // A failed write: nothing commits.
     base = live;
+    since = dirty.next_since;
   }
 }
 

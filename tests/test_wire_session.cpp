@@ -5,6 +5,7 @@
 
 #include <filesystem>
 
+#include "common/strings.hpp"
 #include "test_util.hpp"
 #include "workload/edtc.hpp"
 
@@ -238,6 +239,66 @@ TEST(WireSessionNumbers, MalformedNumbersAreRejectedWithoutSideEffects) {
     EXPECT_EQ(session.HandleLine("policy-promote " + std::to_string(loose))
                   .rfind("ok promoted version", 0),
               0u);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+/// The policy lifecycle's wire commands on a durable server: proposals
+/// (quoted text and message, usage and parse errors), validation
+/// (unknown, malformed and valid ids) and the log, which must read the
+/// same after a checkpoint and a restart.
+TEST(WireSessionPolicy, ProposeValidateAndLogSurviveCheckpointAndRestart) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("damocles-wire-policy-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  ServerOptions options;
+  options.wal_dir = dir.string();
+  const std::string loose = workload::EdtcLoosenedBlueprintText();
+  std::string log;
+  {
+    auto server = MakeEdtcServer(options);
+    WireSession session(*server, "alice");
+    const std::string usage =
+        "error: usage: policy-propose \"<rule-text>\" [\"message\"]\n";
+    EXPECT_EQ(session.HandleLine("policy-propose"), usage);
+    EXPECT_EQ(session.HandleLine("policy-propose \"unterminated"), usage);
+    const std::string parse_error =
+        session.HandleLine("policy-propose \"blueprint broken view\"");
+    EXPECT_EQ(parse_error.rfind("error: ", 0), 0u) << parse_error;
+    EXPECT_EQ(parse_error.find("usage"), std::string::npos) << parse_error;
+    EXPECT_EQ(server->policy_store().size(), 1u);
+
+    EXPECT_EQ(session.HandleLine("policy-propose " + QuoteString(loose) +
+                                 " \"loosen for bring-up\""),
+              "ok proposed version 2\n");
+    EXPECT_EQ(server->policy_store().Get(2).blueprint_text, loose);
+
+    EXPECT_EQ(session.HandleLine("policy-validate 9"),
+              "error: unknown policy version 9\n");
+    EXPECT_EQ(session.HandleLine("policy-validate two"),
+              "error: usage: policy-validate <version-id>\n");
+    EXPECT_EQ(session.HandleLine("policy-validate 2").rfind(
+                  "version 2 validated\n", 0),
+              0u);
+
+    log = session.HandleLine("policy-log");
+    EXPECT_EQ(log,
+              "1 parent 0 promoted \"initializeBlueprint\"\n"
+              "2 parent 1 validated by alice \"loosen for bring-up\"\n"
+              "active 1\n");
+    EXPECT_EQ(session.HandleLine("wal-checkpoint"), "ok checkpoint 1\n");
+  }
+  {
+    auto server = std::make_unique<ProjectServer>("edtc", options);
+    ASSERT_TRUE(server->GetWalStatus().recovered);
+    EXPECT_EQ(server->GetWalStatus().replayed_ops, 0u);
+    WireSession session(*server, "bob");
+    EXPECT_EQ(session.HandleLine("policy-log"), log);
+    EXPECT_EQ(server->policy_store().active_id(), 1u);
+    EXPECT_EQ(server->policy_store().Get(1).blueprint_text,
+              workload::EdtcBlueprintText());
+    EXPECT_EQ(server->policy_store().Get(2).blueprint_text, loose);
   }
   std::filesystem::remove_all(dir);
 }
