@@ -466,8 +466,8 @@ void PrintBatchedHandoffSeries() {
     const auto per_round = [rounds](size_t total) {
       return static_cast<double>(total) / rounds;
     };
-    // Information only: stolen sub-waves expand through the owning
-    // shard's index, so links scanned stays 0.
+    // Information only: stolen sub-waves expand through the shared
+    // index, so links scanned stays 0.
     std::printf(
         "%-10u %-16.1f %-22.0f %-14.1f %-14.1f %-14.1f%s\n", shards,
         us_per_round, rate, per_round(design->engine->stats().handoff_waves),

@@ -13,21 +13,16 @@
 namespace damocles::engine {
 namespace {
 
-/// steady_clock now, in milliseconds — the currency of the checkpoint
-/// retry deadline atomic.
-int64_t SteadyNowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+/// Consecutive checkpoint failures past which the auto-checkpoint
+/// interval stops doubling: the longest wait is every × 2^4 ops.
+constexpr size_t kCheckpointBackoffMaxDoublings = 4;
 
 }  // namespace
 
 ProjectServer::ProjectServer(std::string project_name, ServerOptions options)
     : project_name_(std::move(project_name)),
       options_(options),
-      workspace_(project_name_ + ".workspace"),
-      checkpoint_backoff_(options_.wal_retry) {
+      workspace_(project_name_ + ".workspace") {
   const bool durable = !options_.wal_dir.empty();
   metadb::RecoveryPlan plan;
   if (durable) {
@@ -353,23 +348,28 @@ void ProjectServer::FlushWal() {
 void ProjectServer::MaybeAutoCheckpoint() {
   if (!durable() || replaying_) return;
   if (degraded_.load(std::memory_order_acquire)) return;
-  if (options_.checkpoint_every_ops == 0) return;
-  if (ops_since_checkpoint_.load(std::memory_order_relaxed) <
-      options_.checkpoint_every_ops) {
-    return;
-  }
-  // Failed attempts re-arm on the shared backoff schedule instead of
-  // re-attempting on every subsequent op (the checkpoint-failure
-  // storm); a disk that stays broken costs one attempt per backoff
-  // interval, not one per mutation.
-  if (SteadyNowMs() < checkpoint_retry_at_ms_.load(std::memory_order_acquire)) {
-    return;
-  }
+  const size_t every = options_.checkpoint_every_ops;
+  if (every == 0) return;
+  const size_t ops = ops_since_checkpoint_.load(std::memory_order_relaxed);
+  const size_t due = checkpoint_due_ops_.load(std::memory_order_relaxed);
+  if (ops < std::max(every, due)) return;
+  size_t failures = 0;
   {
-    // A cut that nobody waits for may still be in flight; skip.
+    // A cut that nobody waits for may still be in flight; skip. Once
+    // it is not, its failure (if any) is already counted.
     std::lock_guard<std::mutex> lock(checkpoint_mutex_);
     if (checkpoint_busy_) return;
+    failures = checkpoint_failure_streak_;
   }
+  // Arm the next attempt as if this one fails; a commit disarms it.
+  // After k consecutive failures the next attempt waits every × 2^k
+  // more ops (k capped), so a disk that stays broken costs one attempt
+  // per interval, not one per mutation, and the same op script
+  // attempts at the same ops on every run.
+  const size_t doublings =
+      std::min(failures + 1, kCheckpointBackoffMaxDoublings);
+  checkpoint_due_ops_.store(ops + (every << doublings),
+                            std::memory_order_relaxed);
   try {
     const uint64_t ticket = StartCheckpoint(options_.auto_checkpoint_mode);
     if (!options_.background_checkpoints) AwaitCheckpoint(ticket);
@@ -377,7 +377,7 @@ void ProjectServer::MaybeAutoCheckpoint() {
     // A failed checkpoint (disk full mid-write, torn manifest) leaves
     // the previous manifest chain valid — recovery falls back to it.
     // The triggering mutation already applied and logged, so swallow;
-    // HandleCheckpointFailure already armed the backoff deadline.
+    // the next attempt is already armed above.
   }
 }
 
@@ -455,8 +455,6 @@ ServerHealth ProjectServer::GetHealth() const {
   health.wal_retries = wal_retries_.load(std::memory_order_relaxed);
   health.checkpoint_failures =
       checkpoint_failures_.load(std::memory_order_relaxed);
-  health.checkpoint_retries =
-      checkpoint_retries_.load(std::memory_order_relaxed);
   health.heals = heals_.load(std::memory_order_relaxed);
   health.failed_removals = failed_removals_.load(std::memory_order_relaxed);
   health.prune_behind = health.failed_removals > 0;
@@ -537,8 +535,8 @@ uint64_t ProjectServer::StartCheckpoint(CheckpointMode mode) {
   try {
     cut = BuildCheckpointCut(mode);
   } catch (const Error&) {
-    // The cut never froze (a drain/sync failure). Count it and arm the
-    // retry deadline so auto-attempts don't storm.
+    // The cut never froze (a drain/sync failure). Count it so the
+    // auto-checkpoint backoff grows.
     HandleCheckpointFailure();
     throw;
   }
@@ -651,10 +649,10 @@ void ProjectServer::CommitCheckpoint(const CheckpointCut& cut, uint64_t id) {
   committed_dirty_since_.store(cut.dirty.next_since,
                                std::memory_order_relaxed);
   ops_since_checkpoint_.store(0, std::memory_order_relaxed);
+  checkpoint_due_ops_.store(0, std::memory_order_relaxed);
   checkpoints_taken_.fetch_add(1, std::memory_order_relaxed);
-  checkpoint_retry_at_ms_.store(0, std::memory_order_release);
   std::lock_guard<std::mutex> lock(checkpoint_mutex_);
-  checkpoint_backoff_.Reset();
+  checkpoint_failure_streak_ = 0;
 }
 
 void ProjectServer::PruneAfterCommit(const CheckpointCut& cut) {
@@ -718,16 +716,8 @@ void ProjectServer::CheckpointWorkerLoop() {
 
 void ProjectServer::HandleCheckpointFailure() {
   checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
-  checkpoint_retries_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(checkpoint_mutex_);
-  // Walk the shared schedule; once exhausted, keep re-arming at the cap
-  // instead of giving up — the next success resets the walk.
-  std::chrono::milliseconds delay = options_.wal_retry.max;
-  if (checkpoint_backoff_.ShouldRetry()) {
-    delay = checkpoint_backoff_.NextDelay();
-  }
-  checkpoint_retry_at_ms_.store(SteadyNowMs() + delay.count(),
-                                std::memory_order_release);
+  ++checkpoint_failure_streak_;
 }
 
 WalStatus ProjectServer::GetWalStatus() const {

@@ -78,6 +78,8 @@ struct ServerOptions {
   size_t wal_segment_bytes = 4u << 20;
   /// Take a checkpoint automatically every N logged operations
   /// (0 = only explicit WalCheckpoint / wire "wal-checkpoint" calls).
+  /// After k consecutive failed checkpoints the next automatic attempt
+  /// waits N × 2^min(k, 4) more operations; a commit resets k.
   size_t checkpoint_every_ops = 0;
   /// Recover from wal_dir contents at construction (default on).
   bool auto_recover = true;
@@ -122,7 +124,6 @@ struct ServerHealth {
   uint64_t wal_failures = 0;         ///< WAL I/O failures observed.
   uint64_t wal_retries = 0;          ///< Backoff retry attempts made.
   uint64_t checkpoint_failures = 0;  ///< Checkpoint attempts that failed.
-  uint64_t checkpoint_retries = 0;   ///< Backoff-gated checkpoint re-arms.
   uint64_t heals = 0;                ///< Successful WalReopen() calls.
   /// Garbage collection (segment retention, checkpoint pruning, startup
   /// sweeps) has observed fs::remove failures: disk is leaking and
@@ -450,7 +451,7 @@ class ProjectServer {
   uint64_t RunCheckpointWrite(const CheckpointCut& cut);
 
   /// Publishes a committed checkpoint: chain/floor atomics, the next
-  /// cut's dirty start, counter resets, backoff re-arm. Checkpoint
+  /// cut's dirty start, counter and backoff resets. Checkpoint
   /// thread — touches atomics and the checkpoint mutex only, never the
   /// live database.
   void CommitCheckpoint(const CheckpointCut& cut, uint64_t id);
@@ -462,10 +463,10 @@ class ProjectServer {
   void PruneAfterCommit(const CheckpointCut& cut);
 
   /// Failure bookkeeping for a failed build or write: counts the
-  /// failure and arms the next auto-attempt on the backoff schedule
-  /// (after the schedule exhausts, re-attempts keep the max interval —
-  /// never once-per-op). The committed dirty start stays put, so the
-  /// next cut covers the failed one's slots.
+  /// failure and lengthens the failure streak that sets how many ops
+  /// the next auto-attempt waits (MaybeAutoCheckpoint). The committed
+  /// dirty start stays put, so the next cut covers the failed one's
+  /// slots.
   void HandleCheckpointFailure();
 
   void CheckpointWorkerLoop();
@@ -551,12 +552,12 @@ class ProjectServer {
   std::atomic<uint64_t> checkpoints_pruned_{0};
   std::atomic<uint64_t> gc_artifacts_removed_{0};
   std::atomic<uint64_t> failed_removals_{0};
-  std::atomic<uint64_t> checkpoint_retries_{0};
-  /// steady_clock deadline (ms since epoch) before which the
-  /// auto-checkpoint path will not re-attempt after a failure. The fix
-  /// for the checkpoint-failure storm: failures used to reset the op
-  /// counter to the threshold, re-attempting on *every* subsequent op.
-  std::atomic<int64_t> checkpoint_retry_at_ms_{0};
+  /// ops_since_checkpoint_ value before which the auto-checkpoint path
+  /// will not re-attempt after a failure (0 = none armed; a commit
+  /// disarms). The fix for the checkpoint-failure storm: a failure does
+  /// not reset the op counter, so without it every later op would
+  /// re-attempt.
+  std::atomic<size_t> checkpoint_due_ops_{0};
 
   // The checkpoint thread (every durable server runs it). One cut
   // pending or in flight at a time; only the apply thread enqueues.
@@ -570,7 +571,9 @@ class ProjectServer {
   uint64_t checkpoint_done_ = 0;    ///< Cuts completed (either way).
   uint64_t last_worker_id_ = 0;     ///< Id from the last completed cut.
   std::exception_ptr last_worker_error_;  ///< Its failure, if any.
-  common::BackoffState checkpoint_backoff_;
+  /// Checkpoint failures since the last commit (any kind of cut): the
+  /// exponent of the auto-checkpoint backoff.
+  size_t checkpoint_failure_streak_ = 0;
 
   // Fault-tolerance state. The atomics are read by concurrent health /
   // read sessions while the apply thread mutates; the reason string is

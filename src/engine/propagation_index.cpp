@@ -83,10 +83,17 @@ void PropagationIndex::Rebuild() {
   Clear();
   // Walk adjacency lists (not link slots): endpoint moves re-append
   // links, so adjacency order — the order a scan delivers in — can
-  // differ from slot order. A source filter scopes the walk to this
-  // index's own sources (one filter probe per object, not per link).
+  // differ from slot order.
   db_.ForEachObject([&](OidId id, const metadb::MetaObject&) {
-    if (OwnsSource(id)) AddSourceBuckets(id);
+    for (const LinkId link_id : db_.OutLinks(id)) {
+      const Link& link = db_.GetLink(link_id);
+      AppendEntriesAt(id, Direction::kDown, link.propagates, link_id, link.to);
+    }
+    for (const LinkId link_id : db_.InLinks(id)) {
+      const Link& link = db_.GetLink(link_id);
+      AppendEntriesAt(id, Direction::kUp, link.propagates, link_id,
+                      link.from);
+    }
   });
 }
 
@@ -111,23 +118,6 @@ void PropagationIndex::EraseLinkEntries(OidId source, Direction direction,
   if (bucket.empty()) buckets_.erase(it);
 }
 
-// --- Single-side maintenance -------------------------------------------------
-
-void PropagationIndex::AddLinkSide(LinkId id, const Link& link,
-                                   bool down_side) {
-  const OidId source = down_side ? link.from : link.to;
-  const OidId neighbor = down_side ? link.to : link.from;
-  AppendEntriesAt(source, down_side ? Direction::kDown : Direction::kUp,
-                  link.propagates, id, neighbor);
-}
-
-void PropagationIndex::RemoveLinkSide(LinkId id, const Link& link,
-                                      bool down_side) {
-  EraseEntriesAt(down_side ? link.from : link.to,
-                 down_side ? Direction::kDown : Direction::kUp,
-                 link.propagates, id);
-}
-
 void PropagationIndex::EraseEntriesAt(OidId source, Direction direction,
                                       const std::vector<std::string>& events,
                                       LinkId link) {
@@ -139,93 +129,20 @@ void PropagationIndex::EraseEntriesAt(OidId source, Direction direction,
 void PropagationIndex::AppendEntriesAt(OidId source, Direction direction,
                                        const std::vector<std::string>& events,
                                        LinkId link, OidId neighbor) {
-  if (!OwnsSource(source)) return;
   ForEachSymbol(db_, events, [&](SymbolId sym) {
     buckets_[PackKey(source, direction, sym)].push_back(Entry{link, neighbor});
     ++entries_;
   });
 }
 
-void PropagationIndex::PatchNeighborAt(OidId source, Direction direction,
-                                       const std::vector<std::string>& events,
-                                       LinkId link, OidId neighbor) {
-  ForEachDistinctSymbol(db_, events, [&](SymbolId sym) {
-    const auto it = buckets_.find(PackKey(source, direction, sym));
-    if (it == buckets_.end()) return;
-    for (Entry& entry : it->second) {
-      if (entry.link == link) entry.neighbor = neighbor;
-    }
-  });
-}
-
-void PropagationIndex::RebuildBucketsAt(
-    OidId source, Direction direction,
-    const std::vector<std::string>& old_events,
-    const std::vector<std::string>& new_events) {
-  if (!OwnsSource(source)) return;
-  ForEachDistinct(old_events, [&](const std::string& event) {
-    RebuildBucket(source, direction, event);
-  });
-  ForEachDistinct(new_events, [&](const std::string& event) {
-    if (std::find(old_events.begin(), old_events.end(), event) !=
-        old_events.end()) {
-      return;  // Already rebuilt through the old list.
-    }
-    RebuildBucket(source, direction, event);
-  });
-}
-
-// --- Bucket migration --------------------------------------------------------
-
-void PropagationIndex::RemoveSourceBuckets(OidId source) {
-  // The affected (direction, event) keys are derived from the current
-  // adjacency: a bucket under `source` holds only entries of `source`'s
-  // own links, so dropping whole buckets is exact.
-  const auto drop = [&](Direction direction, SymbolId sym) {
-    const auto it = buckets_.find(PackKey(source, direction, sym));
-    if (it == buckets_.end()) return;
-    entries_ -= it->second.size();
-    buckets_.erase(it);
-  };
-  for (const LinkId link_id : db_.OutLinks(source)) {
-    ForEachSymbol(db_, db_.GetLink(link_id).propagates,
-                  [&](SymbolId sym) { drop(Direction::kDown, sym); });
-  }
-  for (const LinkId link_id : db_.InLinks(source)) {
-    ForEachSymbol(db_, db_.GetLink(link_id).propagates,
-                  [&](SymbolId sym) { drop(Direction::kUp, sym); });
-  }
-}
-
-void PropagationIndex::AddSourceBuckets(OidId source) {
-  // No filter probe: the caller routed the source here deliberately
-  // (assignment changes land before the migration notification fires).
-  for (const LinkId link_id : db_.OutLinks(source)) {
-    const Link& link = db_.GetLink(link_id);
-    ForEachSymbol(db_, link.propagates, [&](SymbolId sym) {
-      buckets_[PackKey(source, Direction::kDown, sym)].push_back(
-          Entry{link_id, link.to});
-      ++entries_;
-    });
-  }
-  for (const LinkId link_id : db_.InLinks(source)) {
-    const Link& link = db_.GetLink(link_id);
-    ForEachSymbol(db_, link.propagates, [&](SymbolId sym) {
-      buckets_[PackKey(source, Direction::kUp, sym)].push_back(
-          Entry{link_id, link.from});
-      ++entries_;
-    });
-  }
-}
-
 void PropagationIndex::AddLink(LinkId id, const Link& link) {
-  AddLinkSide(id, link, /*down_side=*/true);
-  AddLinkSide(id, link, /*down_side=*/false);
+  AppendEntriesAt(link.from, Direction::kDown, link.propagates, id, link.to);
+  AppendEntriesAt(link.to, Direction::kUp, link.propagates, id, link.from);
 }
 
 void PropagationIndex::RemoveLink(LinkId id, const Link& link) {
-  RemoveLinkSide(id, link, /*down_side=*/true);
-  RemoveLinkSide(id, link, /*down_side=*/false);
+  EraseEntriesAt(link.from, Direction::kDown, link.propagates, id);
+  EraseEntriesAt(link.to, Direction::kUp, link.propagates, id);
 }
 
 void PropagationIndex::MoveLinkEndpoint(LinkId id, bool endpoint_from,
@@ -234,20 +151,25 @@ void PropagationIndex::MoveLinkEndpoint(LinkId id, bool endpoint_from,
   // on the new one (appended, mirroring the adjacency push_back). The
   // unmoved side keeps its bucket positions; only the neighbour field
   // changes.
-  if (endpoint_from) {
-    EraseEntriesAt(old_endpoint, Direction::kDown, link.propagates, id);
-    AppendEntriesAt(link.from, Direction::kDown, link.propagates, id, link.to);
-    PatchNeighborAt(link.to, Direction::kUp, link.propagates, id, link.from);
-  } else {
-    EraseEntriesAt(old_endpoint, Direction::kUp, link.propagates, id);
-    AppendEntriesAt(link.to, Direction::kUp, link.propagates, id, link.from);
-    PatchNeighborAt(link.from, Direction::kDown, link.propagates, id, link.to);
-  }
+  const Direction moved_side =
+      endpoint_from ? Direction::kDown : Direction::kUp;
+  const Direction fixed_side =
+      endpoint_from ? Direction::kUp : Direction::kDown;
+  const OidId moved = endpoint_from ? link.from : link.to;
+  const OidId fixed = endpoint_from ? link.to : link.from;
+  EraseEntriesAt(old_endpoint, moved_side, link.propagates, id);
+  AppendEntriesAt(moved, moved_side, link.propagates, id, fixed);
+  ForEachDistinctSymbol(db_, link.propagates, [&](SymbolId sym) {
+    const auto it = buckets_.find(PackKey(fixed, fixed_side, sym));
+    if (it == buckets_.end()) return;
+    for (Entry& entry : it->second) {
+      if (entry.link == id) entry.neighbor = moved;
+    }
+  });
 }
 
 void PropagationIndex::RebuildBucket(OidId source, Direction direction,
                                      const std::string& event) {
-  if (!OwnsSource(source)) return;  // Foreign sources hold no buckets.
   const SymbolId sym = db_.FindSymbol(event);
   if (sym == SymbolTable::kNoSymbol) return;
   const uint64_t key = PackKey(source, direction, sym);
@@ -277,17 +199,24 @@ void PropagationIndex::SetLinkPropagates(
     const std::vector<std::string>& old_propagates, const Link& link) {
   // Rebuild every affected bucket from adjacency rather than
   // remove-and-append: the rewritten link keeps its adjacency position,
-  // so its entries must keep their bucket position too.
-  RebuildBucketsAt(link.from, Direction::kDown, old_propagates,
-                   link.propagates);
-  RebuildBucketsAt(link.to, Direction::kUp, old_propagates, link.propagates);
+  // so its entries must keep their bucket position too. The affected
+  // events are the union of the two lists, each rebuilt once per side.
+  const auto rebuild = [&](const std::string& event) {
+    RebuildBucket(link.from, Direction::kDown, event);
+    RebuildBucket(link.to, Direction::kUp, event);
+  };
+  ForEachDistinct(old_propagates, rebuild);
+  ForEachDistinct(link.propagates, [&](const std::string& event) {
+    if (std::find(old_propagates.begin(), old_propagates.end(), event) ==
+        old_propagates.end()) {
+      rebuild(event);
+    }
+  });
 }
 
 bool PropagationIndex::ConsistentWith(const MetaDatabase& db,
                                       std::string* diff) const {
   PropagationIndex fresh(db);  // Same symbol space: compared by key.
-  fresh.filter_ = filter_;     // Same scope: shard-local indexes compare
-                               // against a rescan of their own subtree.
   fresh.Rebuild();
 
   const auto describe = [diff](const std::string& what) {

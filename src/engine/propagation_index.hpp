@@ -24,11 +24,14 @@
 // the link or rewrites its PROPAGATE list, so building and maintaining
 // the index only look names up, and work on a const database. Callers
 // holding a name resolve it with MetaDatabase::FindSymbol first.
+//
+// One index serves any number of readers: a sharded engine's lane and
+// steal engines all expand through one instance, which only structural
+// (quiescent) calls modify.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -63,11 +66,10 @@ class PropagationIndex {
   };
   using Bucket = std::vector<Entry>;
 
-  /// Drops every bucket and re-indexes every live link of the database
-  /// (within the source filter), walking each object's adjacency lists
-  /// so bucket order matches scan order even after endpoint moves
-  /// reordered adjacency. O(links × |PROPAGATE|); called at blueprint
-  /// install.
+  /// Drops every bucket and re-indexes every live link of the database,
+  /// walking each object's adjacency lists so bucket order matches scan
+  /// order even after endpoint moves reordered adjacency.
+  /// O(links × |PROPAGATE|); called at blueprint install.
   void Rebuild();
 
   void Clear();
@@ -78,18 +80,6 @@ class PropagationIndex {
   /// would produce.
   const Bucket* Receivers(metadb::OidId source, events::Direction direction,
                           SymbolId event) const;
-
-  // --- Scope (shard-local indexes) --------------------------------------
-
-  /// Restricts the index to sources for which `owns` returns true: a
-  /// sharded engine gives each shard's index the shard's own subtree,
-  /// so N shards together hold ~1× the link graph instead of N×.
-  /// Entries for foreign sources are skipped on every maintenance path;
-  /// Rebuild and ConsistentWith apply the filter too. nullptr (the
-  /// default) indexes everything.
-  void SetSourceFilter(std::function<bool(metadb::OidId)> owns) {
-    filter_ = std::move(owns);
-  }
 
   // --- Incremental maintenance (link-observer notifications) -----------
 
@@ -113,77 +103,17 @@ class PropagationIndex {
   void SetLinkPropagates(const std::vector<std::string>& old_propagates,
                          const metadb::Link& link);
 
-  // --- Single-side maintenance (sharded index router) --------------------
-  // A link's two bucket sides can live in different shard indexes: the
-  // (from, down) side on the source's shard, the (to, up) side on the
-  // target's. The sharded engine's index router applies each side to
-  // the owning index through these; self-maintained indexes keep using
-  // the two-sided observer entry points above.
-
-  /// Adds one side of `link`'s entries: the (from, kDown) buckets when
-  /// `down_side`, the (to, kUp) buckets otherwise.
-  void AddLinkSide(metadb::LinkId id, const metadb::Link& link,
-                   bool down_side);
-
-  /// Removes one side of `link`'s entries (`link` still carries the
-  /// endpoints/PROPAGATE list being removed).
-  void RemoveLinkSide(metadb::LinkId id, const metadb::Link& link,
-                      bool down_side);
-
-  /// Drops entries of `link` keyed under `source` in `direction` for
-  /// every event of `events` (the old endpoint's side of a move).
-  void EraseEntriesAt(metadb::OidId source, events::Direction direction,
-                      const std::vector<std::string>& events,
-                      metadb::LinkId link);
-
-  /// Appends entries for `link` keyed under `source` in `direction`
-  /// (the new endpoint's side of a move; mirrors the adjacency
-  /// push_back, one entry per PROPAGATE occurrence).
-  void AppendEntriesAt(metadb::OidId source, events::Direction direction,
-                       const std::vector<std::string>& events,
-                       metadb::LinkId link, metadb::OidId neighbor);
-
-  /// Rewrites the neighbour field of `link`'s entries under `source` in
-  /// `direction` (the unmoved side of a move keeps bucket positions).
-  void PatchNeighborAt(metadb::OidId source, events::Direction direction,
-                       const std::vector<std::string>& events,
-                       metadb::LinkId link, metadb::OidId neighbor);
-
-  /// Rebuilds the (source, direction) buckets named by the union of the
-  /// two PROPAGATE lists from the adjacency (one side of a PROPAGATE
-  /// rewrite).
-  void RebuildBucketsAt(metadb::OidId source, events::Direction direction,
-                        const std::vector<std::string>& old_events,
-                        const std::vector<std::string>& new_events);
-
-  // --- Bucket migration (shard rebalance) --------------------------------
-  // When an OID's shard assignment changes, its buckets move between
-  // shard indexes instead of either index rebuilding: the old index
-  // drops the OID's buckets, the new index re-derives them from the
-  // adjacency lists.
-
-  /// Drops every bucket keyed under `source`, deriving the affected
-  /// (direction, event) keys from `source`'s adjacency.
-  void RemoveSourceBuckets(metadb::OidId source);
-
-  /// Indexes every qualifying link of `source` from its adjacency (both
-  /// directions, scan order). The source must not already have buckets
-  /// here. Ignores the source filter — the caller (the index router)
-  /// has already decided this index owns the source.
-  void AddSourceBuckets(metadb::OidId source);
-
   // --- Introspection ----------------------------------------------------
 
   /// Live (link, event, direction) entries currently indexed.
   size_t entry_count() const noexcept { return entries_; }
 
   /// Oracle check: compares against a freshly rebuilt index of `db` —
-  /// this index's database or a snapshot of it, so symbols agree —
-  /// under the same source filter, if any. Buckets are matched by key
-  /// and their contents compared as sets (incremental maintenance may
-  /// order a bucket differently from slot order after endpoint moves).
-  /// On mismatch returns false and, when `diff` is non-null, describes
-  /// the first divergence.
+  /// this index's database or a snapshot of it, so symbols agree.
+  /// Buckets are matched by key and their contents compared as sets
+  /// (incremental maintenance may order a bucket differently from slot
+  /// order after endpoint moves). On mismatch returns false and, when
+  /// `diff` is non-null, describes the first divergence.
   bool ConsistentWith(const metadb::MetaDatabase& db,
                       std::string* diff = nullptr) const;
 
@@ -222,15 +152,22 @@ class PropagationIndex {
 
   using BucketMap = std::unordered_map<uint64_t, Bucket, KeyHash>;
 
-  /// True when this index stores buckets for `source`.
-  bool OwnsSource(metadb::OidId source) const {
-    return filter_ == nullptr || filter_(source);
-  }
-
   /// Ordered removal of every entry of `link` from one bucket; keeps
   /// entry accounting and drops the bucket when it empties.
   void EraseLinkEntries(metadb::OidId source, events::Direction direction,
                         SymbolId event, metadb::LinkId link);
+
+  /// Drops entries of `link` keyed under `source` in `direction` for
+  /// every event of `events`.
+  void EraseEntriesAt(metadb::OidId source, events::Direction direction,
+                      const std::vector<std::string>& events,
+                      metadb::LinkId link);
+
+  /// Appends entries for `link` keyed under `source` in `direction`,
+  /// one per PROPAGATE occurrence (mirrors the adjacency push_back).
+  void AppendEntriesAt(metadb::OidId source, events::Direction direction,
+                       const std::vector<std::string>& events,
+                       metadb::LinkId link, metadb::OidId neighbor);
 
   /// Recomputes one bucket from `source`'s adjacency list.
   void RebuildBucket(metadb::OidId source, events::Direction direction,
@@ -239,7 +176,6 @@ class PropagationIndex {
   const metadb::MetaDatabase& db_;  ///< Link graph and symbol table.
   BucketMap buckets_;
   size_t entries_ = 0;
-  std::function<bool(metadb::OidId)> filter_;  ///< Source scope; see above.
 };
 
 }  // namespace damocles::engine

@@ -49,8 +49,8 @@ void RunTimeEngine::LoadBlueprint(Blueprint blueprint,
   compiled_.Compile(
       *blueprint_, [this](std::string_view name) { return db_.Intern(name); },
       policy_version);
-  // Blueprint install is the index build point (an owner that lends the
-  // index rebuilds it itself).
+  // Blueprint install is the index build point (a borrowed index is
+  // rebuilt by the engine that owns it).
   if (index_ == &own_index_ && options_.use_propagation_index) {
     own_index_.Rebuild();
   }

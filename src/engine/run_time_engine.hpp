@@ -21,12 +21,12 @@
 // it current through MetaDatabase link-observer notifications (link add
 // / delete / endpoint move / PROPAGATE change), so phase 5 asks one hash
 // lookup per OID instead of scanning its adjacency and every link's
-// PROPAGATE list. An owner that maintains indexes itself lends one
-// instead (the sharded engine lends each shard's). Waves are processed
-// in batches (BFS generations): all receivers of a generation are
-// collected and de-duplicated before any of their rules run, which keeps
-// delivery order identical to the naive scan and lets stats report
-// deliveries and batches per wave.
+// PROPAGATE list. An engine can instead borrow another engine's index
+// (the sharded engine's lanes and steal engines all borrow lane 0's).
+// Waves are processed in batches (BFS generations): all receivers of a
+// generation are collected and de-duplicated before any of their rules
+// run, which keeps delivery order identical to the naive scan and lets
+// stats report deliveries and batches per wave.
 //
 // Interned hot path: after intake the engine never hashes or compares a
 // string. Names are ids of the meta-database's symbol table, the only
@@ -142,8 +142,8 @@ class RunTimeEngine : private metadb::LinkObserver {
 
   /// With `index` null the engine builds and maintains its own
   /// propagation index. Otherwise it expands waves through `index`, a
-  /// lent index over `db` that the caller maintains (the sharded engine
-  /// lends each shard's) and that must outlive the engine.
+  /// lent index over `db` that another engine maintains (the sharded
+  /// engine lends lane 0's) and that must outlive this engine.
   RunTimeEngine(metadb::MetaDatabase& db, SimClock& clock,
                 EngineOptions options = {},
                 const PropagationIndex* index = nullptr);
@@ -227,11 +227,6 @@ class RunTimeEngine : private metadb::LinkObserver {
   /// every propagation receiver. The router must outlive the engine or
   /// be cleared before destruction.
   void SetWaveRouter(WaveRouter* router) noexcept { router_ = router; }
-
-  /// Points wave expansion at another lent index (the sharded engine's
-  /// steal engines, between tasks). Only for engines built with a lent
-  /// index.
-  void LendIndex(const PropagationIndex& index) noexcept { index_ = &index; }
 
   // --- State access ------------------------------------------------------
 

@@ -474,136 +474,6 @@ class ShardedEngine::LaneRouter final : public WaveRouter {
   std::vector<uint64_t> minted_;  ///< Epoch refs held for this task.
 };
 
-// --- Index router ------------------------------------------------------------
-
-/// Routes meta-database link notifications to the owning shard's
-/// propagation index (the shard engines themselves stop observing), so
-/// a link op costs O(1) index updates instead of one per shard, and the
-/// N shard indexes together hold ~1× the link graph. Also owns the
-/// boundary set — the links whose endpoints currently sit on different
-/// shards, i.e. exactly the links that can carry a wave across a
-/// handoff — and, as the ShardMap's listener, migrates an OID's buckets
-/// between shard indexes when its assignment changes (incremental union
-/// pulls and Rebalance re-deals; no index is ever rebuilt for either).
-///
-/// Registration order matters twice: the router registers with the
-/// database *before* the ShardMap, so a link op is indexed under the
-/// pre-union assignment and the union's migration then moves complete
-/// buckets; and it registers as the map's listener so re-assignments
-/// arrive after the map has switched, when ShardOf() already answers
-/// the new shard.
-class ShardedEngine::IndexRouter final : public metadb::LinkObserver,
-                                         public metadb::ShardMapListener {
- public:
-  explicit IndexRouter(ShardedEngine& owner) : owner_(owner) {
-    if (owner_.num_shards_ > 1) owner_.db_.AddLinkObserver(this);
-  }
-
-  ~IndexRouter() override { owner_.db_.RemoveLinkObserver(this); }
-
-  /// Armed at the end of the sharded engine's constructor, once the
-  /// shard engines exist to route to.
-  void Activate() noexcept { active_ = true; }
-
-  size_t boundary_link_count() const noexcept { return boundary_.size(); }
-  size_t observer_updates() const noexcept { return observer_updates_; }
-  size_t migrated_sources() const noexcept { return migrated_sources_; }
-
-  // --- metadb::LinkObserver ---------------------------------------------
-
-  void OnLinkAdded(metadb::LinkId id, const metadb::Link& link) override {
-    if (!active_) return;
-    ++observer_updates_;
-    IndexOf(link.from).AddLinkSide(id, link, /*down_side=*/true);
-    IndexOf(link.to).AddLinkSide(id, link, /*down_side=*/false);
-    UpdateBoundary(id, link);
-  }
-
-  void OnLinkRemoved(metadb::LinkId id, const metadb::Link& link) override {
-    if (!active_) return;
-    ++observer_updates_;
-    IndexOf(link.from).RemoveLinkSide(id, link, /*down_side=*/true);
-    IndexOf(link.to).RemoveLinkSide(id, link, /*down_side=*/false);
-    boundary_.erase(id.value());
-  }
-
-  void OnLinkEndpointMoved(metadb::LinkId id, bool endpoint_from,
-                           OidId old_endpoint,
-                           const metadb::Link& link) override {
-    if (!active_) return;
-    ++observer_updates_;
-    const auto& events = link.propagates;
-    using events::Direction;
-    if (endpoint_from) {
-      IndexOf(old_endpoint)
-          .EraseEntriesAt(old_endpoint, Direction::kDown, events, id);
-      IndexOf(link.from).AppendEntriesAt(link.from, Direction::kDown, events,
-                                         id, link.to);
-      IndexOf(link.to).PatchNeighborAt(link.to, Direction::kUp, events, id,
-                                       link.from);
-    } else {
-      IndexOf(old_endpoint)
-          .EraseEntriesAt(old_endpoint, Direction::kUp, events, id);
-      IndexOf(link.to).AppendEntriesAt(link.to, Direction::kUp, events, id,
-                                       link.from);
-      IndexOf(link.from).PatchNeighborAt(link.from, Direction::kDown, events,
-                                         id, link.to);
-    }
-    UpdateBoundary(id, link);
-  }
-
-  void OnLinkPropagatesChanged(metadb::LinkId /*id*/,
-                               const std::vector<std::string>& old_propagates,
-                               const metadb::Link& link) override {
-    if (!active_) return;
-    ++observer_updates_;
-    using events::Direction;
-    IndexOf(link.from).RebuildBucketsAt(link.from, Direction::kDown,
-                                        old_propagates, link.propagates);
-    IndexOf(link.to).RebuildBucketsAt(link.to, Direction::kUp, old_propagates,
-                                      link.propagates);
-    // Connectivity (and thus the boundary set) is unchanged.
-  }
-
-  // --- metadb::ShardMapListener -----------------------------------------
-
-  void OnShardChanged(OidId id, uint32_t old_shard,
-                      uint32_t new_shard) override {
-    if (!active_) return;
-    ++migrated_sources_;
-    owner_.ShardIndex(old_shard).RemoveSourceBuckets(id);
-    owner_.ShardIndex(new_shard).AddSourceBuckets(id);
-    // The move can flip the crossing status of every adjacent link.
-    for (const metadb::LinkId link_id : owner_.db_.OutLinks(id)) {
-      UpdateBoundary(link_id, owner_.db_.GetLink(link_id));
-    }
-    for (const metadb::LinkId link_id : owner_.db_.InLinks(id)) {
-      UpdateBoundary(link_id, owner_.db_.GetLink(link_id));
-    }
-  }
-
- private:
-  PropagationIndex& IndexOf(OidId source) {
-    return owner_.ShardIndex(owner_.shard_map_.ShardOf(source));
-  }
-
-  void UpdateBoundary(metadb::LinkId id, const metadb::Link& link) {
-    const bool crossing = owner_.shard_map_.ShardOf(link.from) !=
-                          owner_.shard_map_.ShardOf(link.to);
-    if (crossing) {
-      boundary_.insert(id.value());
-    } else {
-      boundary_.erase(id.value());
-    }
-  }
-
-  ShardedEngine& owner_;
-  bool active_ = false;
-  std::unordered_set<uint32_t> boundary_;  ///< Cross-shard link slots.
-  size_t observer_updates_ = 0;
-  size_t migrated_sources_ = 0;
-};
-
 // --- Lane -------------------------------------------------------------------
 
 struct ShardedEngine::Lane {
@@ -742,13 +612,11 @@ struct ShardedEngine::Lane {
 // --- Steal contexts ----------------------------------------------------------
 
 /// One stealing worker's private executor: a RunTimeEngine over the
-/// shared meta-database plus a re-bindable router. Both are pointed at
-/// the stolen task's shard: the router claims through that shard's
-/// ClaimStore, and the engine expands waves through that shard's
-/// propagation index — the index is read-only during a drain and keyed
-/// by the database's symbols, which workers only look up, so the
-/// stealer and the lane's occupant share it. Journal and stats are
-/// private and merged into the engine-wide views.
+/// shared meta-database plus a router re-bound to the stolen task's
+/// shard, which claims through that shard's ClaimStore. The engine
+/// expands waves through the one shared propagation index, like every
+/// lane engine. Journal and stats are private and merged into the
+/// engine-wide views.
 struct ShardedEngine::StealContext {
   std::unique_ptr<RunTimeEngine> engine;
   std::unique_ptr<LaneRouter> router;
@@ -762,9 +630,6 @@ ShardedEngine::ShardedEngine(metadb::MetaDatabase& db, SimClock& clock,
       clock_(clock),
       options_(options),
       num_shards_(options.num_shards == 0 ? 1 : options.num_shards),
-      // Registers as a link observer (N > 1) ahead of shard_map_: link
-      // ops must reach the indexes under pre-union assignments.
-      index_router_(std::make_unique<IndexRouter>(*this)),
       shard_map_(db, num_shards_),
       counters_(std::make_unique<Counters>()) {
   if (num_shards_ > 0xFFFF) {
@@ -772,28 +637,14 @@ ShardedEngine::ShardedEngine(metadb::MetaDatabase& db, SimClock& clock,
     // (LaneRouter::Handoff); aliasing shards would break exactly-once.
     throw Error("ShardedEngine: num_shards must be <= 65535");
   }
-  if (num_shards_ > 1) {
-    // One index per shard, scoped to the shard's own sources, filled in
-    // ONE routed pass over the database instead of N filtered walks;
-    // then the router and migration listener are armed.
-    for (uint32_t shard = 0; shard < num_shards_; ++shard) {
-      indexes_.push_back(std::make_unique<PropagationIndex>(db_));
-      indexes_.back()->SetSourceFilter(
-          [this, shard](OidId id) { return shard_map_.ShardOf(id) == shard; });
-    }
-    RebuildShardIndexes();
-    index_router_->Activate();
-    shard_map_.SetListener(index_router_.get());
-  }
   lanes_.reserve(num_shards_);
   for (uint32_t shard = 0; shard < num_shards_; ++shard) {
     auto lane = std::make_unique<Lane>();
     lane->shard = shard;
-    // Shard engines borrow their shard's index. With one shard there is
-    // none: the engine maintains its own full index, as a plain engine.
+    // Lane 0's engine builds and maintains the one propagation index,
+    // exactly as a plain engine does; every other engine borrows it.
     lane->engine = std::make_unique<RunTimeEngine>(
-        db_, clock_, options_.engine,
-        num_shards_ > 1 ? &ShardIndex(shard) : nullptr);
+        db_, clock_, options_.engine, shard == 0 ? nullptr : &SharedIndex());
     lane->router = std::make_unique<LaneRouter>(*this, shard);
     // With one shard no receiver can be foreign: skip the router (and
     // the claim store) so the engine does not even pay the Owns() probe
@@ -818,7 +669,7 @@ ShardedEngine::ShardedEngine(metadb::MetaDatabase& db, SimClock& clock,
     }
     worker_count = std::min<size_t>(worker_count, num_shards_);
     // Lane stealing: every worker gets a private steal engine that
-    // borrows the owning shard's index and claims through its
+    // borrows the shared index and claims through the owning shard's
     // ClaimStore. A single worker never observes a busy lane, so
     // stealing is moot below two.
     stealing_active_ = num_shards_ > 1 && worker_count > 1;
@@ -827,7 +678,7 @@ ShardedEngine::ShardedEngine(metadb::MetaDatabase& db, SimClock& clock,
       for (size_t i = 0; i < worker_count; ++i) {
         auto context = std::make_unique<StealContext>();
         context->engine = std::make_unique<RunTimeEngine>(
-            db_, clock_, options_.engine, &ShardIndex(0));
+            db_, clock_, options_.engine, &SharedIndex());
         context->router = std::make_unique<LaneRouter>(*this, 0);
         context->engine->SetWaveRouter(context->router.get());
         steal_contexts_.push_back(std::move(context));
@@ -853,19 +704,10 @@ ShardedEngine::~ShardedEngine() {
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
-  shard_map_.SetListener(nullptr);
 }
 
-PropagationIndex& ShardedEngine::ShardIndex(uint32_t shard) {
-  return *indexes_[shard];
-}
-
-void ShardedEngine::RebuildShardIndexes() {
-  for (auto& index : indexes_) index->Clear();
-  if (indexes_.empty()) return;
-  db_.ForEachObject([this](OidId id, const metadb::MetaObject&) {
-    ShardIndex(shard_map_.ShardOf(id)).AddSourceBuckets(id);
-  });
+const PropagationIndex& ShardedEngine::SharedIndex() const {
+  return lanes_.front()->engine->propagation_index();
 }
 
 ShardedEngine::ClaimStore& ShardedEngine::StoreOf(uint32_t shard) {
@@ -973,7 +815,6 @@ void ShardedEngine::LoadBlueprint(const blueprint::Blueprint& blueprint,
   for (auto& context : steal_contexts_) {
     context->engine->LoadBlueprint(blueprint.Clone(), policy_version);
   }
-  RebuildShardIndexes();
 }
 
 void ShardedEngine::LoadBlueprintText(std::string_view text,
@@ -1158,7 +999,6 @@ bool ShardedEngine::TrySteal(size_t worker_index, bool& searching) {
     if (searching) StopSearching(searching);
     counters_->stolen_subwaves.fetch_add(1, std::memory_order_relaxed);
     context.router->Bind(lane.shard);
-    context.engine->LendIndex(ShardIndex(lane.shard));
     const uint64_t epoch = task.event.wave_epoch;
     ExecuteTask(*context.engine, *context.router, std::move(task));
     FinishTask(epoch);
@@ -1290,12 +1130,7 @@ ShardedStats ShardedEngine::stats() const {
   // Sourced from the map so direct shard_map().Rebalance() calls count.
   stats.rebalances = shard_map_.stats().rebalances;
   stats.wave_epochs = counters_->wave_epochs.load(std::memory_order_relaxed);
-  for (const auto& lane : lanes_) {
-    stats.index_entries += lane->engine->propagation_index().entry_count();
-  }
-  stats.boundary_links = index_router_->boundary_link_count();
-  stats.index_observer_updates = index_router_->observer_updates();
-  stats.index_migrated_sources = index_router_->migrated_sources();
+  stats.index_entries = SharedIndex().entry_count();
   return stats;
 }
 

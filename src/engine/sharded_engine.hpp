@@ -53,25 +53,23 @@
 // single-consumer under the lane's busy flag (per-shard FIFO for
 // top-level waves is structural), while any idle worker may pop the
 // MPMC sub-wave ring. Only workers steal; a draining thread runs only
-// lanes it occupies. A stealer runs the sub-wave on its private engine
-// through the owning shard's propagation index (read-only during a
-// drain), claims against that shard's ClaimStore, and serializes
+// lanes it occupies. A stealer runs the sub-wave on its private engine,
+// claims against the owning shard's ClaimStore, and serializes
 // same-OID rule execution with the lane's occupant through striped
 // per-OID delivery locks. Stolen deliveries journal into the steal
 // engine's journal; the merged views and AggregateEngineStats fold them.
 //
-// Per-shard propagation indexes. This layer owns one PropagationIndex
-// per shard, scoped to the sources the shard owns, so N shards together
-// hold ~1× the link graph instead of N×; it lends each to the shard's
-// engine and to whichever steal engine runs the shard's sub-waves. One
-// routed pass over the database fills all N at construction and on
-// every LoadBlueprint. Afterwards one IndexRouter (registered before
-// the ShardMap so it sees pre-union assignments) applies each link op
-// to the owning shard's index — O(1) observer updates per op, not O(N)
-// — tracks the boundary set (links whose endpoints sit on different
-// shards), and, when the ShardMap reassigns an OID (incremental union
-// or Rebalance re-deal), migrates that OID's buckets between shard
-// indexes instead of rebuilding either one.
+// One propagation index. A wave's receivers follow from the link graph
+// alone, whichever shard runs the wave, so every engine — each lane's
+// and each steal engine — expands through ONE PropagationIndex (1× the
+// link graph for any shard count). Lane 0's engine owns it and keeps it
+// current exactly as a plain engine does: its link-observer callbacks
+// maintain it and its LoadBlueprint rebuilds it. The other engines
+// borrow it. Sharing is safe because the index is keyed by the
+// database's one symbol table, which executors only look up, and
+// because only structural calls, which first wait for quiescence,
+// change links: during a drain the index is read-only. A shard-map
+// union or rebalance never touches it.
 //
 // The journal is the synchronization point: each shard engine journals
 // its own deliveries under dense per-shard sequence numbers, and the
@@ -190,21 +188,8 @@ struct ShardedStats {
                                ///< map's own stats; survives ResetStats).
   size_t wave_epochs = 0;      ///< Wave scopes minted (top-level waves +
                                ///< direction-posted sub-waves).
-  size_t index_entries = 0;    ///< Gauge: live propagation-index entries
-                               ///< summed across shard indexes (~1× the
-                               ///< link graph; the pre-split engine held
-                               ///< num_shards ×).
-  size_t boundary_links = 0;   ///< Gauge: live links whose endpoints sit
-                               ///< on different shards (router-owned
-                               ///< boundary set).
-  size_t index_observer_updates = 0;  ///< Link ops applied to shard
-                                      ///< indexes (O(1) per op; the
-                                      ///< pre-split engine paid one per
-                                      ///< shard). Survives ResetStats.
-  size_t index_migrated_sources = 0;  ///< OIDs whose index buckets moved
-                                      ///< between shards (union pulls +
-                                      ///< rebalance re-deals). Survives
-                                      ///< ResetStats.
+  size_t index_entries = 0;    ///< Gauge: live entries of the shared
+                               ///< propagation index (1× the link graph).
 };
 
 /// N per-shard engines + shard map + intake queues + worker pool.
@@ -228,7 +213,7 @@ class ShardedEngine {
 
   /// Installs the blueprint on every shard engine (deep copies; each
   /// engine compiles its own rule tables, all keyed by the database's
-  /// symbols) and rebuilds the shard indexes in one routed pass.
+  /// symbols); lane 0's engine rebuilds the shared index.
   /// `policy_version` stamps the PolicyStore commit the blueprint came
   /// from (0 = direct install); every shard's compiled generation
   /// carries it, so live rebinds stay version-traceable per shard.
@@ -266,9 +251,8 @@ class ShardedEngine {
   /// (subtree re-parenting). Structural: call only while quiescent. A
   /// stale map never loses events — waves crossing a stale boundary
   /// ride the handoff path — it only costs locality until rebalanced.
-  /// Re-assigned OIDs have their propagation-index buckets migrated to
-  /// the new shard's index (stats().index_migrated_sources); neither
-  /// index is rebuilt.
+  /// The shared propagation index does not depend on shard assignment,
+  /// so a rebalance leaves it untouched.
   void RebalanceShards();
 
   // --- Introspection -----------------------------------------------------
@@ -317,14 +301,12 @@ class ShardedEngine {
   class TaskRing;
   struct Lane;
   class LaneRouter;
-  class IndexRouter;
   class ClaimStore;
   struct StealContext;
 
   uint32_t ShardOfTarget(const metadb::Oid& target) const;
-  PropagationIndex& ShardIndex(uint32_t shard);
-  /// Refills every shard index in one routed pass over the database.
-  void RebuildShardIndexes();
+  /// The one propagation index, owned by lane 0's engine.
+  const PropagationIndex& SharedIndex() const;
   void Route(events::EventMessage event);
   void Enqueue(uint32_t shard, Task&& task);
   void ExecuteTask(RunTimeEngine& engine, LaneRouter& router, Task&& task);
@@ -382,19 +364,13 @@ class ShardedEngine {
   SimClock& clock_;
   ShardedEngineOptions options_;
   uint32_t num_shards_;
-  /// Declared (and so registered as a link observer) before shard_map_:
-  /// the router must see link ops before the map re-groups, so entries
-  /// land under the assignment they were placed with.
-  std::unique_ptr<IndexRouter> index_router_;
   metadb::ShardMap shard_map_;
-  /// Per-shard propagation indexes (N > 1 only), lent to the engines.
-  std::vector<std::unique_ptr<PropagationIndex>> indexes_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   /// Per-shard claim stores (N > 1 only: one shard needs no router).
   std::vector<std::unique_ptr<ClaimStore>> claim_stores_;
   /// Per-worker steal engines (when stealing is active): expansion
-  /// through the bound shard's index, private journal and stats merged
-  /// into the engine-wide views.
+  /// through the shared index, private journal and stats merged into
+  /// the engine-wide views.
   std::vector<std::unique_ptr<StealContext>> steal_contexts_;
   bool stealing_active_ = false;
   std::vector<std::thread> workers_;

@@ -395,8 +395,7 @@ std::string WireSession::CmdHealth(Context& ctx) {
          ", failures " + std::to_string(health.wal_failures) + ", retries " +
          std::to_string(health.wal_retries) + "\n";
   out += "  checkpoint failures " + std::to_string(health.checkpoint_failures) +
-         ", retries " + std::to_string(health.checkpoint_retries) + ", heals " +
-         std::to_string(health.heals) + "\n";
+         ", heals " + std::to_string(health.heals) + "\n";
   if (health.prune_behind) {
     out += "  warning: pruning behind (" +
            std::to_string(health.failed_removals) +

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <utility>
 
 namespace damocles::metadb {
 
@@ -12,9 +11,7 @@ ShardMap::ShardMap(MetaDatabase& db, uint32_t num_shards)
   // protocol keep it current.
   block_of_slot_.assign(db_.ObjectSlotCount(), kUnassigned);
   db_.ForEachObject([this](OidId id, const MetaObject& object) {
-    const uint32_t block = InternBlock(db_.BlockOf(object));
-    block_of_slot_[id.value()] = block;
-    slots_of_block_[block].push_back(id.value());
+    block_of_slot_[id.value()] = InternBlock(db_.BlockOf(object));
   });
   Rebalance();
   db_.AddLinkObserver(this);
@@ -72,84 +69,27 @@ uint32_t ShardMap::InternBlock(std::string_view block) {
     // would silently alias every root onto one shard whenever the
     // per-subtree block count divides num_shards.)
     shard_of_root_.resize(sym + 1, kUnassigned);
-    group_next_.resize(sym + 1);
-    std::iota(group_next_.begin() + static_cast<ptrdiff_t>(old),
-              group_next_.end(), static_cast<uint32_t>(old));
-    slots_of_block_.resize(sym + 1);
   }
   return sym;
 }
 
-void ShardMap::ForEachGroupMember(OidId id,
-                                  const std::function<void(OidId)>& fn) const {
-  const uint32_t slot = id.value();
-  if (slot >= block_of_slot_.size() || block_of_slot_[slot] == kUnassigned) {
-    fn(id);  // Untracked slot: a group of one.
-    return;
-  }
-  ForEachGroupBlock(block_of_slot_[slot], [&](uint32_t block) {
-    for (const uint32_t member : slots_of_block_[block]) fn(OidId(member));
-  });
-}
-
 void ShardMap::Union(uint32_t a, uint32_t b) {
-  uint32_t ra = FindCompress(a);
-  uint32_t rb = FindCompress(b);
+  const uint32_t ra = FindCompress(a);
+  const uint32_t rb = FindCompress(b);
   if (ra == rb) return;
   // The earlier-created block survives as root (the hierarchy root is
   // created before its components) and keeps its shard.
-  if (rb < ra) std::swap(ra, rb);
-  // The losing group follows the surviving root's shard. Collect the
-  // moved OIDs first (the circles merge below), apply the union, then
-  // notify — listeners observe the post-change assignment, matching
-  // Rebalance's diff order. Often nothing moves: both roots may resolve
-  // to the same shard.
-  const uint32_t new_shard = shard_of_root_[ra] != kUnassigned
-                                 ? shard_of_root_[ra]
-                                 : Mix(ra) % num_shards_;
-  const uint32_t old_shard = shard_of_root_[rb] != kUnassigned
-                                 ? shard_of_root_[rb]
-                                 : Mix(rb) % num_shards_;
-  std::vector<uint32_t> moved;
-  if (listener_ != nullptr && new_shard != old_shard) {
-    ForEachGroupBlock(rb, [&](uint32_t block) {
-      for (const uint32_t slot : slots_of_block_[block]) {
-        // Dead versions keep their slot entry (there is no deletion
-        // hook) but have no index buckets to migrate — skip them.
-        if (db_.IsLiveObject(OidId(slot))) moved.push_back(slot);
-      }
-    });
-  }
-  parent_[rb] = ra;
-  SpliceGroups(ra, rb);
+  parent_[std::max(ra, rb)] = std::min(ra, rb);
   ++stats_.incremental_unions;
-  for (const uint32_t slot : moved) {
-    ++stats_.reassignments;
-    listener_->OnShardChanged(OidId(slot), old_shard, new_shard);
-  }
 }
 
 void ShardMap::Rebalance() {
-  // With a listener installed, snapshot effective assignments so the
-  // re-deal can be reported as a per-OID diff (bucket migration beats
-  // rebuilding N indexes).
-  std::vector<uint32_t> before;
-  if (listener_ != nullptr) {
-    before.resize(block_of_slot_.size());
-    for (uint32_t slot = 0; slot < before.size(); ++slot) {
-      before[slot] = ShardOf(OidId(slot));
-    }
-  }
-
   std::iota(parent_.begin(), parent_.end(), 0u);
-  std::iota(group_next_.begin(), group_next_.end(), 0u);
   db_.ForEachLink([this](LinkId, const Link& link) {
     if (link.kind != LinkKind::kUse) return;
     const uint32_t a = FindCompress(block_of_slot_[link.from.value()]);
     const uint32_t b = FindCompress(block_of_slot_[link.to.value()]);
-    if (a == b) return;
-    parent_[std::max(a, b)] = std::min(a, b);
-    SpliceGroups(a, b);
+    if (a != b) parent_[std::max(a, b)] = std::min(a, b);
   });
   // Deal roots out round-robin in block-creation order: deterministic
   // and balanced. Id 0 is the interner's reserved empty string.
@@ -162,18 +102,6 @@ void ShardMap::Rebalance() {
   }
   dirty_ = false;
   ++stats_.rebalances;
-
-  if (listener_ != nullptr) {
-    for (uint32_t slot = 0; slot < before.size(); ++slot) {
-      if (block_of_slot_[slot] == kUnassigned) continue;
-      if (!db_.IsLiveObject(OidId(slot))) continue;  // Nothing to migrate.
-      const uint32_t now = ShardOf(OidId(slot));
-      if (now != before[slot]) {
-        ++stats_.reassignments;
-        listener_->OnShardChanged(OidId(slot), before[slot], now);
-      }
-    }
-  }
 }
 
 // --- Observer callbacks ------------------------------------------------------
@@ -182,9 +110,7 @@ void ShardMap::OnObjectCreated(OidId id, const MetaObject& object) {
   if (id.value() >= block_of_slot_.size()) {
     block_of_slot_.resize(id.value() + 1, kUnassigned);
   }
-  const uint32_t block = InternBlock(db_.BlockOf(object));
-  block_of_slot_[id.value()] = block;
-  slots_of_block_[block].push_back(id.value());
+  block_of_slot_[id.value()] = InternBlock(db_.BlockOf(object));
 }
 
 void ShardMap::OnLinkAdded(LinkId, const Link& link) {

@@ -33,6 +33,11 @@
 // root. After bulk-building a design, call Rebalance() once for the
 // exact round-robin deal.
 //
+// An assignment decides only which lane runs a wave and which shard's
+// claims arbitrate a delivery; the receivers themselves come from the
+// one propagation index, which does not depend on it. So a union or a
+// re-deal changes nothing but the map.
+//
 // Thread-safety contract: all mutations (the observer callbacks and
 // Rebalance) happen while the sharded engine is quiescent — structural
 // meta-data changes are not allowed mid-drain. The read path (ShardOf /
@@ -42,7 +47,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -56,26 +60,6 @@ struct ShardMapStats {
   size_t incremental_unions = 0;  ///< Use-link merges applied in place.
   size_t rebalances = 0;          ///< Full recompute passes.
   size_t structural_splits = 0;   ///< Use-link removals/moves (dirtying).
-  size_t reassignments = 0;       ///< Live OIDs whose shard assignment
-                                  ///< changed, as reported to the
-                                  ///< listener (0 while none installed —
-                                  ///< nobody pays the enumeration then).
-};
-
-/// Receives shard re-assignment notifications. The sharded engine's
-/// index router registers one so an OID's propagation-index buckets
-/// follow it to the new shard's index (migration, not rebuild). Fired
-/// from mutation paths only — the quiescent-engine contract of the
-/// observer protocol applies.
-class ShardMapListener {
- public:
-  virtual ~ShardMapListener() = default;
-
-  /// `id`'s assignment moved from `old_shard` to `new_shard` — either
-  /// an incremental union pulled its group under a root on another
-  /// shard, or a Rebalance re-dealt its root.
-  virtual void OnShardChanged(OidId id, uint32_t old_shard,
-                              uint32_t new_shard) = 0;
 };
 
 /// Assigns every OID to a shard by the root block of its use-link
@@ -107,21 +91,8 @@ class ShardMap final : public LinkObserver {
 
   /// Recomputes the union-find forest from the live use links and deals
   /// every root a shard round-robin in block-creation order. Call only
-  /// while the sharded engine is quiescent. With a listener installed,
-  /// every OID whose effective shard changed is reported (old vs. new
-  /// assignment diff), so index buckets migrate instead of rebuilding.
+  /// while the sharded engine is quiescent.
   void Rebalance();
-
-  /// Installs (or clears) the re-assignment listener. The listener must
-  /// outlive the map or be cleared first.
-  void SetListener(ShardMapListener* listener) noexcept {
-    listener_ = listener;
-  }
-
-  /// Calls `fn` with every OID slot currently grouped under the same
-  /// use-link subtree as `id` (including `id`'s own block's slots).
-  void ForEachGroupMember(OidId id,
-                          const std::function<void(OidId)>& fn) const;
 
   const ShardMapStats& stats() const noexcept { return stats_; }
 
@@ -155,26 +126,9 @@ class ShardMap final : public LinkObserver {
   uint32_t FindCompress(uint32_t block);
 
   /// Unions two block groups; the smaller (earlier-created) block id
-  /// survives as root and keeps its shard assignment. The losing
-  /// group's OIDs are reported to the listener when their effective
-  /// shard changes.
+  /// survives as root and keeps its shard assignment, which the losing
+  /// group's OIDs follow.
   void Union(uint32_t a, uint32_t b);
-
-  /// Splices two disjoint group circles into one (classic circular
-  /// linked-list merge: one pointer swap).
-  void SpliceGroups(uint32_t a, uint32_t b) {
-    std::swap(group_next_[a], group_next_[b]);
-  }
-
-  /// Calls `fn` for every block id in `block`'s group circle.
-  template <typename Fn>
-  void ForEachGroupBlock(uint32_t block, Fn&& fn) const {
-    uint32_t current = block;
-    do {
-      fn(current);
-      current = group_next_[current];
-    } while (current != block);
-  }
 
   /// Interns `block` and grows the forest; new blocks are their own
   /// root, unassigned until the next Rebalance (hash fallback applies).
@@ -182,18 +136,11 @@ class ShardMap final : public LinkObserver {
 
   MetaDatabase& db_;
   uint32_t num_shards_;
-  ShardMapListener* listener_ = nullptr;
 
   SymbolTable blocks_;                 ///< Block name -> dense block id.
   std::vector<uint32_t> parent_;       ///< Union-find forest over block ids.
   std::vector<uint32_t> shard_of_root_;  ///< Shard per root block id.
   std::vector<uint32_t> block_of_slot_;  ///< OID slot -> block id.
-  /// Circular linked list of block ids per group (self when singleton):
-  /// lets a union enumerate the losing group in O(its size) so index
-  /// migration touches only the OIDs that actually moved.
-  std::vector<uint32_t> group_next_;
-  /// OID slots per block id (an OID's block never changes).
-  std::vector<std::vector<uint32_t>> slots_of_block_;
   uint32_t next_shard_ = 0;            ///< Round-robin cursor.
   bool dirty_ = false;
   ShardMapStats stats_;

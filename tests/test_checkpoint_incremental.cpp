@@ -2,9 +2,11 @@
 //  * delta persistence round-trips and rejects wrong bases;
 //  * base -> delta -> delta chains recover byte-equal state;
 //  * the chain limit and a missing base silently force full checkpoints;
-//  * failed auto-checkpoints re-arm on the backoff schedule instead of
-//    re-attempting on every op (the checkpoint-failure storm), and the
-//    next delta after failed checkpoints still carries their slots;
+//  * failed auto-checkpoints re-arm on an op-count backoff instead of
+//    re-attempting on every op (the checkpoint-failure storm), so a
+//    script with the same injected failures writes the same checkpoints
+//    every run, and the next delta after failed checkpoints still
+//    carries their slots;
 //  * segment retention prunes below the committed floor, failed
 //    removals surface as a prune-behind warning, and recovery handles
 //    leftover .tmp manifests, orphaned checkpoint files and partially
@@ -19,8 +21,10 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
@@ -312,54 +316,119 @@ uint64_t FailpointHits(const std::string& failpoint) {
   return 0;
 }
 
+/// The ops-since-commit counts at which auto-checkpoints are attempted
+/// while every attempt fails, up to `ops`: the first at `every`, and
+/// after k consecutive failures the next every × 2^min(k, 4) ops later.
+std::vector<size_t> FailingAttemptOps(size_t every, size_t ops) {
+  std::vector<size_t> attempts;
+  for (size_t due = every; due <= ops;
+       due += every << std::min<size_t>(attempts.size(), 4)) {
+    attempts.push_back(due);
+  }
+  return attempts;
+}
+
 TEST(CheckpointBackoff, FailedAutoCheckpointsDoNotStorm) {
   // A write that fails on the checkpoint thread and a cut that fails on
   // the apply thread (its stream sync) both count and back off, whether
   // or not the triggering op waits.
+  constexpr size_t kEvery = 4;
   for (const bool background : {false, true}) {
     for (const std::string failpoint : {"checkpoint.write", "wal.fsync"}) {
       SCOPED_TRACE(failpoint + (background ? " background" : " waiting"));
       TempDir dir("ckpt-storm");
       ServerOptions options = DurableOptions(dir.str());
-      options.checkpoint_every_ops = 4;
+      options.checkpoint_every_ops = kEvery;
       options.background_checkpoints = background;
-      // Deterministic schedule: one retry step at 100ms, then re-arm at
-      // the 200ms cap forever.
-      options.wal_retry = common::BackoffPolicy{
-          1, std::chrono::milliseconds(100), std::chrono::milliseconds(200),
-          2.0, 0.0, 7};
       auto server = testutil::MakeEdtcServer(options);
       common::Failpoints::Instance().Configure(failpoint, "error");
+      // Nothing committed yet, so every logged op counts toward the
+      // schedule.
+      const auto ops = [&] { return server->GetWalStatus().ops_logged; };
+      const auto taken = [&] {
+        return server->GetWalStatus().checkpoints_taken;
+      };
 
-      // A rapid burst far past the threshold. The storm bug reset the op
+      // A burst far past the threshold. The storm bug reset the op
       // counter to the threshold on failure, so every one of these ops
-      // re-attempted (and re-failed) a checkpoint: ~37 failures. With
-      // the backoff gate a burst this fast fits in one or two intervals.
+      // re-attempted (and re-failed) a checkpoint: one failure per op.
+      // With the op-count backoff, 80 ops hold four attempts.
       for (int i = 0; i < 40; ++i) MutateOnce(*server, i);
+      const std::vector<size_t> attempts = FailingAttemptOps(kEvery, ops());
+      ASSERT_EQ(attempts.size(), 4u);
       AwaitCheckpointThread(
           [&] { return server->GetHealth().checkpoint_failures > 0; });
       const ServerHealth stormy = server->GetHealth();
       EXPECT_GE(stormy.checkpoint_failures, 1u);
       EXPECT_LE(stormy.checkpoint_failures, 6u);
       EXPECT_LE(FailpointHits(failpoint), 6u);
-      EXPECT_GE(stormy.checkpoint_retries, 1u);
-      EXPECT_EQ(server->GetWalStatus().checkpoints_taken, 0u);
+      EXPECT_EQ(taken(), 0u);
       EXPECT_FALSE(server->degraded());  // Checkpoint failures never degrade.
-
-      // Fault clears; once the armed deadline passes, the very next op
-      // retries and commits (the op counter was never reset).
       common::Failpoints::Instance().ClearAll();
-      std::this_thread::sleep_for(std::chrono::milliseconds(250));
-      MutateOnce(*server, 40);
-      AwaitCheckpointThread(
-          [&] { return server->GetWalStatus().checkpoints_taken > 0; });
-      const WalStatus status = server->GetWalStatus();
-      EXPECT_GE(status.checkpoints_taken, 1u);
-      EXPECT_GT(status.last_checkpoint_id, 0u);
+
+      if (!background) {
+        // A waiting op pins the schedule. The armed attempt waits
+        // every × 2^min(k, 4) ops past the last failed one; no op before
+        // it attempts, and that op commits (the op counter was never
+        // reset).
+        EXPECT_EQ(stormy.checkpoint_failures, attempts.size());
+        const size_t armed =
+            attempts.back() + (kEvery << std::min<size_t>(attempts.size(), 4));
+        while (ops() + 1 < armed) server->AdvanceClock(1);
+        EXPECT_EQ(taken(), 0u);
+        server->AdvanceClock(1);
+        EXPECT_EQ(ops(), armed);
+        EXPECT_EQ(taken(), 1u);
+      } else {
+        // Attempts due while a background write is in flight are
+        // skipped, so how many fail depends on the write's speed. Any
+        // armed attempt is due within every × 2^4 ops.
+        const size_t latest = ops() + (kEvery << 4);
+        while (ops() < latest) server->AdvanceClock(1);
+        AwaitCheckpointThread([&] { return taken() > 0; });
+        EXPECT_GE(taken(), 1u);
+      }
+      EXPECT_GT(server->GetWalStatus().last_checkpoint_id, 0u);
       EXPECT_EQ(server->GetHealth().checkpoint_failures,
                 stormy.checkpoint_failures);
     }
   }
+}
+
+TEST(CheckpointBackoff, InjectedWriteFailuresGiveTheSameCheckpointsEachRun) {
+  // The same op script with the same seeded write failures, run twice:
+  // the backoff counts ops, not time, so both runs attempt, fail and
+  // commit at the same ops and leave the same checkpoints behind.
+  const auto run = [](const std::string& tag) {
+    TempDir dir(tag);
+    ServerOptions options = DurableOptions(dir.str());
+    options.checkpoint_every_ops = 3;
+    auto server = testutil::MakeEdtcServer(options);
+    common::Failpoints::Instance().Configure("checkpoint.write",
+                                             "error,prob=0.15,seed=11");
+    std::vector<uint64_t> ids;
+    for (int i = 0; i < 150; ++i) {
+      MutateOnce(*server, i);
+      const uint64_t id = server->GetWalStatus().last_checkpoint_id;
+      if (ids.empty() || ids.back() != id) ids.push_back(id);
+    }
+    common::Failpoints::Instance().ClearAll();
+    const uint64_t failures = server->GetHealth().checkpoint_failures;
+    server.reset();
+    std::set<std::string> manifests;
+    for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+      const std::string name = entry.path().filename().string();
+      if (name.rfind("manifest-", 0) == 0) manifests.insert(name);
+    }
+    return std::make_tuple(ids, manifests, failures);
+  };
+  const auto [ids, manifests, failures] = run("ckpt-same-a");
+  const auto [again_ids, again_manifests, again_failures] = run("ckpt-same-b");
+  EXPECT_GT(failures, 2u);
+  EXPECT_GT(ids.size(), 3u);
+  EXPECT_EQ(ids, again_ids);
+  EXPECT_EQ(manifests, again_manifests);
+  EXPECT_EQ(failures, again_failures);
 }
 
 TEST(CheckpointBackoff, FailedDeltaMarksAreNotLost) {

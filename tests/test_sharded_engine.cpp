@@ -11,9 +11,9 @@
 //    subtrees) are handed off and delivered on the foreign shard;
 //    cross-shard cycles terminate through the claims, the hop cap only
 //    backstops chains of distinct OIDs;
-//  * N shard indexes together hold ~1× the link graph (per-shard scoped
-//    PropagationIndex), each consistent with a scoped rescan, and
-//    Rebalance migrates buckets between indexes instead of rebuilding;
+//  * every lane and steal engine expands through one shared
+//    PropagationIndex (1× the link graph), which stays consistent with a
+//    rescan through link edits, use-link unions and rebalances;
 //  * the ShardMap tracks subtree roots incrementally through link adds
 //    and, after random endpoint moves / deletions plus a rebalance,
 //    agrees with an oracle that recomputes the components from scratch.
@@ -24,6 +24,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -517,7 +518,11 @@ TEST(ShardedReconvergence, DiamondAcrossThreeShardsDeliversOnce) {
   EXPECT_EQ(sharded.stats().handoff_waves, 4u);
   EXPECT_EQ(sharded.stats().handoff_waves_truncated, 0u);
   // Every diamond link crosses a shard boundary here.
-  EXPECT_EQ(sharded.stats().boundary_links, 4u);
+  size_t crossing_links = 0;
+  db.ForEachLink([&](metadb::LinkId, const metadb::Link& link) {
+    if (map.ShardOf(link.from) != map.ShardOf(link.to)) ++crossing_links;
+  });
+  EXPECT_EQ(crossing_links, 4u);
 
   MetaDatabase one_db;
   SimClock one_clock;
@@ -656,11 +661,23 @@ TEST(ShardedReconvergence, HopCapBackstopStillGuardsDistinctChains) {
   EXPECT_EQ(total.dedup_suppressed, 0u);
 }
 
-// --- Per-shard propagation indexes -------------------------------------------
+// --- One shared propagation index --------------------------------------------
 
-/// N shard indexes together hold ~1× the link graph (the pre-split
-/// engine held N×), each shard answers only its own subtree, and a link
-/// op costs O(1) index observer updates.
+/// The engines of `sharded` that expand waves — lanes, then steal
+/// engines — all expand through `index`.
+void ExpectAllEnginesShare(const ShardedEngine& sharded,
+                           const engine::PropagationIndex& index) {
+  size_t engines = 0;
+  sharded.ForEachEngine([&](const RunTimeEngine& engine) {
+    EXPECT_EQ(&engine.propagation_index(), &index) << "engine " << engines;
+    ++engines;
+  });
+  EXPECT_EQ(engines, sharded.num_shards() + sharded.steal_journal_count());
+}
+
+/// Every lane and steal engine of a 4-shard engine expands through one
+/// index holding exactly the plain engine's entries, and every lane
+/// served lookups from it.
 TEST(ShardedIndex, ShardIndexesHoldOneCopyOfLinkGraph) {
   WorkloadSpec spec;
   spec.blocks = 8;
@@ -671,44 +688,43 @@ TEST(ShardedIndex, ShardIndexesHoldOneCopyOfLinkGraph) {
   RunTimeEngine plain(plain_db, plain_clock);
   RunWorkload(PlainAdapter{plain}, plain_db, spec);
 
-  MetaDatabase many_db;
-  SimClock many_clock;
-  ShardedEngineOptions options;
-  options.num_shards = 4;
-  options.deterministic = true;
-  ShardedEngine many(many_db, many_clock, options);
-  RunWorkload(ShardedAdapter{many}, many_db, spec);
+  MetaDatabase one_db;
+  SimClock one_clock;
+  ShardedEngineOptions one_options;
+  one_options.deterministic = true;
+  ShardedEngine one(one_db, one_clock, one_options);
+  RunWorkload(ShardedAdapter{one}, one_db, spec);
 
-  // Total entries across shard indexes == the unsharded index, not 4x.
-  EXPECT_EQ(many.stats().index_entries,
-            plain.propagation_index().entry_count());
+  for (const bool deterministic : {true, false}) {
+    SCOPED_TRACE(deterministic ? "deterministic" : "threaded");
+    MetaDatabase many_db;
+    SimClock many_clock;
+    ShardedEngineOptions options;
+    options.num_shards = 4;
+    options.deterministic = deterministic;
+    options.worker_threads = 2;  // Two workers: steal engines exist.
+    ShardedEngine many(many_db, many_clock, options);
+    RunWorkload(ShardedAdapter{many}, many_db, spec);
 
-  // Each shard holds a proper, consistent slice and actually served
-  // lookups from it.
-  size_t shards_with_entries = 0;
-  for (uint32_t s = 0; s < many.num_shards(); ++s) {
-    const engine::PropagationIndex& index = many.shard(s).propagation_index();
+    const engine::PropagationIndex& index = many.shard(0).propagation_index();
+    ExpectAllEnginesShare(many, index);
+    EXPECT_EQ(index.entry_count(), plain.propagation_index().entry_count());
+    EXPECT_EQ(many.stats().index_entries, index.entry_count());
     std::string diff;
-    EXPECT_TRUE(index.ConsistentWith(many_db, &diff)) << "shard " << s << ": "
-                                                      << diff;
-    EXPECT_LT(index.entry_count(), many.stats().index_entries);
-    if (index.entry_count() > 0) ++shards_with_entries;
-    EXPECT_GT(many.shard(s).stats().index_lookups, 0u) << "shard " << s;
+    EXPECT_TRUE(index.ConsistentWith(many_db, &diff)) << diff;
+    for (uint32_t s = 0; s < many.num_shards(); ++s) {
+      EXPECT_GT(many.shard(s).stats().index_lookups, 0u) << "shard " << s;
+    }
+    EXPECT_EQ(SortedLines(many.JournalLines()),
+              SortedLines(one.JournalLines()));
+    EXPECT_EQ(PropertySnapshot(many_db), PropertySnapshot(one_db));
   }
-  EXPECT_GT(shards_with_entries, 1u);
-
-  // One observer update per link op, not one per shard: the router
-  // applied exactly as many updates as there are live links.
-  size_t live_links = 0;
-  many_db.ForEachLink([&](metadb::LinkId, const metadb::Link&) {
-    ++live_links;
-  });
-  EXPECT_EQ(many.stats().index_observer_updates, live_links);
 }
 
-/// Rebalance after a subtree split migrates buckets between shard
-/// indexes (no rebuild), keeps every shard consistent with a scoped
-/// rescan, and waves crossing the new boundary still deliver.
+/// A use-link union that merges two subtrees and a rebalance after a
+/// subtree split re-deal OIDs across shards; the shared index is not
+/// touched by either, stays consistent with a rescan, and waves crossing
+/// the new boundary still deliver as in the 1-shard run.
 TEST(ShardedIndex, RebalanceMigratesBucketsAndWavesStillDeliver) {
   const auto build = [](ShardedEngine& engine, MetaDatabase& db,
                         std::vector<OidId>& oids,
@@ -724,11 +740,12 @@ TEST(ShardedIndex, RebalanceMigratesBucketsAndWavesStillDeliver) {
                   CarryPolicy::kNone);
     db.CreateLink(LinkKind::kUse, oids[3], oids[4], {"edit"}, "",
                   CarryPolicy::kNone);
-    db.CreateLink(LinkKind::kUse, oids[4], oids[5], {"edit"}, "",
-                  CarryPolicy::kNone);
     db.CreateLink(LinkKind::kDerive, oids[1], oids[4], {"edit"}, "",
                   CarryPolicy::kNone);
     engine.shard_map().Rebalance();
+    // Incremental union: F joins {D, E} under D's shard.
+    db.CreateLink(LinkKind::kUse, oids[4], oids[5], {"edit"}, "",
+                  CarryPolicy::kNone);
     // Split {A} off {B, C}: dirties the map until RebalanceShards.
     db.DeleteLink(splitting_link);
   };
@@ -750,18 +767,27 @@ TEST(ShardedIndex, RebalanceMigratesBucketsAndWavesStillDeliver) {
   metadb::LinkId splitting_link;
   build(many, db, oids, splitting_link);
 
-  const size_t entries_before = many.stats().index_entries;
+  const engine::PropagationIndex& index = many.shard(0).propagation_index();
+  const size_t entries_before = index.entry_count();
+  std::vector<uint32_t> shards_before;
+  for (const OidId id : oids) {
+    shards_before.push_back(many.shard_map().ShardOf(id));
+  }
   const std::vector<std::string> many_lines = drive(many);
 
-  // The re-deal moved subtrees (and with them, index buckets) without
-  // changing the total entry count — migration, not rebuild.
-  EXPECT_GT(many.stats().index_migrated_sources, 0u);
-  EXPECT_EQ(many.stats().index_entries, entries_before);
-  for (uint32_t s = 0; s < many.num_shards(); ++s) {
-    std::string diff;
-    EXPECT_TRUE(many.shard(s).propagation_index().ConsistentWith(db, &diff))
-        << "shard " << s << ": " << diff;
+  // The re-deal moved OIDs between shards; the index kept every entry
+  // and still matches a rescan.
+  size_t moved = 0;
+  for (size_t i = 0; i < oids.size(); ++i) {
+    if (many.shard_map().ShardOf(oids[i]) != shards_before[i]) ++moved;
   }
+  EXPECT_GT(moved, 0u);
+  EXPECT_EQ(many.stats().rebalances, 3u);  // Construction, build, drive.
+  EXPECT_EQ(index.entry_count(), entries_before);
+  EXPECT_EQ(many.stats().index_entries, entries_before);
+  ExpectAllEnginesShare(many, index);
+  std::string diff;
+  EXPECT_TRUE(index.ConsistentWith(db, &diff)) << diff;
 
   MetaDatabase one_db;
   SimClock one_clock;
@@ -774,6 +800,214 @@ TEST(ShardedIndex, RebalanceMigratesBucketsAndWavesStillDeliver) {
   build(one, one_db, one_oids, one_split);
 
   EXPECT_EQ(drive(one), many_lines);
+}
+
+/// Threaded 4 shards with lane stealing: link creates, deletes, endpoint
+/// moves, PROPAGATE rewrites and retemplates interleave with use-link
+/// unions, rebalances and waves still running when the next structural
+/// call arrives (it waits for them). After every drain the shared index
+/// matches a rescan, and the journal multiset and property state equal
+/// a 1-shard run of the same script. Concurrent waves only write
+/// commuting values: outofdate waves all clear uptodate, res0 events
+/// write their own target, "edit" writes nothing, and a ckin (which sets
+/// uptodate) runs alone.
+TEST(ShardedIndex, ThreadedInterleavedEditsKeepSharedIndexExact) {
+  workload::FlowSpec flow;
+  flow.n_views = 3;
+  const std::string strict = workload::MakeFlowBlueprint(flow, "strict");
+  workload::FlowSpec loose_flow = flow;
+  loose_flow.propagation_cutoff = 1;
+  const std::string loose = workload::MakeFlowBlueprint(loose_flow, "loose");
+  const std::vector<std::string> views = workload::FlowViewNames(flow);
+
+  for (const uint64_t seed : {5u, 1234u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    MetaDatabase one_db;
+    SimClock one_clock;
+    ShardedEngineOptions one_options;
+    one_options.deterministic = true;
+    ShardedEngine one(one_db, one_clock, one_options);
+
+    MetaDatabase many_db;
+    SimClock many_clock;
+    ShardedEngineOptions many_options;
+    many_options.num_shards = 4;
+    many_options.worker_threads = 4;
+    ShardedEngine many(many_db, many_clock, many_options);
+
+    // Every step runs on both engines. A structural step must first see
+    // the waves posted before it finish: the threaded engine's entry
+    // points wait by themselves, direct database edits call
+    // AwaitQuiescence, and the deterministic reference drains.
+    const auto both = [&](const auto& step) {
+      step(one, one_db);
+      step(many, many_db);
+    };
+    const auto quiesce = [&] {
+      one.Drain();
+      many.AwaitQuiescence();
+    };
+
+    both([&](ShardedEngine& engine, MetaDatabase&) {
+      engine.LoadBlueprintText(strict);
+    });
+    std::vector<OidId> oids;
+    std::vector<OidId> roots;  // view_0 objects: use-link endpoints.
+    std::vector<metadb::LinkId> links;
+    for (int b = 0; b < 8; ++b) {
+      const std::string block = "blk" + std::to_string(b);
+      OidId previous;
+      for (size_t v = 0; v < views.size(); ++v) {
+        OidId id;
+        both([&](ShardedEngine& engine, MetaDatabase&) {
+          id = engine.OnCreateObject(block, views[v], "test");
+        });
+        oids.push_back(id);
+        if (v == 0) roots.push_back(id);
+        if (v > 0) {
+          metadb::LinkId link;
+          both([&](ShardedEngine& engine, MetaDatabase&) {
+            link = engine.OnCreateLink(LinkKind::kDerive, previous, id);
+          });
+          links.push_back(link);
+        }
+        previous = id;
+      }
+    }
+    both([](ShardedEngine& engine, MetaDatabase&) {
+      engine.shard_map().Rebalance();
+    });
+
+    Rng rng(seed);
+    const auto pick = [&rng](const auto& pool) {
+      return pool[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))];
+    };
+    const auto random_propagates = [&rng] {
+      std::vector<std::string> propagates;
+      if (rng.Chance(0.7)) propagates.push_back("outofdate");
+      if (rng.Chance(0.4)) propagates.push_back("edit");
+      return propagates;
+    };
+    const auto live_link = [&]() -> std::optional<metadb::LinkId> {
+      for (int tries = 0; tries < 8; ++tries) {
+        const metadb::LinkId link = pick(links);
+        if (one_db.GetLink(link).alive) return link;
+      }
+      return std::nullopt;
+    };
+    bool strict_installed = true;
+    size_t drains = 0;
+    for (int step = 0; step < 160; ++step) {
+      const double draw = rng.UniformDouble();
+      if (draw < 0.3) {
+        // A batch of waves, left running.
+        const int waves = static_cast<int>(rng.UniformInt(1, 4));
+        for (int w = 0; w < waves; ++w) {
+          const Oid target = one_db.OidOf(pick(oids));
+          const double kind = rng.UniformDouble();
+          EventMessage event = Event("outofdate", target, Direction::kDown);
+          if (kind >= 0.7) {
+            event = Event("res0", target, Direction::kDown,
+                          rng.Chance(0.5) ? "good" : "bad");
+          } else if (kind >= 0.5) {
+            event = Event("edit", target, Direction::kDown);
+          }
+          both([&](ShardedEngine& engine, MetaDatabase&) {
+            engine.PostEvent(event);
+          });
+        }
+      } else if (draw < 0.35) {
+        const EventMessage event =
+            Event("ckin", one_db.OidOf(pick(oids)), Direction::kUp, "rev");
+        quiesce();
+        both([&](ShardedEngine& engine, MetaDatabase&) {
+          engine.PostEvent(event);
+        });
+        quiesce();
+      } else if (draw < 0.47) {
+        const OidId from = pick(oids);
+        const OidId to = pick(oids);
+        if (from == to) continue;
+        const std::vector<std::string> propagates = random_propagates();
+        quiesce();
+        metadb::LinkId link;
+        both([&](ShardedEngine&, MetaDatabase& db) {
+          link = db.CreateLink(LinkKind::kDerive, from, to, propagates, "",
+                               CarryPolicy::kNone);
+        });
+        links.push_back(link);
+      } else if (draw < 0.55) {
+        const std::optional<metadb::LinkId> link = live_link();
+        if (!link) continue;
+        quiesce();
+        both([&](ShardedEngine&, MetaDatabase& db) { db.DeleteLink(*link); });
+      } else if (draw < 0.65) {
+        const std::optional<metadb::LinkId> link = live_link();
+        if (!link) continue;
+        const metadb::Link& current = one_db.GetLink(*link);
+        const bool endpoint_from = rng.Chance(0.5);
+        const OidId target =
+            current.kind == LinkKind::kUse ? pick(roots) : pick(oids);
+        if (target == (endpoint_from ? current.to : current.from)) continue;
+        quiesce();
+        both([&](ShardedEngine&, MetaDatabase& db) {
+          db.MoveLinkEndpoint(*link, endpoint_from, target);
+        });
+      } else if (draw < 0.73) {
+        const std::optional<metadb::LinkId> link = live_link();
+        if (!link) continue;
+        const std::vector<std::string> propagates = random_propagates();
+        quiesce();
+        both([&](ShardedEngine&, MetaDatabase& db) {
+          db.SetLinkPropagates(*link, propagates);
+        });
+      } else if (draw < 0.81) {
+        // Use-link union of two subtrees.
+        const OidId parent = pick(roots);
+        const OidId child = pick(roots);
+        if (parent == child) continue;
+        one.Drain();
+        metadb::LinkId link;
+        both([&](ShardedEngine& engine, MetaDatabase&) {
+          link = engine.OnCreateLink(LinkKind::kUse, parent, child);
+        });
+        links.push_back(link);
+      } else if (draw < 0.86) {
+        one.Drain();
+        both([](ShardedEngine& engine, MetaDatabase&) {
+          engine.RebalanceShards();
+        });
+      } else if (draw < 0.9) {
+        strict_installed = !strict_installed;
+        one.Drain();
+        both([&](ShardedEngine& engine, MetaDatabase&) {
+          engine.LoadBlueprintText(strict_installed ? strict : loose);
+          engine.shard(0).RetemplateLinks();
+        });
+      } else {
+        one.Drain();
+        many.Drain();
+        ++drains;
+        const engine::PropagationIndex& index =
+            many.shard(0).propagation_index();
+        std::string diff;
+        ASSERT_TRUE(index.ConsistentWith(many_db, &diff))
+            << "step " << step << ": " << diff;
+        ASSERT_EQ(index.entry_count(),
+                  one.shard(0).propagation_index().entry_count())
+            << "step " << step;
+        ASSERT_EQ(SortedLines(one.JournalLines()),
+                  SortedLines(many.JournalLines()))
+            << "step " << step;
+        ASSERT_EQ(PropertySnapshot(one_db), PropertySnapshot(many_db))
+            << "step " << step;
+      }
+    }
+    EXPECT_GT(drains, 5u);
+    ExpectAllEnginesShare(many, many.shard(0).propagation_index());
+    EXPECT_GT(many.stats().stolen_subwaves + many.stats().handoff_waves, 0u);
+  }
 }
 
 // --- Batched handoff & seed-batch splitting ----------------------------------
@@ -1043,7 +1277,7 @@ TEST(ShardedSteal, StalledLaneSubWavesAreStolenTopLevelFifoHolds) {
     EXPECT_GT(engine.stats().claim_purge_floor, 0u);
     stolen = engine.stats().stolen_subwaves;
     if (stolen > 0) {
-      // Steal engines expand waves through the owning shard's index
+      // Steal engines expand waves through the shared index
       // (ForEachEngine visits the shard engines first, then the steal
       // engines): no engine falls back to adjacency scans.
       size_t visited = 0;
@@ -1195,15 +1429,6 @@ TEST(ShardMap, OracleAfterRandomLinkMoves) {
       EXPECT_EQ(map.RootBlockOf(id), oracle_root(block))
           << "seed " << seed << " block " << block;
       EXPECT_LT(map.ShardOf(id), kShards);
-      // The group circles (what bucket migration enumerates) must agree
-      // with the forest: every member shares the root.
-      size_t members = 0;
-      map.ForEachGroupMember(id, [&](OidId member) {
-        ++members;
-        EXPECT_EQ(map.RootBlockOf(member), map.RootBlockOf(id))
-            << "seed " << seed << " block " << block;
-      });
-      EXPECT_GE(members, 1u);
     }
     // Same component => same shard.
     for (const OidId a : oids) {
