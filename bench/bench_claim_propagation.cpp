@@ -22,9 +22,10 @@
 // The sharded tables print the host's core count and mark rows with
 // more shards than cores: those measure overhead, not scaling. The last
 // series builds perfbench's wave_ingest project through ProjectServer
-// with a Drain after every check-in and link, at one shard (the plain
-// engine) and at four (project_build_s1 / project_build_s4); a 4-shard
-// drain runs the queued waves on the calling thread.
+// with a Drain after every check-in and link, at one shard (the sharded
+// engine's single lane, run on the calling thread) and at four
+// (project_build_s1 / project_build_s4); a 4-shard drain runs the
+// queued waves on the calling thread too.
 // Series are also registered with the DAMOCLES_BENCH_JSON emitter so
 // the perf trajectory is machine-readable (see bench_util.hpp).
 #include "bench_util.hpp"

@@ -27,14 +27,12 @@ ProjectServer::ProjectServer(std::string project_name, ServerOptions options)
   metadb::RecoveryPlan plan;
   if (durable) {
     std::filesystem::create_directories(options_.wal_dir);
-    if (options_.auto_recover) {
-      plan = metadb::BuildRecoveryPlan(options_.wal_dir);
-      const metadb::WalGcStats gc =
-          metadb::PrepareWalDirectory(options_.wal_dir, plan);
-      gc_artifacts_removed_.store(gc.artifacts_removed,
-                                  std::memory_order_relaxed);
-      failed_removals_.store(gc.failed_removals, std::memory_order_relaxed);
-    }
+    plan = metadb::BuildRecoveryPlan(options_.wal_dir);
+    const metadb::WalGcStats gc =
+        metadb::PrepareWalDirectory(options_.wal_dir, plan);
+    gc_artifacts_removed_.store(gc.artifacts_removed,
+                                std::memory_order_relaxed);
+    failed_removals_.store(gc.failed_removals, std::memory_order_relaxed);
     if (plan.have_checkpoint) {
       // Load the checkpoint before any engine exists: move-assigning
       // the database is only safe while its observer list is empty.
@@ -65,24 +63,19 @@ ProjectServer::ProjectServer(std::string project_name, ServerOptions options)
                                  std::memory_order_relaxed);
   }
 
-  if (options_.num_shards > 1) {
-    ShardedEngineOptions sharded;
-    sharded.num_shards = options_.num_shards;
-    sharded.deterministic = options_.deterministic_shards;
-    sharded.engine = options_.engine;
-    sharded_ = std::make_unique<ShardedEngine>(db_, clock_, sharded);
-  } else {
-    engine_ = std::make_unique<RunTimeEngine>(db_, clock_, options_.engine);
-  }
+  ShardedEngineOptions sharded;
+  sharded.num_shards = options_.num_shards;
+  // A single lane has only one possible order: it runs on the calling
+  // thread, with no rings and no worker.
+  sharded.deterministic =
+      options_.deterministic_shards || options_.num_shards <= 1;
+  sharded.engine = options_.engine;
+  sharded_ = std::make_unique<ShardedEngine>(db_, clock_, sharded);
   // The observer hook: DAMOCLES watches the repository, designers never
   // talk to the tracking system directly.
   workspace_.AddObserver([this](const metadb::WorkspaceNotification& note) {
     if (note.action != metadb::WorkspaceAction::kCheckIn) return;
-    if (sharded_ != nullptr) {
-      sharded_->OnCreateObject(note.oid.block, note.oid.view, note.user);
-    } else {
-      engine_->OnCreateObject(note.oid.block, note.oid.view, note.user);
-    }
+    sharded_->OnCreateObject(note.oid.block, note.oid.view, note.user);
     events::EventMessage event;
     event.name = "ckin";
     event.direction = options_.checkin_direction;
@@ -90,7 +83,7 @@ ProjectServer::ProjectServer(std::string project_name, ServerOptions options)
     event.user = note.user;
     event.timestamp = note.timestamp;
     event.origin = events::EventOrigin::kExternal;
-    PostToEngine(std::move(event));
+    sharded_->PostEvent(std::move(event));
   });
 
   if (plan.have_checkpoint) {
@@ -115,17 +108,14 @@ ProjectServer::ProjectServer(std::string project_name, ServerOptions options)
       replaying_ = false;
     }
     for (const metadb::RecoveredStream& stream : plan.streams) {
-      events::EventJournal* journal = JournalForStream(stream.name);
-      if (journal == nullptr) continue;
+      events::EventJournal& journal = JournalForStream(stream.name);
       for (const events::WalRestoredRow& row : stream.rows) {
-        journal->Record(row.event);
+        journal.Record(row.event);
       }
     }
-    if (sharded_ != nullptr) {
-      sharded_->RestoreEpochCeiling(
-          plan.manifest.epoch_next,
-          static_cast<size_t>(plan.manifest.epoch_waves));
-    }
+    sharded_->RestoreEpochCeiling(
+        plan.manifest.epoch_next,
+        static_cast<size_t>(plan.manifest.epoch_waves));
     recovered_checkpoint_ = true;
     recovered_checkpoint_id_ = plan.manifest.checkpoint_id;
     recovered_op_seq_ = plan.manifest.op_seq;
@@ -163,27 +153,24 @@ void ProjectServer::StopCheckpointWorker() {
   checkpoint_thread_.join();
 }
 
-events::EventJournal* ProjectServer::JournalForStream(
+events::EventJournal& ProjectServer::JournalForStream(
     const std::string& name) {
-  if (sharded_ == nullptr) {
-    return &engine_->mutable_journal();
-  }
   const auto parse_index = [&name](std::string_view prefix, size_t& out) {
     return StartsWith(name, prefix) &&
            ParseWhole(std::string_view(name).substr(prefix.size()), out);
   };
   size_t index = 0;
   if (parse_index("shard", index) && index < sharded_->num_shards()) {
-    return &sharded_->shard(static_cast<uint32_t>(index)).mutable_journal();
+    return sharded_->shard(static_cast<uint32_t>(index)).mutable_journal();
   }
   if (parse_index("steal", index) &&
       index < sharded_->steal_journal_count()) {
-    return &sharded_->steal_journal(index);
+    return sharded_->steal_journal(index);
   }
   // Config drift (fewer shards / steal contexts than the checkpointing
   // process had): fold leftovers into shard 0 — the journal multiset
   // across all streams is what recovery preserves.
-  return &sharded_->shard(0).mutable_journal();
+  return sharded_->shard(0).mutable_journal();
 }
 
 void ProjectServer::AttachWal() {
@@ -196,9 +183,7 @@ void ProjectServer::AttachWal() {
     wal.segment_bytes = options_.wal_segment_bytes;
     wal.fsync = options_.wal_fsync;
     wal.observer = options_.wal_observer;
-    if (sharded_ != nullptr) {
-      wal.epoch_floor = [this] { return sharded_->stats().claim_purge_floor; };
-    }
+    wal.epoch_floor = [this] { return sharded_->stats().claim_purge_floor; };
     return std::make_unique<events::WalWriter>(std::move(wal));
   };
 
@@ -210,17 +195,13 @@ void ProjectServer::AttachWal() {
     sink_journals_.push_back(&journal);
     row_writers_.push_back(std::move(writer));
   };
-  if (sharded_ != nullptr) {
-    for (uint32_t i = 0; i < sharded_->num_shards(); ++i) {
-      attach(sharded_->shard(i).mutable_journal(),
-             make_writer("shard" + std::to_string(i), i));
-    }
-    for (size_t i = 0; i < sharded_->steal_journal_count(); ++i) {
-      attach(sharded_->steal_journal(i),
-             make_writer("steal" + std::to_string(i), 0));
-    }
-  } else {
-    attach(engine_->mutable_journal(), make_writer("shard0", 0));
+  for (uint32_t i = 0; i < sharded_->num_shards(); ++i) {
+    attach(sharded_->shard(i).mutable_journal(),
+           make_writer("shard" + std::to_string(i), i));
+  }
+  for (size_t i = 0; i < sharded_->steal_journal_count(); ++i) {
+    attach(sharded_->steal_journal(i),
+           make_writer("steal" + std::to_string(i), 0));
   }
 }
 
@@ -467,11 +448,7 @@ uint64_t ProjectServer::WalReopen() {
   }
   // Quiesce the engine without touching the wedged writers (FlushWal
   // no-ops while degraded; the sinks are fail-soft).
-  if (sharded_ != nullptr) {
-    sharded_->Drain();
-  } else {
-    engine_->ProcessAll();
-  }
+  sharded_->Drain();
   // Discard the writers and their buffered tails. Anything buffered but
   // not durable is unrecoverable through a failing fd anyway; the
   // checkpoint below re-captures it from memory.
@@ -585,10 +562,8 @@ ProjectServer::CheckpointCut ProjectServer::BuildCheckpointCut(
   cut.op_seq = op_seq_;
   cut.ops_offset = ops_writer_->logical_end();
   cut.clock_seconds = clock_.NowSeconds();
-  if (sharded_ != nullptr) {
-    cut.epoch_next = sharded_->epoch_ceiling();
-    cut.epoch_waves = sharded_->stats().wave_epochs;
-  }
+  cut.epoch_next = sharded_->epoch_ceiling();
+  cut.epoch_waves = sharded_->stats().wave_epochs;
   cut.blueprint_text = blueprint_text_;
   cut.workspace_text = metadb::SaveWorkspaceText(workspace_);
   // Only serialized once versions exist, so pre-versioning WAL
@@ -775,25 +750,13 @@ size_t ProjectServer::RecoverFrom(const std::string& dir) {
   return applied;
 }
 
-void ProjectServer::PostToEngine(events::EventMessage event) {
-  if (sharded_ != nullptr) {
-    sharded_->PostEvent(std::move(event));
-  } else {
-    engine_->PostEvent(std::move(event));
-  }
-}
-
 void ProjectServer::InstallBlueprintRules(std::string_view rule_file_text,
                                           uint64_t version_id) {
-  blueprint::Blueprint parsed = blueprint::ParseBlueprint(rule_file_text);
-  if (sharded_ != nullptr) {
-    sharded_->LoadBlueprint(parsed, version_id);
-  } else {
-    engine_->LoadBlueprint(std::move(parsed), version_id);
-  }
-  // Retemplating only mutates the shared meta-database (observers keep
-  // every shard index in step), so shard 0's engine covers both modes.
-  if (options_.retemplate_on_init) engine().RetemplateLinks();
+  sharded_->LoadBlueprint(blueprint::ParseBlueprint(rule_file_text),
+                          version_id);
+  // Retemplating only mutates the shared meta-database (lane 0's
+  // engine keeps the shared index in step), so shard 0's engine does it.
+  engine().RetemplateLinks();
   blueprint_text_ = std::string(rule_file_text);
 }
 
@@ -902,7 +865,7 @@ metadb::Oid ProjectServer::CheckIn(std::string_view block,
   EnforcePolicy(policy::Operation::kCheckIn, user, view, block);
   // Batch mode: waves posted earlier may still run; the check-in below
   // mutates the workspace and the database they read.
-  if (sharded_ != nullptr) sharded_->AwaitQuiescence();
+  sharded_->AwaitQuiescence();
   const metadb::Oid oid =
       workspace_.CheckIn(block, view, content, user, clock_.NowSeconds());
   if (logging()) {
@@ -933,9 +896,7 @@ metadb::LinkId ProjectServer::RegisterLink(metadb::LinkKind kind,
     throw NotFoundError("RegisterLink: unknown endpoint " +
                         FormatOid(!from_id.has_value() ? from : to));
   }
-  const metadb::LinkId link =
-      sharded_ != nullptr ? sharded_->OnCreateLink(kind, *from_id, *to_id)
-                          : engine_->OnCreateLink(kind, *from_id, *to_id);
+  const metadb::LinkId link = sharded_->OnCreateLink(kind, *from_id, *to_id);
   if (logging()) {
     LogOp(/*pre_apply=*/false, [&](uint64_t seq) {
       ops_writer_->AppendLinkOp(seq, static_cast<uint8_t>(kind), from, to);
@@ -954,7 +915,7 @@ metadb::ConfigId ProjectServer::SaveConfigurationAt(std::string_view name,
   RequireWritable();
   // Batch mode: waves posted earlier may still write the properties
   // captured here.
-  if (sharded_ != nullptr) sharded_->AwaitQuiescence();
+  sharded_->AwaitQuiescence();
   const metadb::ConfigId id = db_.SaveConfiguration(
       metadb::BuildFullCheckpoint(db_, std::string(name), timestamp));
   if (logging()) {
@@ -987,14 +948,13 @@ void ProjectServer::Submit(events::EventMessage event) {
     LogOp(/*pre_apply=*/true,
           [&](uint64_t seq) { ops_writer_->AppendEventOp(seq, event); });
   }
-  PostToEngine(std::move(event));
+  sharded_->PostEvent(std::move(event));
   if (options_.auto_drain) Drain();
   MaybeAutoCheckpoint();
 }
 
 size_t ProjectServer::Drain() {
-  const size_t processed =
-      sharded_ != nullptr ? sharded_->Drain() : engine_->ProcessAll();
+  const size_t processed = sharded_->Drain();
   FlushWal();
   return processed;
 }
@@ -1002,7 +962,7 @@ size_t ProjectServer::Drain() {
 void ProjectServer::AdvanceClock(int64_t seconds) {
   RequireWritable();
   // Running waves read the clock (rule-posted event timestamps).
-  if (sharded_ != nullptr) sharded_->AwaitQuiescence();
+  sharded_->AwaitQuiescence();
   clock_.Advance(seconds);
   if (logging()) {
     LogOp(/*pre_apply=*/false, [this](uint64_t seq) {

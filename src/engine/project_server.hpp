@@ -1,7 +1,7 @@
 // The DAMOCLES project server (paper Fig. 1).
 //
-// Owns the meta-database, the run-time engine, the simulated clock and
-// one workspace, and wires them together:
+// Owns the meta-database, the (sharded) run-time engine, the simulated
+// clock and one workspace, and wires them together:
 //  * workspace check-ins are observed (non-obstructively) and turned
 //    into meta-data registration plus a `ckin` event;
 //  * wrapper programs submit textual `postEvent` lines over the
@@ -45,15 +45,19 @@ enum class CheckpointMode { kFull, kDelta };
 /// Server configuration.
 struct ServerOptions {
   EngineOptions engine;
-  /// Number of engine shards. 1 (default) runs the plain single-thread
-  /// RunTimeEngine; >1 backs the server with a ShardedEngine so
-  /// submitted events flow through the lock-free sharded intake rings
-  /// and execute on the worker pool. Structural operations (check-in
-  /// registration, link registration, blueprint loads) remain
-  /// single-writer: the session mux serializes all mutations onto its
-  /// apply thread.
+  /// Number of engine shards. Every server runs a ShardedEngine. With
+  /// 1 (default) its single lane runs on the calling thread: one lane
+  /// has one possible order, so there are no intake rings and no worker
+  /// thread, and the journal is byte-identical to a plain
+  /// RunTimeEngine's. With more, submitted events flow through the
+  /// lock-free sharded intake rings and execute on the worker pool.
+  /// Structural operations (check-in registration, link registration,
+  /// blueprint loads) remain single-writer: the session mux serializes
+  /// all mutations onto its apply thread.
   uint32_t num_shards = 1;
-  /// Forwarded to the ShardedEngine when num_shards > 1.
+  /// Runs more than one shard on the calling thread too, in the
+  /// sharded engine's deterministic (wave epoch, intake ticket) order
+  /// (differential testing). One shard always runs that way.
   bool deterministic_shards = false;
   /// Direction stamped on auto-posted ckin events; the paper's sample
   /// command uses `up` ("postEvent ckin up reg,verilog,4 ...").
@@ -61,11 +65,6 @@ struct ServerOptions {
   /// Process the queue after every submitted event (interactive mode)
   /// instead of waiting for an explicit Drain() (batch mode).
   bool auto_drain = true;
-  /// On InitializeBlueprint, re-apply the new link templates to every
-  /// existing link (PROPAGATE / TYPE / carry). This makes switching
-  /// between loose and strict blueprints effective for data created
-  /// under the previous phase (paper §3.2).
-  bool retemplate_on_init = true;
 
   // --- Durability (write-ahead log; see events/wal.hpp) ------------------
 
@@ -81,8 +80,6 @@ struct ServerOptions {
   /// After k consecutive failed checkpoints the next automatic attempt
   /// waits N × 2^min(k, 4) more operations; a commit resets k.
   size_t checkpoint_every_ops = 0;
-  /// Recover from wal_dir contents at construction (default on).
-  bool auto_recover = true;
   /// Crash-harness hook observing durable extents; not owned.
   events::WalAppendObserver* wal_observer = nullptr;
   /// WAL append/flush/fsync failures retry on this jittered-exponential
@@ -176,7 +173,11 @@ class ProjectServer {
   const std::string& project_name() const noexcept { return project_name_; }
 
   /// Initializes (or re-initializes, between project phases) the
-  /// blueprint from rule-file text. Throws ParseError on bad input.
+  /// blueprint from rule-file text, and re-applies the new link
+  /// templates (PROPAGATE / TYPE / carry) to every existing link, so
+  /// switching between loose and strict blueprints takes effect for
+  /// data created under the previous phase (paper §3.2). Throws
+  /// ParseError on bad input.
   /// The text is adopted into the policy store as a directly installed
   /// (already promoted) version, keeping the commit chain complete.
   void InitializeBlueprint(std::string_view rule_file_text);
@@ -186,10 +187,10 @@ class ProjectServer {
   // The gated path to changing the live rule set:
   //   PolicyPropose -> PolicyValidate -> PolicyPromote -> PolicyRollback
   // Promotion and rollback recompile the chosen version through the
-  // compiled-rules generation counter, so live engines (plain or
-  // sharded) rebind per-OID rule caches lazily — no stop-the-world
-  // reload. All four are durable structural operations: they append to
-  // the WAL post-apply and replay through the same methods.
+  // compiled-rules generation counter, so every shard's engine rebinds
+  // per-OID rule caches lazily — no stop-the-world reload. All four are
+  // durable structural operations: they append to the WAL post-apply
+  // and replay through the same methods.
 
   /// Registers a candidate rule file. Throws ParseError on malformed
   /// text; never touches the live engines. Returns the version id.
@@ -321,20 +322,12 @@ class ProjectServer {
   metadb::MetaDatabase& database() noexcept { return db_; }
   const metadb::MetaDatabase& database() const noexcept { return db_; }
 
-  /// The engine behind the server: the plain engine, or shard 0 of the
-  /// sharded engine (template application and retemplating delegate to
-  /// shard 0, so it is the structural-operation peer either way).
-  RunTimeEngine& engine() noexcept {
-    return sharded_ != nullptr ? sharded_->shard(0) : *engine_;
-  }
-  const RunTimeEngine& engine() const noexcept {
-    return sharded_ != nullptr ? sharded_->shard(0) : *engine_;
-  }
+  /// Shard 0's engine (template application and retemplating delegate
+  /// to it, so it is the structural-operation peer).
+  RunTimeEngine& engine() noexcept { return sharded_->shard(0); }
+  const RunTimeEngine& engine() const noexcept { return sharded_->shard(0); }
 
-  /// True when events flow through the sharded intake rings.
-  bool is_sharded() const noexcept { return sharded_ != nullptr; }
-
-  /// The sharded backend, or nullptr when num_shards == 1.
+  /// The engine behind the server, at every shard count (never null).
   ShardedEngine* sharded_engine() noexcept { return sharded_.get(); }
   const ShardedEngine* sharded_engine() const noexcept {
     return sharded_.get();
@@ -348,9 +341,6 @@ class ProjectServer {
   void EnforcePolicy(policy::Operation operation, std::string_view user,
                      std::string_view view, std::string_view block) const;
 
-  /// Routes one event to the plain engine or the sharded intake rings.
-  void PostToEngine(events::EventMessage event);
-
   /// Parses `rule_file_text` and installs it into the live engines,
   /// stamping the compiled rules with `version_id` so bindings rebind.
   /// Shared by InitializeBlueprint, promote/rollback and the recovery
@@ -362,9 +352,8 @@ class ProjectServer {
 
   /// The journal a WAL row stream mirrors ("shard<K>" -> lane K,
   /// "steal<K>" -> steal context K; unknown names fold into shard 0 so
-  /// a config change never loses restored rows). Null only when the
-  /// stream index is out of range and no fallback exists.
-  events::EventJournal* JournalForStream(const std::string& name);
+  /// a config change never loses restored rows).
+  events::EventJournal& JournalForStream(const std::string& name);
 
   /// Creates the ops + row writers and attaches the journal sinks.
   void AttachWal();
@@ -507,8 +496,7 @@ class ProjectServer {
   ServerOptions options_;
   SimClock clock_;
   metadb::MetaDatabase db_;
-  std::unique_ptr<RunTimeEngine> engine_;   ///< num_shards == 1.
-  std::unique_ptr<ShardedEngine> sharded_;  ///< num_shards > 1.
+  std::unique_ptr<ShardedEngine> sharded_;
   metadb::Workspace workspace_;
   policy::PolicyEngine* policy_ = nullptr;
   policy::PolicyStore policy_store_;

@@ -147,14 +147,13 @@ void SessionMux::ApplyLoop() {
     static_cast<void>(DAMOCLES_FAILPOINT("mux.apply.stall", &stall));
 
     // The single-writer step: the session's writer-side WireSession
-    // applies the mutation (events drain through the plain engine or
-    // the sharded intake rings, per the server's configuration)...
+    // applies the mutation (events drain through the server's sharded
+    // engine)...
     std::string response = pending.session->writer_.HandleLine(pending.line);
 
-    // ...and the next epoch makes it visible to every reader at once.
-    const uint64_t epoch = options_.publish_each_mutation
-                               ? server_.database().PublishSnapshot().epoch()
-                               : server_.database().snapshot_epoch();
+    // ...and the next epoch makes it visible to every reader at once
+    // (one epoch per mutation, which the differential tests rely on).
+    const uint64_t epoch = server_.database().PublishSnapshot().epoch();
 
     {
       std::lock_guard<std::mutex> lock(log_mutex_);

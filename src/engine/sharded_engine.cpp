@@ -842,6 +842,7 @@ metadb::LinkId ShardedEngine::OnCreateLink(metadb::LinkKind kind, OidId from,
 // --- Intake -----------------------------------------------------------------
 
 uint32_t ShardedEngine::ShardOfTarget(const Oid& target) const {
+  if (num_shards_ == 1) return 0;
   if (const std::optional<OidId> id = db_.FindObject(target)) {
     return shard_map_.ShardOf(*id);
   }

@@ -74,8 +74,11 @@
 // The journal is the synchronization point: each shard engine journals
 // its own deliveries under dense per-shard sequence numbers, and the
 // merged views below stitch them together. Differential guarantees:
-//  * num_shards = 1 is journal-byte-identical to the plain engine
-//    (no router is installed, so not even the Owns() probe is paid);
+//  * num_shards = 1 is journal-byte-identical to a plain RunTimeEngine
+//    (no router is installed, so not even the Owns() probe is paid, and
+//    intake skips the shard lookup). ProjectServer runs every server on
+//    this class and runs one shard deterministically: a single lane
+//    has one possible order, so it needs no ring and no worker thread;
 //  * for N > 1 the multiset of journal records equals the 1-shard run
 //    — including reconvergent topologies where one wave reaches an OID
 //    through two shards (the epoch claim delivers it once); only the
@@ -119,8 +122,8 @@ namespace damocles::engine {
 
 /// Tuning knobs for the sharded engine.
 struct ShardedEngineOptions {
-  /// Number of shards (and worker threads). 1 reproduces the plain
-  /// engine exactly.
+  /// Number of shards (and worker threads). 1 reproduces a plain
+  /// RunTimeEngine's journal exactly.
   uint32_t num_shards = 1;
 
   /// Execute tasks on the calling thread in global intake-ticket order

@@ -32,6 +32,10 @@ struct ScheduledRun {
 /// Binds blueprint exec-rules to the simulated tool suite.
 class ToolScheduler {
  public:
+  /// Installs the script executor on the server's engine. Throws Error
+  /// when the server has more than one shard: scripts run only on a
+  /// one-shard server, whose every exec rule fires on the calling
+  /// thread.
   explicit ToolScheduler(engine::ProjectServer& server);
 
   /// Registers the standard EDTC tool scripts:

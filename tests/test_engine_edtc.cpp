@@ -1,6 +1,10 @@
 // Integration: the paper's §3.4 EDTC scenario, end to end.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "query/query.hpp"
 #include "query/report.hpp"
 #include "test_util.hpp"
@@ -191,6 +195,20 @@ TEST_F(EdtcScenarioTest, ScenarioIsDeterministic) {
   }
   EXPECT_EQ(server_->engine().journal().Dump(),
             server2->engine().journal().Dump());
+}
+
+TEST_F(EdtcScenarioTest, JournalMatchesGolden) {
+  // The scenario's scripts check data in and drain from inside a wave,
+  // so the nested drain's order is part of what this pins. The golden
+  // dump is the journal of the plain single-queue engine.
+  workload::RunEdtcScenario(*server_, scheduler_);
+  const std::string path = std::string(DAMOCLES_SOURCE_DIR) +
+                           "/tests/data/edtc_scenario_journal.txt";
+  std::ifstream golden(path);
+  ASSERT_TRUE(golden.is_open()) << path;
+  std::stringstream expected;
+  expected << golden.rdbuf();
+  EXPECT_EQ(server_->engine().journal().Dump(), expected.str());
 }
 
 TEST(EdtcLoosened, LoosenedBlueprintLimitsPropagation) {

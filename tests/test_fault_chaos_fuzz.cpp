@@ -327,18 +327,8 @@ struct Fingerprint {
 
 Fingerprint Capture(ProjectServer& server) {
   Fingerprint fp;
-  if (server.is_sharded()) {
-    fp.journal = server.sharded_engine()->JournalLines();
-    fp.epoch_ceiling = server.sharded_engine()->epoch_ceiling();
-  } else {
-    const events::EventJournal& journal = server.engine().journal();
-    for (size_t i = 0; i < journal.Size(); ++i) {
-      const events::JournalRecord record = journal.At(i);
-      fp.journal.push_back(
-          "[" + std::string(events::EventOriginName(record.event.origin)) +
-          "] " + events::FormatEvent(record.event));
-    }
-  }
+  fp.journal = server.sharded_engine()->JournalLines();
+  fp.epoch_ceiling = server.sharded_engine()->epoch_ceiling();
   std::sort(fp.journal.begin(), fp.journal.end());
   fp.db_text = metadb::SaveDatabaseString(server.database());
   fp.workspace_text = metadb::SaveWorkspaceText(server.workspace());
@@ -461,7 +451,7 @@ void RunSeed(uint64_t seed) {
         "chaos", MakeOptions(seed, chaos_dir.string()));
     server->InitializeBlueprint(kChaosBlueprint);
     for (const Step& step : plan) {
-      MaybeArmFault(chaos, seed, server->is_sharded());
+      MaybeArmFault(chaos, seed, server->sharded_engine()->num_shards() > 1);
       for (int attempt = 0;; ++attempt) {
         ASSERT_LT(attempt, 5) << "seed " << seed << ": step keeps failing";
         try {

@@ -345,7 +345,7 @@ TEST(FlatMetaObjectInterning, ThreadedShardsReadersAndNewBlocks) {
   engine::ServerOptions options;
   options.num_shards = 4;
   engine::ProjectServer server("flat-tsan", options);
-  ASSERT_TRUE(server.is_sharded());
+  ASSERT_EQ(server.sharded_engine()->num_shards(), 4u);
   server.InitializeBlueprint(kFlatBlueprint);
   engine::SessionMux mux(server);
   auto writer = mux.Connect("zoe");

@@ -222,15 +222,8 @@ TEST(InternedHotPath, WireEventNamesDoNotGrowTheSymbolTable) {
     EXPECT_EQ(server.database().FindSymbol("undeclared7"),
               SymbolTable::kNoSymbol)
         << label;
-    std::vector<std::string> lines;
-    if (server.is_sharded()) {
-      lines = server.sharded_engine()->JournalLines();
-    } else {
-      const events::EventJournal& journal = server.engine().journal();
-      for (size_t i = 0; i < journal.Size(); ++i) {
-        lines.push_back(events::FormatEvent(journal.At(i).event));
-      }
-    }
+    const std::vector<std::string> lines =
+        server.sharded_engine()->JournalLines();
     size_t journaled = 0;
     for (const std::string& line : lines) {
       if (line.find("undeclared") != std::string::npos) ++journaled;

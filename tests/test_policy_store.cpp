@@ -214,18 +214,7 @@ void BuildHierarchy(ProjectServer& server) {
 }
 
 std::vector<std::string> CaptureJournal(ProjectServer& server) {
-  std::vector<std::string> lines;
-  if (server.is_sharded()) {
-    lines = server.sharded_engine()->JournalLines();
-  } else {
-    const events::EventJournal& journal = server.engine().journal();
-    for (size_t i = 0; i < journal.Size(); ++i) {
-      const events::JournalRecord record = journal.At(i);
-      lines.push_back(
-          "[" + std::string(events::EventOriginName(record.event.origin)) +
-          "] " + events::FormatEvent(record.event));
-    }
-  }
+  std::vector<std::string> lines = server.sharded_engine()->JournalLines();
   std::sort(lines.begin(), lines.end());
   return lines;
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <iterator>
+
 #include "common/error.hpp"
 #include "test_util.hpp"
 #include "workload/edtc.hpp"
@@ -65,10 +68,34 @@ TEST(ProjectServer, BatchModeQueuesUntilDrain) {
   // ckin queued but unprocessed: uptodate not yet assigned by rules —
   // the template default is there, but the journal is empty.
   EXPECT_EQ(server->engine().journal().Size(), 0u);
-  EXPECT_EQ(server->engine().queue().Depth(), 1u);
+  const ShardedStats queued = server->sharded_engine()->stats();
+  EXPECT_EQ(queued.events_posted, 1u);
+  EXPECT_EQ(queued.tasks_processed, 0u);
 
   EXPECT_EQ(server->Drain(), 1u);
   EXPECT_EQ(server->engine().journal().Size(), 1u);
+  EXPECT_EQ(server->sharded_engine()->stats().tasks_processed, 1u);
+}
+
+TEST(ProjectServer, OneShardServerStartsNoEngineThread) {
+  const std::filesystem::path tasks = "/proc/self/task";
+  if (!std::filesystem::exists(tasks)) GTEST_SKIP() << "no " << tasks;
+  const auto threads = [&tasks] {
+    return std::distance(std::filesystem::directory_iterator(tasks),
+                         std::filesystem::directory_iterator());
+  };
+  const auto before = threads();
+  {
+    // One lane runs on the calling thread.
+    auto server = MakeEdtcServer();
+    server->CheckIn("CPU", "HDL_model", "m", "alice");
+    EXPECT_EQ(threads(), before);
+  }
+  // The probe sees a multi-shard server's workers.
+  ServerOptions options;
+  options.num_shards = 2;
+  auto sharded = MakeEdtcServer(options);
+  EXPECT_GT(threads(), before);
 }
 
 TEST(ProjectServer, CheckinDirectionIsConfigurable) {

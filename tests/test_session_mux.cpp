@@ -561,7 +561,7 @@ TEST(SessionMuxDifferentialTest, ShardedServerMatchesSerializedReplay) {
   ServerOptions options;
   options.num_shards = 4;
   auto server = MakeEdtcServer(options);
-  ASSERT_TRUE(server->is_sharded());
+  ASSERT_EQ(server->sharded_engine()->num_shards(), 4u);
 
   std::vector<MuxLogEntry> log;
   {

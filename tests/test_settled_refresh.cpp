@@ -129,12 +129,8 @@ PropertyMap Recompute(const blueprint::Blueprint& blueprint,
 /// Every engine of `server` that executes deliveries.
 std::vector<const RunTimeEngine*> Engines(const ProjectServer& server) {
   std::vector<const RunTimeEngine*> engines;
-  if (server.is_sharded()) {
-    server.sharded_engine()->ForEachEngine(
-        [&](const RunTimeEngine& engine) { engines.push_back(&engine); });
-  } else {
-    engines.push_back(&server.engine());
-  }
+  server.sharded_engine()->ForEachEngine(
+      [&](const RunTimeEngine& engine) { engines.push_back(&engine); });
   return engines;
 }
 
@@ -462,7 +458,7 @@ TEST(SettledRefresh, ThreadedShardedSessionsStayExact) {
   options.num_shards = 4;
   options.auto_drain = false;
   ProjectServer server("settled-sharded", options);
-  ASSERT_TRUE(server.is_sharded());
+  ASSERT_EQ(server.sharded_engine()->num_shards(), 4u);
   server.InitializeBlueprint(workload::MakeFlowBlueprint(flow, "settled"));
   workload::HierarchySpec spec;
   spec.depth = 3;

@@ -234,6 +234,19 @@ TEST(Scheduler, CustomScriptLedger) {
   EXPECT_EQ(scheduler.ledger()[0].exit_status, 3);
 }
 
+TEST(Scheduler, RefusesAMultiShardServer) {
+  // Exec rules fire on whichever lane delivers them; only a one-shard
+  // server runs every one of them through the installed executor.
+  engine::ServerOptions options;
+  options.num_shards = 4;
+  auto server = MakeEdtcServer(options);
+  EXPECT_THROW(ToolScheduler scheduler(*server), Error);
+
+  options.deterministic_shards = true;
+  auto deterministic = MakeEdtcServer(options);
+  EXPECT_THROW(ToolScheduler scheduler(*deterministic), Error);
+}
+
 TEST(Wrapper, PostWireGoesThroughCodec) {
   auto server = MakeEdtcServer();
   server->CheckIn("CPU", "HDL_model", "m", "alice");

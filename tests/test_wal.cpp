@@ -457,16 +457,7 @@ TEST(WalWorkspaceText, RoundTripsFilesAndVersionFloors) {
 // --- Server durability -----------------------------------------------------
 
 std::vector<std::string> ServerJournalLines(ProjectServer& server) {
-  if (server.is_sharded()) return server.sharded_engine()->JournalLines();
-  std::vector<std::string> lines;
-  const events::EventJournal& journal = server.engine().journal();
-  for (size_t i = 0; i < journal.Size(); ++i) {
-    const events::JournalRecord record = journal.At(i);
-    lines.push_back("[" +
-                    std::string(events::EventOriginName(record.event.origin)) +
-                    "] " + events::FormatEvent(record.event));
-  }
-  return lines;
+  return server.sharded_engine()->JournalLines();
 }
 
 ServerOptions DurableOptions(const std::string& wal_dir,
