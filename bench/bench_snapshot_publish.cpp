@@ -16,12 +16,24 @@
 //                            every chunk dirty: the publish shape of a
 //                            wave batch that touches most objects
 //                            (information, not gated)
+//   snapshot_publish_props1_4k
+//                            publish after one SetProperty, 4k objects
+//                            carrying 1 property each
+//   snapshot_publish_props16_4k
+//                            same, 16 properties each
 //
 // The dirty objects are spread over the database, so each publish copies
 // about 16 object chunks; what still grows with the size is the chunk
 // table copy (pointer copies) and the dirty-stamp scan. Each series
 // reports the median publish time over its repetitions. CI's Release
 // guard gates snapshot_publish_256k / snapshot_publish_1k at 10x.
+//
+// The props series price the objects' width. A dirty chunk's untouched
+// objects share their property blocks with the previous version, so
+// one write copies one block whatever the other 63 objects carry: CI's
+// Release guard gates snapshot_publish_props16_4k /
+// snapshot_publish_props1_4k at 1.5x (a chunk that deep-copied all 64
+// objects' properties measured 2.35x).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -123,6 +135,37 @@ void RunAllDirtySeries(const char* name, int objects, int reps) {
               ns > 0.0 ? 1e9 / ns : 0.0);
 }
 
+/// Median ns of `reps` publishes of `objects` objects with `properties`
+/// properties each, every publish after one SetProperty on a rotating
+/// object.
+void RunPropsSeries(const char* name, int objects, int properties, int reps) {
+  MetaDatabase db;
+  for (int i = 0; i < objects; ++i) {
+    const OidId id =
+        db.CreateObject(Oid{"blk" + std::to_string(i), "view_0", 1}, "bench", 0);
+    for (int p = 0; p < properties; ++p) {
+      db.SetProperty(id, "result_" + std::to_string(p), "not yet run");
+    }
+  }
+  db.PublishSnapshot();
+  std::vector<double> samples;
+  samples.reserve(static_cast<size_t>(reps));
+  for (int r = 0; r < reps; ++r) {
+    db.SetProperty(OidId(static_cast<uint32_t>((r * 7919) % objects)),
+                   "result_0", std::to_string(r));
+    const auto start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(db.PublishSnapshot());
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    samples.push_back(
+        std::chrono::duration<double, std::nano>(elapsed).count());
+  }
+  std::nth_element(samples.begin(), samples.begin() + reps / 2, samples.end());
+  const double ns = samples[static_cast<size_t>(reps / 2)];
+  damocles::benchutil::AddBenchJson(name, ns, ns > 0.0 ? 1e9 / ns : 0.0);
+  std::printf("%-24s %10d %14.1f %16.1f\n", name, objects, ns,
+              ns > 0.0 ? 1e9 / ns : 0.0);
+}
+
 void BM_PublishAfterOneWrite(benchmark::State& state) {
   const int objects = static_cast<int>(state.range(0));
   MetaDatabase db;
@@ -155,6 +198,8 @@ int main(int argc, char** argv) {
   // full runs only.
   if (!smoke) RunSeries("snapshot_publish_1m", 1 << 20, reps / 4, false);
   RunAllDirtySeries("snapshot_publish_all_dirty_4k", 1 << 12, reps);
+  RunPropsSeries("snapshot_publish_props1_4k", 1 << 12, 1, reps * 5);
+  RunPropsSeries("snapshot_publish_props16_4k", 1 << 12, 16, reps * 5);
   damocles::benchutil::WriteBenchJson();
   damocles::benchutil::RunBenchmarks(argc, argv);
   return 0;

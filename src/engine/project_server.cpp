@@ -720,6 +720,10 @@ WalStatus ProjectServer::GetWalStatus() const {
   status.chain_length = static_cast<size_t>(
       committed_chain_length_.load(std::memory_order_relaxed));
   status.background = options_.background_checkpoints;
+  {
+    std::lock_guard<std::mutex> lock(checkpoint_mutex_);
+    status.checkpoint_in_flight = checkpoint_busy_;
+  }
   status.retain_segments = options_.wal_retain_segments;
   status.segments_pruned = segments_pruned_.load(std::memory_order_relaxed);
   status.bytes_pruned = bytes_pruned_.load(std::memory_order_relaxed);

@@ -152,6 +152,8 @@ struct WalStatus {
   uint64_t chain_base_id = 0;       ///< Full checkpoint anchoring the chain.
   size_t chain_length = 0;          ///< Manifests in the chain (1 = full only).
   bool background = false;          ///< Auto-checkpoints do not wait.
+  /// A cut is pending or being written on the checkpoint thread.
+  bool checkpoint_in_flight = false;
   int retain_segments = -1;         ///< Retention knob (-1 = never prune).
   uint64_t segments_pruned = 0;     ///< WAL segments removed by retention.
   uint64_t bytes_pruned = 0;        ///< Bytes those segments held.
@@ -549,7 +551,7 @@ class ProjectServer {
 
   // The checkpoint thread (every durable server runs it). One cut
   // pending or in flight at a time; only the apply thread enqueues.
-  std::mutex checkpoint_mutex_;
+  mutable std::mutex checkpoint_mutex_;
   std::condition_variable checkpoint_cv_;
   std::thread checkpoint_thread_;
   bool checkpoint_shutdown_ = false;

@@ -542,11 +542,19 @@ struct ShardedEngine::Lane {
   /// lane has stealable work.
   std::atomic<size_t> queued_subwaves{0};
 
-  /// Deterministic-mode storage: tasks keyed by (order epoch, ticket),
-  /// so the scheduler's pick is one begin() away — O(log n) per push
-  /// and pop instead of a deque scan. Tickets are globally unique, so
-  /// keys never collide.
-  std::map<std::pair<uint64_t, uint64_t>, Task> ordered;
+  /// Deterministic-mode storage: a min-heap of tasks by (order epoch,
+  /// ticket) over a reused vector, so the scheduler's pick is front()
+  /// and a push or pop allocates nothing once the vector has grown.
+  /// Tickets are globally unique, so keys never tie and the pop order is
+  /// the keys' order.
+  std::vector<Task> ordered;
+
+  /// Heap order for `ordered`: std::push_heap keeps the largest on top,
+  /// so "less" here is "later".
+  static bool Later(const Task& a, const Task& b) noexcept {
+    return std::make_pair(a.order_epoch, a.ticket) >
+           std::make_pair(b.order_epoch, b.ticket);
+  }
 
   bool HasWork() {
     if (ring != nullptr && !ring->Empty()) return true;
@@ -559,8 +567,8 @@ struct ShardedEngine::Lane {
   void Push(Task&& task, std::atomic<size_t>& overflow_counter) {
     if (ring == nullptr) {  // Deterministic mode.
       std::lock_guard<std::mutex> lock(overflow.mutex);
-      const auto key = std::make_pair(task.order_epoch, task.ticket);
-      ordered.emplace(key, std::move(task));
+      ordered.push_back(std::move(task));
+      std::push_heap(ordered.begin(), ordered.end(), Later);
       return;
     }
     const bool sub = task.kind == Task::Kind::kSeededWave;
@@ -595,7 +603,7 @@ struct ShardedEngine::Lane {
   bool PeekBest(std::pair<uint64_t, uint64_t>& key) {
     std::lock_guard<std::mutex> lock(overflow.mutex);
     if (ordered.empty()) return false;
-    key = ordered.begin()->first;
+    key = std::make_pair(ordered.front().order_epoch, ordered.front().ticket);
     return true;
   }
 
@@ -604,8 +612,9 @@ struct ShardedEngine::Lane {
   /// tasks jump the line, which a single-threaded drain may freely do.
   void PopBest(Task& out) {
     std::lock_guard<std::mutex> lock(overflow.mutex);
-    out = std::move(ordered.begin()->second);
-    ordered.erase(ordered.begin());
+    std::pop_heap(ordered.begin(), ordered.end(), Later);
+    out = std::move(ordered.back());
+    ordered.pop_back();
   }
 };
 

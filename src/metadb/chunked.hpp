@@ -1,23 +1,33 @@
 // Chunked storage for the meta-database: the layout that lets a
 // published snapshot share everything a write did not touch.
 //
-// Every MetaDatabase table lives in fixed-size pieces behind shared_ptr:
+// Every MetaDatabase table lives in fixed-size, refcounted pieces:
 //  * ChunkedVector<T> — a dense slot array split into chunks of
 //    kChunkSize consecutive slots (objects, links, configurations,
-//    adjacency, symbol texts);
+//    adjacency, symbol texts), owned in pages of kChunkSize chunks;
 //  * PartitionedIndex<K, V, Hash> — a hash map split into
 //    kPartitions independent maps by key hash (the lookup indexes).
 //
 // Ownership rule: the LIVE database owns its pieces alone and mutates
 // them in place; no live piece is ever handed to a frozen version. A
 // publish builds the frozen version with Freeze(): it starts from the
-// previous frozen version's piece table (pointer copies) and replaces
+// previous frozen version's piece table (plain pointer copies, plus one
+// reference per page of chunks) and replaces
 // only the pieces the DirtyTracker marked since the previous publish
 // with fresh copies of the live pieces. Frozen pieces are therefore
 // shared between published versions only, never with the live
 // database, so the write path needs no refcount check and no clone —
 // which matters because shard workers of disjoint shards write
 // properties concurrently.
+//
+// The object table goes one level deeper: MetaDatabase::FreezeVersion
+// hands Freeze() a chunk builder that rebuilds a dirty object chunk
+// slot by slot. Every object's plain fields are copied, but an object
+// the tracker did not mark since the previous publish shares that
+// version's property block (metadb/meta_object.hpp's PropertyList), and
+// only the marked ones copy the live block. The same rule holds per
+// block: frozen versions share blocks with each other, never with the
+// live database.
 //
 // Element references stay valid across appends (chunks never move),
 // unlike a std::vector that reallocates.
@@ -40,6 +50,13 @@ inline constexpr size_t kChunkShift = DirtyTracker::kChunkShift;
 inline constexpr size_t kChunkSize = size_t{1} << kChunkShift;
 
 /// A dense slot array stored as shared fixed-size chunks.
+///
+/// Reads go through a flat table of raw chunk pointers. Ownership sits
+/// beside it in pages of kChunkSize chunk references, and versions
+/// share whole pages: a freeze copies the flat table (plain pointers)
+/// and one reference per page, and clones only the pages holding a
+/// replaced chunk. Per-chunk references would make every publish touch
+/// every chunk's refcount, which grows with the database.
 template <typename T>
 class ChunkedVector {
  public:
@@ -58,7 +75,7 @@ class ChunkedVector {
   /// Appends `value`, opening a new chunk at every kChunkSize boundary.
   void push_back(T value) {
     if ((size_ & (kChunkSize - 1)) == 0) {
-      chunks_.push_back(std::make_shared<Chunk>());
+      Place(chunks_.size(), std::make_shared<Chunk>(), nullptr);
     }
     (*this)[size_] = std::move(value);
     ++size_;
@@ -68,10 +85,11 @@ class ChunkedVector {
   /// chunks.
   void Reset(size_t count) {
     chunks_.clear();
+    pages_.clear();
     const size_t chunks = (count + kChunkSize - 1) >> kChunkShift;
     chunks_.reserve(chunks);
     for (size_t c = 0; c < chunks; ++c) {
-      chunks_.push_back(std::make_shared<Chunk>());
+      Place(c, std::make_shared<Chunk>(), nullptr);
     }
     size_ = count;
   }
@@ -90,7 +108,7 @@ class ChunkedVector {
   /// Address of chunk `chunk` (nullptr past the end): two versions
   /// share a chunk exactly when the addresses are equal.
   const void* chunk_address(size_t chunk) const noexcept {
-    return chunk < chunks_.size() ? chunks_[chunk].get() : nullptr;
+    return chunk < chunks_.size() ? chunks_[chunk] : nullptr;
   }
 
   /// A frozen copy of `live`: `previous`'s chunks (null: none) shared,
@@ -99,6 +117,21 @@ class ChunkedVector {
   static ChunkedVector Freeze(const ChunkedVector* previous,
                               const ChunkedVector& live,
                               const std::vector<uint32_t>& dirty) {
+    return Freeze(previous, live, dirty,
+                  [&live](size_t c, const Chunk*, size_t) {
+                    return std::make_shared<Chunk>(*live.chunks_[c]);
+                  });
+  }
+
+  /// Freeze() with the replaced chunks built by `build(c, before,
+  /// before_used)`: `before` is `previous`'s chunk c (null past its
+  /// end) and `before_used` the slots of it in use, so a builder can
+  /// reuse what did not change inside a dirty chunk.
+  template <typename Build>
+  static ChunkedVector Freeze(const ChunkedVector* previous,
+                              const ChunkedVector& live,
+                              const std::vector<uint32_t>& dirty,
+                              Build&& build) {
     ChunkedVector frozen;
     frozen.size_ = live.size_;
     const size_t count = live.chunks_.size();
@@ -106,21 +139,54 @@ class ChunkedVector {
         previous == nullptr ? 0 : std::min(previous->chunks_.size(), count);
     frozen.chunks_.reserve(count);
     if (previous != nullptr) {
-      const auto begin = previous->chunks_.begin();
-      frozen.chunks_.assign(begin, begin + static_cast<std::ptrdiff_t>(shared));
+      const auto chunks = previous->chunks_.begin();
+      frozen.chunks_.assign(chunks, chunks + static_cast<std::ptrdiff_t>(shared));
+      const auto pages = previous->pages_.begin();
+      const size_t page_count = (shared + kChunkSize - 1) >> kChunkShift;
+      frozen.pages_.assign(pages, pages + static_cast<std::ptrdiff_t>(page_count));
     }
     for (const uint32_t c : dirty) {
       if (c >= shared) break;
-      frozen.chunks_[c] = std::make_shared<Chunk>(*live.chunks_[c]);
+      const size_t base = size_t{c} << kChunkShift;
+      frozen.Place(c,
+                   build(c, previous->chunks_[c],
+                         std::min(kChunkSize, previous->size_ - base)),
+                   previous);
     }
     for (size_t c = shared; c < count; ++c) {
-      frozen.chunks_.push_back(std::make_shared<Chunk>(*live.chunks_[c]));
+      frozen.Place(c, build(c, nullptr, 0), previous);
     }
     return frozen;
   }
 
+  /// Chunk `chunk` (which must exist).
+  const Chunk& chunk(size_t chunk) const noexcept { return *chunks_[chunk]; }
+
  private:
-  std::vector<std::shared_ptr<Chunk>> chunks_;
+  using Page = std::array<std::shared_ptr<Chunk>, kChunkSize>;
+
+  /// Stores `chunk` as chunk `c` (at most one past the end). A page
+  /// this version still shares with `previous` is cloned first:
+  /// published pages never change.
+  void Place(size_t c, std::shared_ptr<Chunk> chunk,
+             const ChunkedVector* previous) {
+    const size_t p = c >> kChunkShift;
+    if (p == pages_.size()) {
+      pages_.push_back(std::make_shared<Page>());
+    } else if (previous != nullptr && p < previous->pages_.size() &&
+               pages_[p] == previous->pages_[p]) {
+      pages_[p] = std::make_shared<Page>(*pages_[p]);
+    }
+    if (c == chunks_.size()) {
+      chunks_.push_back(chunk.get());
+    } else {
+      chunks_[c] = chunk.get();
+    }
+    (*pages_[p])[c & (kChunkSize - 1)] = std::move(chunk);
+  }
+
+  std::vector<Chunk*> chunks_;  ///< Owned through pages_.
+  std::vector<std::shared_ptr<Page>> pages_;
   size_t size_ = 0;
 };
 

@@ -83,7 +83,28 @@ DirtyChunks DirtyTracker::CutChunks() {
     const StampArray& chunks = chunks_[table];
     Collect(chunks, since, 0, chunks.size, dirty.tables[table]);
   }
+  const StampArray& slots = slots_[static_cast<size_t>(DirtyTable::kObjects)];
+  const std::vector<uint32_t>& chunks = dirty.of(DirtyTable::kObjects);
+  dirty.object_slots.reserve(chunks.size());
+  for (const uint32_t chunk : chunks) {
+    const size_t begin = size_t{chunk} << kChunkShift;
+    const size_t end = std::min(begin + (size_t{1} << kChunkShift), slots.size);
+    uint64_t mask = 0;
+    for (size_t slot = begin; slot < end; ++slot) {
+      if (slots.stamps[slot].load(std::memory_order_relaxed) >= since) {
+        mask |= uint64_t{1} << (slot - begin);
+      }
+    }
+    dirty.object_slots.push_back(mask);
+  }
   return dirty;
+}
+
+uint64_t DirtyChunks::ObjectSlotMask(uint32_t chunk) const noexcept {
+  const std::vector<uint32_t>& chunks = of(DirtyTable::kObjects);
+  const auto it = std::lower_bound(chunks.begin(), chunks.end(), chunk);
+  if (it == chunks.end() || *it != chunk) return 0;
+  return object_slots[static_cast<size_t>(it - chunks.begin())];
 }
 
 }  // namespace damocles::metadb

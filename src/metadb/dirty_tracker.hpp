@@ -12,7 +12,9 @@
 //    chunks (metadb/chunked.hpp); the publish consumer collects which
 //    CHUNKS of which table mutated since its last cut, so a published
 //    version copies only those and shares the rest with the previous
-//    version.
+//    version. Inside each dirty object chunk it also reads the 64 slot
+//    stamps, so the frozen chunk copies the property blocks of the
+//    marked objects only and shares the others' with that version.
 //
 // Both consumers read the same marks. A mark stores the current
 // generation into the slot's stamp and into its chunk's stamp, and
@@ -80,13 +82,21 @@ struct DirtySet {
 };
 
 /// The chunks (partitions, for index tables) that mutated between two
-/// publish cuts, per table, ascending.
+/// publish cuts, per table, ascending, plus which object slots inside
+/// the dirty object chunks were marked.
 struct DirtyChunks {
   std::array<std::vector<uint32_t>, kDirtyTableCount> tables;
+  /// Parallel to of(DirtyTable::kObjects): bit i of entry k is set when
+  /// slot i of that chunk was marked since the previous publish cut.
+  std::vector<uint64_t> object_slots;
 
   const std::vector<uint32_t>& of(DirtyTable table) const noexcept {
     return tables[static_cast<size_t>(table)];
   }
+
+  /// The marked-slot mask of object chunk `chunk` (0 when the chunk is
+  /// not dirty).
+  uint64_t ObjectSlotMask(uint32_t chunk) const noexcept;
 
   bool empty() const noexcept {
     for (const std::vector<uint32_t>& chunks : tables) {
@@ -102,6 +112,8 @@ class DirtyTracker {
   /// log2 of the slots per chunk; shared with the chunked tables so a
   /// slot's chunk is the same number in the tracker and the storage.
   static constexpr size_t kChunkShift = 6;
+  static_assert((size_t{1} << kChunkShift) == 64,
+                "DirtyChunks::object_slots holds a chunk's slots in 64 bits");
 
   void MarkObject(size_t slot) noexcept {
     MarkSlot(DirtyTable::kObjects, slot);
@@ -124,7 +136,9 @@ class DirtyTracker {
   DirtySet Cut(uint64_t since);
 
   /// Publish consumer: collects every chunk marked since its previous
-  /// cut and moves its cursor past them. Quiescent callers only.
+  /// cut, and the object slots marked inside the dirty object chunks
+  /// (a scan of each such chunk's 64 slot stamps), and moves its cursor
+  /// past them. Quiescent callers only.
   DirtyChunks CutChunks();
 
  private:

@@ -165,7 +165,7 @@ bool MetaDatabase::SetProperty(OidId id, SymbolId name,
 
 bool MetaDatabase::PutProperty(MetaObject& object, SymbolId name,
                                std::string_view value) const {
-  std::vector<Property>& properties = object.properties;
+  PropertyList& properties = object.properties;
   for (Property& property : properties) {
     if (property.name != name) continue;
     if (property.value == value) return false;
@@ -174,10 +174,11 @@ bool MetaDatabase::PutProperty(MetaObject& object, SymbolId name,
   }
   // New name: insert at its place in name-text order.
   const std::string& text = SymbolText(name);
-  const auto pos = std::find_if(
+  const Property* pos = std::find_if(
       properties.begin(), properties.end(),
       [&](const Property& property) { return text < symbols_[property.name]; });
-  properties.insert(pos, Property{name, std::string(value)});
+  properties.Insert(static_cast<size_t>(pos - properties.begin()),
+                    Property{name, std::string(value)});
   return true;
 }
 
@@ -190,12 +191,12 @@ const std::string* MetaDatabase::GetProperty(OidId id,
 bool MetaDatabase::RemoveProperty(OidId id, std::string_view name) {
   CheckObjectHandle(id);
   const SymbolId symbol = FindSymbol(name);
-  std::vector<Property>& properties = objects_[id.value()].properties;
-  const auto it = std::find_if(
+  PropertyList& properties = objects_[id.value()].properties;
+  const Property* it = std::find_if(
       properties.begin(), properties.end(),
       [&](const Property& property) { return property.name == symbol; });
   if (it == properties.end()) return false;
-  properties.erase(it);
+  properties.Erase(static_cast<size_t>(it - properties.begin()));
   ++objects_[id.value()].revision;
   MarkObjectDirty(id.value());
   return true;
@@ -626,8 +627,34 @@ std::shared_ptr<const MetaDatabase> MetaDatabase::FreezeVersion(
   // carried over (a frozen version has nothing to observe), and the
   // frozen version's own snapshot store starts empty.
   const MetaDatabase* p = previous;
+  // A dirty object chunk is rebuilt slot by slot: plain fields copied,
+  // and the property block shared with the previous version unless the
+  // slot was marked since then or is new (then copied from live).
+  using ObjectChunk = ChunkedVector<MetaObject>::Chunk;
   frozen->objects_ = ChunkedVector<MetaObject>::Freeze(
-      p ? &p->objects_ : nullptr, objects_, dirty.of(DirtyTable::kObjects));
+      p ? &p->objects_ : nullptr, objects_, dirty.of(DirtyTable::kObjects),
+      [&](size_t c, const ObjectChunk* before, size_t before_used) {
+        const uint64_t marked = dirty.ObjectSlotMask(static_cast<uint32_t>(c));
+        const ObjectChunk& live = objects_.chunk(c);
+        auto chunk = std::make_shared<ObjectChunk>();
+        for (size_t i = 0; i < kChunkSize; ++i) {
+          const MetaObject& in = live[i];
+          MetaObject& out = (*chunk)[i];
+          out.block = in.block;
+          out.view = in.view;
+          out.created_by = in.created_by;
+          out.version = in.version;
+          out.created_at = in.created_at;
+          out.revision = in.revision;
+          out.alive = in.alive;
+          if (i < before_used && (marked >> i & 1) == 0) {
+            out.properties = PropertyList::Share((*before)[i].properties);
+          } else {
+            out.properties = in.properties;
+          }
+        }
+        return chunk;
+      });
   frozen->links_ = ChunkedVector<Link>::Freeze(
       p ? &p->links_ : nullptr, links_, dirty.of(DirtyTable::kLinks));
   frozen->configurations_ = ChunkedVector<Configuration>::Freeze(

@@ -302,8 +302,10 @@ class MetaDatabase {
   /// No-op (returns the existing head) when the dirty tracker marked
   /// nothing since the last publish. The frozen version shares every
   /// chunk the dirty tracker did not mark since the previous publish
-  /// with that version, so the cost follows what changed, not the
-  /// database size. Call only while the engine is drain-quiescent.
+  /// with that version, and inside a copied object chunk every
+  /// unmarked object's property block, so the cost follows what
+  /// changed, not the database size or the objects' width. Call only
+  /// while the engine is drain-quiescent.
   Snapshot PublishSnapshot() { return snapshots_->Publish(*this); }
 
   /// The newest published snapshot — one atomic load, lock-free — or an
@@ -407,7 +409,8 @@ class MetaDatabase {
   /// Builds the frozen version the snapshot store publishes: `previous`
   /// (the last published version, or null) with the `dirty` chunks
   /// (the tracker's publish cut) replaced by copies of this database's.
-  /// Writer-side, quiescent only.
+  /// A copied object chunk shares the property blocks of the objects
+  /// the cut did not mark with `previous`. Writer-side, quiescent only.
   std::shared_ptr<const MetaDatabase> FreezeVersion(
       const MetaDatabase* previous, const DirtyChunks& dirty) const;
 

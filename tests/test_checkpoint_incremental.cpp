@@ -349,6 +349,10 @@ TEST(CheckpointBackoff, FailedAutoCheckpointsDoNotStorm) {
       ASSERT_EQ(attempts.size(), 4u);
       AwaitCheckpointThread(
           [&] { return server->GetHealth().checkpoint_failures > 0; });
+      // A later background cut may still be in flight with the
+      // failpoint armed: let it finish before counting the storm.
+      AwaitCheckpointThread(
+          [&] { return !server->GetWalStatus().checkpoint_in_flight; });
       const ServerHealth stormy = server->GetHealth();
       EXPECT_GE(stormy.checkpoint_failures, 1u);
       EXPECT_LE(stormy.checkpoint_failures, 6u);

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -585,6 +586,107 @@ TEST(SnapshotPublish, ShardedServerPublishesMatchLiveAndPinnedStayStable) {
           << "batch " << batch << " pinned epoch " << old.snapshot.epoch();
     }
   }
+}
+
+// --- Property blocks --------------------------------------------------------
+
+/// Where `id`'s properties live in `db` (nullptr without properties):
+/// two versions share an object's property block exactly when equal.
+const metadb::Property* PropertyStorage(const MetaDatabase& db, OidId id) {
+  return db.GetObject(id).properties.begin();
+}
+
+/// `db` with `count` objects carrying two properties each.
+std::vector<OidId> PopulateWithProperties(MetaDatabase& db, int count) {
+  std::vector<OidId> ids;
+  for (int i = 0; i < count; ++i) {
+    ids.push_back(db.CreateObject(Oid{"b" + std::to_string(i), "v", 1}, "u", 0));
+    db.SetProperty(ids.back(), "state", "clean");
+    db.SetProperty(ids.back(), "owner", "u" + std::to_string(i));
+  }
+  return ids;
+}
+
+TEST(SnapshotPublish, OneWriteCopiesOnlyThatObjectsPropertyBlock) {
+  MetaDatabase db;
+  const std::vector<OidId> ids = PopulateWithProperties(db, 150);
+  const Snapshot before = db.PublishSnapshot();
+  db.SetProperty(ids[70], "state", "dirty");
+  const Snapshot after = db.PublishSnapshot();
+  const size_t chunk = 70u >> kChunkShift;
+  ASSERT_NE(before->ChunkAddress(DirtyTable::kObjects, chunk),
+            after->ChunkAddress(DirtyTable::kObjects, chunk));
+  for (size_t slot = chunk << kChunkShift;
+       slot < ((chunk + 1) << kChunkShift); ++slot) {
+    const OidId id(static_cast<uint32_t>(slot));
+    const bool shared = PropertyStorage(before.db(), id) ==
+                        PropertyStorage(after.db(), id);
+    EXPECT_EQ(shared, slot != 70) << "slot " << slot;
+    // The live database never shares a block.
+    EXPECT_NE(PropertyStorage(db, id), PropertyStorage(after.db(), id))
+        << "slot " << slot;
+  }
+  EXPECT_EQ(*before->GetProperty(ids[70], "state"), "clean");
+  EXPECT_EQ(*after->GetProperty(ids[70], "state"), "dirty");
+  EXPECT_EQ(*after->GetProperty(ids[71], "owner"), "u71");
+}
+
+TEST(SnapshotPublish, PinnedPropertiesSurviveEveryLaterWrite) {
+  // 100 objects: the second object chunk is partly filled, so a create
+  // appends into a chunk the pinned version holds. Every write lands in
+  // an object whose block the newest version shares with the pinned
+  // one, and a publish follows each, so the pinned blocks are shared
+  // into later versions and then outlive them.
+  MetaDatabase db;
+  std::vector<OidId> ids = PopulateWithProperties(db, 100);
+  const Snapshot pinned = db.PublishSnapshot();
+  const std::string pinned_text = Fingerprint(pinned.db());
+  const std::vector<std::function<void()>> writes = {
+      [&] { db.SetProperty(ids[65], "state", "dirty"); },
+      [&] { db.SetProperty(ids[66], "added", "new name"); },
+      [&] { db.RemoveProperty(ids[67], "owner"); },
+      [&] {
+        db.PutProperty(db.GetObjectMutable(ids[68]), db.Intern("state"),
+                       "in place");
+      },
+      [&] {
+        MetaObject object = db.GetObject(ids[69]);
+        db.PutProperty(object, db.Intern("state"), "applied");
+        db.ApplyObjectSlot(ids[69].value(), std::move(object));
+      },
+      [&] {
+        ids.push_back(db.CreateObject(Oid{"b100", "v", 1}, "u", 0));
+        db.SetProperty(ids.back(), "state", "appended");
+      },
+      [&] { db.SetProperty(ids[65], "state", "dirty again"); },
+  };
+  std::vector<Snapshot> versions;
+  for (size_t i = 0; i < writes.size(); ++i) {
+    writes[i]();
+    versions.push_back(db.PublishSnapshot());
+    ASSERT_EQ(Fingerprint(versions.back().db()), Fingerprint(db)) << i;
+    ASSERT_EQ(Fingerprint(pinned.db()), pinned_text) << "after write " << i;
+  }
+  // Dropping the later versions releases only their references.
+  versions.clear();
+  EXPECT_EQ(Fingerprint(pinned.db()), pinned_text);
+  EXPECT_EQ(*pinned->GetProperty(ids[67], "owner"), "u67");
+}
+
+TEST(SnapshotPublish, ObjectCopiedOutOfASnapshotIsIndependent) {
+  MetaDatabase db;
+  const std::vector<OidId> ids = PopulateWithProperties(db, 10);
+  std::optional<Snapshot> snapshot = db.PublishSnapshot();
+  db.SetProperty(ids[3], "state", "dirty");
+  db.PublishSnapshot();  // Shares ids[4]'s block with `snapshot`.
+  MetaObject copy = (*snapshot)->GetObject(ids[4]);
+  EXPECT_NE(copy.properties.begin(), PropertyStorage(snapshot->db(), ids[4]));
+  db.PutProperty(copy, db.Intern("state"), "copied");
+  EXPECT_EQ(*(*snapshot)->GetProperty(ids[4], "state"), "clean");
+  EXPECT_EQ(*db.GetProperty(ids[4], "state"), "clean");
+  snapshot.reset();
+  EXPECT_EQ(*copy.FindProperty(db.Intern("state")), "copied");
+  EXPECT_EQ(*copy.FindProperty(db.Intern("owner")), "u4");
 }
 
 }  // namespace
