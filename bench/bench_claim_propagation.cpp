@@ -269,10 +269,12 @@ struct ShardedDesign {
 };
 
 std::unique_ptr<ShardedDesign> MakeShardedDesign(int subtrees, int degree,
-                                                 uint32_t shards) {
+                                                 uint32_t shards,
+                                                 bool deterministic = false) {
   auto design = std::make_unique<ShardedDesign>();
   engine::ShardedEngineOptions options;
   options.num_shards = shards;
+  options.deterministic = deterministic;
   options.engine.journal_propagated = false;
   design->engine = std::make_unique<engine::ShardedEngine>(
       design->db, design->clock, options);
@@ -329,19 +331,27 @@ void PrintShardedSeries() {
       "One 'edit' wave per subtree per round across 32 independent "
       "subtrees; the shard map\ndeals subtrees round-robin, so shards "
       "propagate concurrently. Aggregate\ndeliveries/sec should scale "
-      "with min(shards, cores, subtrees).");
+      "with min(shards, cores, subtrees). The '4 det' row runs 4 shards\n"
+      "deterministically on one thread: the sharded machinery's cost "
+      "(epochs, claim rounds,\nrouting) without thread scheduling.");
 
   const int subtrees = benchutil::SeriesScale(32, 8);
   const int degree = benchutil::SeriesScale(512, 64);
   const int rounds = benchutil::SeriesScale(200, 4);
   const int warmup = benchutil::SeriesScale(20, 1);
 
+  struct Row {
+    uint32_t shards;
+    bool deterministic;
+  };
   double base_rate = 0.0;
   PrintCores();
   std::printf("%-10s %-16s %-22s %-10s\n", "shards", "us/round",
               "deliveries/sec", "vs 1");
-  for (const uint32_t shards : {1u, 2u, 4u, 8u}) {
-    auto design = MakeShardedDesign(subtrees, degree, shards);
+  for (const auto [shards, deterministic] :
+       {Row{1, false}, Row{2, false}, Row{4, false}, Row{8, false},
+        Row{4, true}}) {
+    auto design = MakeShardedDesign(subtrees, degree, shards, deterministic);
     for (int i = 0; i < warmup; ++i) DeliverShardedRound(*design);
     design->engine->ResetStats();
     const auto start = std::chrono::steady_clock::now();
@@ -355,16 +365,20 @@ void PrintShardedSeries() {
                   us_per_round
             : 0.0;
     if (shards == 1) base_rate = rate;
-    std::printf("%-10u %-16.1f %-22.0f %-10.2f%s\n", shards, us_per_round,
-                rate, base_rate > 0.0 ? rate / base_rate : 0.0,
-                ScalingNote(shards));
-    benchutil::AddBenchJson("wave_sharded_s" + std::to_string(shards),
+    const std::string label =
+        std::to_string(shards) + (deterministic ? " det" : "");
+    std::printf("%-10s %-16.1f %-22.0f %-10.2f%s\n", label.c_str(),
+                us_per_round, rate, base_rate > 0.0 ? rate / base_rate : 0.0,
+                deterministic ? "" : ScalingNote(shards));
+    benchutil::AddBenchJson("wave_sharded_s" + std::to_string(shards) +
+                                (deterministic ? "_det" : ""),
                             us_per_round * 1e3, rate);
   }
   std::printf(
       "\nExpected shape: near-linear up to the core count (flat on a "
       "single-core host);\nwave_sharded_s1 also pins the sharded layer's "
-      "routing overhead against the plain\ninterned engine above.\n\n");
+      "routing overhead against the plain\ninterned engine above, and "
+      "'4 det' below 1.00 is what the machinery costs on one thread.\n\n");
 }
 
 // --- Batched cross-shard handoff: boundary-heavy workload --------------------

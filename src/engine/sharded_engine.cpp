@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <deque>
 #include <functional>
-#include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "blueprint/parser.hpp"
@@ -229,16 +229,83 @@ struct ShardedEngine::Counters {
   // --- Wave epochs (exactly-once dedup) ---------------------------------
   std::atomic<uint64_t> next_epoch{0};   ///< Last minted epoch (0 = none).
   std::atomic<size_t> wave_epochs{0};    ///< Minted, for stats.
-  /// In-flight refcounts per epoch; the ordered map keeps the purge
-  /// horizon (the lowest live epoch) one begin() away. Guarded by
-  /// epoch_mutex — this is per-task bookkeeping, off the claim path
-  /// (one ClaimStore round per BFS generation).
+  /// In-flight pins, dense from the lowest live epoch: live_epochs[i]
+  /// counts the pins of epoch live_base + i. Every epoch is pinned in the
+  /// critical section that mints it, so the table covers every minted
+  /// epoch from live_base up with no gaps; a completed epoch in the
+  /// middle holds a zero until the front reaches it. Releasing the
+  /// front's last pin pops every leading zero, so live_base — published
+  /// as min_live_epoch, the claim stores' purge horizon — is the lowest
+  /// live epoch. A pin or release touches one counter and allocates
+  /// nothing but the deque's block every 128 epochs. Guarded by
+  /// epoch_mutex.
   std::mutex epoch_mutex;
-  std::map<uint64_t, size_t> live_epochs;
+  std::deque<uint32_t> live_epochs;
+  uint64_t live_base = 0;
   std::atomic<uint64_t> min_live_epoch{~uint64_t{0}};
 };
 
 // --- Claim store ------------------------------------------------------------
+
+/// One epoch's claimed OID slots in one store: an open-addressed
+/// uint32_t set (linear probing, power-of-two capacity, grown at half
+/// load) whose empty marker is OidId::kInvalidValue, a value no claimed
+/// OID has. Clear() keeps the storage, so a recycled set claims without
+/// allocating until it outgrows its capacity.
+class ClaimSet {
+ public:
+  /// True when the set owns storage (in use, or pooled and empty).
+  bool holds_storage() const noexcept { return capacity_ != 0; }
+
+  /// Gives a storage-less set its first, empty storage.
+  void Allocate() { Rehash(kInitialCapacity); }
+
+  /// Adds `value`; false when it was already present.
+  bool Insert(uint32_t value) {
+    if ((size_ + 1) * 2 > capacity_) Rehash(capacity_ * 2);
+    return Place(value);
+  }
+
+  /// Empties the set, keeping its storage.
+  void Clear() noexcept {
+    std::fill_n(slots_.get(), capacity_, kEmpty);
+    size_ = 0;
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = OidId::kInvalidValue;
+  static constexpr uint32_t kInitialCapacity = 32;
+
+  bool Place(uint32_t value) noexcept {
+    // Fibonacci hashing: the product's high bits spread dense OID slots
+    // and their strided patterns alike.
+    const uint32_t mask = capacity_ - 1;
+    for (uint32_t i = (value * 0x9E3779B9u) >> shift_;; i = (i + 1) & mask) {
+      if (slots_[i] == value) return false;
+      if (slots_[i] == kEmpty) {
+        slots_[i] = value;
+        ++size_;
+        return true;
+      }
+    }
+  }
+
+  void Rehash(uint32_t capacity) {
+    const std::unique_ptr<uint32_t[]> old = std::exchange(
+        slots_, std::make_unique_for_overwrite<uint32_t[]>(capacity));
+    const uint32_t old_capacity = std::exchange(capacity_, capacity);
+    shift_ = 32 - std::countr_zero(capacity);
+    Clear();
+    for (uint32_t i = 0; i < old_capacity; ++i) {
+      if (old[i] != kEmpty) Place(old[i]);
+    }
+  }
+
+  std::unique_ptr<uint32_t[]> slots_;
+  uint32_t capacity_ = 0;
+  uint32_t size_ = 0;
+  int shift_ = 32;
+};
 
 /// The per-shard exactly-once claim map (epoch -> delivered OID slots),
 /// published behind an epoch-versioned read path so sub-waves of the
@@ -252,6 +319,22 @@ struct ShardedEngine::Counters {
 /// suite asserts it advances. Every multi-shard engine claims here,
 /// deterministic and single-worker ones included (the lock is then
 /// uncontended).
+///
+/// Claim sets sit in a deque indexed by epoch from its lowest entry. An
+/// epoch takes a set from the store's pool at its first claim round
+/// here; a purge clears the sets of epochs below the horizon and returns
+/// them to the pool (up to kPooledSetsMax). After warm-up a claim round
+/// allocates only when a set outgrows its pooled capacity, plus one
+/// deque block every ~20 epochs, and a purge frees set memory only past
+/// the pool cap, so executors rarely free what another one allocated.
+///
+/// Purging is safe because every epoch below any horizon ever read had
+/// already completed. The horizon is the lowest pinned epoch; an epoch
+/// is pinned in the critical section that mints it and stays pinned
+/// while any task of it is queued or running, and a claimer reads the
+/// horizon while holding a pin on its own epoch. So an epoch below the
+/// horizon was minted earlier and had lost its last pin: none of its
+/// work is left to claim.
 class ShardedEngine::ClaimStore {
  public:
   /// Filters `seeds` down to the claim winners (preserving order) under
@@ -262,11 +345,11 @@ class ShardedEngine::ClaimStore {
     std::lock_guard<std::mutex> lock(mutex_);
     MaybePurge(horizon);
     claims_since_purge_ += seeds.size();
-    std::unordered_set<uint32_t>& set = claims_[epoch];
+    ClaimSet& set = SetOf(epoch);
     size_t suppressed = 0;
     auto keep = seeds.begin();
     for (const OidId seed : seeds) {
-      if (set.insert(seed.value()).second) {
+      if (set.Insert(seed.value())) {
         *keep++ = seed;
       } else {
         ++suppressed;
@@ -281,19 +364,51 @@ class ShardedEngine::ClaimStore {
     return purge_floor_.load(std::memory_order_acquire);
   }
 
+  /// Gauge: claim sets holding storage, in use or pooled.
+  size_t sets_held() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return sets_in_use_ + pool_.size();
+  }
+
  private:
+  /// `epoch`'s claim set, taken from the pool at its first claim round.
+  ClaimSet& SetOf(uint64_t epoch) {
+    if (by_epoch_.empty()) base_ = epoch;
+    for (; epoch < base_; --base_) by_epoch_.emplace_front();
+    if (epoch - base_ >= by_epoch_.size()) by_epoch_.resize(epoch - base_ + 1);
+    ClaimSet& set = by_epoch_[epoch - base_];
+    if (!set.holds_storage()) {
+      if (pool_.empty()) {
+        set.Allocate();
+      } else {
+        set = std::move(pool_.back());
+        pool_.pop_back();
+      }
+      ++sets_in_use_;
+    }
+    return set;
+  }
+
   /// Lazy merge-out. Rate-limited: when many epochs are pinned live (a
   /// deep cross-shard backlog) an eager scan would free nothing and
   /// turn every claim round into an O(live-epochs) traversal.
   void MaybePurge(uint64_t horizon) {
     if (claims_since_purge_ < kPurgeInterval &&
-        (claims_.size() <= kPurgeEpochThreshold ||
+        (sets_in_use_ <= kPurgeEpochThreshold ||
          claims_since_purge_ < kPurgeSizeBackoff)) {
       return;
     }
     claims_since_purge_ = 0;
-    for (auto it = claims_.begin(); it != claims_.end();) {
-      it = it->first < horizon ? claims_.erase(it) : std::next(it);
+    for (; !by_epoch_.empty() && base_ < horizon; ++base_) {
+      ClaimSet& set = by_epoch_.front();
+      if (set.holds_storage()) {
+        --sets_in_use_;
+        if (pool_.size() < kPooledSetsMax) {
+          set.Clear();
+          pool_.push_back(std::move(set));
+        }
+      }
+      by_epoch_.pop_front();
     }
     purge_floor_.store(horizon, std::memory_order_release);
   }
@@ -304,9 +419,15 @@ class ShardedEngine::ClaimStore {
   static constexpr size_t kPurgeInterval = 512;
   static constexpr size_t kPurgeEpochThreshold = 64;
   static constexpr size_t kPurgeSizeBackoff = 64;
+  /// Pooled sets kept for reuse; a purge frees the sets past this. Twice
+  /// the size trigger, so one purge's harvest fits.
+  static constexpr size_t kPooledSetsMax = 2 * kPurgeEpochThreshold;
 
-  std::mutex mutex_;
-  std::unordered_map<uint64_t, std::unordered_set<uint32_t>> claims_;
+  mutable std::mutex mutex_;
+  std::deque<ClaimSet> by_epoch_;  ///< by_epoch_[i]: epoch base_ + i.
+  uint64_t base_ = 0;
+  std::vector<ClaimSet> pool_;     ///< Cleared sets, storage kept.
+  size_t sets_in_use_ = 0;         ///< Entries of by_epoch_ with storage.
   size_t claims_since_purge_ = 0;
   std::atomic<uint64_t> purge_floor_{0};
 };
@@ -346,12 +467,11 @@ class ShardedEngine::LaneRouter final : public WaveRouter {
   }
 
   uint64_t MintEpoch() override {
-    const uint64_t epoch = owner_.MintEpoch();
-    // Hold a ref for the rest of the current task: claims under this
+    // The mint pin lasts the rest of the current task: claims under this
     // epoch begin immediately (direction-post collection), before any
     // handoff task of the epoch is enqueued. Released by the executor
     // after Flush().
-    owner_.AcquireEpochRef(epoch);
+    const uint64_t epoch = owner_.MintPinnedEpoch();
     minted_.push_back(epoch);
     return epoch;
   }
@@ -449,6 +569,8 @@ class ShardedEngine::LaneRouter final : public WaveRouter {
                             wave.seeds.begin() + static_cast<ptrdiff_t>(end));
         }
         owner_.counters_->handoff_waves.fetch_add(1, std::memory_order_relaxed);
+        // This task's own pin keeps the epoch live while the chunk pins it.
+        owner_.AcquireEpochRef(wave.epoch);
         owner_.Enqueue(wave.target_shard, std::move(task));
       }
     }
@@ -746,9 +868,19 @@ void ShardedEngine::UnlockDelivery(OidId receiver) {
 
 // --- Wave epochs -------------------------------------------------------------
 
-uint64_t ShardedEngine::MintEpoch() {
-  counters_->wave_epochs.fetch_add(1, std::memory_order_relaxed);
-  return counters_->next_epoch.fetch_add(1, std::memory_order_relaxed) + 1;
+uint64_t ShardedEngine::MintPinnedEpoch() {
+  Counters& counters = *counters_;
+  std::lock_guard<std::mutex> lock(counters.epoch_mutex);
+  const uint64_t epoch =
+      counters.next_epoch.load(std::memory_order_relaxed) + 1;
+  counters.next_epoch.store(epoch, std::memory_order_relaxed);
+  counters.wave_epochs.fetch_add(1, std::memory_order_relaxed);
+  if (counters.live_epochs.empty()) {
+    counters.live_base = epoch;
+    counters.min_live_epoch.store(epoch, std::memory_order_release);
+  }
+  counters.live_epochs.push_back(1);  // Dense: epoch == live_base + size.
+  return epoch;
 }
 
 uint64_t ShardedEngine::epoch_ceiling() const noexcept {
@@ -758,8 +890,15 @@ uint64_t ShardedEngine::epoch_ceiling() const noexcept {
 void ShardedEngine::RestoreEpochCeiling(uint64_t next_epoch,
                                         size_t wave_epochs) {
   AwaitQuiescence();
-  counters_->next_epoch.store(next_epoch, std::memory_order_relaxed);
-  counters_->wave_epochs.store(wave_epochs, std::memory_order_relaxed);
+  Counters& counters = *counters_;
+  std::lock_guard<std::mutex> lock(counters.epoch_mutex);
+  // The pin table is dense from the lowest live epoch up to the last
+  // mint; moving the ceiling under a pinned epoch would break that.
+  if (!counters.live_epochs.empty()) {
+    throw Error("ShardedEngine::RestoreEpochCeiling: waves still queued");
+  }
+  counters.next_epoch.store(next_epoch, std::memory_order_relaxed);
+  counters.wave_epochs.store(wave_epochs, std::memory_order_relaxed);
 }
 
 size_t ShardedEngine::steal_journal_count() const noexcept {
@@ -771,22 +910,26 @@ events::EventJournal& ShardedEngine::steal_journal(size_t index) {
 }
 
 void ShardedEngine::AcquireEpochRef(uint64_t epoch) {
-  std::lock_guard<std::mutex> lock(counters_->epoch_mutex);
-  ++counters_->live_epochs[epoch];
-  counters_->min_live_epoch.store(counters_->live_epochs.begin()->first,
-                                  std::memory_order_release);
+  Counters& counters = *counters_;
+  std::lock_guard<std::mutex> lock(counters.epoch_mutex);
+  ++counters.live_epochs[epoch - counters.live_base];
 }
 
 void ShardedEngine::ReleaseEpochRef(uint64_t epoch) {
-  std::lock_guard<std::mutex> lock(counters_->epoch_mutex);
-  const auto it = counters_->live_epochs.find(epoch);
-  if (it != counters_->live_epochs.end() && --it->second == 0) {
-    counters_->live_epochs.erase(it);
+  Counters& counters = *counters_;
+  std::lock_guard<std::mutex> lock(counters.epoch_mutex);
+  std::deque<uint32_t>& live = counters.live_epochs;
+  if (--live[epoch - counters.live_base] != 0 ||
+      epoch != counters.live_base) {
+    return;  // The lowest live epoch did not change.
   }
-  counters_->min_live_epoch.store(counters_->live_epochs.empty()
-                                      ? ~uint64_t{0}
-                                      : counters_->live_epochs.begin()->first,
-                                  std::memory_order_release);
+  while (!live.empty() && live.front() == 0) {
+    live.pop_front();
+    ++counters.live_base;
+  }
+  counters.min_live_epoch.store(live.empty() ? ~uint64_t{0}
+                                             : counters.live_base,
+                                std::memory_order_release);
 }
 
 uint64_t ShardedEngine::MinLiveEpoch() const noexcept {
@@ -866,8 +1009,8 @@ void ShardedEngine::Route(EventMessage event) {
   // Every top-level event opens a fresh wave scope — rule-posted events
   // re-enter here and scope like the queue boundary of the unsharded
   // engine. Overwrites whatever epoch a reposted event inherited from
-  // the wave that posted it.
-  event.wave_epoch = num_shards_ > 1 ? MintEpoch() : 0;
+  // the wave that posted it. The mint pin becomes the task's pin.
+  event.wave_epoch = num_shards_ > 1 ? MintPinnedEpoch() : 0;
   const uint32_t shard = ShardOfTarget(event.target);
   Task task;
   task.kind = Task::Kind::kEvent;
@@ -886,10 +1029,9 @@ void ShardedEngine::PostEvent(EventMessage event) {
 
 void ShardedEngine::Enqueue(uint32_t shard, Task&& task) {
   counters_->pending.fetch_add(1, std::memory_order_acq_rel);
-  // The task pins its wave's epoch while queued/executing, so no lane
-  // purges the wave's claim sets mid-flight. Acquired before the task
-  // becomes visible to workers; released in FinishTask.
-  if (task.event.wave_epoch != 0) AcquireEpochRef(task.event.wave_epoch);
+  // The caller pinned the task's epoch (Route at the mint, Flush for a
+  // handoff) before it becomes visible to workers, so no store purges
+  // the wave's claim sets mid-flight; FinishTask releases the pin.
   lanes_[shard]->Push(std::move(task), counters_->ring_overflows);
   if (workers_.empty()) return;
   if (counters_->searching.fetch_add(0, std::memory_order_acq_rel) == 0) {
@@ -1130,6 +1272,7 @@ ShardedStats ShardedEngine::stats() const {
   for (const auto& store : claim_stores_) {
     stats.claim_purge_floor =
         std::max(stats.claim_purge_floor, store->purge_floor());
+    stats.claim_sets_live += store->sets_held();
   }
   stats.handoff_waves_truncated =
       counters_->handoff_waves_truncated.load(std::memory_order_relaxed);

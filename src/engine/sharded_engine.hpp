@@ -38,12 +38,17 @@
 // in per-shard ClaimStores published behind an epoch-versioned read
 // path (mutex-guarded writes, an atomic purge floor), so ANY executor —
 // the lane's occupant or a stealing worker — can consult the owning
-// shard's claims.
+// shard's claims. A store keeps one open-addressed OID-slot set per
+// epoch, taken from a per-store pool, so a warm claim round allocates
+// nothing.
 // Foreign receivers are handed off unclaimed, and the claim at the
 // target collapses however many sub-waves reach an OID into one
 // delivery. Retired epochs are merged out lazily: claim sets below the
-// globally lowest in-flight epoch (refcounted per task) drop on the
-// next claim round. The hop cap is thereby a backstop against runaway
+// globally lowest in-flight epoch drop back into their store's pool on
+// a later claim round. Epochs are pinned per task in a dense table,
+// and minting an epoch pins it in the same critical section, so every
+// epoch below the lowest pinned one has completed and no live epoch's
+// claims are purged. The hop cap is thereby a backstop against runaway
 // chains of *distinct* OIDs, not a termination patch — cross-shard
 // cycles terminate through the claims exactly like the single visited
 // set of an unsharded wave.
@@ -193,6 +198,10 @@ struct ShardedStats {
                                ///< direction-posted sub-waves).
   size_t index_entries = 0;    ///< Gauge: live entries of the shared
                                ///< propagation index (1× the link graph).
+  size_t claim_sets_live = 0;  ///< Gauge: per-epoch claim sets the claim
+                               ///< stores hold, in use or pooled (0 with
+                               ///< one shard). Bounded by the purge cadence
+                               ///< and pool cap, not by waves run.
 };
 
 /// N per-shard engines + shard map + intake queues + worker pool.
@@ -291,7 +300,8 @@ class ShardedEngine {
   uint64_t epoch_ceiling() const noexcept;
 
   /// Restores the epoch counters from a checkpoint manifest. Call only
-  /// while quiescent, before any post-recovery event is posted.
+  /// while quiescent, before any post-recovery event is posted; throws
+  /// Error while a deterministic engine still holds queued waves.
   void RestoreEpochCeiling(uint64_t next_epoch, size_t wave_epochs);
 
   /// Steal-context journals (threaded lane stealing); the durability
@@ -349,13 +359,17 @@ class ShardedEngine {
   void UnlockDelivery(metadb::OidId receiver);
 
   /// Mints the next wave-scope epoch (monotone from 1; 0 is reserved
-  /// for "no scope").
-  uint64_t MintEpoch();
+  /// for "no scope") and pins it in the same critical section, so no
+  /// claim round can read a purge horizon above an unpinned live epoch.
+  /// Route hands the pin to the epoch's first task; a mid-task mint
+  /// holds it until the task's handoffs are enqueued.
+  uint64_t MintPinnedEpoch();
 
-  /// Per-epoch in-flight refcounts: one ref per queued/executing task
-  /// of the epoch plus one per mid-task mint. When an epoch's count
-  /// drops to zero its wave is complete and every lane may purge its
-  /// claim set ("merged lazily").
+  /// Per-epoch in-flight pins: one per queued/executing task of the
+  /// epoch plus one per mid-task mint. When an epoch's count drops to
+  /// zero its wave is complete and every store may purge its claim set
+  /// ("merged lazily"). Acquire only pins an epoch that is still live
+  /// (the caller holds a pin on it).
   void AcquireEpochRef(uint64_t epoch);
   void ReleaseEpochRef(uint64_t epoch);
 

@@ -661,6 +661,217 @@ TEST(ShardedReconvergence, HopCapBackstopStillGuardsDistinctChains) {
   EXPECT_EQ(total.dedup_suppressed, 0u);
 }
 
+// --- Pooled claim sets ---------------------------------------------------------
+
+/// A diamond (A -> {B, C} -> D), a two-block cycle (X <-> Y) and a hub
+/// with `spokes` derive links to single-block spokes that also form a
+/// ring, every block its own subtree dealt round-robin, every link
+/// propagating "edit". The diamond and cycle claim the same OIDs in
+/// every wave, so a recycled claim set that kept an old epoch's OIDs
+/// would suppress a delivery. The hub's foreign receivers overflow a
+/// set's first capacity, and the ring then re-claims every spoke in its
+/// grown set, so a growth that lost an OID would deliver it twice.
+void BuildClaimMix(ShardedEngine& engine, MetaDatabase& db, int spokes) {
+  std::vector<OidId> oids;
+  for (const char* block : {"dia_a", "dia_b", "dia_c", "dia_d", "cyc_x",
+                            "cyc_y", "hub"}) {
+    oids.push_back(engine.OnCreateObject(block, "sch", "test"));
+  }
+  std::vector<OidId> spoke_oids;
+  for (int i = 0; i < spokes; ++i) {
+    spoke_oids.push_back(
+        engine.OnCreateObject("spoke" + std::to_string(i), "sch", "test"));
+  }
+  engine.shard_map().Rebalance();
+  const auto link = [&db](OidId from, OidId to) {
+    db.CreateLink(LinkKind::kDerive, from, to, {"edit"}, "",
+                  CarryPolicy::kNone);
+  };
+  link(oids[0], oids[1]);
+  link(oids[0], oids[2]);
+  link(oids[1], oids[3]);
+  link(oids[2], oids[3]);
+  link(oids[4], oids[5]);
+  link(oids[5], oids[4]);
+  for (size_t i = 0; i < spoke_oids.size(); ++i) {
+    link(oids[6], spoke_oids[i]);
+    link(spoke_oids[i], spoke_oids[(i + 1) % spoke_oids.size()]);
+  }
+}
+
+/// Thousands of waves over the diamond, the cycle and a 96-spoke hub:
+/// every store purges and reuses its pooled claim sets many times, and
+/// the hub's sets grow past their first capacity. A reused set that
+/// still held an earlier epoch's OIDs would suppress deliveries, and a
+/// set that lost OIDs while growing would duplicate them; either breaks
+/// the record multiset against the 1-shard run.
+TEST(ShardedReconvergence, RecycledClaimSetsStartEmptyAndGrow) {
+  constexpr int kSpokes = 96;
+  constexpr int kRounds = 2000;
+  const auto run = [&](uint32_t shards, bool deterministic) {
+    MetaDatabase db;
+    SimClock clock;
+    ShardedEngineOptions options;
+    options.num_shards = shards;
+    options.deterministic = deterministic;
+    ShardedEngine engine(db, clock, options);
+    BuildClaimMix(engine, db, kSpokes);
+    for (int round = 0; round < kRounds; ++round) {
+      const std::string arg = "w" + std::to_string(round);
+      engine.PostEvent(
+          Event("edit", Oid{"dia_a", "sch", 1}, Direction::kDown, arg));
+      engine.PostEvent(
+          Event("edit", Oid{"cyc_x", "sch", 1}, Direction::kDown, arg));
+      if (round % 8 == 0) {
+        engine.PostEvent(
+            Event("edit", Oid{"hub", "sch", 1}, Direction::kDown, arg));
+      }
+      if (round % 50 == 49) engine.Drain();
+    }
+    engine.Drain();
+    if (shards > 1) {
+      const ShardedStats stats = engine.stats();
+      EXPECT_GT(stats.claim_purge_floor, 0u);
+      EXPECT_GT(stats.claim_sets_live, 0u);
+      EXPECT_EQ(stats.handoff_waves_truncated, 0u);
+    }
+    const EngineStats total = engine.AggregateEngineStats();
+    EXPECT_EQ(total.propagated_deliveries,
+              static_cast<size_t>(kRounds * 4 + (kRounds / 8) * kSpokes));
+    return SortedLines(engine.JournalLines());
+  };
+
+  const std::vector<std::string> expected = run(1, true);
+  EXPECT_EQ(run(4, /*deterministic=*/true), expected);
+  EXPECT_EQ(run(4, /*deterministic=*/false), expected);
+}
+
+/// Two threads post concurrently into reconvergent fans — a source
+/// handing off to six mids across the shards, every mid reaching the
+/// same four sinks — with two seeds per handoff task, so each wave's
+/// sinks are claimed by several sub-waves while other waves' epochs are
+/// minted on the posting threads. An epoch minted but not yet pinned
+/// could once fall below a claim round's purge horizon and lose its
+/// claims, delivering a sink twice; minting now pins in the same
+/// critical section. The window is narrow: this stress is not known to
+/// fail on the code before that change.
+TEST(ShardedClaims, ConcurrentPostersOnReconvergentFansMatchOneShard) {
+  constexpr int kFans = 8;
+  constexpr int kMids = 6;
+  constexpr int kSinks = 4;
+  constexpr int kWavesPerPoster = 1500;
+  const auto build = [&](ShardedEngine& engine, MetaDatabase& db) {
+    std::vector<std::vector<OidId>> fans(kFans);
+    for (int f = 0; f < kFans; ++f) {
+      const std::string fan = "fan" + std::to_string(f);
+      fans[f].push_back(engine.OnCreateObject(fan, "sch", "test"));
+      for (int i = 0; i < kMids + kSinks; ++i) {
+        fans[f].push_back(engine.OnCreateObject(
+            fan + (i < kMids ? "_m" : "_t") + std::to_string(i), "sch",
+            "test"));
+      }
+    }
+    engine.shard_map().Rebalance();
+    for (const std::vector<OidId>& fan : fans) {
+      for (int m = 1; m <= kMids; ++m) {
+        db.CreateLink(LinkKind::kDerive, fan[0], fan[m], {"edit"}, "",
+                      CarryPolicy::kNone);
+        for (int t = kMids + 1; t <= kMids + kSinks; ++t) {
+          db.CreateLink(LinkKind::kDerive, fan[m], fan[t], {"edit"}, "",
+                        CarryPolicy::kNone);
+        }
+      }
+    }
+  };
+  const auto wave = [](int poster, int i) {
+    return Event("edit",
+                 Oid{"fan" + std::to_string((i + poster) % kFans), "sch", 1},
+                 Direction::kDown,
+                 "p" + std::to_string(poster) + "_" + std::to_string(i));
+  };
+
+  MetaDatabase one_db;
+  SimClock one_clock;
+  ShardedEngineOptions one_options;
+  one_options.deterministic = true;
+  ShardedEngine one(one_db, one_clock, one_options);
+  build(one, one_db);
+  for (int poster = 0; poster < 2; ++poster) {
+    for (int i = 0; i < kWavesPerPoster; ++i) one.PostEvent(wave(poster, i));
+  }
+  one.Drain();
+  const std::vector<std::string> expected = SortedLines(one.JournalLines());
+  ASSERT_EQ(expected.size(),
+            static_cast<size_t>(2 * kWavesPerPoster * (1 + kMids + kSinks)));
+
+  for (int trial = 0; trial < 3; ++trial) {
+    MetaDatabase db;
+    SimClock clock;
+    ShardedEngineOptions options;
+    options.num_shards = 4;
+    options.max_batch_seeds = 2;
+    ShardedEngine engine(db, clock, options);
+    build(engine, db);
+    std::thread second([&engine, &wave] {
+      for (int i = 0; i < kWavesPerPoster; ++i) engine.PostEvent(wave(1, i));
+    });
+    for (int i = 0; i < kWavesPerPoster; ++i) engine.PostEvent(wave(0, i));
+    second.join();
+    engine.Drain();
+    EXPECT_GT(engine.stats().seed_batch_splits, 0u);
+    EXPECT_GT(engine.stats().claim_purge_floor, 0u);
+    EXPECT_EQ(SortedLines(engine.JournalLines()), expected)
+        << "trial " << trial;
+  }
+}
+
+/// The claim stores' set gauge reaches a plateau: across 10k diamond
+/// waves and 100 drains it stays under a bound set by the purge cadence
+/// and pool cap, instead of growing with the number of waves (3 sets per
+/// wave if nothing were merged out).
+TEST(ShardedClaims, ClaimSetGaugeStaysBoundedAcrossWaves) {
+  constexpr int kDrains = 100;
+  constexpr int kWavesPerDrain = 100;
+  // Per store: at most 128 pooled sets plus the sets in use: completed
+  // epochs awaiting a purge (its trigger is 64 sets, re-armed after 64
+  // claims) and the at most kWavesPerDrain live ones.
+  constexpr size_t kBound = 4 * (128 + 128 + kWavesPerDrain);
+  for (const bool deterministic : {true, false}) {
+    SCOPED_TRACE(deterministic ? "deterministic" : "threaded");
+    MetaDatabase db;
+    SimClock clock;
+    ShardedEngineOptions options;
+    options.num_shards = 4;
+    options.deterministic = deterministic;
+    ShardedEngine engine(db, clock, options);
+    BuildDiamond(engine, db);
+    EXPECT_EQ(engine.stats().claim_sets_live, 0u);
+    size_t peak = 0;
+    for (int drain = 0; drain < kDrains; ++drain) {
+      for (int i = 0; i < kWavesPerDrain; ++i) {
+        engine.PostEvent(
+            Event("edit", Oid{"dia_a", "sch", 1}, Direction::kDown));
+      }
+      engine.Drain();
+      engine.ClearJournals();
+      peak = std::max(peak, engine.stats().claim_sets_live);
+    }
+    EXPECT_GT(engine.stats().claim_sets_live, 0u);
+    EXPECT_LE(peak, kBound);
+    EXPECT_EQ(engine.AggregateEngineStats().propagated_deliveries,
+              static_cast<size_t>(3 * kDrains * kWavesPerDrain));
+  }
+
+  // One shard builds no claim store.
+  MetaDatabase db;
+  SimClock clock;
+  ShardedEngine one(db, clock, ShardedEngineOptions{});
+  BuildDiamond(one, db);
+  one.PostEvent(Event("edit", Oid{"dia_a", "sch", 1}, Direction::kDown));
+  one.Drain();
+  EXPECT_EQ(one.stats().claim_sets_live, 0u);
+}
+
 // --- One shared propagation index --------------------------------------------
 
 /// The engines of `sharded` that expand waves — lanes, then steal
