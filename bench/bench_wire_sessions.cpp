@@ -7,10 +7,13 @@
 // snapshots, writes are serialized through the bounded mutation queue
 // (and, in the sharded configurations, the sharded intake rings).
 // Multi-session read throughput exceeding the single-session baseline
-// is the claim CI's Release guard checks.
+// is the claim CI's Release guard checks. A last series prices one
+// designer's write ack: a single session issuing 9 reads then 1 write.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -88,6 +91,22 @@ MuxRunResult RunMixedSessions(ProjectServer& server, int sessions,
   return result;
 }
 
+/// A server with `n_blocks` four-view flows instantiated.
+std::unique_ptr<ProjectServer> MakeFlowServer(uint32_t shards, int n_blocks) {
+  ServerOptions options;
+  options.num_shards = shards;
+  auto server = std::make_unique<ProjectServer>("bench", options);
+  damocles::workload::FlowSpec flow;
+  flow.n_views = 4;
+  server->InitializeBlueprint(
+      damocles::workload::MakeFlowBlueprint(flow, "bench"));
+  for (int i = 0; i < n_blocks; ++i) {
+    damocles::workload::InstantiateFlow(*server, flow,
+                                        "blk" + std::to_string(i));
+  }
+  return server;
+}
+
 void PrintSessionSeries() {
   damocles::benchutil::PrintHeader(
       "Multiplexed wire sessions", "paper §1: designers query while waves run",
@@ -105,20 +124,9 @@ void PrintSessionSeries() {
               "reads", "reads/sec", "ns/read", "busy");
 
   for (const auto& combo : combos) {
-    ServerOptions options;
-    options.num_shards = combo.shards;
-    ProjectServer server("bench", options);
-    damocles::workload::FlowSpec flow;
-    flow.n_views = 4;
-    server.InitializeBlueprint(
-        damocles::workload::MakeFlowBlueprint(flow, "bench"));
-    for (int i = 0; i < n_blocks; ++i) {
-      damocles::workload::InstantiateFlow(server, flow,
-                                          "blk" + std::to_string(i));
-    }
-
+    const auto server = MakeFlowServer(combo.shards, n_blocks);
     const MuxRunResult run =
-        RunMixedSessions(server, combo.sessions, ops, n_blocks);
+        RunMixedSessions(*server, combo.sessions, ops, n_blocks);
     const double reads_per_sec =
         run.seconds > 0.0 ? static_cast<double>(run.reads) / run.seconds : 0.0;
     const double ns_per_read =
@@ -137,6 +145,41 @@ void PrintSessionSeries() {
       "\nExpected shape: snapshot reads are lock-free, so aggregate "
       "reads/sec should scale\npast the single-session baseline instead of "
       "serializing behind the writer.\n\n");
+}
+
+/// One session on one shard, 9 reads then 1 write per round: the write's
+/// ack latency is the mux handoff plus the apply path. ns_per_op is the
+/// ack p50; the p99 is printed.
+void PrintAckSeries() {
+  const int n_blocks = damocles::benchutil::SeriesScale(16, 4);
+  const int rounds = damocles::benchutil::SeriesScale(4000, 100);
+  const auto server = MakeFlowServer(1, n_blocks);
+  SessionMux mux(*server);
+  auto session = mux.Connect("designer0");
+  std::vector<double> acks_ns;
+  acks_ns.reserve(rounds);
+  for (int r = 0; r < rounds; ++r) {
+    const std::string block = "blk" + std::to_string(r % n_blocks);
+    for (int i = 0; i < 9; ++i) {
+      benchmark::DoNotOptimize(session->Execute("query block " + block));
+    }
+    const auto start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(
+        session->Execute("postEvent ckin up " + block + ",view_0,1"));
+    acks_ns.push_back(std::chrono::duration<double, std::nano>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+  }
+  std::sort(acks_ns.begin(), acks_ns.end());
+  const double p50 = acks_ns[acks_ns.size() / 2];
+  const double p99 = acks_ns[acks_ns.size() * 99 / 100];
+  damocles::benchutil::AddBenchJson("wire_sessions_ack_s1_sh1", p50,
+                                    p50 > 0.0 ? 1e9 / p50 : 0.0);
+  std::printf("%-26s %-12s %-12s %-12s %-12s\n", "series", "writes",
+              "ack p50 ns", "ack p99 ns", "apply parks");
+  std::printf("%-26s %-12d %-12.0f %-12.0f %-12llu\n\n",
+              "wire_sessions_ack_s1_sh1", rounds, p50, p99,
+              static_cast<unsigned long long>(mux.apply_parks()));
 }
 
 /// google-benchmark view of the single-session read dispatch cost.
@@ -160,6 +203,7 @@ BENCHMARK(BM_SnapshotReadDispatch);
 
 int main(int argc, char** argv) {
   PrintSessionSeries();
+  PrintAckSeries();
   damocles::benchutil::RunBenchmarks(argc, argv);
   damocles::benchutil::WriteBenchJson();
   return 0;

@@ -5,12 +5,44 @@
 #include "common/failpoint.hpp"
 
 namespace damocles::engine {
+namespace {
+
+enum : uint32_t { kIdle, kParked, kSignalled };  ///< Waiting word states.
+/// Spin before parking: a parked thread resumes only by a futex wake.
+constexpr auto kSpinWindow = std::chrono::microseconds(50);
+
+/// Waits while `word` is kIdle, spinning first if `spin`; counts parks.
+void SpinThenPark(std::atomic<uint32_t>& word, bool spin,
+                  std::atomic<uint64_t>* parks = nullptr) {
+  const auto until = std::chrono::steady_clock::now() + kSpinWindow;
+  while (spin && word.load() == kIdle &&
+         std::chrono::steady_clock::now() < until) {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  }
+  uint32_t idle = kIdle;
+  if (!word.compare_exchange_strong(idle, kParked)) return;
+  if (parks != nullptr) parks->fetch_add(1, std::memory_order_relaxed);
+  word.wait(kParked);
+}
+
+/// Sets `word` to kSignalled; wakes its waiter, and is true, if parked.
+bool Signal(std::atomic<uint32_t>& word) {
+  if (word.exchange(kSignalled) != kParked) return false;
+  word.notify_one();
+  return true;
+}
+
+}  // namespace
 
 SessionMux::SessionMux(ProjectServer& server, SessionMuxOptions options)
     : server_(server), options_(options) {
   if (options_.mutation_queue_capacity == 0) {
     options_.mutation_queue_capacity = 1;
   }
+  spin_refs_ = static_cast<long>(std::thread::hardware_concurrency()) -
+               static_cast<long>(server_.sharded_engine()->worker_threads());
   // Publish the initial epoch so every read — including ones racing
   // the first mutation — answers from a pinned immutable version
   // rather than the live database.
@@ -23,7 +55,7 @@ SessionMux::~SessionMux() {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     stop_ = true;
   }
-  queue_cv_.notify_all();
+  Signal(apply_word_);
   space_cv_.notify_all();
   if (apply_thread_.joinable()) apply_thread_.join();
 }
@@ -58,8 +90,8 @@ std::string SessionMux::SubmitMutation(Session& session,
   common::FailpointHit fault;
   const bool forced_busy = DAMOCLES_FAILPOINT("mux.queue.full", &fault);
 
-  std::promise<std::string> promise;
-  std::future<std::string> future = promise.get_future();
+  const auto deadline = options_.mutation_deadline;
+  bool spin = live_.use_count() <= spin_refs_;
   uint64_t ticket = 0;
   {
     std::unique_lock<std::mutex> lock(queue_mutex_);
@@ -90,39 +122,33 @@ std::string SessionMux::SubmitMutation(Session& session,
                " pending); retry\n";
       }
     }
-    PendingMutation pending;
-    pending.line = std::string(line);
-    pending.session = &session;
-    pending.ticket = ticket = ++next_ticket_;
-    pending.promise = std::move(promise);
-    queue_.push_back(std::move(pending));
+    session.slot_->state.store(kIdle, std::memory_order_relaxed);
+    queue_.push_back(
+        {std::string(line), &session, ticket = ++next_ticket_, session.slot_});
+    // Last touch of the mux: it may be destroyed once the entry is popped.
+    // An apply thread woken here may need this core, so do not spin then.
+    if (Signal(apply_word_)) spin = false;
   }
-  queue_cv_.notify_one();
-
-  const auto deadline = options_.mutation_deadline;
-  if (deadline.count() <= 0) return future.get();
 
   // Deadline wait: if the apply thread has not picked the entry up in
   // time, withdraw it from the queue — it is guaranteed unapplied, so
   // "timeout: ..." is truthful and the client may safely resubmit. An
   // entry already popped is being applied; its real response is the
-  // only honest answer, so block for it.
-  if (future.wait_for(deadline) == std::future_status::ready) {
-    return future.get();
-  }
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    const auto it = std::find_if(
-        queue_.begin(), queue_.end(),
-        [ticket](const PendingMutation& p) { return p.ticket == ticket; });
-    if (it != queue_.end()) {
-      queue_.erase(it);
+  // only honest answer, so wait for it.
+  if (deadline.count() > 0) {
+    std::unique_lock<std::mutex> lock(queue_mutex_);
+    if (!space_cv_.wait_for(lock, deadline,
+                            [&] { return popped_ticket_ >= ticket; })) {
+      queue_.erase(std::find_if(
+          queue_.begin(), queue_.end(),
+          [ticket](const PendingMutation& p) { return p.ticket == ticket; }));
       mutation_timeouts_.fetch_add(1, std::memory_order_relaxed);
       return "timeout: mutation waited past deadline (" +
              std::to_string(deadline.count()) + " ms) unapplied; retry\n";
     }
   }
-  return future.get();
+  SpinThenPark(session.slot_->state, spin);  // The apply thread counts.
+  return std::move(session.slot_->response);
 }
 
 void SessionMux::ApplyLoop() {
@@ -131,12 +157,19 @@ void SessionMux::ApplyLoop() {
     PendingMutation pending;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      // Admitted mutations are applied even during shutdown: their
-      // sessions are blocked on the promise.
-      if (queue_.empty()) return;
+      if (queue_.empty()) {
+        // Admitted mutations are applied even during shutdown: their
+        // sessions wait on their reply slots. Every later push signals.
+        if (stop_) return;
+        apply_word_.store(kIdle);
+        lock.unlock();
+        SpinThenPark(apply_word_, live_.use_count() <= spin_refs_,
+                     &apply_parks_);
+        continue;
+      }
       pending = std::move(queue_.front());
       queue_.pop_front();
+      popped_ticket_ = pending.ticket;
     }
     space_cv_.notify_all();
 
@@ -160,13 +193,16 @@ void SessionMux::ApplyLoop() {
       MuxLogEntry entry;
       entry.seq = ++seq;
       entry.user = pending.session->user_;
-      entry.line = pending.line;
+      entry.line = std::move(pending.line);
       entry.response = response;
       entry.epoch_after = epoch;
       log_.push_back(std::move(entry));
     }
     mutations_applied_.fetch_add(1, std::memory_order_relaxed);
-    pending.promise.set_value(std::move(response));
+    pending.reply->response = std::move(response);
+    if (Signal(pending.reply->state)) {
+      reply_parks_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 }
 

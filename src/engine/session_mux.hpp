@@ -27,6 +27,9 @@
 //    "timeout: ..." — so a stalled apply thread cannot hold every
 //    session hostage either. Degraded-mode rejections from the
 //    server ("degraded: ...") flow back the same in-band way.
+//  * HANDOFF: each push signals the apply thread's atomic word; an idle
+//    apply thread spins ~50 µs on it, then parks, as a session does on its
+//    reply slot — spinning only while all threads fit the machine's cores.
 //
 // Every applied mutation is recorded in the mutation log
 // {seq, user, line, response, epoch_after}; replaying the log against
@@ -39,7 +42,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -90,9 +92,17 @@ struct MuxLogEntry {
   uint64_t epoch_after = 0;
 };
 
-/// The multiplexer. Sessions obtained from Connect() must not outlive
-/// the mux.
+/// The multiplexer. A session may outlive it but must not Execute() once
+/// ~SessionMux has begun; without a mutation deadline, a mutation admitted
+/// before that is still applied and answered.
 class SessionMux {
+  /// A session's reply word (kIdle, kParked, kSignalled) and response;
+  /// the queued entry shares it, so a late notify never hits freed memory.
+  struct ReplySlot {
+    std::atomic<uint32_t> state{0};
+    std::string response;
+  };
+
  public:
   /// One connected designer. Execute() is safe to call from the
   /// session's own thread concurrently with every other session.
@@ -130,6 +140,8 @@ class SessionMux {
     WireSession reader_;
     /// Apply-thread side: mutations, touched only by the apply loop.
     WireSession writer_;
+    std::shared_ptr<ReplySlot> slot_ = std::make_shared<ReplySlot>();
+    std::shared_ptr<const void> live_ = mux_.live_;  ///< Counted as live.
   };
 
   explicit SessionMux(ProjectServer& server, SessionMuxOptions options = {});
@@ -161,21 +173,24 @@ class SessionMux {
     return mutation_timeouts_.load(std::memory_order_relaxed);
   }
 
+  /// Spin windows that ran out into a futex wait, per side.
+  uint64_t apply_parks() const noexcept {
+    return apply_parks_.load(std::memory_order_relaxed);
+  }
+  uint64_t reply_parks() const noexcept {
+    return reply_parks_.load(std::memory_order_relaxed);
+  }
+
   /// Copy of the mutation log (apply order).
   std::vector<MuxLogEntry> MutationLog() const;
-
-  ProjectServer& server() noexcept { return server_; }
 
  private:
   struct PendingMutation {
     std::string line;
     Session* session = nullptr;
-    /// Identifies this entry so a deadline-expired submitter can find
-    /// and withdraw it. The submitter stays blocked until its entry is
-    /// either withdrawn by itself or popped by the apply thread, so
-    /// `session` can never dangle.
+    /// For a deadline withdraw; `session` waits until withdrawn or answered.
     uint64_t ticket = 0;
-    std::promise<std::string> promise;
+    std::shared_ptr<ReplySlot> reply;
   };
 
   std::string SubmitMutation(Session& session, std::string_view line);
@@ -185,13 +200,18 @@ class SessionMux {
   SessionMuxOptions options_;
 
   std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
   /// Signalled when the apply thread pops an entry: submitters in a
-  /// retry wait wake to re-check for queue space.
+  /// retry or deadline wait wake to re-check.
   std::condition_variable space_cv_;
   std::deque<PendingMutation> queue_;
-  uint64_t next_ticket_ = 0;  ///< Guarded by queue_mutex_.
+  uint64_t next_ticket_ = 0;    ///< Guarded by queue_mutex_.
+  uint64_t popped_ticket_ = 0;  ///< Last ticket popped; queue_mutex_.
   bool stop_ = false;
+  std::atomic<uint32_t> apply_word_{0};  ///< Signalled by every push.
+  /// One reference per live session plus the mux's own. The fit rule:
+  /// spin while use_count() <= spin_refs_ (cores - engine workers).
+  std::shared_ptr<const void> live_ = std::make_shared<char>();
+  long spin_refs_ = 0;
 
   mutable std::mutex log_mutex_;
   std::vector<MuxLogEntry> log_;
@@ -200,6 +220,8 @@ class SessionMux {
   std::atomic<uint64_t> busy_rejections_{0};
   std::atomic<uint64_t> mutation_retries_{0};
   std::atomic<uint64_t> mutation_timeouts_{0};
+  std::atomic<uint64_t> apply_parks_{0};
+  std::atomic<uint64_t> reply_parks_{0};
 
   std::thread apply_thread_;
 };

@@ -270,6 +270,8 @@ class ShardedEngine {
   // --- Introspection -----------------------------------------------------
 
   uint32_t num_shards() const noexcept { return num_shards_; }
+  /// Worker threads (0 in deterministic mode).
+  size_t worker_threads() const noexcept { return workers_.size(); }
   RunTimeEngine& shard(uint32_t index);
   const RunTimeEngine& shard(uint32_t index) const;
   metadb::ShardMap& shard_map() noexcept { return shard_map_; }

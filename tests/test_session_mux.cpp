@@ -296,6 +296,138 @@ TEST(SessionMuxTest, RetryDisabledStillRejectsWhenFull) {
   EXPECT_EQ(mux.mutation_retries(), 0u);
 }
 
+// --- Spin-then-park handoff ----------------------------------------------
+
+/// Long enough that an idle apply thread has left its spin window.
+constexpr auto kPastSpinWindow = std::chrono::milliseconds(3);
+
+class SessionMuxWake : public ::testing::Test {
+ protected:
+  void TearDown() override { common::Failpoints::Instance().ClearAll(); }
+};
+
+/// `sessions` threads each write kSpaced lines spaced past the spin
+/// window, then kBurst back to back. Every reply must be the right one,
+/// and each session's writes must sit in the log in its own order.
+void SpacedThenBurstWrites(int sessions) {
+  constexpr int kSpaced = 5;
+  constexpr int kBurst = 40;
+  auto server = MakeEdtcServer();
+  SessionMux mux(*server);
+  const uint64_t parks_before = mux.apply_parks();
+  std::vector<std::vector<std::string>> sent(sessions);
+  std::vector<std::thread> threads;
+  for (int s = 0; s < sessions; ++s) {
+    threads.emplace_back([&, s] {
+      auto session = mux.Connect("user" + std::to_string(s));
+      for (int i = 0; i < kSpaced + kBurst; ++i) {
+        if (i < kSpaced) std::this_thread::sleep_for(kPastSpinWindow);
+        const std::string block =
+            "s" + std::to_string(s) + "b" + std::to_string(i);
+        const std::string line = "checkin " + block + " HDL_model \"m\"";
+        EXPECT_EQ(session->Execute(line), "ok " + block + ",HDL_model,1\n");
+        sent[s].push_back(line);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  const auto log = mux.MutationLog();
+  ASSERT_EQ(log.size(), static_cast<size_t>(sessions * (kSpaced + kBurst)));
+  std::vector<size_t> next(sessions, 0);
+  for (size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].seq, i + 1);
+    EXPECT_EQ(log[i].epoch_after, i + 2);  // One epoch per checkin.
+    const int s = std::stoi(log[i].user.substr(4));
+    ASSERT_LT(next[s], sent[s].size());
+    EXPECT_EQ(log[i].line, sent[s][next[s]++]);
+  }
+  // The spaced writes found the apply thread parked.
+  EXPECT_GT(mux.apply_parks(), parks_before);
+}
+
+TEST_F(SessionMuxWake, SpacedWritesAndBurstsFromOneSession) {
+  SpacedThenBurstWrites(1);
+}
+
+TEST_F(SessionMuxWake, SpacedWritesAndBurstsFromFourSessions) {
+  SpacedThenBurstWrites(4);
+}
+
+TEST_F(SessionMuxWake, DestroyWhileApplyThreadParked) {
+  auto server = MakeEdtcServer();
+  auto mux = std::make_unique<SessionMux>(*server);
+  const uint64_t parks = mux->apply_parks();
+  {
+    auto session = mux->Connect("alice");
+    EXPECT_EQ(session->Execute("checkin CPU HDL_model \"m\""),
+              "ok CPU,HDL_model,1\n");
+  }
+  // With no write to come, the apply thread parks after its spin window.
+  while (mux->apply_parks() == parks) {
+    std::this_thread::sleep_for(kPastSpinWindow);
+  }
+  std::this_thread::sleep_for(kPastSpinWindow);
+  mux.reset();  // Must wake the parked apply thread and join it.
+  EXPECT_EQ(server->database().snapshot_epoch(), 2u);
+}
+
+TEST_F(SessionMuxWake, SessionsConnectWriteAndDropInATightLoop) {
+  constexpr int kThreads = 3;
+  constexpr int kRounds = 150;
+  auto server = MakeEdtcServer();
+  SessionMux mux(*server);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRounds; ++i) {
+        const std::string block =
+            "t" + std::to_string(t) + "r" + std::to_string(i);
+        auto session = mux.Connect("user" + std::to_string(t));
+        EXPECT_EQ(session->Execute("checkin " + block + " HDL_model \"m\""),
+                  "ok " + block + ",HDL_model,1\n");
+      }  // The session drops while the apply thread may still notify.
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mux.mutations_applied(), static_cast<uint64_t>(kThreads * kRounds));
+}
+
+#if defined(DAMOCLES_FAILPOINTS_ENABLED)
+
+TEST_F(SessionMuxWake, DestroyAnswersEveryAdmittedMutation) {
+  constexpr int kWriters = 4;
+  auto server = MakeEdtcServer();
+  auto mux = std::make_unique<SessionMux>(*server);
+  std::vector<std::unique_ptr<SessionMux::Session>> sessions;
+  for (int w = 0; w <= kWriters; ++w) {
+    sessions.push_back(mux->Connect("writer" + std::to_string(w)));
+  }
+  // The first pop stalls the apply thread, so every other writer is
+  // admitted and queued when the destructor starts.
+  common::Failpoints::Instance().Configure("mux.apply.stall",
+                                           "delay:1000,count=1");
+  std::vector<std::string> replies(kWriters + 1);
+  std::vector<std::thread> threads;
+  for (int w = 0; w <= kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      if (w > 0) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      replies[w] = sessions[w]->Execute("checkin blk" + std::to_string(w) +
+                                        " HDL_model \"m\"");
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  mux.reset();
+  for (std::thread& t : threads) t.join();
+  // Sessions may outlive the mux; each admitted mutation was answered.
+  for (int w = 0; w <= kWriters; ++w) {
+    EXPECT_EQ(replies[w], "ok blk" + std::to_string(w) + ",HDL_model,1\n");
+  }
+  EXPECT_EQ(server->database().snapshot_epoch(), 2u + kWriters);
+}
+
+#endif  // DAMOCLES_FAILPOINTS_ENABLED
+
 // --- Fault injection: deadlines, degraded flow-through --------------------
 
 #if defined(DAMOCLES_FAILPOINTS_ENABLED)
