@@ -447,7 +447,7 @@ void DeliverBoundaryRound(BoundaryDesign& design) {
 void PrintBatchedHandoffSeries() {
   benchutil::PrintHeader(
       "Batched cross-shard handoff: boundary-heavy workload",
-      "per-(epoch, target shard) seed batching + lane stealing, "
+      "per-(epoch, target shard) seed batching, "
       "src/engine/sharded_engine.hpp",
       "Hub waves whose foreign receivers interleave across every shard "
       "(run length ~1);\nthe handoff posts one aggregated task per (wave, "
@@ -459,9 +459,8 @@ void PrintBatchedHandoffSeries() {
   const int warmup = benchutil::SeriesScale(15, 3);
 
   PrintCores();
-  std::printf("%-10s %-16s %-22s %-14s %-14s %-14s\n", "shards", "us/round",
-              "deliveries/sec", "handoff/round", "stolen/round",
-              "scanned/round");
+  std::printf("%-10s %-16s %-22s %-14s %-14s\n", "shards", "us/round",
+              "deliveries/sec", "handoff/round", "scanned/round");
   for (const uint32_t shards : {2u, 4u, 8u}) {
     auto design = MakeBoundaryDesign(hubs, degree, shards);
     for (int i = 0; i < warmup; ++i) DeliverBoundaryRound(*design);
@@ -481,12 +480,11 @@ void PrintBatchedHandoffSeries() {
     const auto per_round = [rounds](size_t total) {
       return static_cast<double>(total) / rounds;
     };
-    // Information only: stolen sub-waves expand through the shared
-    // index, so links scanned stays 0.
+    // Information only: every lane expands through the shared index, so
+    // links scanned stays 0.
     std::printf(
-        "%-10u %-16.1f %-22.0f %-14.1f %-14.1f %-14.1f%s\n", shards,
-        us_per_round, rate, per_round(design->engine->stats().handoff_waves),
-        per_round(design->engine->stats().stolen_subwaves),
+        "%-10u %-16.1f %-22.0f %-14.1f %-14.1f%s\n", shards, us_per_round,
+        rate, per_round(design->engine->stats().handoff_waves),
         per_round(design->engine->AggregateEngineStats().links_scanned),
         ScalingNote(shards));
   }

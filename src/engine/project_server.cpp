@@ -86,6 +86,7 @@ ProjectServer::ProjectServer(std::string project_name, ServerOptions options)
     sharded_->PostEvent(std::move(event));
   });
 
+  bool folded_rows = false;
   if (plan.have_checkpoint) {
     // Restore the policy commit chain, then re-install the checkpointed
     // rules (suppressing op logging), then the pre-checkpoint journal
@@ -108,9 +109,17 @@ ProjectServer::ProjectServer(std::string project_name, ServerOptions options)
       replaying_ = false;
     }
     for (const metadb::RecoveredStream& stream : plan.streams) {
-      events::EventJournal& journal = JournalForStream(stream.name);
+      events::EventJournal* journal = JournalForStream(stream.name);
+      if (journal == nullptr) {
+        // Config drift (fewer shards than the checkpointing process
+        // had, or the "steal<K>" streams older builds wrote): fold the
+        // rows into shard 0 — the journal multiset across all streams
+        // is what recovery preserves.
+        journal = &sharded_->shard(0).mutable_journal();
+        folded_rows = folded_rows || !stream.rows.empty();
+      }
       for (const events::WalRestoredRow& row : stream.rows) {
-        journal.Record(row.event);
+        journal->Record(row.event);
       }
     }
     sharded_->RestoreEpochCeiling(
@@ -125,6 +134,12 @@ ProjectServer::ProjectServer(std::string project_name, ServerOptions options)
   if (durable) {
     manifests_skipped_ = plan.manifests_skipped;
     AttachWal();
+    // Folded rows live only in shard 0's journal, and no writer continues
+    // the streams they came from: mirror the journal whole, so the next
+    // checkpoint's offsets cover them.
+    if (folded_rows) {
+      row_writers_.front()->MirrorJournal(*sink_journals_.front());
+    }
     op_seq_ = plan.last_op_seq;
     replayed_ops_offset_ = plan.replay_ops_end;
     if (!plan.replay_ops.empty()) ReplayOps(plan.replay_ops);
@@ -153,7 +168,7 @@ void ProjectServer::StopCheckpointWorker() {
   checkpoint_thread_.join();
 }
 
-events::EventJournal& ProjectServer::JournalForStream(
+events::EventJournal* ProjectServer::JournalForStream(
     const std::string& name) {
   const auto parse_index = [&name](std::string_view prefix, size_t& out) {
     return StartsWith(name, prefix) &&
@@ -161,16 +176,9 @@ events::EventJournal& ProjectServer::JournalForStream(
   };
   size_t index = 0;
   if (parse_index("shard", index) && index < sharded_->num_shards()) {
-    return sharded_->shard(static_cast<uint32_t>(index)).mutable_journal();
+    return &sharded_->shard(static_cast<uint32_t>(index)).mutable_journal();
   }
-  if (parse_index("steal", index) &&
-      index < sharded_->steal_journal_count()) {
-    return sharded_->steal_journal(index);
-  }
-  // Config drift (fewer shards / steal contexts than the checkpointing
-  // process had): fold leftovers into shard 0 — the journal multiset
-  // across all streams is what recovery preserves.
-  return sharded_->shard(0).mutable_journal();
+  return nullptr;
 }
 
 void ProjectServer::AttachWal() {
@@ -198,10 +206,6 @@ void ProjectServer::AttachWal() {
   for (uint32_t i = 0; i < sharded_->num_shards(); ++i) {
     attach(sharded_->shard(i).mutable_journal(),
            make_writer("shard" + std::to_string(i), i));
-  }
-  for (size_t i = 0; i < sharded_->steal_journal_count(); ++i) {
-    attach(sharded_->steal_journal(i),
-           make_writer("steal" + std::to_string(i), 0));
   }
 }
 

@@ -352,10 +352,10 @@ class ProjectServer {
 
   // --- Durability internals ----------------------------------------------
 
-  /// The journal a WAL row stream mirrors ("shard<K>" -> lane K,
-  /// "steal<K>" -> steal context K; unknown names fold into shard 0 so
-  /// a config change never loses restored rows).
-  events::EventJournal& JournalForStream(const std::string& name);
+  /// The journal a WAL row stream mirrors ("shard<K>" -> lane K), or
+  /// null for a stream no lane continues: a shard past this server's
+  /// count, or an older build's "steal<K>" stream.
+  events::EventJournal* JournalForStream(const std::string& name);
 
   /// Creates the ops + row writers and attaches the journal sinks.
   void AttachWal();

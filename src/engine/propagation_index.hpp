@@ -25,8 +25,8 @@
 // the index only look names up, and work on a const database. Callers
 // holding a name resolve it with MetaDatabase::FindSymbol first.
 //
-// One index serves any number of readers: a sharded engine's lane and
-// steal engines all expand through one instance, which only structural
+// One index serves any number of readers: a sharded engine's lane
+// engines all expand through one instance, which only structural
 // (quiescent) calls modify.
 #pragma once
 

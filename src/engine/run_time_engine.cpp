@@ -459,11 +459,6 @@ void RunTimeEngine::ProcessWaveSeeded(std::vector<OidId> seeds,
       ++extent;
       ++stats_.wave_deliveries;
 
-      // Delivery bracket: under a lane-stealing router, sub-waves of
-      // different epochs may execute concurrently and reconverge on one
-      // OID — the router serializes same-OID rule execution here.
-      if (router_ != nullptr) router_->BeginDelivery(target);
-
       if (!is_origin_batch) {
         ++stats_.propagated_deliveries;
         if (options_.journal_propagated) {
@@ -485,8 +480,6 @@ void RunTimeEngine::ProcessWaveSeeded(std::vector<OidId> seeds,
       // per-delivery fields from `target`.
       direction_posts.clear();
       RunRulesAt(target, event, event_sym, direction_posts);
-
-      if (router_ != nullptr) router_->EndDelivery(target);
 
       // Direction-posted events are "directly propagated from the
       // current OID" (paper §3.2, example 2): the posting OID's rules

@@ -22,7 +22,7 @@
 // / delete / endpoint move / PROPAGATE change), so phase 5 asks one hash
 // lookup per OID instead of scanning its adjacency and every link's
 // PROPAGATE list. An engine can instead borrow another engine's index
-// (the sharded engine's lanes and steal engines all borrow lane 0's).
+// (the sharded engine's other lanes all borrow lane 0's).
 // Waves are processed in batches (BFS generations): all receivers of a
 // generation are collected and de-duplicated before any of their rules
 // run, which keeps delivery order identical to the naive scan and lets
@@ -122,15 +122,6 @@ class WaveRouter {
   /// generation, not one per receiver.
   virtual size_t ClaimSeedBatch(uint64_t epoch,
                                 std::vector<metadb::OidId>& seeds) = 0;
-
-  /// Bracketing hooks around one delivery (journal row + rule phases)
-  /// at `receiver`. A router that lets sub-waves of *different* epochs
-  /// run on concurrent executors (lane stealing) serializes same-OID
-  /// deliveries here; the defaults are no-ops for single-executor
-  /// shards. BeginDelivery may block; the engine never holds two
-  /// receivers' brackets at once.
-  virtual void BeginDelivery(metadb::OidId receiver) { (void)receiver; }
-  virtual void EndDelivery(metadb::OidId receiver) { (void)receiver; }
 };
 
 /// The run-time engine. Owns the FIFO queue and the journal; operates on

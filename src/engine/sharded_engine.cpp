@@ -1,7 +1,6 @@
 #include "engine/sharded_engine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <bit>
 #include <deque>
@@ -82,11 +81,8 @@ struct ShardedEngine::Task {
 
 /// Bounded Vyukov ring. Producers never lock; a full ring is reported
 /// to the caller, which falls back to the lane's overflow deque so
-/// intake can never deadlock on a saturated shard. Two pop flavours:
-/// TryPop assumes a single consumer (the lane's busy flag serializes
-/// claimants — the top-level event ring), TryPopShared runs the full
-/// MPMC protocol so stealers and the lane occupant can drain the
-/// sub-wave ring concurrently.
+/// intake can never deadlock on a saturated shard. One consumer at a
+/// time: the lane's busy flag serializes claimants.
 class ShardedEngine::TaskRing {
  public:
   explicit TaskRing(size_t capacity)
@@ -134,31 +130,6 @@ class ShardedEngine::TaskRing {
     return true;
   }
 
-  /// Multi-consumer pop (Vyukov MPMC): concurrent claimants race on
-  /// dequeue_pos_ with CAS; the winner owns the cell.
-  bool TryPopShared(Task& out) {
-    size_t pos = dequeue_pos_.load(std::memory_order_relaxed);
-    for (;;) {
-      Cell& cell = cells_[pos & mask_];
-      const size_t seq = cell.sequence.load(std::memory_order_acquire);
-      const intptr_t dif =
-          static_cast<intptr_t>(seq) - static_cast<intptr_t>(pos + 1);
-      if (dif == 0) {
-        if (dequeue_pos_.compare_exchange_weak(pos, pos + 1,
-                                               std::memory_order_relaxed)) {
-          out = std::move(cell.task);
-          cell.task = Task{};  // Release payloads eagerly.
-          cell.sequence.store(pos + mask_ + 1, std::memory_order_release);
-          return true;
-        }
-      } else if (dif < 0) {
-        return false;  // Empty.
-      } else {
-        pos = dequeue_pos_.load(std::memory_order_relaxed);
-      }
-    }
-  }
-
   /// Approximate (racy reads are fine: idle wakeup predicate only).
   bool Empty() const {
     const size_t pos = dequeue_pos_.load(std::memory_order_relaxed);
@@ -203,24 +174,11 @@ struct ShardedEngine::Counters {
   /// (ThreadSanitizer does not model those).
   std::atomic<size_t> searching{0};
 
-  /// Per-OID delivery locks, striped by OID slot: a lane occupant and a
-  /// stealer may deliver *different* epochs to the same OID
-  /// concurrently; the stripe serializes the rule execution (and the
-  /// property writes inside it). Stripe collisions only over-serialize.
-  /// Cache-line padded: neighbouring stripes are hit by unrelated
-  /// executors on every delivery, so sharing a line would put false
-  /// sharing on exactly the path this layer optimizes.
-  struct alignas(64) DeliveryStripe {
-    std::atomic<uint8_t> flag{0};
-  };
-  std::array<DeliveryStripe, 256> delivery_stripes{};
-
   std::atomic<size_t> events_posted{0};
   std::atomic<size_t> tasks_processed{0};
   std::atomic<size_t> handoff_waves{0};
   std::atomic<size_t> handoff_seeds{0};
   std::atomic<size_t> seed_batch_splits{0};
-  std::atomic<size_t> stolen_subwaves{0};
   std::atomic<size_t> inline_tasks{0};
   std::atomic<size_t> handoff_waves_truncated{0};
   std::atomic<size_t> reposted_events{0};
@@ -307,18 +265,14 @@ class ClaimSet {
   int shift_ = 32;
 };
 
-/// The per-shard exactly-once claim map (epoch -> delivered OID slots),
-/// published behind an epoch-versioned read path so sub-waves of the
-/// shard can be claimed from ANY executor (the owning lane's occupant
-/// or a stealing worker): claim rounds happen under the store mutex —
-/// one batched round per BFS generation, not one lock per receiver —
-/// and the purge floor (the epoch below which claim sets have been
-/// merged out, i.e. the version of the published claim state) is an
-/// atomic any thread may read without the lock;
-/// ShardedStats::claim_purge_floor surfaces it and the ShardedSteal
-/// suite asserts it advances. Every multi-shard engine claims here,
-/// deterministic and single-worker ones included (the lock is then
-/// uncontended).
+/// The per-shard exactly-once claim map (epoch -> delivered OID slots).
+/// Only the executor occupying the shard's lane claims here, one
+/// batched round per BFS generation; the store mutex is contended only
+/// by stats() readers (sets_held). The purge floor (the epoch below
+/// which claim sets have been merged out) is an atomic any thread may
+/// read without the lock; ShardedStats::claim_purge_floor surfaces it
+/// and the ShardedFifo suite asserts it advances. Every multi-shard
+/// engine claims here, deterministic ones included.
 ///
 /// Claim sets sit in a deque indexed by epoch from its lowest entry. An
 /// epoch takes a set from the store's pool at its first claim round
@@ -439,9 +393,7 @@ class ShardedEngine::ClaimStore {
 /// claims for the OIDs the bound shard owns through that shard's
 /// ClaimStore, and accumulates foreign receivers until the executor
 /// flushes them as seeded sub-wave tasks after the current task
-/// completes. Lane routers stay bound to their lane for life; each
-/// stealing worker owns one router it re-binds to the stolen task's
-/// shard.
+/// completes. Each lane's router stays bound to its lane for life.
 ///
 /// Handoff batching: foreign receivers aggregate per (wave epoch,
 /// target shard) in first-encounter order — the epoch uniquely
@@ -452,10 +404,6 @@ class ShardedEngine::LaneRouter final : public WaveRouter {
  public:
   LaneRouter(ShardedEngine& owner, uint32_t shard)
       : owner_(owner), shard_(shard) {}
-
-  /// Re-targets this router at `shard` (steal contexts only; called
-  /// between tasks, never mid-wave).
-  void Bind(uint32_t shard) noexcept { shard_ = shard; }
 
   bool Owns(OidId receiver) override {
     // Cache the lookup: Handoff(receiver) follows immediately when this
@@ -479,14 +427,6 @@ class ShardedEngine::LaneRouter final : public WaveRouter {
   size_t ClaimSeedBatch(uint64_t epoch, std::vector<OidId>& seeds) override {
     return owner_.StoreOf(shard_).ClaimBatch(epoch, seeds,
                                              owner_.MinLiveEpoch());
-  }
-
-  void BeginDelivery(OidId receiver) override {
-    owner_.LockDelivery(receiver);
-  }
-
-  void EndDelivery(OidId receiver) override {
-    owner_.UnlockDelivery(receiver);
   }
 
   /// Epoch refs minted during the current task; the executor releases
@@ -587,7 +527,7 @@ class ShardedEngine::LaneRouter final : public WaveRouter {
   };
 
   ShardedEngine& owner_;
-  uint32_t shard_;
+  const uint32_t shard_;
   OidId last_receiver_;  ///< Owns() memo consumed by Handoff().
   uint32_t last_shard_ = 0;
   std::vector<PendingWave> pending_;  ///< First-encounter order.
@@ -603,72 +543,75 @@ struct ShardedEngine::Lane {
   std::unique_ptr<RunTimeEngine> engine;
   std::unique_ptr<LaneRouter> router;
 
-  /// Lock-free intake for TOP-LEVEL queue events (threaded mode); null
-  /// in deterministic mode. Single consumer (the occupant), so
-  /// per-shard FIFO for top-level waves is structural: stealing never
-  /// touches this ring.
-  std::unique_ptr<TaskRing> ring;
+  /// One FIFO of the lane (threaded mode): a lock-free ring with an
+  /// overflow deque behind it. Once a push spills, later pushes follow
+  /// until the consumer drains the deque, so FIFO order holds across the
+  /// spill. Single consumer: the lane's occupant.
+  struct Queue {
+    explicit Queue(size_t capacity) : ring(capacity) {}
 
-  /// Epoch-tagged cross-shard sub-waves (threaded mode); null in
-  /// deterministic mode. Multi-consumer: the occupant and stealing
-  /// workers pop concurrently (TryPopShared) — sub-wave order across
-  /// executors is free, exactly-once comes from the claim stores.
-  std::unique_ptr<TaskRing> sub_ring;
-
-  /// Claim flag: at most one executor occupies a lane at a time, which
-  /// keeps the event ring single-consumer and the shard's top-level
-  /// delivery order FIFO with any worker count.
-  std::atomic<bool> busy{false};
-
-  /// Overflow fallback behind a ring (threaded only). Once a push
-  /// spills, later pushes follow until a consumer drains the deque, so
-  /// FIFO order holds across the spill.
-  struct Spill {
-    std::mutex mutex;
-    std::deque<Task> tasks;
-    std::atomic<bool> active{false};
-
-    /// Pushes onto `ring` unless a spill is active; returns true when
+    /// Pushes onto the ring unless a spill is active; returns true when
     /// the task spilled.
-    bool Push(TaskRing& ring, Task&& task) {
+    bool Push(Task&& task) {
       // Chaos hook: a hit spills as if the lock-free ring were full.
       common::FailpointHit hit;
       if (!DAMOCLES_FAILPOINT("sharded.ring.spill", &hit) &&
-          !active.load(std::memory_order_acquire) &&
+          !spilling.load(std::memory_order_acquire) &&
           ring.TryPush(std::move(task))) {
         return false;
       }
       std::lock_guard<std::mutex> lock(mutex);
-      active.store(true, std::memory_order_release);
-      tasks.push_back(std::move(task));
+      spilling.store(true, std::memory_order_release);
+      spill.push_back(std::move(task));
       return true;
     }
 
+    /// The ring first (older tasks), then the spill.
     bool Pop(Task& out) {
-      if (!active.load(std::memory_order_acquire)) return false;
+      if (ring.TryPop(out)) return true;
+      if (!spilling.load(std::memory_order_acquire)) return false;
       std::lock_guard<std::mutex> lock(mutex);
-      const bool popped = !tasks.empty();
+      const bool popped = !spill.empty();
       if (popped) {
-        out = std::move(tasks.front());
-        tasks.pop_front();
+        out = std::move(spill.front());
+        spill.pop_front();
       }
-      if (tasks.empty()) active.store(false, std::memory_order_release);
+      if (spill.empty()) spilling.store(false, std::memory_order_release);
       return popped;
     }
-  };
-  Spill overflow;
-  Spill sub_overflow;
 
-  /// Queued sub-wave gauge (incremented before a push is visible, so
-  /// it never under-counts): the stealers' cheap probe for whether this
-  /// lane has stealable work.
-  std::atomic<size_t> queued_subwaves{0};
+    bool HasWork() {
+      if (!ring.Empty()) return true;
+      if (!spilling.load(std::memory_order_acquire)) return false;
+      std::lock_guard<std::mutex> lock(mutex);
+      return !spill.empty();
+    }
+
+    TaskRing ring;
+    std::mutex mutex;
+    std::deque<Task> spill;
+    std::atomic<bool> spilling{false};
+  };
+
+  /// Top-level queue events and cross-shard sub-waves, queued apart so
+  /// an occupant can run sub-waves first; null in deterministic mode.
+  /// Both are single-consumer, so per-shard FIFO for top-level waves is
+  /// structural and every task of the shard runs on its occupant.
+  std::unique_ptr<Queue> events;
+  std::unique_ptr<Queue> subwaves;
+
+  /// Claim flag: at most one executor occupies a lane at a time, which
+  /// keeps both queues single-consumer and the shard's top-level
+  /// delivery order FIFO with any worker count.
+  std::atomic<bool> busy{false};
 
   /// Deterministic-mode storage: a min-heap of tasks by (order epoch,
   /// ticket) over a reused vector, so the scheduler's pick is front()
   /// and a push or pop allocates nothing once the vector has grown.
   /// Tickets are globally unique, so keys never tie and the pop order is
-  /// the keys' order.
+  /// the keys' order. Guarded by ordered_mutex (intake may post from
+  /// other threads).
+  std::mutex ordered_mutex;
   std::vector<Task> ordered;
 
   /// Heap order for `ordered`: std::push_heap keeps the largest on top,
@@ -679,43 +622,26 @@ struct ShardedEngine::Lane {
   }
 
   bool HasWork() {
-    if (ring != nullptr && !ring->Empty()) return true;
-    if (queued_subwaves.load(std::memory_order_acquire) > 0) return true;
-    if (!overflow.active.load(std::memory_order_acquire)) return false;
-    std::lock_guard<std::mutex> lock(overflow.mutex);
-    return !overflow.tasks.empty();
+    return events != nullptr && (events->HasWork() || subwaves->HasWork());
   }
 
   void Push(Task&& task, std::atomic<size_t>& overflow_counter) {
-    if (ring == nullptr) {  // Deterministic mode.
-      std::lock_guard<std::mutex> lock(overflow.mutex);
+    if (events == nullptr) {  // Deterministic mode.
+      std::lock_guard<std::mutex> lock(ordered_mutex);
       ordered.push_back(std::move(task));
       std::push_heap(ordered.begin(), ordered.end(), Later);
       return;
     }
-    const bool sub = task.kind == Task::Kind::kSeededWave;
-    if (sub) queued_subwaves.fetch_add(1, std::memory_order_release);
-    if (sub ? sub_overflow.Push(*sub_ring, std::move(task))
-            : overflow.Push(*ring, std::move(task))) {
+    Queue& queue = task.kind == Task::Kind::kSeededWave ? *subwaves : *events;
+    if (queue.Push(std::move(task))) {
       overflow_counter.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
-  /// Single consumer (the occupant): event ring first (older tasks),
-  /// then the spill.
+  /// The occupant's next task: sub-waves first, since they complete
+  /// in-flight epochs, which lowers the claim purge horizon.
   bool Pop(Task& out) {
-    return ring != nullptr && (ring->TryPop(out) || overflow.Pop(out));
-  }
-
-  /// Multi-consumer sub-wave pop: occupant and stealers race through
-  /// the MPMC ring, then the spill deque under its mutex.
-  bool PopSub(Task& out) {
-    if (sub_ring == nullptr ||
-        !(sub_ring->TryPopShared(out) || sub_overflow.Pop(out))) {
-      return false;
-    }
-    queued_subwaves.fetch_sub(1, std::memory_order_release);
-    return true;
+    return events != nullptr && (subwaves->Pop(out) || events->Pop(out));
   }
 
   /// Deterministic mode: the lane's best (order epoch, ticket) key —
@@ -723,7 +649,7 @@ struct ShardedEngine::Lane {
   /// finishes each wave's reachable work before the next wave starts,
   /// like the single FIFO queue would.
   bool PeekBest(std::pair<uint64_t, uint64_t>& key) {
-    std::lock_guard<std::mutex> lock(overflow.mutex);
+    std::lock_guard<std::mutex> lock(ordered_mutex);
     if (ordered.empty()) return false;
     key = std::make_pair(ordered.front().order_epoch, ordered.front().ticket);
     return true;
@@ -733,24 +659,11 @@ struct ShardedEngine::Lane {
   /// Same-wave tasks keep their enqueue (ticket) order; only cross-wave
   /// tasks jump the line, which a single-threaded drain may freely do.
   void PopBest(Task& out) {
-    std::lock_guard<std::mutex> lock(overflow.mutex);
+    std::lock_guard<std::mutex> lock(ordered_mutex);
     std::pop_heap(ordered.begin(), ordered.end(), Later);
     out = std::move(ordered.back());
     ordered.pop_back();
   }
-};
-
-// --- Steal contexts ----------------------------------------------------------
-
-/// One stealing worker's private executor: a RunTimeEngine over the
-/// shared meta-database plus a router re-bound to the stolen task's
-/// shard, which claims through that shard's ClaimStore. The engine
-/// expands waves through the one shared propagation index, like every
-/// lane engine. Journal and stats are private and merged into the
-/// engine-wide views.
-struct ShardedEngine::StealContext {
-  std::unique_ptr<RunTimeEngine> engine;
-  std::unique_ptr<LaneRouter> router;
 };
 
 // --- Construction -----------------------------------------------------------
@@ -785,10 +698,9 @@ ShardedEngine::ShardedEngine(metadb::MetaDatabase& db, SimClock& clock,
       claim_stores_.push_back(std::make_unique<ClaimStore>());
     }
     if (!options_.deterministic) {
-      lane->ring = std::make_unique<TaskRing>(
-          RingCapacity(options_.queue_capacity));
-      lane->sub_ring = std::make_unique<TaskRing>(
-          RingCapacity(options_.queue_capacity));
+      const size_t capacity = RingCapacity(options_.queue_capacity);
+      lane->events = std::make_unique<Lane::Queue>(capacity);
+      lane->subwaves = std::make_unique<Lane::Queue>(capacity);
     }
     lanes_.push_back(std::move(lane));
   }
@@ -799,22 +711,6 @@ ShardedEngine::ShardedEngine(metadb::MetaDatabase& db, SimClock& clock,
       worker_count = std::min<size_t>(num_shards_, cores);
     }
     worker_count = std::min<size_t>(worker_count, num_shards_);
-    // Lane stealing: every worker gets a private steal engine that
-    // borrows the shared index and claims through the owning shard's
-    // ClaimStore. A single worker never observes a busy lane, so
-    // stealing is moot below two.
-    stealing_active_ = num_shards_ > 1 && worker_count > 1;
-    if (stealing_active_) {
-      steal_contexts_.reserve(worker_count);
-      for (size_t i = 0; i < worker_count; ++i) {
-        auto context = std::make_unique<StealContext>();
-        context->engine = std::make_unique<RunTimeEngine>(
-            db_, clock_, options_.engine, &SharedIndex());
-        context->router = std::make_unique<LaneRouter>(*this, 0);
-        context->engine->SetWaveRouter(context->router.get());
-        steal_contexts_.push_back(std::move(context));
-      }
-    }
     counters_->parkers = std::make_unique<Counters::Parker[]>(worker_count);
     counters_->searching.store(worker_count, std::memory_order_relaxed);
     workers_.reserve(worker_count);
@@ -843,27 +739,6 @@ const PropagationIndex& ShardedEngine::SharedIndex() const {
 
 ShardedEngine::ClaimStore& ShardedEngine::StoreOf(uint32_t shard) {
   return *claim_stores_[shard];
-}
-
-void ShardedEngine::LockDelivery(OidId receiver) {
-  if (!stealing_active_) return;
-  std::atomic<uint8_t>& stripe =
-      counters_->delivery_stripes[receiver.value() %
-                                  counters_->delivery_stripes.size()]
-          .flag;
-  // Spin with yield: the bracket covers one OID's rule phases, which
-  // are short, and each executor holds at most one stripe at a time
-  // (no hold-and-wait, so no deadlock).
-  while (stripe.exchange(1, std::memory_order_acquire) != 0) {
-    std::this_thread::yield();
-  }
-}
-
-void ShardedEngine::UnlockDelivery(OidId receiver) {
-  if (!stealing_active_) return;
-  counters_->delivery_stripes[receiver.value() %
-                              counters_->delivery_stripes.size()]
-      .flag.store(0, std::memory_order_release);
 }
 
 // --- Wave epochs -------------------------------------------------------------
@@ -901,14 +776,6 @@ void ShardedEngine::RestoreEpochCeiling(uint64_t next_epoch,
   counters.wave_epochs.store(wave_epochs, std::memory_order_relaxed);
 }
 
-size_t ShardedEngine::steal_journal_count() const noexcept {
-  return steal_contexts_.size();
-}
-
-events::EventJournal& ShardedEngine::steal_journal(size_t index) {
-  return steal_contexts_[index]->engine->mutable_journal();
-}
-
 void ShardedEngine::AcquireEpochRef(uint64_t epoch) {
   Counters& counters = *counters_;
   std::lock_guard<std::mutex> lock(counters.epoch_mutex);
@@ -942,7 +809,7 @@ void ShardedEngine::AwaitQuiescence() noexcept {
   if (options_.deterministic || tls_on_worker) return;
   const ExecutorScope scope;
   Counters& counters = *counters_;
-  bool searching = false;  // A drainer never searches, parks or steals.
+  bool searching = false;  // A drainer never searches or parks.
   for (;;) {
     const size_t pending = counters.pending.load(std::memory_order_acquire);
     if (pending == 0) return;
@@ -963,9 +830,6 @@ void ShardedEngine::LoadBlueprint(const blueprint::Blueprint& blueprint,
   AwaitQuiescence();
   for (auto& lane : lanes_) {
     lane->engine->LoadBlueprint(blueprint.Clone(), policy_version);
-  }
-  for (auto& context : steal_contexts_) {
-    context->engine->LoadBlueprint(blueprint.Clone(), policy_version);
   }
 }
 
@@ -1031,7 +895,7 @@ void ShardedEngine::Enqueue(uint32_t shard, Task&& task) {
   counters_->pending.fetch_add(1, std::memory_order_acq_rel);
   // The caller pinned the task's epoch (Route at the mint, Flush for a
   // handoff) before it becomes visible to workers, so no store purges
-  // the wave's claim sets mid-flight; FinishTask releases the pin.
+  // the wave's claim sets mid-flight; RunTask releases the pin.
   lanes_[shard]->Push(std::move(task), counters_->ring_overflows);
   if (workers_.empty()) return;
   if (counters_->searching.fetch_add(0, std::memory_order_acq_rel) == 0) {
@@ -1082,10 +946,11 @@ bool ShardedEngine::Park(size_t worker_index, bool searching) {
 
 // --- Execution ---------------------------------------------------------------
 
-void ShardedEngine::ExecuteTask(RunTimeEngine& engine, LaneRouter& router,
-                                Task&& task) {
+void ShardedEngine::RunTask(Lane& lane, Task&& task) {
+  RunTimeEngine& engine = *lane.engine;
   const uint32_t hops = task.hops;
   const uint64_t order_epoch = task.order_epoch;
+  const uint64_t task_epoch = task.event.wave_epoch;
   if (task.kind == Task::Kind::kEvent) {
     engine.queue().Push(std::move(task.event));
     engine.ProcessOne();
@@ -1098,19 +963,17 @@ void ShardedEngine::ExecuteTask(RunTimeEngine& engine, LaneRouter& router,
   // to the shard engine's local queue re-enter sharded intake. Epoch
   // refs minted mid-task (direction-post scopes) are dropped last, so
   // their handoff tasks are pinned before the mint ref lapses.
-  router.Flush(hops, order_epoch);
+  lane.router->Flush(hops, order_epoch);
   while (std::optional<EventMessage> posted = engine.queue().Pop()) {
     counters_->reposted_events.fetch_add(1, std::memory_order_relaxed);
     Route(std::move(*posted));
   }
-  for (const uint64_t epoch : router.TakeMintedEpochs()) {
+  for (const uint64_t epoch : lane.router->TakeMintedEpochs()) {
     ReleaseEpochRef(epoch);
   }
   counters_->tasks_processed.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ShardedEngine::FinishTask(uint64_t epoch) {
-  if (epoch != 0) ReleaseEpochRef(epoch);
+  // The task's own pin goes last: its handoffs are enqueued by now.
+  if (task_epoch != 0) ReleaseEpochRef(task_epoch);
   if (counters_->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     counters_->pending.notify_all();  // No syscall without a waiter.
   }
@@ -1121,42 +984,14 @@ size_t ShardedEngine::RunLaneBurst(Lane& lane, bool& searching) {
   if (!lane.HasWork() || lane.busy.exchange(true, std::memory_order_acquire)) {
     return 0;
   }
-  // Sub-waves first: they complete in-flight epochs, which lowers the
-  // claim purge horizon.
   size_t ran = 0;
   Task task;
-  for (; ran < kLaneBurst && (lane.PopSub(task) || lane.Pop(task)); ++ran) {
+  for (; ran < kLaneBurst && lane.Pop(task); ++ran) {
     if (searching) StopSearching(searching);
-    const uint64_t epoch = task.event.wave_epoch;
-    ExecuteTask(*lane.engine, *lane.router, std::move(task));
-    FinishTask(epoch);
+    RunTask(lane, std::move(task));
   }
   lane.busy.store(false, std::memory_order_release);
   return ran;
-}
-
-bool ShardedEngine::TrySteal(size_t worker_index, bool& searching) {
-  // One stolen task per pass, then back to the regular sweep: occupying
-  // a free lane beats stealing from a busy one. Sub-waves may be stolen
-  // from any lane (busy or not) — exactly-once is arbitrated by the
-  // shared claim stores and same-OID execution by the delivery locks,
-  // and top-level waves are untouched (they live in the single-consumer
-  // event rings).
-  StealContext& context = *steal_contexts_[worker_index];
-  Task task;
-  for (size_t i = 0; i < lanes_.size(); ++i) {
-    Lane& lane = *lanes_[(worker_index + i) % lanes_.size()];
-    if (lane.queued_subwaves.load(std::memory_order_acquire) == 0) continue;
-    if (!lane.PopSub(task)) continue;
-    if (searching) StopSearching(searching);
-    counters_->stolen_subwaves.fetch_add(1, std::memory_order_relaxed);
-    context.router->Bind(lane.shard);
-    const uint64_t epoch = task.event.wave_epoch;
-    ExecuteTask(*context.engine, *context.router, std::move(task));
-    FinishTask(epoch);
-    return true;
-  }
-  return false;
 }
 
 void ShardedEngine::WorkerLoop(size_t worker_index) {
@@ -1166,14 +1001,11 @@ void ShardedEngine::WorkerLoop(size_t worker_index) {
   for (;;) {
     // Sweep the lanes, starting at this worker's home lane so workers
     // spread out. An occupied lane is skipped — its occupant drains it —
-    // which keeps every event ring single-consumer.
+    // which keeps every lane queue single-consumer.
     bool did_work = false;
     for (size_t i = 0; i < lanes_.size(); ++i) {
       Lane& lane = *lanes_[(worker_index + i) % lanes_.size()];
       did_work |= RunLaneBurst(lane, searching) > 0;
-    }
-    if (!did_work && stealing_active_) {
-      did_work = TrySteal(worker_index, searching);
     }
     if (did_work) {
       idle_sweeps = 0;
@@ -1213,9 +1045,7 @@ void ShardedEngine::DrainDeterministic() {
     if (next == nullptr) return;
     Task task;
     next->PopBest(task);
-    const uint64_t epoch = task.event.wave_epoch;
-    ExecuteTask(*next->engine, *next->router, std::move(task));
-    FinishTask(epoch);
+    RunTask(*next, std::move(task));
   }
 }
 
@@ -1266,8 +1096,6 @@ ShardedStats ShardedEngine::stats() const {
       counters_->handoff_seeds.load(std::memory_order_relaxed);
   stats.seed_batch_splits =
       counters_->seed_batch_splits.load(std::memory_order_relaxed);
-  stats.stolen_subwaves =
-      counters_->stolen_subwaves.load(std::memory_order_relaxed);
   stats.inline_tasks = counters_->inline_tasks.load(std::memory_order_relaxed);
   for (const auto& store : claim_stores_) {
     stats.claim_purge_floor =
@@ -1297,7 +1125,6 @@ EngineStats ShardedEngine::AggregateEngineStats() const {
 void ShardedEngine::ForEachEngine(
     const std::function<void(const RunTimeEngine&)>& fn) const {
   for (const auto& lane : lanes_) fn(*lane->engine);
-  for (const auto& context : steal_contexts_) fn(*context->engine);
 }
 
 std::vector<std::string> ShardedEngine::JournalLines() const {
@@ -1313,26 +1140,20 @@ std::vector<std::string> ShardedEngine::JournalLines() const {
     }
   };
   for (const auto& lane : lanes_) append(lane->engine->journal());
-  for (const auto& context : steal_contexts_) {
-    append(context->engine->journal());
-  }
   return lines;
 }
 
 void ShardedEngine::ClearJournals() {
   for (auto& lane : lanes_) lane->engine->ClearJournal();
-  for (auto& context : steal_contexts_) context->engine->ClearJournal();
 }
 
 void ShardedEngine::ResetStats() {
   for (auto& lane : lanes_) lane->engine->ResetStats();
-  for (auto& context : steal_contexts_) context->engine->ResetStats();
   counters_->events_posted.store(0, std::memory_order_relaxed);
   counters_->tasks_processed.store(0, std::memory_order_relaxed);
   counters_->handoff_waves.store(0, std::memory_order_relaxed);
   counters_->handoff_seeds.store(0, std::memory_order_relaxed);
   counters_->seed_batch_splits.store(0, std::memory_order_relaxed);
-  counters_->stolen_subwaves.store(0, std::memory_order_relaxed);
   counters_->inline_tasks.store(0, std::memory_order_relaxed);
   counters_->handoff_waves_truncated.store(0, std::memory_order_relaxed);
   counters_->reposted_events.store(0, std::memory_order_relaxed);

@@ -35,12 +35,10 @@
 // cross-shard sub-waves of a wave carry the epoch in their payload.
 // Delivery is arbitrated per (epoch, OID) by the receiver's OWNING
 // shard, one batched claim round per BFS generation: the claims live
-// in per-shard ClaimStores published behind an epoch-versioned read
-// path (mutex-guarded writes, an atomic purge floor), so ANY executor —
-// the lane's occupant or a stealing worker — can consult the owning
-// shard's claims. A store keeps one open-addressed OID-slot set per
-// epoch, taken from a per-store pool, so a warm claim round allocates
-// nothing.
+// in per-shard ClaimStores, which only the executor occupying the
+// owning shard's lane writes. A store keeps one open-addressed OID-slot
+// set per epoch, taken from a per-store pool, so a warm claim round
+// allocates nothing.
 // Foreign receivers are handed off unclaimed, and the claim at the
 // target collapses however many sub-waves reach an OID into one
 // delivery. Retired epochs are merged out lazily: claim sets below the
@@ -53,28 +51,24 @@
 // cycles terminate through the claims exactly like the single visited
 // set of an unsharded wave.
 //
-// Lane stealing (threaded mode, N > 1 shards, at least two workers).
-// Top-level events and sub-waves queue separately: the event ring stays
-// single-consumer under the lane's busy flag (per-shard FIFO for
-// top-level waves is structural), while any idle worker may pop the
-// MPMC sub-wave ring. Only workers steal; a draining thread runs only
-// lanes it occupies. A stealer runs the sub-wave on its private engine,
-// claims against the owning shard's ClaimStore, and serializes
-// same-OID rule execution with the lane's occupant through striped
-// per-OID delivery locks. Stolen deliveries journal into the steal
-// engine's journal; the merged views and AggregateEngineStats fold them.
+// One executor per lane. Top-level events and sub-waves queue
+// separately — an occupant runs sub-waves first — but both queues are
+// single-consumer under the lane's busy flag: every task of a shard
+// runs on the one executor occupying its lane, through the lane's
+// engine, so per-shard FIFO for top-level waves is structural. Each OID
+// belongs to one shard, so two executors never deliver to the same OID
+// at once and rule execution needs no per-OID lock.
 //
 // One propagation index. A wave's receivers follow from the link graph
-// alone, whichever shard runs the wave, so every engine — each lane's
-// and each steal engine — expands through ONE PropagationIndex (1× the
-// link graph for any shard count). Lane 0's engine owns it and keeps it
-// current exactly as a plain engine does: its link-observer callbacks
-// maintain it and its LoadBlueprint rebuilds it. The other engines
-// borrow it. Sharing is safe because the index is keyed by the
-// database's one symbol table, which executors only look up, and
-// because only structural calls, which first wait for quiescence,
-// change links: during a drain the index is read-only. A shard-map
-// union or rebalance never touches it.
+// alone, whichever shard runs the wave, so every lane's engine expands
+// through ONE PropagationIndex (1× the link graph for any shard count).
+// Lane 0's engine owns it and keeps it current exactly as a plain
+// engine does: its link-observer callbacks maintain it and its
+// LoadBlueprint rebuilds it. The other engines borrow it. Sharing is
+// safe because the index is keyed by the database's one symbol table,
+// which executors only look up, and because only structural calls,
+// which first wait for quiescence, change links: during a drain the
+// index is read-only. A shard-map union or rebalance never touches it.
 //
 // The journal is the synchronization point: each shard engine journals
 // its own deliveries under dense per-shard sequence numbers, and the
@@ -160,9 +154,9 @@ struct ShardedEngineOptions {
   /// seeds aggregate per (wave epoch, target shard), so a wave whose
   /// foreign receivers interleave across shards posts ONE seeded
   /// sub-wave per target shard; a batch larger than this is split into
-  /// consecutive FIFO chunks, which bounds task granularity so stolen
-  /// sub-waves stay small and a batch larger than the intake ring
-  /// spills cleanly instead of wedging one giant task.
+  /// consecutive FIFO chunks, which bounds task granularity so a batch
+  /// larger than the intake ring spills cleanly instead of wedging one
+  /// giant task.
   size_t max_batch_seeds = 1024;
 
   /// Options forwarded to every per-shard engine.
@@ -179,8 +173,9 @@ struct ShardedStats {
                                ///< batching win: seeds per task).
   size_t seed_batch_splits = 0;  ///< Extra chunks created when a batch
                                  ///< exceeded max_batch_seeds.
-  size_t stolen_subwaves = 0;  ///< Sub-wave tasks executed by a worker
-                               ///< that did not occupy the owning lane.
+  size_t stolen_subwaves = 0;  ///< Always 0: every sub-wave runs on its
+                               ///< lane's occupant. Kept for readers of
+                               ///< the old counter.
   size_t inline_tasks = 0;  ///< Tasks a draining thread ran itself.
   uint64_t claim_purge_floor = 0;  ///< Gauge: highest epoch below which
                                    ///< some shard's ClaimStore has
@@ -282,8 +277,7 @@ class ShardedEngine {
   /// Sums every shard engine's counters (max_wave_extent is the max).
   EngineStats AggregateEngineStats() const;
 
-  /// Calls `fn` for every engine that executes deliveries: the shard
-  /// engines in shard order, then the steal engines.
+  /// Calls `fn` for every shard engine, in shard order.
   void ForEachEngine(const std::function<void(const RunTimeEngine&)>& fn) const;
 
   /// Every journal record across all shards as "[origin] <event>"
@@ -306,42 +300,31 @@ class ShardedEngine {
   /// Error while a deterministic engine still holds queued waves.
   void RestoreEpochCeiling(uint64_t next_epoch, size_t wave_epochs);
 
-  /// Steal-context journals (threaded lane stealing); the durability
-  /// layer mirrors each one as its own WAL row stream.
-  size_t steal_journal_count() const noexcept;
-  events::EventJournal& steal_journal(size_t index);
-
  private:
   struct Task;
   class TaskRing;
   struct Lane;
   class LaneRouter;
   class ClaimStore;
-  struct StealContext;
 
   uint32_t ShardOfTarget(const metadb::Oid& target) const;
   /// The one propagation index, owned by lane 0's engine.
   const PropagationIndex& SharedIndex() const;
   void Route(events::EventMessage event);
   void Enqueue(uint32_t shard, Task&& task);
-  void ExecuteTask(RunTimeEngine& engine, LaneRouter& router, Task&& task);
-  void FinishTask(uint64_t epoch);
+  /// Runs `task` on `lane`'s engine, flushes its handoffs and reposted
+  /// events into intake, then releases its epoch pin and pending count.
+  void RunTask(Lane& lane, Task&& task);
   void DrainDeterministic();
 
-  /// A worker: sweeps the lanes from its home lane, steals when none has
-  /// free work, yields through a few empty sweeps, then parks.
+  /// A worker: sweeps the lanes from its home lane, yields through a few
+  /// empty sweeps, then parks.
   void WorkerLoop(size_t worker_index);
 
   /// Occupies `lane` if it has work and is free, runs a burst of its
   /// tasks (sub-waves first) and frees it; returns the tasks run. A
   /// searching worker stops searching when it takes one.
   size_t RunLaneBurst(Lane& lane, bool& searching);
-
-  /// One steal pass for `worker_index`: pops a queued sub-wave task from
-  /// any lane (busy or not) and executes it on the worker's steal engine
-  /// against the owning shard's claim store. Returns true when a task
-  /// was executed.
-  bool TrySteal(size_t worker_index, bool& searching);
 
   /// Worker parking, one atomic word per worker (Counters::searching).
   /// Park returns whether the worker is counted as searching again.
@@ -353,12 +336,6 @@ class ShardedEngine {
   /// The shared (epoch, OID) claim store arbitrating shard `shard`'s
   /// deliveries.
   ClaimStore& StoreOf(uint32_t shard);
-
-  /// Per-OID delivery locks (striped): serialize same-OID rule
-  /// execution between a lane's occupant and stealers. No-ops unless
-  /// lane stealing is active.
-  void LockDelivery(metadb::OidId receiver);
-  void UnlockDelivery(metadb::OidId receiver);
 
   /// Mints the next wave-scope epoch (monotone from 1; 0 is reserved
   /// for "no scope") and pins it in the same critical section, so no
@@ -387,11 +364,6 @@ class ShardedEngine {
   std::vector<std::unique_ptr<Lane>> lanes_;
   /// Per-shard claim stores (N > 1 only: one shard needs no router).
   std::vector<std::unique_ptr<ClaimStore>> claim_stores_;
-  /// Per-worker steal engines (when stealing is active): expansion
-  /// through the shared index, private journal and stats merged into
-  /// the engine-wide views.
-  std::vector<std::unique_ptr<StealContext>> steal_contexts_;
-  bool stealing_active_ = false;
   std::vector<std::thread> workers_;
 
   // Threading state lives behind the Lane pimpl plus these counters;

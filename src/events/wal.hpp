@@ -3,7 +3,7 @@
 // The durability layer mirrors two kinds of streams into append-only
 // binary segment files under one WAL directory:
 //
-//  * Row streams ("shard0", "steal1", ...): every journal append is
+//  * Row streams ("shard0", "shard1", ...): every journal append is
 //    re-encoded against a segment-local symbol table and written as one
 //    framed record, so a recovered process can rebuild the exact journal
 //    contents (and their interned side tables) up to a checkpointed

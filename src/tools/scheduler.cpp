@@ -5,9 +5,8 @@ namespace damocles::tools {
 ToolScheduler::ToolScheduler(engine::ProjectServer& server)
     : server_(server), registry_(/*strict=*/false) {
   // The executor is installed on shard 0's engine. With more shards an
-  // exec rule delivered on another lane or a steal engine would be
-  // counted and skipped, and a script would call back into the server
-  // from a worker thread.
+  // exec rule delivered on another lane would be counted and skipped,
+  // and a script would call back into the server from a worker thread.
   const uint32_t shards = server_.sharded_engine()->num_shards();
   if (shards > 1) {
     throw Error("ToolScheduler: scripts need a one-shard server, not " +

@@ -449,9 +449,9 @@ TEST(SettledRefresh, ScanModeSettlesIdentically) {
   EXPECT_GT(a.engine().stats().settled_refreshes, 0u);
 }
 
-/// Flow sessions on a threaded 4-shard server with lane stealing: the
-/// oracle runs after every drain over every shard and steal engine,
-/// with direct writes between drains.
+/// Flow sessions on a threaded 4-shard server: the oracle runs after
+/// every drain over every shard engine, with direct writes between
+/// drains.
 TEST(SettledRefresh, ThreadedShardedSessionsStayExact) {
   const workload::FlowSpec flow;
   engine::ServerOptions options;

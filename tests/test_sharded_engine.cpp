@@ -11,7 +11,7 @@
 //    subtrees) are handed off and delivered on the foreign shard;
 //    cross-shard cycles terminate through the claims, the hop cap only
 //    backstops chains of distinct OIDs;
-//  * every lane and steal engine expands through one shared
+//  * every lane engine expands through one shared
 //    PropagationIndex (1× the link graph), which stays consistent with a
 //    rescan through link edits, use-link unions and rebalances;
 //  * the ShardMap tracks subtree roots incrementally through link adds
@@ -874,8 +874,8 @@ TEST(ShardedClaims, ClaimSetGaugeStaysBoundedAcrossWaves) {
 
 // --- One shared propagation index --------------------------------------------
 
-/// The engines of `sharded` that expand waves — lanes, then steal
-/// engines — all expand through `index`.
+/// The engines of `sharded` that expand waves — one per lane — all
+/// expand through `index`.
 void ExpectAllEnginesShare(const ShardedEngine& sharded,
                            const engine::PropagationIndex& index) {
   size_t engines = 0;
@@ -883,10 +883,10 @@ void ExpectAllEnginesShare(const ShardedEngine& sharded,
     EXPECT_EQ(&engine.propagation_index(), &index) << "engine " << engines;
     ++engines;
   });
-  EXPECT_EQ(engines, sharded.num_shards() + sharded.steal_journal_count());
+  EXPECT_EQ(engines, sharded.num_shards());
 }
 
-/// Every lane and steal engine of a 4-shard engine expands through one
+/// Every lane engine of a 4-shard engine expands through one
 /// index holding exactly the plain engine's entries, and every lane
 /// served lookups from it.
 TEST(ShardedIndex, ShardIndexesHoldOneCopyOfLinkGraph) {
@@ -913,7 +913,7 @@ TEST(ShardedIndex, ShardIndexesHoldOneCopyOfLinkGraph) {
     ShardedEngineOptions options;
     options.num_shards = 4;
     options.deterministic = deterministic;
-    options.worker_threads = 2;  // Two workers: steal engines exist.
+    options.worker_threads = 2;  // Fewer workers than lanes.
     ShardedEngine many(many_db, many_clock, options);
     RunWorkload(ShardedAdapter{many}, many_db, spec);
 
@@ -1013,7 +1013,7 @@ TEST(ShardedIndex, RebalanceMigratesBucketsAndWavesStillDeliver) {
   EXPECT_EQ(drive(one), many_lines);
 }
 
-/// Threaded 4 shards with lane stealing: link creates, deletes, endpoint
+/// Threaded 4 shards: link creates, deletes, endpoint
 /// moves, PROPAGATE rewrites and retemplates interleave with use-link
 /// unions, rebalances and waves still running when the next structural
 /// call arrives (it waits for them). After every drain the shared index
@@ -1217,7 +1217,7 @@ TEST(ShardedIndex, ThreadedInterleavedEditsKeepSharedIndexExact) {
     }
     EXPECT_GT(drains, 5u);
     ExpectAllEnginesShare(many, many.shard(0).propagation_index());
-    EXPECT_GT(many.stats().stolen_subwaves + many.stats().handoff_waves, 0u);
+    EXPECT_GT(many.stats().handoff_waves, 0u);
   }
 }
 
@@ -1386,12 +1386,13 @@ TEST(ShardedBatching, SeedBatchSpillsAtRingBoundaryWithoutLoss) {
   EXPECT_EQ(run(/*deterministic=*/true), run(/*deterministic=*/false));
 }
 
-// --- Lane stealing -----------------------------------------------------------
+// --- One executor per lane ---------------------------------------------------
 
 /// The journal ordering oracle for top-level FIFO: a shard's externally
 /// originated records must appear in strictly increasing wave-epoch
-/// order (intake mints epochs in post order; only sub-waves may be
-/// stolen, so a stalled lane's queued top-level waves never reorder).
+/// order (intake mints epochs in post order, and a lane's event queue
+/// has one consumer, so a stalled lane's queued top-level waves never
+/// reorder).
 void ExpectTopLevelFifo(const ShardedEngine& engine) {
   for (uint32_t s = 0; s < engine.num_shards(); ++s) {
     const events::EventJournal& journal = engine.shard(s).journal();
@@ -1407,12 +1408,30 @@ void ExpectTopLevelFifo(const ShardedEngine& engine) {
   }
 }
 
-/// A stalled lane's sub-waves get stolen by idle workers while its
-/// top-level waves stay FIFO: shard H grinds a long queue of wide
-/// local waves while shard L floods H with cross-shard sub-waves; the
-/// worker that drains L goes idle and must steal H's queued sub-waves.
-/// Delivered multiset stays equal to the 1-shard reference.
-TEST(ShardedSteal, StalledLaneSubWavesAreStolenTopLevelFifoHolds) {
+/// Every record in shard K's journal targets an OID the shard map
+/// assigns to K: each lane's tasks run only on its occupant, so no two
+/// executors ever deliver to the same OID at once.
+void ExpectShardsDeliverOwnOids(const ShardedEngine& engine,
+                                const MetaDatabase& db) {
+  for (uint32_t s = 0; s < engine.num_shards(); ++s) {
+    const events::EventJournal& journal = engine.shard(s).journal();
+    for (size_t i = 0; i < journal.Size(); ++i) {
+      const events::JournalRecord record = journal.At(i);
+      const std::optional<OidId> id = db.FindObject(record.event.target);
+      ASSERT_TRUE(id.has_value()) << "shard " << s << " record " << i;
+      EXPECT_EQ(engine.shard_map().ShardOf(*id), s)
+          << "shard " << s << " delivered a foreign OID (record " << i
+          << ")";
+    }
+  }
+}
+
+/// A stalled lane keeps its top-level waves FIFO and runs every one of
+/// its tasks itself: shard H grinds a long queue of wide local waves
+/// while shard L floods H with cross-shard sub-waves, which queue on H
+/// until H's occupant reaches them. Delivered multiset stays equal to
+/// the 1-shard reference.
+TEST(ShardedFifo, StalledLaneTopLevelFifoHolds) {
   constexpr int kChildren = 400;
   constexpr int kBridged = 200;
   constexpr int kHubEvents = 30;
@@ -1462,48 +1481,29 @@ TEST(ShardedSteal, StalledLaneSubWavesAreStolenTopLevelFifoHolds) {
   ShardedEngine reference(ref_db, ref_clock, ref_options);
   build(reference, ref_db);
   post_all(reference);
-  const std::vector<std::string> expected =
-      SortedLines(reference.JournalLines());
 
-  // The steal is scheduling-dependent; retry a few times, asserting
-  // the correctness invariants on every attempt.
-  size_t stolen = 0;
-  for (int attempt = 0; attempt < 5 && stolen == 0; ++attempt) {
-    MetaDatabase db;
-    SimClock clock;
-    ShardedEngineOptions options;
-    options.num_shards = 2;
-    options.worker_threads = 2;
-    ShardedEngine engine(db, clock, options);
-    build(engine, db);
-    post_all(engine);
+  MetaDatabase db;
+  SimClock clock;
+  ShardedEngineOptions options;
+  options.num_shards = 2;
+  options.worker_threads = 2;
+  ShardedEngine engine(db, clock, options);
+  build(engine, db);
+  post_all(engine);
 
-    EXPECT_EQ(expected, SortedLines(engine.JournalLines()))
-        << "attempt " << attempt;
-    ExpectTopLevelFifo(engine);
-    EXPECT_EQ(engine.stats().handoff_seeds,
-              static_cast<size_t>(kBridged * kFeederEvents));
-    // The shared claim stores merged out completed waves behind the
-    // published epoch-versioned floor (thousands of claims ran).
-    EXPECT_GT(engine.stats().claim_purge_floor, 0u);
-    stolen = engine.stats().stolen_subwaves;
-    if (stolen > 0) {
-      // Steal engines expand waves through the shared index
-      // (ForEachEngine visits the shard engines first, then the steal
-      // engines): no engine falls back to adjacency scans.
-      size_t visited = 0;
-      size_t steal_lookups = 0;
-      engine.ForEachEngine([&](const RunTimeEngine& each) {
-        if (visited++ >= engine.num_shards()) {
-          steal_lookups += each.stats().index_lookups;
-        }
-      });
-      EXPECT_GT(steal_lookups, 0u) << "attempt " << attempt;
-      EXPECT_EQ(engine.AggregateEngineStats().links_scanned, 0u)
-          << "attempt " << attempt;
-    }
-  }
-  EXPECT_GT(stolen, 0u) << "no sub-wave was ever stolen across attempts";
+  EXPECT_EQ(SortedLines(reference.JournalLines()),
+            SortedLines(engine.JournalLines()));
+  ExpectTopLevelFifo(engine);
+  ExpectShardsDeliverOwnOids(engine, db);
+  EXPECT_EQ(engine.stats().handoff_seeds,
+            static_cast<size_t>(kBridged * kFeederEvents));
+  EXPECT_EQ(engine.stats().stolen_subwaves, 0u);
+  // The claim stores merged out completed waves behind the published
+  // purge floor (thousands of claims ran).
+  EXPECT_GT(engine.stats().claim_purge_floor, 0u);
+  // Every engine expands waves through the shared index: none falls
+  // back to adjacency scans.
+  EXPECT_EQ(engine.AggregateEngineStats().links_scanned, 0u);
 }
 
 // --- ShardMap ----------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Randomized differential fuzz for the sharded wave engine's
 // scheduling freedoms: (epoch, target shard) handoff batching, seed
-// chunking, lane stealing and the per-shard claim stores must all be
+// chunking, worker scheduling and the per-shard claim stores must all be
 // invisible in the delivered record multiset and the final property
 // state, under ANY schedule.
 //
@@ -10,12 +10,11 @@
 // event schedule, then replays the identical workload through:
 //   * a 1-shard deterministic engine       (the reference),
 //   * an N-shard deterministic engine      (global ticket order),
-//   * an N-shard THREADED engine, 1 worker (claim stores without
-//                                           stealing: one executor
-//                                           services every lane),
-//   * an N-shard THREADED engine           (lane stealing; small rings
-//                                           + seed chunks so spill
-//                                           paths run too),
+//   * an N-shard THREADED engine, 1 worker (one executor services
+//                                           every lane),
+//   * an N-shard THREADED engine           (a worker per lane; small
+//                                           rings + seed chunks so
+//                                           spill paths run too),
 // and asserts journal record-multiset equality, property-state
 // equality and exactly-once delivery counts across all four. The rule
 // set writes only constant values, so the final property state is
@@ -231,7 +230,7 @@ void RunSeedRange(uint64_t first_seed, uint64_t last_seed) {
     } variants[] = {
         {"deterministic", deterministic},
         {"threaded one worker", single_worker},
-        {"threaded stealing", threaded},
+        {"threaded", threaded},
     };
     for (const auto& variant : variants) {
       const RunResult actual = RunPlan(plan, variant.options);

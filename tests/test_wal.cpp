@@ -652,6 +652,12 @@ TEST(ServerDurability, ManifestRenameFailureLeavesTmpAndFallsBack) {
 
 #endif  // DAMOCLES_FAILPOINTS_ENABLED
 
+std::vector<std::string> SortedServerJournalLines(ProjectServer& server) {
+  std::vector<std::string> lines = ServerJournalLines(server);
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
 TEST(ServerDurability, ShardedServerRecoversEpochCeiling) {
   TempDir dir("srv-sharded");
   std::vector<std::string> lines;
@@ -660,19 +666,84 @@ TEST(ServerDurability, ShardedServerRecoversEpochCeiling) {
   {
     auto server = testutil::MakeEdtcServer(DurableOptions(dir.str(), 4));
     RunSampleWorkload(*server);
-    std::vector<std::string> sorted = ServerJournalLines(*server);
-    std::sort(sorted.begin(), sorted.end());
-    lines = std::move(sorted);
+    lines = SortedServerJournalLines(*server);
     epoch_ceiling = server->sharded_engine()->epoch_ceiling();
     db_text = metadb::SaveDatabaseString(server->database());
   }
   auto recovered = std::make_unique<ProjectServer>(
       "edtc", DurableOptions(dir.str(), 4));
-  std::vector<std::string> recovered_lines = ServerJournalLines(*recovered);
-  std::sort(recovered_lines.begin(), recovered_lines.end());
-  EXPECT_EQ(recovered_lines, lines);
+  EXPECT_EQ(SortedServerJournalLines(*recovered), lines);
   EXPECT_EQ(metadb::SaveDatabaseString(recovered->database()), db_text);
   EXPECT_EQ(recovered->sharded_engine()->epoch_ceiling(), epoch_ceiling);
+}
+
+/// A WAL written by a 4-shard server recovers on 2 shards and on 1: the
+/// row streams past the recovering server's shard count fold into shard
+/// 0 (as an older build's "steal<K>" streams do), and the folded rows
+/// survive the next checkpoint and a second restart.
+TEST(ServerDurability, RecoversAcrossShardCountChange) {
+  TempDir source("srv-reshard");
+  std::vector<std::string> lines;
+  std::string db_text;
+  {
+    auto server = testutil::MakeEdtcServer(DurableOptions(source.str(), 4));
+    RunSampleWorkload(*server);
+    for (const char* block : {"FPU", "ALU", "MMU", "BUS", "ROM", "RAM"}) {
+      const Oid hdl = server->CheckIn(block, "HDL_model", "module;", "carol");
+      const Oid sch = server->CheckIn(block, "schematic", "gates", "carol");
+      server->RegisterLink(metadb::LinkKind::kDerive, hdl, sch);
+      std::string line = "postEvent hdl_sim up ";
+      line += block;
+      line += ",HDL_model,1 \"good\"";
+      server->SubmitWireLine(line, "carol");
+    }
+    server->Drain();
+    // Every stream the recovering servers lack carries rows to fold.
+    for (uint32_t shard = 1; shard < 4; ++shard) {
+      EXPECT_GT(server->sharded_engine()->shard(shard).journal().Size(), 0u)
+          << "shard " << shard;
+    }
+    EXPECT_EQ(server->WalCheckpoint(), 1u);
+    // Post-checkpoint tail.
+    server->CheckIn("CPU", "HDL_model", "module cpu; // v3", "alice");
+    server->CheckIn("ALU", "HDL_model", "module; // v2", "carol");
+    server->AdvanceClock(30);
+    server->Drain();
+    lines = SortedServerJournalLines(*server);
+    db_text = metadb::SaveDatabaseString(server->database());
+  }
+
+  for (const uint32_t shards : {2u, 1u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    TempDir dir("srv-reshard-" + std::to_string(shards));
+    std::filesystem::copy(source.path(), dir.path(),
+                          std::filesystem::copy_options::recursive);
+    {
+      ProjectServer recovered("edtc", DurableOptions(dir.str(), shards));
+      const engine::WalStatus status = recovered.GetWalStatus();
+      EXPECT_TRUE(status.recovered);
+      EXPECT_EQ(status.checkpoint_id, 1u);
+      EXPECT_GT(status.replayed_ops, 0u);
+      EXPECT_EQ(SortedServerJournalLines(recovered), lines);
+      EXPECT_EQ(metadb::SaveDatabaseString(recovered.database()), db_text);
+      EXPECT_EQ(recovered.WalCheckpoint(), 2u);
+    }
+    ProjectServer restarted("edtc", DurableOptions(dir.str(), shards));
+    const engine::WalStatus status = restarted.GetWalStatus();
+    EXPECT_TRUE(status.recovered);
+    EXPECT_EQ(status.checkpoint_id, 2u);
+    EXPECT_EQ(SortedServerJournalLines(restarted), lines);
+    EXPECT_EQ(metadb::SaveDatabaseString(restarted.database()), db_text);
+    // The second manifest names only this server's streams; recovery
+    // truncated the unattached ones to zero, which removed them.
+    std::vector<std::string> expected_streams = {"ops"};
+    for (uint32_t shard = 0; shard < shards; ++shard) {
+      expected_streams.push_back("shard" + std::to_string(shard));
+    }
+    std::vector<std::string> streams = events::ListWalStreams(dir.str());
+    std::sort(streams.begin(), streams.end());
+    EXPECT_EQ(streams, expected_streams);
+  }
 }
 
 TEST(ServerDurability, RecoverFromReplaysAnotherDirectory) {

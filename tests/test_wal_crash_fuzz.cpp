@@ -17,10 +17,10 @@
 // uninterrupted run.
 //
 // Variants by seed: even seeds run 1-shard; seed % 4 == 1 runs 4-shard
-// deterministic; seed % 4 == 3 runs 4-shard THREADED (lane stealing +
-// worker-thread WAL appends; the suite runs under ASan in CI). The
-// fsync policy and segment size are random per seed so rolls and every
-// flush discipline are exercised.
+// deterministic; seed % 4 == 3 runs 4-shard THREADED (worker-thread WAL
+// appends; the suite runs under ASan in CI). The fsync policy and
+// segment size are random per seed so rolls and every flush discipline
+// are exercised.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
