@@ -22,7 +22,10 @@
 //
 //     The checkpoint thread writes every checkpoint either way;
 //     "inline" names the default mode, where the triggering op waits
-//     for the worker's write and commit.
+//     for the worker's write and commit. Both modes pay the cut on the
+//     triggering op, and the cut also appends and syncs the journal
+//     rows added since the previous checkpoint (the only place rows
+//     reach the WAL), so the series include that row write.
 //
 // CI's Release guard gates delta-vs-full and background-vs-inline
 // ratios on these series.

@@ -1,14 +1,15 @@
 // WAL append overhead: what durability costs on the mutation path.
 //
-// The write-ahead log mirrors every journal row and logs every
-// structural operation. This bench sweeps the fsync policies against a
-// no-WAL baseline on the same check-in + event workload, for 1-shard
-// and 4-shard servers:
+// The write-ahead log logs every structural operation to "ops";
+// journal rows reach their "shard<K>" streams only at checkpoint cuts,
+// which this bench does not take, so it prices the op log alone. It
+// sweeps the fsync policies against a no-WAL baseline on the same
+// check-in + event workload, for 1-shard and 4-shard servers:
 //
 //   wal_append_off_s1 / s4            no WAL (the baseline)
 //   wal_append_none_s1 / s4           WAL, flush at drain
 //   wal_append_batch_s1 / s4          WAL, flush + fsync at drain
-//   wal_append_every_record_s1 / s4   WAL, fsync per append group
+//   wal_append_every_record_s1 / s4   WAL, fsync per op record
 //
 // CI's Release guard asserts fsync=none stays within 15% of the
 // baseline: logging must be a memcpy-and-buffer tax, not a second

@@ -86,12 +86,13 @@ ProjectServer::ProjectServer(std::string project_name, ServerOptions options)
     sharded_->PostEvent(std::move(event));
   });
 
-  bool folded_rows = false;
+  // Rows each lane's own stream restored: its writer continues after
+  // them.
+  std::vector<size_t> resumed_rows(sharded_->num_shards(), 0);
   if (plan.have_checkpoint) {
     // Restore the policy commit chain, then re-install the checkpointed
     // rules (suppressing op logging), then the pre-checkpoint journal
-    // rows and the epoch bookkeeping — sinks are not attached yet, so
-    // none of this re-enters the WAL. The restored store is
+    // rows and the epoch bookkeeping. The restored store is
     // authoritative: the rule text is re-installed directly (no Adopt),
     // stamped with the recovered active version id. Pre-versioning
     // checkpoints carry no policy text; their blueprint goes through
@@ -108,18 +109,22 @@ ProjectServer::ProjectServer(std::string project_name, ServerOptions options)
       }
       replaying_ = false;
     }
-    for (const metadb::RecoveredStream& stream : plan.streams) {
-      events::EventJournal* journal = JournalForStream(stream.name);
-      if (journal == nullptr) {
-        // Config drift (fewer shards than the checkpointing process
-        // had, or the "steal<K>" streams older builds wrote): fold the
-        // rows into shard 0 — the journal multiset across all streams
-        // is what recovery preserves.
-        journal = &sharded_->shard(0).mutable_journal();
-        folded_rows = folded_rows || !stream.rows.empty();
-      }
-      for (const events::WalRestoredRow& row : stream.rows) {
-        journal->Record(row.event);
+    // Each lane's own rows first, so they are a prefix of its journal.
+    // Then config drift (fewer shards than the checkpointing process
+    // had, or the "steal<K>" streams older builds wrote): the other
+    // streams' rows fold into shard 0 after its own — the journal
+    // multiset across all streams is what recovery preserves — and the
+    // first cut writes them as shard 0's tail.
+    for (const bool own : {true, false}) {
+      for (const metadb::RecoveredStream& stream : plan.streams) {
+        const std::optional<uint32_t> lane = LaneForStream(stream.name);
+        if (lane.has_value() != own) continue;
+        events::EventJournal& journal =
+            sharded_->shard(lane.value_or(0)).mutable_journal();
+        for (const events::WalRestoredRow& row : stream.rows) {
+          journal.Record(row.event);
+        }
+        if (own) resumed_rows[*lane] = journal.Size();
       }
     }
     sharded_->RestoreEpochCeiling(
@@ -134,11 +139,9 @@ ProjectServer::ProjectServer(std::string project_name, ServerOptions options)
   if (durable) {
     manifests_skipped_ = plan.manifests_skipped;
     AttachWal();
-    // Folded rows live only in shard 0's journal, and no writer continues
-    // the streams they came from: mirror the journal whole, so the next
-    // checkpoint's offsets cover them.
-    if (folded_rows) {
-      row_writers_.front()->MirrorJournal(*sink_journals_.front());
+    for (uint32_t i = 0; i < sharded_->num_shards(); ++i) {
+      row_writers_[i]->ResumeJournal(sharded_->shard(i).journal(),
+                                     resumed_rows[i]);
     }
     op_seq_ = plan.last_op_seq;
     replayed_ops_offset_ = plan.replay_ops_end;
@@ -147,14 +150,7 @@ ProjectServer::ProjectServer(std::string project_name, ServerOptions options)
   }
 }
 
-ProjectServer::~ProjectServer() {
-  StopCheckpointWorker();
-  // Detach sinks before the writers die; the journals (inside the
-  // engines) outlive the writers by declaration order.
-  for (events::EventJournal* journal : sink_journals_) {
-    journal->SetSink(nullptr);
-  }
-}
+ProjectServer::~ProjectServer() { StopCheckpointWorker(); }
 
 void ProjectServer::StopCheckpointWorker() {
   if (!checkpoint_thread_.joinable()) return;
@@ -168,17 +164,15 @@ void ProjectServer::StopCheckpointWorker() {
   checkpoint_thread_.join();
 }
 
-events::EventJournal* ProjectServer::JournalForStream(
-    const std::string& name) {
-  const auto parse_index = [&name](std::string_view prefix, size_t& out) {
-    return StartsWith(name, prefix) &&
-           ParseWhole(std::string_view(name).substr(prefix.size()), out);
-  };
+std::optional<uint32_t> ProjectServer::LaneForStream(
+    const std::string& name) const {
   size_t index = 0;
-  if (parse_index("shard", index) && index < sharded_->num_shards()) {
-    return &sharded_->shard(static_cast<uint32_t>(index)).mutable_journal();
+  if (StartsWith(name, "shard") &&
+      ParseWhole(std::string_view(name).substr(5), index) &&
+      index < sharded_->num_shards()) {
+    return static_cast<uint32_t>(index);
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 void ProjectServer::AttachWal() {
@@ -196,16 +190,8 @@ void ProjectServer::AttachWal() {
   };
 
   ops_writer_ = make_writer("ops", 0);
-
-  const auto attach = [this](events::EventJournal& journal,
-                             std::unique_ptr<events::WalWriter> writer) {
-    journal.SetSink(writer.get());
-    sink_journals_.push_back(&journal);
-    row_writers_.push_back(std::move(writer));
-  };
   for (uint32_t i = 0; i < sharded_->num_shards(); ++i) {
-    attach(sharded_->shard(i).mutable_journal(),
-           make_writer("shard" + std::to_string(i), i));
+    row_writers_.push_back(make_writer("shard" + std::to_string(i), i));
   }
 }
 
@@ -277,20 +263,19 @@ void ProjectServer::FlushWal() {
   // discarded by the WalReopen() heal, so re-driving them here would
   // only burn the retry budget on every drain.
   if (degraded_.load(std::memory_order_acquire)) return;
+  // Journal rows are not written here: the checkpoint cut writes them.
   const auto flush_all = [this] {
     switch (options_.wal_fsync) {
       case events::FsyncPolicy::kBatch:
         ops_writer_->Sync();
-        for (auto& writer : row_writers_) writer->Sync();
         break;
       case events::FsyncPolicy::kEveryRecord:
         // Each append group already fsynced itself.
         ops_writer_->Flush();
-        for (auto& writer : row_writers_) writer->Flush();
         break;
       case events::FsyncPolicy::kNone:
-        // Best-effort tier: records stay in the writers' buffers until
-        // a buffer fills, a checkpoint syncs, or the server shuts down
+        // Best-effort tier: records stay in the writer's buffer until
+        // it fills, a checkpoint syncs, or the server shuts down
         // cleanly. Draining costs no syscalls; a kill -9 can lose the
         // buffered tail (recovery then resumes from the durable prefix
         // — the crash fuzz exercises exactly this).
@@ -315,19 +300,6 @@ void ProjectServer::FlushWal() {
       std::this_thread::sleep_for(backoff.NextDelay());
     }
   }
-  // The fail-soft sinks run inside engine worker threads and cannot
-  // throw; a row they dropped is only visible in the writer's failure
-  // record. Surface it here so the next mutation is rejected instead of
-  // acked against a mirror that would lose its row at the next
-  // checkpoint.
-  for (const auto& writer : row_writers_) {
-    if (!writer->ok()) {
-      wal_failures_.fetch_add(1, std::memory_order_relaxed);
-      TripDegraded("row mirror '" + writer->stream() +
-                   "' failed: " + writer->failure());
-      return;
-    }
-  }
 }
 
 void ProjectServer::MaybeAutoCheckpoint() {
@@ -344,7 +316,7 @@ void ProjectServer::MaybeAutoCheckpoint() {
     // it is not, its failure (if any) is already counted.
     std::lock_guard<std::mutex> lock(checkpoint_mutex_);
     if (checkpoint_busy_) return;
-    failures = checkpoint_failure_streak_;
+    failures = failed_checkpoint_streak_;
   }
   // Arm the next attempt as if this one fails; a commit disarms it.
   // After k consecutive failures the next attempt waits every × 2^k
@@ -451,15 +423,11 @@ uint64_t ProjectServer::WalReopen() {
     throw Error("wal-reopen: durability is off (no wal_dir configured)");
   }
   // Quiesce the engine without touching the wedged writers (FlushWal
-  // no-ops while degraded; the sinks are fail-soft).
+  // no-ops while degraded).
   sharded_->Drain();
   // Discard the writers and their buffered tails. Anything buffered but
   // not durable is unrecoverable through a failing fd anyway; the
   // checkpoint below re-captures it from memory.
-  for (events::EventJournal* journal : sink_journals_) {
-    journal->SetSink(nullptr);
-  }
-  sink_journals_.clear();
   row_writers_.clear();
   ops_writer_.reset();
   // Re-verify the tail: drop any torn suffix a partial flush left, so
@@ -470,14 +438,9 @@ uint64_t ProjectServer::WalReopen() {
     events::TruncateWalStream(options_.wal_dir, stream, data.valid_end);
   }
   try {
+    // Fresh row writers know nothing of their truncated streams, so the
+    // checkpoint below writes each journal whole (reset + every row).
     AttachWal();
-    // The fail-soft sinks may have dropped rows while the WAL was
-    // failing, so the truncated mirrors can be short of the in-memory
-    // journals. Re-mirror each journal in full (reset + every row);
-    // the checkpoint below then records stream offsets that cover it.
-    for (size_t i = 0; i < sink_journals_.size(); ++i) {
-      row_writers_[i]->MirrorJournal(*sink_journals_[i]);
-    }
     // Re-baseline durability at the live state. This closes the fsync
     // ambiguity window: ghost ops (durable but rejected) sit below the
     // new manifest's op_seq and are never replayed; applied ops whose
@@ -543,18 +506,14 @@ uint64_t ProjectServer::AwaitCheckpoint(uint64_t ticket) {
 ProjectServer::CheckpointCut ProjectServer::BuildCheckpointCut(
     CheckpointMode mode) {
   Drain();
-  // Self-heal stale mirrors before freezing offsets: a fail-soft sink
-  // that dropped rows leaves its stream short of the in-memory journal,
-  // and a checkpoint taken over the short mirror would lose those rows
-  // forever on recovery. Re-mirroring throws if the stream still fails,
-  // which fails the checkpoint — the previous manifest stays in charge.
-  for (size_t i = 0; i < row_writers_.size(); ++i) {
-    if (!row_writers_[i]->ok()) {
-      row_writers_[i]->MirrorJournal(*sink_journals_[i]);
-    }
-  }
+  // The one place journal rows reach the WAL: with the engine drained,
+  // each lane's rows since the last cut are appended and synced. A
+  // failure fails the checkpoint — the previous manifest stays in
+  // charge — and makes the next cut rewrite that stream whole.
   ops_writer_->Sync();
-  for (auto& writer : row_writers_) writer->Sync();
+  for (uint32_t i = 0; i < sharded_->num_shards(); ++i) {
+    row_writers_[i]->SyncJournal(sharded_->shard(i).journal());
+  }
 
   CheckpointCut cut;
   const uint64_t base =
@@ -631,7 +590,7 @@ void ProjectServer::CommitCheckpoint(const CheckpointCut& cut, uint64_t id) {
   checkpoint_due_ops_.store(0, std::memory_order_relaxed);
   checkpoints_taken_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(checkpoint_mutex_);
-  checkpoint_failure_streak_ = 0;
+  failed_checkpoint_streak_ = 0;
 }
 
 void ProjectServer::PruneAfterCommit(const CheckpointCut& cut) {
@@ -696,7 +655,7 @@ void ProjectServer::CheckpointWorkerLoop() {
 void ProjectServer::HandleCheckpointFailure() {
   checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(checkpoint_mutex_);
-  ++checkpoint_failure_streak_;
+  ++failed_checkpoint_streak_;
 }
 
 WalStatus ProjectServer::GetWalStatus() const {

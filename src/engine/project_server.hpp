@@ -71,7 +71,8 @@ struct ServerOptions {
   /// Directory for WAL segments, checkpoints and manifests. Created on
   /// demand. Empty (default) disables durability entirely.
   std::string wal_dir;
-  /// When appended WAL bytes are forced down (none|batch|every_record).
+  /// When appended "ops" bytes are forced down (none|batch|every_record);
+  /// journal rows are synced by each checkpoint.
   events::FsyncPolicy wal_fsync = events::FsyncPolicy::kNone;
   /// Segment roll threshold.
   size_t wal_segment_bytes = 4u << 20;
@@ -264,15 +265,17 @@ class ProjectServer {
 
   // --- Durability ---------------------------------------------------------
 
-  /// True when operations and journal rows are mirrored to a WAL.
+  /// True when operations are logged to a WAL (journal rows reach it at
+  /// each checkpoint).
   bool durable() const noexcept { return ops_writer_ != nullptr; }
 
-  /// Drains, syncs every stream and writes a checkpoint (database,
-  /// blueprint, workspace, per-stream offsets). Returns the checkpoint
-  /// id. Throws Error when durability is off. kFull (default) dumps the
-  /// complete database; kDelta writes only the slots dirtied since the
-  /// last committed checkpoint and chains onto it (silently upgraded to
-  /// full when no base exists or the chain hit checkpoint_chain_limit).
+  /// Drains, writes the journal rows since the last checkpoint, syncs
+  /// every stream and writes a checkpoint (database, blueprint,
+  /// workspace, per-stream offsets). Returns the checkpoint id. Throws
+  /// Error when durability is off. kFull (default) dumps the complete
+  /// database; kDelta writes only the slots dirtied since the last
+  /// committed checkpoint and chains onto it (silently upgraded to full
+  /// when no base exists or the chain hit checkpoint_chain_limit).
   /// The call builds the cut, hands it to the checkpoint thread and
   /// waits for the commit.
   uint64_t WalCheckpoint(CheckpointMode mode = CheckpointMode::kFull);
@@ -352,12 +355,12 @@ class ProjectServer {
 
   // --- Durability internals ----------------------------------------------
 
-  /// The journal a WAL row stream mirrors ("shard<K>" -> lane K), or
-  /// null for a stream no lane continues: a shard past this server's
+  /// The lane whose journal a WAL row stream holds ("shard<K>" -> K),
+  /// or none for a stream no lane continues: a shard past this server's
   /// count, or an older build's "steal<K>" stream.
-  events::EventJournal* JournalForStream(const std::string& name);
+  std::optional<uint32_t> LaneForStream(const std::string& name) const;
 
-  /// Creates the ops + row writers and attaches the journal sinks.
+  /// Creates the ops writer and one row writer per lane.
   void AttachWal();
 
   /// True when operations should be appended to the ops stream: the
@@ -385,9 +388,10 @@ class ProjectServer {
   /// Replays the post-checkpoint ops tail at construction.
   void ReplayOps(const std::vector<events::WalOpEntry>& ops);
 
-  /// Applies the fsync policy at drain boundaries. Never throws: a
-  /// failure retries on options_.wal_retry, then trips degraded mode
-  /// (the drained mutations already applied and were acked).
+  /// Applies the fsync policy to "ops" at drain boundaries. Never
+  /// throws: a failure retries on options_.wal_retry, then trips
+  /// degraded mode (the drained mutations already applied and were
+  /// acked).
   void FlushWal();
 
   void MaybeAutoCheckpoint();
@@ -420,10 +424,10 @@ class ProjectServer {
     std::vector<std::pair<std::string, uint64_t>> prune_floors;
   };
 
-  /// Apply-thread half: drains, heals stale mirrors, syncs every
-  /// stream, then freezes offsets + snapshot + dirty delta. Resolves
-  /// kDelta down to full when no base exists or the chain hit its
-  /// limit.
+  /// Apply-thread half: drains, syncs "ops", appends and syncs each
+  /// lane's journal rows since the last cut (the only row writes), then
+  /// freezes offsets + snapshot + dirty delta. Resolves kDelta down to
+  /// full when no base exists or the chain hit its limit.
   CheckpointCut BuildCheckpointCut(CheckpointMode mode);
 
   /// The one way a checkpoint starts (apply thread): waits until the
@@ -506,9 +510,8 @@ class ProjectServer {
 
   // Durability state (all inert when wal_dir is empty).
   std::unique_ptr<events::WalWriter> ops_writer_;
+  /// One per lane ("shard<K>"); only the checkpoint cut writes them.
   std::vector<std::unique_ptr<events::WalWriter>> row_writers_;
-  /// Journals with an attached sink, for detaching at destruction.
-  std::vector<events::EventJournal*> sink_journals_;
   uint64_t op_seq_ = 0;
   /// Ops since the last *committed* checkpoint (reset at commit, which
   /// runs on the checkpoint thread — hence atomic).
@@ -563,7 +566,7 @@ class ProjectServer {
   std::exception_ptr last_worker_error_;  ///< Its failure, if any.
   /// Checkpoint failures since the last commit (any kind of cut): the
   /// exponent of the auto-checkpoint backoff.
-  size_t checkpoint_failure_streak_ = 0;
+  size_t failed_checkpoint_streak_ = 0;
 
   // Fault-tolerance state. The atomics are read by concurrent health /
   // read sessions while the apply thread mutates; the reason string is

@@ -68,7 +68,6 @@ EventJournal::Row EventJournal::MakeRow(const EventMessage& event,
 
 void EventJournal::Record(const EventMessage& event) {
   rows_.push_back(MakeRow(event, event.target));
-  if (sink_ != nullptr) sink_->OnAppend(*this);
 }
 
 void EventJournal::RecordPropagated(const EventMessage& event,
@@ -78,7 +77,6 @@ void EventJournal::RecordPropagated(const EventMessage& event,
   Row row = MakeRow(event, target);
   row.origin = static_cast<uint8_t>(EventOrigin::kPropagated);
   rows_.push_back(row);
-  if (sink_ != nullptr) sink_->OnAppend(*this);
 }
 
 void EventJournal::RecordPropagated(const PayloadKey& key, metadb::OidId slot,
@@ -94,7 +92,6 @@ void EventJournal::RecordPropagated(const PayloadKey& key, metadb::OidId slot,
   Row row = RowFromKey(key, symbols, version);
   row.origin = static_cast<uint8_t>(EventOrigin::kPropagated);
   rows_.push_back(row);
-  if (sink_ != nullptr) sink_->OnAppend(*this);
 }
 
 EventMessage EventJournal::Materialize(const Row& row) const {
@@ -130,7 +127,7 @@ void EventJournal::Clear() {
   extra_pool_.clear();
   target_symbols_.clear();
   strings_ = SymbolTable();
-  if (sink_ != nullptr) sink_->OnClear(*this);
+  ++clears_;
 }
 
 std::vector<EventMessage> EventJournal::ExternalTrace() const {

@@ -16,6 +16,11 @@
 // Accessors (At / ExternalTrace / Dump) rebuild full messages from the
 // side table on demand; their output is byte-identical to the
 // historical string-storing journal.
+//
+// The journal knows nothing of durability: a durable server's checkpoint
+// cut copies the rows added since the last cut into the WAL
+// (events/wal.hpp, WalWriter::SyncJournal), on the applying thread while
+// the engine is drained.
 #pragma once
 
 #include <cstddef>
@@ -35,26 +40,6 @@ namespace damocles::events {
 struct JournalRecord {
   size_t sequence = 0;
   EventMessage event;
-};
-
-class EventJournal;
-
-/// Receives journal appends as they happen. The durability layer
-/// (events/wal.hpp) attaches one WalWriter per journal to mirror rows
-/// into an on-disk write-ahead stream; the journal stays oblivious to
-/// how the sink persists them. Called synchronously on the appending
-/// thread — the sink inherits the journal's own threading contract
-/// (one appender at a time).
-class JournalSink {
- public:
-  virtual ~JournalSink() = default;
-
-  /// One row was appended; `journal.RawRow(journal.Size() - 1)` is the
-  /// new row.
-  virtual void OnAppend(const EventJournal& journal) = 0;
-
-  /// The journal was cleared (rows, extras and the side table dropped).
-  virtual void OnClear(const EventJournal& journal) = 0;
 };
 
 /// In-memory audit journal over interned compact rows.
@@ -111,8 +96,13 @@ class EventJournal {
   bool Empty() const noexcept { return rows_.empty(); }
 
   /// Drops all records, the side string table and the per-slot target
-  /// symbol cache.
+  /// symbol cache, and bumps clears().
   void Clear();
+
+  /// How many times Clear() ran. A reader that copied rows out (the
+  /// WAL's row streams) compares it to tell "rows were added" from
+  /// "the journal restarted".
+  uint64_t clears() const noexcept { return clears_; }
 
   /// Returns only the externally originated events — the trace to feed a
   /// fresh engine for replay (rule/propagation events are re-derived).
@@ -126,8 +116,8 @@ class EventJournal {
 
   /// One packed record row. 48 bytes vs. the 4 strings + vector an
   /// EventMessage carries; extra args overflow into a shared pool.
-  /// Public (read-only, via RawRow) so a JournalSink can mirror appends
-  /// without materializing an EventMessage per row.
+  /// Public (read-only, via RawRow) so the WAL can encode rows without
+  /// materializing an EventMessage per row.
   struct Row {
     SymbolId name = 0;
     SymbolId block = 0;
@@ -143,20 +133,15 @@ class EventJournal {
     uint8_t origin = 0;
   };
 
-  // --- Sink access (durability layer) ------------------------------------
+  // --- Raw access (durability layer) --------------------------------------
 
-  /// Attaches (or detaches, with nullptr) the append sink. The sink is
-  /// not owned and must outlive the journal or be detached first.
-  void SetSink(JournalSink* sink) noexcept { sink_ = sink; }
-  JournalSink* sink() const noexcept { return sink_; }
-
-  /// Raw row access for sinks (no bounds check; callers index < Size()).
+  /// Raw row access (no bounds check; callers index < Size()).
   const Row& RawRow(size_t index) const noexcept { return rows_[index]; }
 
   /// Text behind an interned id (throws NotFoundError on unknown ids).
   const std::string& SymbolText(SymbolId id) const { return strings_.Text(id); }
 
-  /// Extra-arg pool access for sinks (no bounds check).
+  /// Extra-arg pool access (no bounds check).
   SymbolId ExtraPoolAt(uint32_t index) const noexcept {
     return extra_pool_[index];
   }
@@ -189,7 +174,7 @@ class EventJournal {
   std::vector<SymbolId> extra_pool_;
   /// RecordPropagated's target symbols by meta-database slot.
   std::vector<TargetSymbols> target_symbols_;
-  JournalSink* sink_ = nullptr;
+  uint64_t clears_ = 0;
 };
 
 }  // namespace damocles::events

@@ -682,8 +682,11 @@ uint32_t WalWriter::InternStreamSymbol(const std::string& text) {
   std::string payload;
   AppendU32(payload, id);
   AppendString(payload, text);
-  WriteRecord(WalRecordType::kSymbol, payload);
+  // Register first: once framed, the record is in the stream even when
+  // the flush it triggers throws, and defining the id a second time
+  // would read as "symbol id out of order" — a torn stream.
   stream_symbols_.emplace(text, id);
+  WriteRecord(WalRecordType::kSymbol, payload);
   return id;
 }
 
@@ -709,28 +712,6 @@ void WalWriter::CheckAppendFailpoint() {
     throw WalIoError("wal: injected append failure on stream '" +
                      options_.stream + "' (failpoint wal.append)");
   }
-}
-
-void WalWriter::OnAppend(const EventJournal& journal) {
-  // Fail-soft: this runs as a JournalSink inside engine worker threads,
-  // where a throw would be fatal. After the first failure later rows
-  // are dropped (the mirror is incomplete either way); the server heals
-  // by truncating to the CRC-valid prefix and re-checkpointing, which
-  // never re-reads the dropped region.
-  if (!failure_.empty()) return;
-  try {
-    AppendRowOrThrow(journal);
-  } catch (const Error& error) {
-    failure_ = error.what();
-  }
-}
-
-// Throwing body of OnAppend; only the fail-soft wrapper above calls it.
-void WalWriter::AppendRowOrThrow(const EventJournal& journal) {
-  CheckAppendFailpoint();
-  MaybeRoll();
-  AppendRowAt(journal, journal.Size() - 1);
-  EndAppendGroup();
 }
 
 void WalWriter::AppendRowAt(const EventJournal& journal, size_t index) {
@@ -770,47 +751,34 @@ void WalWriter::AppendRowAt(const EventJournal& journal, size_t index) {
   EndRecord(mark);
 }
 
-void WalWriter::MirrorJournal(const EventJournal& journal) {
-  try {
-    CheckAppendFailpoint();
+void WalWriter::SyncJournal(const EventJournal& journal) {
+  const bool reset = journal_rows_ == kUnknownRows ||
+                     journal_clears_ != journal.clears();
+  size_t next = reset ? 0 : journal_rows_;
+  // Unknown until the sync below succeeds: any failure on the way
+  // makes the next call rewrite the stream's content from a reset.
+  journal_rows_ = kUnknownRows;
+  if (reset || next < journal.Size()) CheckAppendFailpoint();
+  if (reset) {
     MaybeRoll();
     WriteRecord(WalRecordType::kReset, {});
     last_reset_end_ = logical_end();
-    // Recovery only restores rows past the reset, so the mirror below
-    // is the stream's whole visible content regardless of what the
-    // truncated prefix held.
+    // The journal may have rebuilt its symbol table since the cache
+    // was filled; cached ids would name the wrong text.
     journal_symbol_cache_.clear();
-    for (size_t i = 0; i < journal.Size(); ++i) {
-      MaybeRoll();
-      AppendRowAt(journal, i);
-    }
-    EndAppendGroup();
-    // The stream covers the complete journal again; the fail-soft sink
-    // path resumes appending from here.
-    failure_.clear();
-  } catch (const Error& error) {
-    // A partial mirror (reset + some rows) must keep dropping later
-    // sink appends — recovery would otherwise restore a gapped row
-    // sequence.
-    failure_ = error.what();
-    throw;
   }
+  for (; next < journal.Size(); ++next) {
+    MaybeRoll();
+    AppendRowAt(journal, next);
+  }
+  Sync();
+  journal_rows_ = journal.Size();
+  journal_clears_ = journal.clears();
 }
 
-void WalWriter::OnClear(const EventJournal& /*journal*/) {
-  if (!failure_.empty()) return;
-  try {
-    CheckAppendFailpoint();
-    MaybeRoll();
-    WriteRecord(WalRecordType::kReset, {});
-    last_reset_end_ = logical_end();
-    EndAppendGroup();
-  } catch (const Error& error) {
-    failure_ = error.what();
-  }
-  // The journal rebuilt its symbol table from scratch; cached ids no
-  // longer name the same text.
-  journal_symbol_cache_.clear();
+void WalWriter::ResumeJournal(const EventJournal& journal, size_t rows) {
+  journal_rows_ = rows;
+  journal_clears_ = journal.clears();
 }
 
 void WalWriter::AppendOp(const WalOpRecord& op) {

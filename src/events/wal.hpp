@@ -1,15 +1,16 @@
 // Segmented write-ahead log for the event journal and server operations.
 //
-// The durability layer mirrors two kinds of streams into append-only
+// The durability layer writes two kinds of streams into append-only
 // binary segment files under one WAL directory:
 //
-//  * Row streams ("shard0", "shard1", ...): every journal append is
-//    re-encoded against a segment-local symbol table and written as one
-//    framed record, so a recovered process can rebuild the exact journal
-//    contents (and their interned side tables) up to a checkpointed
-//    offset. Row streams are an audit mirror — they are truncated back
-//    to the checkpoint manifest's offsets on recovery, because rows past
-//    the checkpoint are re-derived by replaying operations.
+//  * Row streams ("shard0", "shard1", ...): at each checkpoint cut the
+//    journal rows added since the previous cut are re-encoded against a
+//    segment-local symbol table, one framed record per row, so a
+//    recovered process can rebuild the exact journal contents (and
+//    their interned side tables) up to the checkpointed offset. Rows
+//    past the newest checkpoint are not on disk: recovery re-derives
+//    them by replaying operations (and truncates any rows an older
+//    build left past the manifest's offsets).
 //
 //  * The operation stream ("ops"): structural server operations
 //    (check-in, link registration, event submission, blueprint load,
@@ -73,7 +74,9 @@ enum class WalRecordType : uint8_t {
 /// True for the operation record types (the "ops" stream).
 bool IsWalOpType(WalRecordType type) noexcept;
 
-/// When appended bytes are forced to the OS / the disk.
+/// When appended operation bytes are forced to the OS / the disk. Row
+/// streams are written and synced at checkpoint cuts (SyncJournal)
+/// whatever the policy.
 enum class FsyncPolicy {
   /// Best-effort: records stay in the writer's buffer until it fills,
   /// a checkpoint syncs, or the writer closes. Appends are pure
@@ -159,35 +162,38 @@ struct WalWriterOptions {
   WalAppendObserver* observer = nullptr;  ///< Not owned; may be null.
 };
 
-/// Appends framed records to a stream's segment files. As a JournalSink
-/// it mirrors journal rows; AppendOp serves the operation stream. A
-/// writer always opens a *new* segment (index = last on disk + 1, base
-/// offset continuing where the last segment ends), so its segment-local
-/// symbol table starts empty and can never collide with pre-existing
-/// records — in particular after recovery truncated a torn tail.
-class WalWriter final : public JournalSink {
+/// Appends framed records to a stream's segment files: SyncJournal
+/// serves the row streams, AppendOp the operation stream. A writer
+/// always opens a *new* segment (index = last on disk + 1, base offset
+/// continuing where the last segment ends), so its segment-local symbol
+/// table starts empty and can never collide with pre-existing records —
+/// in particular after recovery truncated a torn tail.
+class WalWriter {
  public:
   explicit WalWriter(WalWriterOptions options);
-  ~WalWriter() override;
+  ~WalWriter();
 
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  // JournalSink: mirrors the newest row / the clear marker.
-  void OnAppend(const EventJournal& journal) override;
-  void OnClear(const EventJournal& journal) override;
-
   /// Logs one operation record (the caller fills op_seq).
   void AppendOp(const WalOpRecord& op);
 
-  /// Rewrites the stream to mirror the journal's full current
-  /// contents: one kReset record (recovery drops everything before it)
-  /// followed by every row. The heal path uses this on freshly
-  /// reopened writers, because the fail-soft sink may have dropped
-  /// rows while the WAL was failing — after the mirror, the stream's
-  /// end offset covers the complete in-memory journal again. Throws
+  /// Brings the row stream up to `journal` and syncs it: appends the
+  /// rows the journal gained since the last call. It writes one kReset
+  /// record (recovery drops everything before it) followed by every row
+  /// instead when the stream's content is unknown: on a writer not told
+  /// by ResumeJournal what its stream holds, after the journal was
+  /// cleared, and after a previous call failed (a failed fsync may
+  /// have dropped pages, so its tail is not trusted). The caller must
+  /// keep the journal's appender quiescent for the call. Throws
   /// WalIoError on failure.
-  void MirrorJournal(const EventJournal& journal);
+  void SyncJournal(const EventJournal& journal);
+
+  /// Tells a fresh writer that its stream already holds `journal`'s
+  /// first `rows` rows (recovery restored them from it), so the next
+  /// SyncJournal continues after them without a reset.
+  void ResumeJournal(const EventJournal& journal, size_t rows);
 
   // Zero-copy logging for the hot server operations: encodes straight
   // from the caller's fields into the reused scratch buffer, skipping
@@ -222,15 +228,6 @@ class WalWriter final : public JournalSink {
   /// dirty pages, so callers must treat the unflushed tail as lost and
   /// heal by re-checkpointing, not by retrying the fsync.
   void Sync();
-
-  /// Empty while every mirrored row reached the stream. The JournalSink
-  /// paths (OnAppend / OnClear) are fail-soft — they must not throw
-  /// through engine worker threads — so the first I/O failure is
-  /// recorded here and later rows are dropped. The row mirror is then
-  /// incomplete; ProjectServer::WalReopen() rebuilds it by truncating
-  /// to the CRC-valid prefix and taking a fresh checkpoint.
-  const std::string& failure() const noexcept { return failure_; }
-  bool ok() const noexcept { return failure_.empty(); }
 
   /// Logical end offset of the stream (base + bytes in the open segment).
   uint64_t logical_end() const noexcept { return base_offset_ + file_bytes_; }
@@ -268,18 +265,18 @@ class WalWriter final : public JournalSink {
   void WriteRaw(const void* data, size_t size);
   /// Evaluates the "wal.append" failpoint; throws WalIoError on a hit.
   void CheckAppendFailpoint();
-  /// Throwing body of OnAppend (the override wraps it fail-soft).
-  void AppendRowOrThrow(const EventJournal& journal);
   /// Frames one journal row (symbols first). No failpoint check, no
-  /// append-group end — callers own both.
+  /// roll, no sync — SyncJournal owns all three.
   void AppendRowAt(const EventJournal& journal, size_t index);
   /// Returns the segment-local id for `text`, emitting a kSymbol record
   /// on first sight within the current segment.
   uint32_t InternStreamSymbol(const std::string& text);
   /// InternStreamSymbol via a dense journal-id cache, so steady-state
-  /// row mirroring never hashes symbol text.
+  /// row encoding never hashes symbol text.
   uint32_t InternJournalSymbol(const EventJournal& journal, SymbolId id);
   void EndAppendGroup();
+
+  static constexpr size_t kUnknownRows = static_cast<size_t>(-1);
 
   WalWriterOptions options_;
   int fd_ = -1;
@@ -294,11 +291,14 @@ class WalWriter final : public JournalSink {
   bool dirty_ = false;
   uint64_t frames_appended_ = 0;
   uint64_t last_reset_end_ = 0;
-  std::string failure_;  ///< First fail-soft sink failure; see failure().
+  /// Journal rows the stream holds after its newest reset, or
+  /// kUnknownRows (forces SyncJournal's reset branch).
+  size_t journal_rows_ = kUnknownRows;
+  uint64_t journal_clears_ = 0;  ///< journal.clears() at the last sync.
   std::unordered_map<std::string, uint32_t> stream_symbols_;
   /// Journal SymbolId -> segment-local id; invalidated with
-  /// stream_symbols_ at segment open and when the journal resets its
-  /// own symbol table (OnClear).
+  /// stream_symbols_ at segment open and at every reset (a cleared
+  /// journal rebuilt its own symbol table).
   std::vector<uint32_t> journal_symbol_cache_;
   std::string payload_scratch_;  ///< Reused row/op encode buffer.
 };

@@ -141,12 +141,31 @@ void WriteFileDurable(const std::string& path, const std::string& content,
   if (observer != nullptr) observer->OnDurableExtent(path, content.size());
 }
 
-/// Best-effort directory fsync so renames survive power loss.
+/// Directory fsync, so the manifest rename (and the WAL segments
+/// created since the last checkpoint) survive power loss. Throws Error
+/// when the directory cannot be opened or synced: a checkpoint whose
+/// entries may not persist must not count as committed.
 void SyncDirectory(const std::string& dir) {
+  common::FailpointHit hit;
+  if (DAMOCLES_FAILPOINT("checkpoint.dirsync", &hit)) {
+    const int err = hit.action == common::FailpointAction::kErrno
+                        ? hit.error_number
+                        : EIO;
+    throw Error("checkpoint: cannot sync directory " + dir + ": " +
+                common::ErrnoString(err) + " (injected)");
+  }
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;
-  ::fsync(fd);
+  if (fd < 0) {
+    throw Error("checkpoint: cannot open directory " + dir + ": " +
+                common::ErrnoString(errno));
+  }
+  const bool synced = ::fsync(fd) == 0;
+  const int err = errno;
   ::close(fd);
+  if (!synced) {
+    throw Error("checkpoint: cannot sync directory " + dir + ": " +
+                common::ErrnoString(err));
+  }
 }
 
 /// (id, path) of every manifest file, sorted ascending by id.

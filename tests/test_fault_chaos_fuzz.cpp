@@ -17,8 +17,8 @@
 //    fault-free run's end state exactly;
 //  * the heal checkpoint is durable: a fresh server recovering from
 //    the chaos directory reproduces the same end state (journal
-//    multiset included — the heal re-mirrors rows the fail-soft sink
-//    dropped).
+//    multiset included — the heal checkpoint's fresh row writers write
+//    every journal whole, whatever the failing WAL left on disk).
 //
 // Faults are armed with bounded hit counts so every schedule drains;
 // the probability draws are seeded so failures reproduce by seed.
@@ -489,8 +489,8 @@ void RunSeed(uint64_t seed) {
   }
 
   // Durability of the healed state: recover from the chaos directory
-  // and compare again (journal included — the heal re-mirrors rows the
-  // fail-soft sink dropped while the WAL was failing).
+  // and compare again (journal included — a cut whose row write failed,
+  // and the heal, rewrite the stream from a reset).
   {
     auto recovered = std::make_unique<ProjectServer>(
         "chaos", MakeOptions(seed, chaos_dir.string()));

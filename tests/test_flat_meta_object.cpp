@@ -234,7 +234,6 @@ shard0 row poke down <zeta_blk.cell.1> "hello"
 shard0 row ckin up <zeta_blk.cell.2>
 shard0 row outofdate down <alpha_blk.cell.1>
 shard0 row poke down <alpha_blk.cell.1> "a b"
-shard0 row ckin up <alpha_blk.cell.2>
 )golden";
 
 /// A per-test scratch directory, removed on destruction.

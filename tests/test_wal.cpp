@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -170,7 +171,7 @@ std::vector<std::string> RowNames(const WalStreamData& data) {
   return names;
 }
 
-TEST(WalWriterReader, RowsRoundTripThroughTheSink) {
+TEST(WalWriterReader, RowsRoundTripThroughSyncJournal) {
   TempDir dir("wal-roundtrip");
   EventJournal journal;
   {
@@ -178,12 +179,11 @@ TEST(WalWriterReader, RowsRoundTripThroughTheSink) {
     options.dir = dir.str();
     options.stream = "shard0";
     WalWriter writer(options);
-    journal.SetSink(&writer);
     journal.Record(MakeEvent("ckin", "CPU"));
     journal.Record(MakeEvent("edit", "FPU"));
+    writer.SyncJournal(journal);
     journal.Record(MakeEvent("hdl_sim", "CPU", 2));
-    writer.Flush();
-    journal.SetSink(nullptr);
+    writer.SyncJournal(journal);
   }
   const WalStreamData data = events::ReadWalStream(dir.str(), "shard0");
   EXPECT_FALSE(data.torn) << data.error;
@@ -208,12 +208,10 @@ TEST(WalWriterReader, SegmentsRollAndStayContinuous) {
     options.stream = "shard0";
     options.segment_bytes = 256;  // Tiny: every few rows roll.
     WalWriter writer(options);
-    journal.SetSink(&writer);
     for (int i = 0; i < 40; ++i) {
       journal.Record(MakeEvent("ev" + std::to_string(i), "CPU"));
+      if (i % 8 == 7) writer.SyncJournal(journal);
     }
-    writer.Flush();
-    journal.SetSink(nullptr);
     EXPECT_GT(writer.segment_index(), 2u);
   }
   const WalStreamData data = events::ReadWalStream(dir.str(), "shard0");
@@ -241,12 +239,14 @@ TEST(WalWriterReader, ClearEmitsResetMarker) {
     options.dir = dir.str();
     options.stream = "shard0";
     WalWriter writer(options);
-    journal.SetSink(&writer);
+    // The stream is new: it holds none of the journal's rows, so the
+    // first sync needs no reset.
+    writer.ResumeJournal(journal, 0);
     journal.Record(MakeEvent("ckin", "CPU"));
+    writer.SyncJournal(journal);
     journal.Clear();
     journal.Record(MakeEvent("edit", "FPU"));
-    writer.Flush();
-    journal.SetSink(nullptr);
+    writer.SyncJournal(journal);
   }
   const WalStreamData data = events::ReadWalStream(dir.str(), "shard0");
   ASSERT_EQ(data.resets.size(), 1u);
@@ -255,6 +255,35 @@ TEST(WalWriterReader, ClearEmitsResetMarker) {
   EXPECT_GT(data.resets[0], data.rows[0].end_offset);
   EXPECT_LT(data.resets[0], data.rows[1].end_offset);
 }
+
+#if defined(DAMOCLES_FAILPOINTS_ENABLED)
+
+// A symbol frame whose spill flush fails is already in the write
+// buffer. The retry after it must reuse that symbol's id: defining it
+// again reads as a torn stream ("symbol id out of order").
+TEST(WalWriterReader, FailedSymbolFlushDoesNotRedefineTheSymbol) {
+  TempDir dir("wal-symbol-retry");
+  EventJournal journal;
+  EventMessage big = MakeEvent("ckin", "CPU");
+  big.arg.assign(70u << 10, 'x');  // Past the 64 KiB write buffer.
+  journal.Record(big);
+  {
+    WalWriterOptions options;
+    options.dir = dir.str();
+    options.stream = "shard0";
+    WalWriter writer(options);
+    common::Failpoints::Instance().Configure("wal.flush", "error,count=1");
+    EXPECT_THROW(writer.SyncJournal(journal), WalIoError);
+    common::Failpoints::Instance().ClearAll();
+    writer.SyncJournal(journal);
+  }
+  const WalStreamData data = events::ReadWalStream(dir.str(), "shard0");
+  EXPECT_FALSE(data.torn) << data.error;
+  ASSERT_EQ(data.rows.size(), 1u);
+  EXPECT_EQ(data.rows[0].event.arg, big.arg);
+}
+
+#endif  // DAMOCLES_FAILPOINTS_ENABLED
 
 TEST(WalWriterReader, CorruptionTruncatesAtTheTornRecord) {
   TempDir dir("wal-torn");
@@ -366,10 +395,8 @@ TEST(WalWriterReader, InspectionReportsEveryStream) {
     options.dir = dir.str();
     options.stream = "shard0";
     WalWriter writer(options);
-    journal.SetSink(&writer);
     journal.Record(MakeEvent("ckin", "CPU"));
-    writer.Flush();
-    journal.SetSink(nullptr);
+    writer.SyncJournal(journal);
   }
   const std::string report = events::FormatWalInspection(dir.str());
   EXPECT_NE(report.find("shard0"), std::string::npos);
@@ -774,6 +801,233 @@ TEST(ServerDurability, AutoCheckpointEveryNOps) {
   RunSampleWorkload(*server);  // 6 logged ops (blueprint excluded).
   EXPECT_GE(server->GetWalStatus().checkpoints_taken, 2u);
 }
+
+/// Counts flushes that reached a "shard<K>" row-stream segment. The
+/// checkpoint thread reports its own files too, hence the atomic.
+class RowExtentCounter : public events::WalAppendObserver {
+ public:
+  void OnDurableExtent(const std::string& path, uint64_t) override {
+    const std::string name = std::filesystem::path(path).filename().string();
+    if (name.rfind("shard", 0) == 0) row_extents_.fetch_add(1);
+  }
+  size_t row_extents() const { return row_extents_.load(); }
+
+ private:
+  std::atomic<size_t> row_extents_{0};
+};
+
+/// The journal's rows as "[origin] event" lines.
+std::vector<std::string> JournalRowLines(const EventJournal& journal) {
+  std::vector<std::string> lines;
+  for (size_t i = 0; i < journal.Size(); ++i) {
+    const EventMessage event = journal.At(i).event;
+    lines.push_back(std::string(events::EventOriginName(event.origin)) + " " +
+                    events::FormatEvent(event));
+  }
+  return lines;
+}
+
+std::vector<std::string> StreamRowLines(const WalStreamData& data) {
+  std::vector<std::string> lines;
+  for (const events::WalRestoredRow& row : data.rows) {
+    lines.push_back(std::string(events::EventOriginName(row.event.origin)) +
+                    " " + events::FormatEvent(row.event));
+  }
+  return lines;
+}
+
+TEST(ServerDurability, JournalRowsReachTheStreamOnlyAtACut) {
+  for (const FsyncPolicy policy :
+       {FsyncPolicy::kNone, FsyncPolicy::kBatch, FsyncPolicy::kEveryRecord}) {
+    SCOPED_TRACE(events::FsyncPolicyName(policy));
+    TempDir dir("srv-rows-at-cut");
+    RowExtentCounter extents;
+    ServerOptions options = DurableOptions(dir.str());
+    options.wal_fsync = policy;
+    options.wal_observer = &extents;
+    auto server = testutil::MakeEdtcServer(options);
+    RunSampleWorkload(*server);
+    server->CheckIn("FPU", "HDL_model", "module fpu;", "carol");
+    server->Drain();
+    const EventJournal& journal = server->sharded_engine()->shard(0).journal();
+    ASSERT_GT(journal.Size(), 0u);
+    EXPECT_EQ(extents.row_extents(), 0u);
+
+    EXPECT_EQ(server->WalCheckpoint(), 1u);
+    EXPECT_GT(extents.row_extents(), 0u);
+    const WalStreamData data = events::ReadWalStream(dir.str(), "shard0");
+    EXPECT_FALSE(data.torn) << data.error;
+    EXPECT_TRUE(data.resets.empty());
+    EXPECT_EQ(StreamRowLines(data), JournalRowLines(journal));
+
+    // The next cut appends only the rows added since this one.
+    const size_t extents_at_cut = extents.row_extents();
+    server->CheckIn("FPU", "schematic", "fpu gates", "carol");
+    server->Drain();
+    EXPECT_EQ(extents.row_extents(), extents_at_cut);
+    EXPECT_EQ(server->WalCheckpoint(), 2u);
+    const WalStreamData after = events::ReadWalStream(dir.str(), "shard0");
+    EXPECT_TRUE(after.resets.empty());
+    EXPECT_EQ(StreamRowLines(after), JournalRowLines(journal));
+  }
+}
+
+/// A WAL that older builds wrote carries rows past the newest
+/// manifest's offsets (they mirrored every append). Recovery cuts them
+/// off: the state equals recovering the same WAL without them.
+TEST(ServerDurability, RowsPastTheManifestFromOlderBuildsAreIgnored) {
+  TempDir plain("srv-old-rows");
+  {
+    auto server = testutil::MakeEdtcServer(DurableOptions(plain.str()));
+    RunSampleWorkload(*server);
+    EXPECT_EQ(server->WalCheckpoint(), 1u);
+    server->CheckIn("FPU", "HDL_model", "module fpu;", "carol");
+    server->AdvanceClock(30);
+    server->Drain();
+  }
+  TempDir extra("srv-old-rows-extra");
+  std::filesystem::copy(plain.path(), extra.path(),
+                        std::filesystem::copy_options::recursive);
+  {
+    // A reset and rows past the checkpoint, as a journal clear and
+    // mirrored appends would have left them.
+    EventJournal tail;
+    tail.Record(MakeEvent("ckin", "FPU"));
+    tail.Record(MakeEvent("hdl_sim", "FPU"));
+    WalWriterOptions options;
+    options.dir = extra.str();
+    options.stream = "shard0";
+    WalWriter writer(options);
+    writer.SyncJournal(tail);
+  }
+  ASSERT_GT(events::ReadWalStream(extra.str(), "shard0").rows.size(),
+            events::ReadWalStream(plain.str(), "shard0").rows.size());
+
+  ProjectServer expected("edtc", DurableOptions(plain.str()));
+  ProjectServer recovered("edtc", DurableOptions(extra.str()));
+  EXPECT_EQ(recovered.GetWalStatus().restored_rows,
+            expected.GetWalStatus().restored_rows);
+  EXPECT_EQ(ServerJournalLines(recovered), ServerJournalLines(expected));
+  EXPECT_EQ(metadb::SaveDatabaseString(recovered.database()),
+            metadb::SaveDatabaseString(expected.database()));
+}
+
+/// Threaded lanes journal on their workers while auto-checkpoints cut
+/// on the calling thread: the cut reads every journal after its drain.
+TEST(ServerDurability, ThreadedShardsAutoCheckpointWhileWavesRun) {
+  TempDir dir("srv-threaded-cuts");
+  ServerOptions options = DurableOptions(dir.str(), 4);
+  options.deterministic_shards = false;
+  options.checkpoint_every_ops = 6;
+  std::vector<std::string> lines;
+  std::string db_text;
+  size_t rows = 0;
+  {
+    auto server = testutil::MakeEdtcServer(options);
+    for (const char* block : {"CPU", "FPU", "ALU", "MMU", "BUS", "ROM"}) {
+      const Oid hdl = server->CheckIn(block, "HDL_model", "module;", "carol");
+      const Oid sch = server->CheckIn(block, "schematic", "gates", "carol");
+      server->RegisterLink(metadb::LinkKind::kDerive, hdl, sch);
+      std::string line = "postEvent hdl_sim up ";
+      line += block;
+      line += ",HDL_model,1 \"good\"";
+      server->SubmitWireLine(line, "carol");
+      server->CheckIn(block, "HDL_model", "module; // v2", "carol");
+    }
+    EXPECT_GE(server->GetWalStatus().checkpoints_taken, 3u);
+    server->WalCheckpoint();
+    lines = SortedServerJournalLines(*server);
+    db_text = metadb::SaveDatabaseString(server->database());
+    for (uint32_t shard = 0; shard < 4; ++shard) {
+      rows += server->sharded_engine()->shard(shard).journal().Size();
+    }
+  }
+  // Every op sits below the last checkpoint, so recovery replays none:
+  // the state comes from the checkpoint and the row streams alone.
+  ProjectServer recovered("edtc", options);
+  EXPECT_EQ(recovered.GetWalStatus().replayed_ops, 0u);
+  EXPECT_EQ(recovered.GetWalStatus().restored_rows, rows);
+  EXPECT_EQ(SortedServerJournalLines(recovered), lines);
+  EXPECT_EQ(metadb::SaveDatabaseString(recovered.database()), db_text);
+}
+
+#if defined(DAMOCLES_FAILPOINTS_ENABLED)
+
+/// A cut whose row append or row fsync fails fails the checkpoint
+/// without degrading the server, and the next cut rewrites the stream
+/// from a reset: the stream's tail past the failure is not trusted.
+TEST(ServerDurability, FailedCutRewritesTheRowStreamWhole) {
+  // "ops" syncs first at every cut, so the fsync failure skips it and
+  // hits shard0's; the cut appends nothing to "ops".
+  for (const char* config : {"wal.fsync=error,skip=1,count=1",
+                             "wal.append=error,count=1"}) {
+    SCOPED_TRACE(config);
+    const std::string spec = config;
+    const size_t eq = spec.find('=');
+    TempDir dir("srv-failed-cut");
+    std::vector<std::string> lines;
+    std::string db_text;
+    {
+      auto server = testutil::MakeEdtcServer(DurableOptions(dir.str()));
+      RunSampleWorkload(*server);
+      EXPECT_EQ(server->WalCheckpoint(), 1u);
+      server->CheckIn("FPU", "HDL_model", "module fpu;", "carol");
+      common::Failpoints::Instance().Configure(spec.substr(0, eq),
+                                               spec.substr(eq + 1));
+      EXPECT_THROW(server->WalCheckpoint(), WalIoError);
+      common::Failpoints::Instance().ClearAll();
+      EXPECT_FALSE(server->degraded());
+      EXPECT_EQ(server->GetHealth().checkpoint_failures, 1u);
+      server->CheckIn("FPU", "schematic", "fpu gates", "carol");
+      EXPECT_EQ(server->WalCheckpoint(), 2u);
+      const WalStreamData data = events::ReadWalStream(dir.str(), "shard0");
+      EXPECT_EQ(data.resets.size(), 1u);
+      lines = SortedServerJournalLines(*server);
+      db_text = metadb::SaveDatabaseString(server->database());
+    }
+    ProjectServer recovered("edtc", DurableOptions(dir.str()));
+    EXPECT_EQ(recovered.GetWalStatus().checkpoint_id, 2u);
+    EXPECT_EQ(SortedServerJournalLines(recovered), lines);
+    EXPECT_EQ(metadb::SaveDatabaseString(recovered.database()), db_text);
+  }
+}
+
+/// The checkpoint's directory fsync makes its manifest rename durable.
+/// When it fails the checkpoint fails: nothing commits, nothing is
+/// pruned, and the server stays writable.
+TEST(ServerDurability, DirectorySyncFailureFailsTheCheckpoint) {
+  TempDir dir("srv-dirsync");
+  ServerOptions options = DurableOptions(dir.str());
+  options.wal_retain_segments = 0;  // Retention on: commits prune.
+  auto server = testutil::MakeEdtcServer(options);
+  RunSampleWorkload(*server);
+  EXPECT_EQ(server->WalCheckpoint(), 1u);
+  server->CheckIn("FPU", "HDL_model", "module fpu;", "carol");
+  EXPECT_EQ(server->WalCheckpoint(), 2u);
+  const engine::WalStatus before = server->GetWalStatus();
+  EXPECT_GT(before.checkpoints_pruned, 0u);
+
+  server->CheckIn("FPU", "schematic", "fpu gates", "carol");
+  common::Failpoints::Instance().Configure("checkpoint.dirsync",
+                                           "errno:EIO,count=1");
+  EXPECT_THROW(server->WalCheckpoint(), Error);
+  common::Failpoints::Instance().ClearAll();
+
+  const engine::WalStatus after = server->GetWalStatus();
+  EXPECT_EQ(after.last_checkpoint_id, before.last_checkpoint_id);
+  EXPECT_EQ(after.checkpoints_pruned, before.checkpoints_pruned);
+  EXPECT_TRUE(std::filesystem::exists(
+      dir.path() / metadb::CheckpointFileName(2, "db")));
+  const engine::ServerHealth health = server->GetHealth();
+  EXPECT_FALSE(health.degraded);
+  EXPECT_EQ(health.checkpoint_failures, 1u);
+  // The next checkpoint commits and prunes as usual.
+  EXPECT_EQ(server->WalCheckpoint(), 4u);
+  EXPECT_GT(server->GetWalStatus().checkpoints_pruned,
+            before.checkpoints_pruned);
+}
+
+#endif  // DAMOCLES_FAILPOINTS_ENABLED
 
 // --- Wire commands ---------------------------------------------------------
 

@@ -17,8 +17,9 @@
 // uninterrupted run.
 //
 // Variants by seed: even seeds run 1-shard; seed % 4 == 1 runs 4-shard
-// deterministic; seed % 4 == 3 runs 4-shard THREADED (worker-thread WAL
-// appends; the suite runs under ASan in CI). The fsync policy and
+// deterministic; seed % 4 == 3 runs 4-shard THREADED (waves journal on
+// worker threads, and each checkpoint cut writes those rows; the suite
+// runs under ASan in CI). The fsync policy and
 // segment size are random per seed so rolls and every flush discipline
 // are exercised.
 #include <gtest/gtest.h>

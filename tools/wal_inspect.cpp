@@ -12,6 +12,12 @@
 // Exits 0 when every stream scans clean, 1 when any stream is torn
 // (its report line shows where the intact prefix ends), 2 on usage
 // errors.
+//
+// Row streams ("shard<K>") end at the newest checkpoint's offsets: the
+// server writes journal rows only when it takes a checkpoint, so rows
+// recorded after it are not on disk yet (recovery re-derives them from
+// "ops"). A WAL from an older build may carry rows past those offsets;
+// recovery ignores them.
 #include <cstdio>
 #include <cstring>
 #include <string>
